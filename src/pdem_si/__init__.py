@@ -20,17 +20,16 @@ from .core import (
     SingularPoint,
     SingularPotential,
     ZeroNorm,
-    ambiguity_reduce,
     deforming_eval,
     positivity_check,
 )
-from .ordering import OrderingContext, recover_initial_potential, v_tilde_eval, vonroos_apply
+from .ordering import OrderingContext, recover_initial_potential, v_tilde_eval
 from .si_engine import (
     ChainProblem,
     ParameterChain,
     SuperpotentialClass,
+    chain_residuals,
     partner_potential,
-    si_residual,
     solve_chain,
     w_eval,
 )
@@ -58,7 +57,6 @@ from .wavefunctions import (
     DeformedPolynomial,
     admissibility_check,
     excited_state_eval,
-    ground_state_numeric,
     normalize,
     polynomial_chain,
 )

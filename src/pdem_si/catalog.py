@@ -56,6 +56,13 @@ class OracleRecipe:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """Closed-form data of one deformed potential.
+
+    Every callable field takes the parameter dict first, e.g.
+    ``printed_energy(params, n)``, ``ground_state_closed(params, x)`` or
+    ``v_tilde_closed(params, rho, sigma, x)`` (None when nothing is printed).
+    """
+
     name: str
     title: str
     domain: Interval
@@ -64,21 +71,21 @@ class CatalogEntry:
     default_params: dict
     range_text: str
     _validate: Callable
-    _deforming: Callable
-    _v_eff: Callable
-    _v_coeffs: Callable
-    _sp: Callable
+    deforming: Callable
+    v_eff: Callable
+    v_coeffs: Callable
+    sp: Callable
     lam_branch: float
     mu_branch: float
-    _printed_lambda: Callable
-    _printed_mu: Callable
-    _printed_energy: Callable
-    _ground_closed: Callable
-    _counting: Callable
-    _v_tilde_closed: Optional[Callable]
-    _recipe: Callable
-    _equiv_recipe: Callable
-    _continuum_edge: Callable
+    printed_lambda: Callable
+    printed_mu: Callable
+    printed_energy: Callable
+    ground_state_closed: Callable
+    counting: Callable
+    v_tilde_closed: Optional[Callable]
+    oracle_recipe: Callable
+    equivalence_recipe: Callable
+    continuum_edge: Callable
     x_ref: float
     probe_bound: float
     sq_int_scale: float
@@ -92,60 +99,42 @@ class CatalogEntry:
         missing = set(self.param_names) - set(params)
         if missing:
             raise RangeError(f"{self.name}: missing parameter(s) {sorted(missing)}")
+        nonfinite = sorted(k for k in self.param_names if not math.isfinite(params[k]))
+        if nonfinite:
+            raise RangeError(f"{self.name}: parameter(s) {nonfinite} must be finite")
         deformed = any(params[k] != 0.0 for k in self.deformation_names)
         if not deformed and not allow_undeformed:
             raise RangeError(f"{self.name}: deformation parameters all zero (range: {self.range_text})")
         self._validate(params, allow_undeformed)
 
-    def deforming(self, params: dict) -> DeformingFunction:
-        return self._deforming(params)
-
-    def v_eff(self, params: dict) -> Callable:
-        return self._v_eff(params)
-
     def chain_problem(self, params: dict) -> ChainProblem:
         return ChainProblem(
-            sp=self._sp(params),
-            v_coeffs=self._v_coeffs(params),
+            sp=self.sp(params),
+            v_coeffs=self.v_coeffs(params),
             df=self.deforming(params),
             v_eff=self.v_eff(params),
             lam_branch=self.lam_branch,
             mu_branch=self.mu_branch,
         )
 
-    def printed_lambda(self, params: dict, i: int) -> float:
-        return self._printed_lambda(params, i)
-
-    def printed_mu(self, params: dict, i: int) -> float:
-        return self._printed_mu(params, i)
-
-    def printed_energy(self, params: dict, n: int) -> float:
-        return self._printed_energy(params, n)
-
-    def ground_state_closed(self, params: dict, x) -> float:
-        return self._ground_closed(params, x)
-
-    def counting(self, params: dict) -> CountingResult:
-        return self._counting(params)
-
-    def v_tilde_closed(self, params: dict, rho: float, sigma: float, x):
-        if self._v_tilde_closed is None:
-            return None
-        return self._v_tilde_closed(params, rho, sigma, x)
-
-    def oracle_recipe(self, params: dict) -> OracleRecipe:
-        return self._recipe(params)
-
-    def equivalence_recipe(self, params: dict) -> OracleRecipe:
-        return self._equiv_recipe(params)
-
-    def continuum_edge(self, params: dict) -> float:
-        return self._continuum_edge(params)
-
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise RangeError(msg)
+
+
+def _levels_below(root: float, below: Callable) -> CountingResult:
+    """Count the integers k >= 0 with below(k), a predicate that holds exactly
+    for k < root. ``root`` carries rounding error, so the predicate settles the
+    integer at the edge: an exact equality is not a level."""
+    if not math.isfinite(root):
+        raise RangeError(f"bound-state count overflows (estimate {root})")
+    k = max(0, math.ceil(root))
+    if k > 0 and not below(float(k - 1)):
+        k -= 1
+    elif below(float(k)):
+        k += 1
+    return CountingResult.finite(k)
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +179,21 @@ def _make_box() -> CatalogEntry:
         default_params={"alpha": 0.5},
         range_text="-1 < alpha < 1, alpha != 0",
         _validate=validate,
-        _deforming=lambda p: DeformingFunction("trig_sin2", {"alpha": p["alpha"]}),
-        _v_eff=lambda p: (lambda x: np.zeros_like(np.asarray(x, dtype=float))),
-        _v_coeffs=lambda p: (0.0, 0.0, 0.0),
-        _sp=lambda p: _tan_sp(p["alpha"]),
+        deforming=lambda p: DeformingFunction("trig_sin2", {"alpha": p["alpha"]}),
+        v_eff=lambda p: (lambda x: np.zeros_like(np.asarray(x, dtype=float))),
+        v_coeffs=lambda p: (0.0, 0.0, 0.0),
+        sp=lambda p: _tan_sp(p["alpha"]),
         lam_branch=+1.0,
         mu_branch=+1.0,
-        _printed_lambda=lambda p, i: (i + 1) * (1.0 + p["alpha"]),
-        _printed_mu=lambda p, i: 0.0,
-        _printed_energy=printed_energy,
-        _ground_closed=ground,
-        _counting=lambda p: CountingResult.infinite(),
-        _v_tilde_closed=lambda p, r, s, x: _box_trig_vtilde(p["alpha"], r, s, x),
-        _recipe=lambda p: OracleRecipe(-_HALF_PI, _HALF_PI, 4001),
-        _equiv_recipe=lambda p: OracleRecipe(-_HALF_PI, _HALF_PI, 4001),
-        _continuum_edge=lambda p: math.inf,
+        printed_lambda=lambda p, i: (i + 1) * (1.0 + p["alpha"]),
+        printed_mu=lambda p, i: 0.0,
+        printed_energy=printed_energy,
+        ground_state_closed=ground,
+        counting=lambda p: CountingResult.infinite(),
+        v_tilde_closed=lambda p, r, s, x: _box_trig_vtilde(p["alpha"], r, s, x),
+        oracle_recipe=lambda p: OracleRecipe(-_HALF_PI, _HALF_PI, 4001),
+        equivalence_recipe=lambda p: OracleRecipe(-_HALF_PI, _HALF_PI, 4001),
+        continuum_edge=lambda p: math.inf,
         x_ref=0.0,
         probe_bound=math.nan,
         sq_int_scale=math.nan,
@@ -246,21 +235,21 @@ def _make_trig_pt() -> CatalogEntry:
         default_params={"A": 2.0, "alpha": 0.3},
         range_text="A > 1, -1 < alpha != 0",
         _validate=validate,
-        _deforming=lambda p: DeformingFunction("trig_sin2", {"alpha": p["alpha"]}),
-        _v_eff=v_eff,
-        _v_coeffs=lambda p: (p["A"] * (p["A"] - 1.0), 0.0, p["A"] * (p["A"] - 1.0)),
-        _sp=lambda p: _tan_sp(p["alpha"]),
+        deforming=lambda p: DeformingFunction("trig_sin2", {"alpha": p["alpha"]}),
+        v_eff=v_eff,
+        v_coeffs=lambda p: (p["A"] * (p["A"] - 1.0), 0.0, p["A"] * (p["A"] - 1.0)),
+        sp=lambda p: _tan_sp(p["alpha"]),
         lam_branch=+1.0,
         mu_branch=+1.0,
-        _printed_lambda=lambda p, i: _trig_pt_lambda0(p) + i * (1.0 + p["alpha"]),
-        _printed_mu=lambda p, i: 0.0,
-        _printed_energy=printed_energy,
-        _ground_closed=ground,
-        _counting=lambda p: CountingResult.infinite(),
-        _v_tilde_closed=lambda p, r, s, x: _box_trig_vtilde(p["alpha"], r, s, x),
-        _recipe=lambda p: OracleRecipe(-_HALF_PI, _HALF_PI, 4001),
-        _equiv_recipe=lambda p: OracleRecipe(-_HALF_PI, _HALF_PI, 4001),
-        _continuum_edge=lambda p: math.inf,
+        printed_lambda=lambda p, i: _trig_pt_lambda0(p) + i * (1.0 + p["alpha"]),
+        printed_mu=lambda p, i: 0.0,
+        printed_energy=printed_energy,
+        ground_state_closed=ground,
+        counting=lambda p: CountingResult.infinite(),
+        v_tilde_closed=lambda p, r, s, x: _box_trig_vtilde(p["alpha"], r, s, x),
+        oracle_recipe=lambda p: OracleRecipe(-_HALF_PI, _HALF_PI, 4001),
+        equivalence_recipe=lambda p: OracleRecipe(-_HALF_PI, _HALF_PI, 4001),
+        continuum_edge=lambda p: math.inf,
         x_ref=0.0,
         probe_bound=math.nan,
         sq_int_scale=math.nan,
@@ -307,23 +296,23 @@ def _make_hyp_pt() -> CatalogEntry:
         default_params={"A": 1.0, "alpha": 0.5},
         range_text="A > 0, 0 < alpha < 1",
         _validate=validate,
-        _deforming=lambda p: DeformingFunction("hyperbolic_sinh2", {"alpha": p["alpha"]}),
-        _v_eff=v_eff,
-        _v_coeffs=lambda p: (p["A"] * (p["A"] + 1.0), 0.0, -p["A"] * (p["A"] + 1.0)),
-        _sp=lambda p: SuperpotentialClass(
+        deforming=lambda p: DeformingFunction("hyperbolic_sinh2", {"alpha": p["alpha"]}),
+        v_eff=v_eff,
+        v_coeffs=lambda p: (p["A"] * (p["A"] + 1.0), 0.0, -p["A"] * (p["A"] + 1.0)),
+        sp=lambda p: SuperpotentialClass(
             "class1", "tanh", (-1.0, 0.0, 1.0), (p["alpha"], 0.0, 0.0), class0=True
         ),
         lam_branch=+1.0,
         mu_branch=+1.0,
-        _printed_lambda=lambda p, i: _hyp_pt_lambda0(p) - i * (1.0 - p["alpha"]),
-        _printed_mu=lambda p, i: 0.0,
-        _printed_energy=printed_energy,
-        _ground_closed=ground,
-        _counting=lambda p: CountingResult.zero(),
-        _v_tilde_closed=None,
-        _recipe=lambda p: OracleRecipe(-6.0, 6.0, 4001, level_cap=0),
-        _equiv_recipe=lambda p: OracleRecipe(-3.5, 3.5, 16001),
-        _continuum_edge=lambda p: 0.0,
+        printed_lambda=lambda p, i: _hyp_pt_lambda0(p) - i * (1.0 - p["alpha"]),
+        printed_mu=lambda p, i: 0.0,
+        printed_energy=printed_energy,
+        ground_state_closed=ground,
+        counting=lambda p: CountingResult.zero(),
+        v_tilde_closed=None,
+        oracle_recipe=lambda p: OracleRecipe(-6.0, 6.0, 4001, level_cap=0),
+        equivalence_recipe=lambda p: OracleRecipe(-3.5, 3.5, 16001),
+        continuum_edge=lambda p: 0.0,
         x_ref=0.0,
         probe_bound=120.0,
         sq_int_scale=16.0,
@@ -394,27 +383,27 @@ def _make_shifted() -> CatalogEntry:
         default_params={"omega": 1.0, "b": 0.3, "alpha": 0.1, "beta": 0.1},
         range_text="omega > 0, alpha > beta^2 >= 0",
         _validate=validate,
-        _deforming=lambda p: DeformingFunction("quadratic", {"alpha": p["alpha"], "beta": p["beta"]}),
-        _v_eff=v_eff,
-        _v_coeffs=lambda p: (
+        deforming=lambda p: DeformingFunction("quadratic", {"alpha": p["alpha"], "beta": p["beta"]}),
+        v_eff=v_eff,
+        v_coeffs=lambda p: (
             0.25 * p["omega"] ** 2,
             -p["b"] * p["omega"],
             p["b"] ** 2,
         ),
-        _sp=lambda p: SuperpotentialClass(
+        sp=lambda p: SuperpotentialClass(
             "class1", "x", (0.0, 0.0, 1.0), (p["alpha"], 2.0 * p["beta"], 0.0)
         ),
         lam_branch=+1.0,
         mu_branch=+1.0,
-        _printed_lambda=lambda p, i: _shifted_lam_mu(p)[0] + i * p["alpha"],
-        _printed_mu=printed_mu,
-        _printed_energy=printed_energy,
-        _ground_closed=ground,
-        _counting=lambda p: CountingResult.infinite(),
-        _v_tilde_closed=vtilde,
-        _recipe=lambda p: OracleRecipe(-25.0, 25.0, 4001),
-        _equiv_recipe=lambda p: OracleRecipe(-12.0, 12.0, 8001),
-        _continuum_edge=lambda p: math.inf,
+        printed_lambda=lambda p, i: _shifted_lam_mu(p)[0] + i * p["alpha"],
+        printed_mu=printed_mu,
+        printed_energy=printed_energy,
+        ground_state_closed=ground,
+        counting=lambda p: CountingResult.infinite(),
+        v_tilde_closed=vtilde,
+        oracle_recipe=lambda p: OracleRecipe(-25.0, 25.0, 4001),
+        equivalence_recipe=lambda p: OracleRecipe(-12.0, 12.0, 8001),
+        continuum_edge=lambda p: math.inf,
         x_ref=0.0,
         probe_bound=2.0**40,
         sq_int_scale=16.0,
@@ -463,22 +452,22 @@ def _make_osc3d() -> CatalogEntry:
         default_params={"omega": 1.0, "l": 1.0, "alpha": 0.05},
         range_text="omega > 0, l >= 0, alpha > 0",
         _validate=validate,
-        _deforming=lambda p: DeformingFunction("quadratic", {"alpha": p["alpha"], "beta": 0.0}),
-        _v_eff=v_eff,
-        _v_coeffs=lambda p: (p["l"] * (p["l"] + 1.0), 0.25 * p["omega"] ** 2, 0.0),
-        _sp=lambda p: SuperpotentialClass("class2", "inv_x", (-1.0, 0.0), (0.0, -p["alpha"])),
+        deforming=lambda p: DeformingFunction("quadratic", {"alpha": p["alpha"], "beta": 0.0}),
+        v_eff=v_eff,
+        v_coeffs=lambda p: (p["l"] * (p["l"] + 1.0), 0.25 * p["omega"] ** 2, 0.0),
+        sp=lambda p: SuperpotentialClass("class2", "inv_x", (-1.0, 0.0), (0.0, -p["alpha"])),
         lam_branch=-1.0,
         mu_branch=+1.0,
-        _printed_lambda=lambda p, i: -p["l"] - 1.0 - i,
-        _printed_mu=lambda p, i: _osc3d_mu0(p) + i * p["alpha"],
-        _printed_energy=printed_energy,
-        _ground_closed=ground,
-        _counting=lambda p: CountingResult.infinite(),
-        _v_tilde_closed=lambda p, r, s, x: 2.0 * (r + 2.0 * s) * p["alpha"] ** 2 * np.asarray(x, dtype=float) ** 2
+        printed_lambda=lambda p, i: -p["l"] - 1.0 - i,
+        printed_mu=lambda p, i: _osc3d_mu0(p) + i * p["alpha"],
+        printed_energy=printed_energy,
+        ground_state_closed=ground,
+        counting=lambda p: CountingResult.infinite(),
+        v_tilde_closed=lambda p, r, s, x: 2.0 * (r + 2.0 * s) * p["alpha"] ** 2 * np.asarray(x, dtype=float) ** 2
         + 2.0 * r * p["alpha"],
-        _recipe=lambda p: OracleRecipe(1e-4, 64.0, 8001),
-        _equiv_recipe=lambda p: OracleRecipe(1e-4, 24.0, 8001),
-        _continuum_edge=lambda p: math.inf,
+        oracle_recipe=lambda p: OracleRecipe(1e-4, 64.0, 8001),
+        equivalence_recipe=lambda p: OracleRecipe(1e-4, 24.0, 8001),
+        continuum_edge=lambda p: math.inf,
         x_ref=1.0,
         probe_bound=2.0**40,
         sq_int_scale=16.0,
@@ -516,13 +505,15 @@ def _make_coulomb() -> CatalogEntry:
         return -(((e2 - a * (n**2 + (l + 1.0) * (2 * n + 1))) / (2.0 * (n + l + 1.0))) ** 2)
 
     def counting(p):
+        # levels are the integers k >= 0 with k^2 + (l+1)(2k+1) < e2/alpha, i.e.
+        # k < -(l+1) + sqrt(l(l+1) + e2/alpha); the root is taken in the
+        # cancellation-free form and hypot keeps l(l+1) from overflowing
         e2, l, a = p["e2"], p["l"], p["alpha"]
         if a >= e2 / (l + 1.0):
             return CountingResult.zero()
-        k = 0
-        while k**2 + (l + 1.0) * (2 * k + 1) < e2 / a:
-            k += 1
-        return CountingResult.finite(k)
+        c = e2 / a
+        root = (c - (l + 1.0)) / (l + 1.0 + math.hypot(l, math.sqrt(l + c)))
+        return _levels_below(root, lambda k: k * k + (l + 1.0) * (2 * k + 1) < c)
 
     def ground(p, x):
         e2, l, a = p["e2"], p["l"], p["alpha"]
@@ -540,21 +531,21 @@ def _make_coulomb() -> CatalogEntry:
         default_params={"e2": 1.0, "l": 0.0, "alpha": 0.1},
         range_text="e2 > 0, l >= 0, alpha > 0",
         _validate=validate,
-        _deforming=lambda p: DeformingFunction("linear", {"alpha": p["alpha"]}),
-        _v_eff=v_eff,
-        _v_coeffs=lambda p: (p["l"] * (p["l"] + 1.0), -p["e2"], 0.0),
-        _sp=lambda p: SuperpotentialClass("class1", "inv_x", (-1.0, 0.0, 0.0), (0.0, -p["alpha"], 0.0)),
+        deforming=lambda p: DeformingFunction("linear", {"alpha": p["alpha"]}),
+        v_eff=v_eff,
+        v_coeffs=lambda p: (p["l"] * (p["l"] + 1.0), -p["e2"], 0.0),
+        sp=lambda p: SuperpotentialClass("class1", "inv_x", (-1.0, 0.0, 0.0), (0.0, -p["alpha"], 0.0)),
         lam_branch=-1.0,
         mu_branch=+1.0,
-        _printed_lambda=lambda p, i: -p["l"] - 1.0 - i,
-        _printed_mu=printed_mu,
-        _printed_energy=printed_energy,
-        _ground_closed=ground,
-        _counting=counting,
-        _v_tilde_closed=lambda p, r, s, x: s * p["alpha"] ** 2 * np.ones_like(np.asarray(x, dtype=float)),
-        _recipe=lambda p: OracleRecipe(1e-3, 512.0, 8001, rel_tol=5e-3, level_cap=2),
-        _equiv_recipe=lambda p: OracleRecipe(1e-3, 30.0, 8001),
-        _continuum_edge=lambda p: 0.0,
+        printed_lambda=lambda p, i: -p["l"] - 1.0 - i,
+        printed_mu=printed_mu,
+        printed_energy=printed_energy,
+        ground_state_closed=ground,
+        counting=counting,
+        v_tilde_closed=lambda p, r, s, x: s * p["alpha"] ** 2 * np.ones_like(np.asarray(x, dtype=float)),
+        oracle_recipe=lambda p: OracleRecipe(1e-3, 512.0, 8001, rel_tol=5e-3, level_cap=2),
+        equivalence_recipe=lambda p: OracleRecipe(1e-3, 30.0, 8001),
+        continuum_edge=lambda p: 0.0,
         x_ref=1.0,
         probe_bound=2.0**40,
         sq_int_scale=16.0,
@@ -648,22 +639,22 @@ def _make_morse() -> CatalogEntry:
         default_params={"A": 1.0, "B": 1.0, "alpha": 0.5},
         range_text="A > 0, B > 0, alpha > 0",
         _validate=validate,
-        _deforming=lambda p: DeformingFunction("exp_decay", {"alpha": p["alpha"]}),
-        _v_eff=v_eff,
-        _v_coeffs=lambda p: (p["B"] ** 2, -p["B"] * (2.0 * p["A"] + 1.0), 0.0),
-        _sp=lambda p: SuperpotentialClass("class1", "exp_neg", (0.0, -1.0, 0.0), (-p["alpha"], 0.0, 0.0)),
+        deforming=lambda p: DeformingFunction("exp_decay", {"alpha": p["alpha"]}),
+        v_eff=v_eff,
+        v_coeffs=lambda p: (p["B"] ** 2, -p["B"] * (2.0 * p["A"] + 1.0), 0.0),
+        sp=lambda p: SuperpotentialClass("class1", "exp_neg", (0.0, -1.0, 0.0), (-p["alpha"], 0.0, 0.0)),
         lam_branch=-1.0,
         mu_branch=+1.0,
-        _printed_lambda=lambda p, i: _morse_lam_mu(p)[0] - i * p["alpha"],
-        _printed_mu=printed_mu,
-        _printed_energy=printed_energy,
-        _ground_closed=ground,
-        _counting=counting,
-        _v_tilde_closed=lambda p, r, s, x: (r + s) * p["alpha"] ** 2 * np.exp(-2.0 * np.asarray(x, dtype=float))
+        printed_lambda=lambda p, i: _morse_lam_mu(p)[0] - i * p["alpha"],
+        printed_mu=printed_mu,
+        printed_energy=printed_energy,
+        ground_state_closed=ground,
+        counting=counting,
+        v_tilde_closed=lambda p, r, s, x: (r + s) * p["alpha"] ** 2 * np.exp(-2.0 * np.asarray(x, dtype=float))
         + r * p["alpha"] * np.exp(-np.asarray(x, dtype=float)),
-        _recipe=recipe,
-        _equiv_recipe=lambda p: OracleRecipe(-6.0, 20.0, 8001),
-        _continuum_edge=lambda p: 0.0,
+        oracle_recipe=recipe,
+        equivalence_recipe=lambda p: OracleRecipe(-6.0, 20.0, 8001),
+        continuum_edge=lambda p: 0.0,
         x_ref=0.0,
         probe_bound=240.0,
         sq_int_scale=16.0,
@@ -708,10 +699,7 @@ def _make_eckart() -> CatalogEntry:
         if a == -2.0:
             return CountingResult.infinite()
         bound = (2.0 * B + a * A * (A - 1.0)) / (2.0 + a)
-        k = 0
-        while (A + k) ** 2 < bound:
-            k += 1
-        return CountingResult.finite(k)
+        return _levels_below(math.sqrt(bound) - A, lambda k: (A + k) ** 2 < bound)
 
     def ground(p, x):
         A, B, a = p["A"], p["B"], p["alpha"]
@@ -750,25 +738,25 @@ def _make_eckart() -> CatalogEntry:
         default_params={"A": 1.5, "B": 2.5, "alpha": -1.0},
         range_text="A >= 3/2, B > A^2, -2 <= alpha != 0",
         _validate=validate,
-        _deforming=lambda p: DeformingFunction("exp_sinh", {"alpha": p["alpha"]}),
-        _v_eff=v_eff,
-        _v_coeffs=lambda p: (
+        deforming=lambda p: DeformingFunction("exp_sinh", {"alpha": p["alpha"]}),
+        v_eff=v_eff,
+        v_coeffs=lambda p: (
             p["A"] * (p["A"] - 1.0),
             -2.0 * p["B"],
             -p["A"] * (p["A"] - 1.0),
         ),
-        _sp=lambda p: SuperpotentialClass("class1", "coth", (-1.0, 0.0, 1.0), (0.0, -p["alpha"], p["alpha"])),
+        sp=lambda p: SuperpotentialClass("class1", "coth", (-1.0, 0.0, 1.0), (0.0, -p["alpha"], p["alpha"])),
         lam_branch=-1.0,
         mu_branch=+1.0,
-        _printed_lambda=lambda p, i: -p["A"] - i,
-        _printed_mu=printed_mu,
-        _printed_energy=printed_energy,
-        _ground_closed=ground,
-        _counting=counting,
-        _v_tilde_closed=vtilde,
-        _recipe=recipe,
-        _equiv_recipe=lambda p: OracleRecipe(1e-4, 8.0, 8001),
-        _continuum_edge=lambda p: -2.0 * p["B"],
+        printed_lambda=lambda p, i: -p["A"] - i,
+        printed_mu=printed_mu,
+        printed_energy=printed_energy,
+        ground_state_closed=ground,
+        counting=counting,
+        v_tilde_closed=vtilde,
+        oracle_recipe=recipe,
+        equivalence_recipe=lambda p: OracleRecipe(1e-4, 8.0, 8001),
+        continuum_edge=lambda p: -2.0 * p["B"],
         x_ref=1.0,
         # coth x rounds to 1.0 beyond ~18, where the chain variable degenerates;
         # the small panel scale buys enough doublings below that ceiling to
@@ -847,27 +835,27 @@ def _make_scarf1() -> CatalogEntry:
         default_params={"A": 3.0, "B": 0.5, "alpha": 0.5},
         range_text="0 < B < A - 1, 0 < |alpha| < 1",
         _validate=validate,
-        _deforming=lambda p: DeformingFunction("trig_sin", {"alpha": p["alpha"]}),
-        _v_eff=v_eff,
-        _v_coeffs=lambda p: (
+        deforming=lambda p: DeformingFunction("trig_sin", {"alpha": p["alpha"]}),
+        v_eff=v_eff,
+        v_coeffs=lambda p: (
             0.0,
             -p["B"] * (2.0 * p["A"] - 1.0),
             p["B"] ** 2 + p["A"] * (p["A"] - 1.0),
         ),
-        _sp=lambda p: SuperpotentialClass(
+        sp=lambda p: SuperpotentialClass(
             "class3", "sin", (-1.0, 1.0, 0.0, 1.0), (0.0, 0.0, p["alpha"], 0.0)
         ),
         lam_branch=+1.0,
         mu_branch=+1.0,
-        _printed_lambda=lambda p, i: _scarf_lam_mu(p)[0] + i,
-        _printed_mu=lambda p, i: _scarf_lam_mu(p)[1] + i * p["alpha"],
-        _printed_energy=printed_energy,
-        _ground_closed=ground,
-        _counting=lambda p: CountingResult.infinite(),
-        _v_tilde_closed=vtilde,
-        _recipe=lambda p: OracleRecipe(-_HALF_PI, _HALF_PI, 4001),
-        _equiv_recipe=lambda p: OracleRecipe(-_HALF_PI, _HALF_PI, 4001),
-        _continuum_edge=lambda p: math.inf,
+        printed_lambda=lambda p, i: _scarf_lam_mu(p)[0] + i,
+        printed_mu=lambda p, i: _scarf_lam_mu(p)[1] + i * p["alpha"],
+        printed_energy=printed_energy,
+        ground_state_closed=ground,
+        counting=lambda p: CountingResult.infinite(),
+        v_tilde_closed=vtilde,
+        oracle_recipe=lambda p: OracleRecipe(-_HALF_PI, _HALF_PI, 4001),
+        equivalence_recipe=lambda p: OracleRecipe(-_HALF_PI, _HALF_PI, 4001),
+        continuum_edge=lambda p: math.inf,
         x_ref=0.0,
         probe_bound=math.nan,
         sq_int_scale=math.nan,
@@ -939,27 +927,27 @@ def _make_rosen_morse1() -> CatalogEntry:
         default_params={"A": 1.5, "B": 0.5, "alpha": 0.4, "beta": 0.3},
         range_text="A >= 3/2, beta > -1, |alpha|/2 < sqrt(1 + beta)",
         _validate=validate,
-        _deforming=lambda p: DeformingFunction("trig_mix", {"alpha": p["alpha"], "beta": p["beta"]}),
-        _v_eff=v_eff,
-        _v_coeffs=lambda p: (
+        deforming=lambda p: DeformingFunction("trig_mix", {"alpha": p["alpha"], "beta": p["beta"]}),
+        v_eff=v_eff,
+        v_coeffs=lambda p: (
             p["A"] * (p["A"] - 1.0),
             2.0 * p["B"],
             p["A"] * (p["A"] - 1.0),
         ),
-        _sp=lambda p: SuperpotentialClass(
+        sp=lambda p: SuperpotentialClass(
             "class1", "cot", (-1.0, 0.0, -1.0), (0.0, -p["alpha"], -p["beta"])
         ),
         lam_branch=-1.0,
         mu_branch=+1.0,
-        _printed_lambda=lambda p, i: -p["A"] - i,
-        _printed_mu=printed_mu,
-        _printed_energy=printed_energy,
-        _ground_closed=ground,
-        _counting=lambda p: CountingResult.infinite(),
-        _v_tilde_closed=vtilde,
-        _recipe=lambda p: OracleRecipe(0.0, math.pi, 4001),
-        _equiv_recipe=lambda p: OracleRecipe(0.0, math.pi, 4001),
-        _continuum_edge=lambda p: math.inf,
+        printed_lambda=lambda p, i: -p["A"] - i,
+        printed_mu=printed_mu,
+        printed_energy=printed_energy,
+        ground_state_closed=ground,
+        counting=lambda p: CountingResult.infinite(),
+        v_tilde_closed=vtilde,
+        oracle_recipe=lambda p: OracleRecipe(0.0, math.pi, 4001),
+        equivalence_recipe=lambda p: OracleRecipe(0.0, math.pi, 4001),
+        continuum_edge=lambda p: math.inf,
         x_ref=_HALF_PI,
         probe_bound=math.nan,
         sq_int_scale=math.nan,

@@ -2,7 +2,8 @@
 verification suites and deformation-parameter sweeps.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid flags or parameters.
-The environment variable PDEM_GRID_N overrides the default oracle grid size.
+The environment variable PDEM_GRID_N (an integer >= 3) overrides the default
+oracle grid size.
 """
 from __future__ import annotations
 
@@ -90,7 +91,11 @@ class SpectrumReport:
 
 def _grid_n_override() -> Optional[int]:
     raw = os.environ.get("PDEM_GRID_N")
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    if not raw.strip().isdecimal() or int(raw) < 3:
+        raise RangeError(f"PDEM_GRID_N must be an integer >= 3, got {raw!r}")
+    return int(raw)
 
 
 def _counting_str(counting) -> str:
@@ -123,6 +128,7 @@ def build_spectrum_report(
     preset: str = "bdd",
 ) -> SpectrumReport:
     entry.validate(params)
+    n_override = _grid_n_override()
     counting = entry.counting(params)
     if n_levels == "auto":
         k = min(counting.count, 16) if counting.kind == "finite" else (0 if counting.kind == "zero" else 16)
@@ -143,7 +149,7 @@ def build_spectrum_report(
     if with_oracle and k > 0:
         cap = min(k, recipe.level_cap)
         if cap > 0:
-            spec = verif.deformed_spectrum(entry, params, cap, n_override=_grid_n_override())
+            spec = verif.deformed_spectrum(entry, params, cap, n_override=n_override)
             oracle_vals = list(spec.eigenvalues)
 
     rows = []
@@ -178,7 +184,7 @@ def build_spectrum_report(
     }
     deformation = {kk: params[kk] for kk in entry.deformation_names}
     pot_params = {kk: vv for kk, vv in params.items() if kk not in entry.deformation_names}
-    grid_n = _grid_n_override() or recipe.n_points
+    grid_n = n_override or recipe.n_points
     grid_meta = {
         "x1": recipe.x1,
         "x2": recipe.x2,
@@ -206,7 +212,7 @@ def _cmd_catalog(ns) -> int:
     print(f"{'name':26s} {'domain':22s} {'class':7s} validity")
     for e in entries:
         dom = f"({e.domain.x1:.6g}, {e.domain.x2:.6g})"
-        cls = e._sp(dict(e.default_params)).class_id
+        cls = e.sp(dict(e.default_params)).class_id
         print(f"{e.name:26s} {dom:22s} {cls:7s} {e.range_text}")
         if e.energy_discrepancy:
             print(f"{'':26s} note: {e.energy_discrepancy}")
@@ -417,10 +423,10 @@ def _cmd_sweep(ns) -> int:
         params[ns.param] = float(val)
         try:
             entry.validate(params)
+            counting = entry.counting(params)
         except RangeError:
             lines.append(",".join([_FMT % val, "out_of_range", ""] + [""] * max_levels))
             continue
-        counting = entry.counting(params)
         k = min(counting.count, max_levels) if counting.kind == "finite" else (
             0 if counting.kind == "zero" else max_levels
         )

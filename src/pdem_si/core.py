@@ -168,11 +168,6 @@ class AmbiguityParams:
         return cls(-2.0 * xi_p, -2.0 * zeta_p)
 
 
-def ambiguity_reduce(xi: float, zeta: float) -> AmbiguityParams:
-    """Reduce the ordering exponents to the (rho, sigma) pair."""
-    return AmbiguityParams(xi, zeta)
-
-
 # ---------------------------------------------------------------------------
 # Deforming functions
 # ---------------------------------------------------------------------------
@@ -304,11 +299,8 @@ class DeformingFunction:
     def _g_funcs(self):
         return _FAMILIES[self.family](self.params)
 
-    def eval(self, x: ArrayLike) -> DeformingValues:
-        return deforming_eval(self, x)
-
     def f(self, x: ArrayLike) -> ArrayLike:
-        return self.eval(x).f
+        return deforming_eval(self, x).f
 
 
 def deforming_eval(df: DeformingFunction, x: ArrayLike) -> DeformingValues:

@@ -253,6 +253,9 @@ def eigenpairs(op: TridiagonalOperator, k: int, want_vectors: bool = False) -> S
             full /= np.sqrt(np.sum(w * full * full))
             rows.append(full)
         vectors = np.array(rows)
+        vectors.setflags(write=False)
+    # cached spectra are shared between callers, so no caller may edit them
+    eigvals.setflags(write=False)
 
     meta = {
         "x1": op.grid.interval.x1,

@@ -2,8 +2,9 @@
 
 The ordering term is V~ = rho*f*f'' + sigma*f'^2; the kinetic operator written
 with mass powers M^{xi'} d/dx M^{eta'} d/dx M^{zeta'} (symmetrized) equals the
-deformed kinetic operator -(sqrt(f) d/dx sqrt(f))^2 plus V~, which the discrete
-check below verifies operator-by-operator.
+deformed kinetic operator -(sqrt(f) d/dx sqrt(f))^2 plus V~, which
+``oracle.equivalence_check`` verifies operator-by-operator on the discretized
+operators.
 """
 from __future__ import annotations
 
@@ -12,15 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    AmbiguityParams,
-    ArrayLike,
-    DeformingFunction,
-    Grid,
-    ParameterError,
-    NonPositiveError,
-    deforming_eval,
-)
+from .core import AmbiguityParams, ArrayLike, DeformingFunction, deforming_eval
 
 
 @dataclass(frozen=True)
@@ -38,50 +31,3 @@ def v_tilde_eval(ctx: OrderingContext, x: ArrayLike) -> ArrayLike:
 def recover_initial_potential(ctx: OrderingContext, v_eff: Callable, x: ArrayLike) -> ArrayLike:
     """Initial potential V(a;x) = V_eff(b;x) - V~(x) of the mass-ordered equation."""
     return np.asarray(v_eff(x)) - v_tilde_eval(ctx, x)
-
-
-def vonroos_apply(
-    m_field: Callable,
-    amb_primed: tuple,
-    psi: np.ndarray,
-    grid: Grid,
-) -> np.ndarray:
-    """Sampled action of the symmetrized mass-power kinetic operator on psi.
-
-    Returns the action at interior nodes only (length n_points - 2), using
-    second-order central fluxes with the middle power evaluated at midpoints,
-    which keeps the discrete operator exactly symmetric.
-    """
-    xi_p, eta_p, zeta_p = amb_primed
-    if abs(xi_p + eta_p + zeta_p + 1.0) > 1e-12:
-        raise ParameterError("primed exponents must sum to -1")
-    x = grid.nodes()
-    h = grid.spacing
-    M = np.asarray(m_field(x), dtype=float)
-    if np.any(M <= 0.0):
-        raise NonPositiveError("mass field must be positive on the grid")
-    Mm = np.asarray(m_field(grid.midpoints()), dtype=float)
-    if np.any(Mm <= 0.0):
-        raise NonPositiveError("mass field must be positive at grid midpoints")
-    A = M**xi_p
-    B = Mm**eta_p
-    C = M**zeta_p
-    psi = np.asarray(psi, dtype=float)
-    Cpsi = C * psi
-    Apsi = A * psi
-    j = slice(1, -1)
-    t1 = A[j] * (B[1:] * (Cpsi[2:] - Cpsi[1:-1]) - B[:-1] * (Cpsi[1:-1] - Cpsi[:-2]))
-    t2 = C[j] * (B[1:] * (Apsi[2:] - Apsi[1:-1]) - B[:-1] * (Apsi[1:-1] - Apsi[:-2]))
-    return -0.5 * (t1 + t2) / h**2
-
-
-def deformed_kinetic_apply(df: DeformingFunction, psi: np.ndarray, grid: Grid) -> np.ndarray:
-    """Sampled action of -(sqrt(f) d/dx f d/dx sqrt(f)) on psi, interior nodes."""
-    x = grid.nodes()
-    h = grid.spacing
-    f = np.asarray(deforming_eval(df, x).f, dtype=float)
-    fm = np.asarray(deforming_eval(df, grid.midpoints()).f, dtype=float)
-    s = np.sqrt(f)
-    sp = s * np.asarray(psi, dtype=float)
-    flux = fm[1:] * (sp[2:] - sp[1:-1]) - fm[:-1] * (sp[1:-1] - sp[:-2])
-    return -s[1:-1] * flux / h**2

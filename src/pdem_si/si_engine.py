@@ -316,27 +316,27 @@ def solve_chain(problem: ChainProblem, depth: int) -> ParameterChain:
     return ParameterChain(tuple(lams), tuple(mus), tuple(epss))
 
 
-@dataclass(frozen=True)
-class ResidualValues:
-    r1: float
-    r2: float
+def chain_residuals(problem: ChainProblem, chain: ParameterChain, depth: int, x) -> tuple:
+    """(max |r1|, max |r2| over i <= depth, scale) of the two matching conditions at x.
 
-
-def si_residual(problem: ChainProblem, chain: ParameterChain, i: int, x) -> ResidualValues:
-    """Pointwise residuals of the two matching conditions at chain index i.
-
-    r1 is meaningful for i = 0 only; r2 couples levels i and i+1 and needs the
-    chain solved to depth >= i+1.
+    r1 is the first condition (level 0); r2 at index i couples levels i and
+    i+1, so the chain must be solved to depth >= depth + 1. ``scale`` is the
+    largest term magnitude |W^2| + |f W'| entering the residuals, the natural
+    yardstick once potential parameters grow large.
     """
-    if i < 0 or i + 1 > chain.depth:
-        raise ChainError(f"residual at i={i} needs chain depth >= {i + 1}")
-    f = deforming_eval(problem.df, x).f
-    w0 = w_eval(problem.sp, chain.lambda_seq[0], chain.mu_seq[0], x)
-    r1 = w0.W**2 - f * w0.W_prime + chain.eps_seq[0] - float(np.asarray(problem.v_eff(x)))
-    wi = w_eval(problem.sp, chain.lambda_seq[i], chain.mu_seq[i], x)
-    wj = w_eval(problem.sp, chain.lambda_seq[i + 1], chain.mu_seq[i + 1], x)
-    r2 = wi.W**2 + f * wi.W_prime - wj.W**2 + f * wj.W_prime - chain.eps_seq[i + 1]
-    return ResidualValues(float(r1), float(r2))
+    if depth < 0 or depth + 1 > chain.depth:
+        raise ChainError(f"residuals up to i={depth} need chain depth >= {depth + 1}")
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    f = np.asarray(deforming_eval(problem.df, xs).f, dtype=float)
+    v = np.asarray(problem.v_eff(xs), dtype=float)
+    # one row per chain level 0..depth+1, one column per point
+    lam, mu = (np.asarray(seq[: depth + 2])[:, None] for seq in (chain.lambda_seq, chain.mu_seq))
+    w = w_eval(problem.sp, lam, mu, xs)
+    w2, fw = w.W**2, f * w.W_prime
+    r1 = w2[0] - fw[0] + chain.eps_seq[0] - v
+    r2 = w2[:-1] + fw[:-1] - w2[1:] + fw[1:] - np.asarray(chain.eps_seq[1 : depth + 2])[:, None]
+    scale = float(np.max(np.abs(w2) + np.abs(fw)))
+    return float(np.max(np.abs(r1))), float(np.max(np.abs(r2))), scale
 
 
 def partner_potential(problem: ChainProblem, chain: ParameterChain, x) -> float:

@@ -11,9 +11,10 @@ import numpy as np
 from .catalog import CatalogEntry
 from .core import AmbiguityParams, Grid, Interval, deforming_eval
 from .ordering import OrderingContext, recover_initial_potential, v_tilde_eval
-from .oracle import Spectrum, discretize_deformed, discretize_vonroos, eigenpairs, equivalence_check, quadrature
-from .si_engine import solve_chain
-from .wavefunctions import _assemble, admissibility_check, normalize
+from .oracle import Spectrum, _test_battery, discretize_deformed, discretize_vonroos, eigenpairs, equivalence_check
+from .oracle import quadrature
+from .si_engine import ParameterChain, chain_residuals, solve_chain, w_eval
+from .wavefunctions import _assemble, admissibility_check, excited_state_eval, normalize
 
 _SPECTRUM_CACHE: dict = {}
 
@@ -84,21 +85,6 @@ def residual_window(entry: CatalogEntry, params: dict) -> tuple:
     return -4.0, 8.0
 
 
-def _chain_residuals(problem, chain, depth: int, xs: np.ndarray) -> tuple:
-    from .si_engine import w_eval
-
-    f = np.asarray(deforming_eval(problem.df, xs).f, dtype=float)
-    v = np.asarray(problem.v_eff(xs), dtype=float)
-    ws = [w_eval(problem.sp, chain.lambda_seq[i], chain.mu_seq[i], xs) for i in range(depth + 2)]
-    scale = max(float(np.max(np.abs(w.W**2) + np.abs(f * w.W_prime))) for w in ws)
-    r1 = ws[0].W**2 - f * ws[0].W_prime + chain.eps_seq[0] - v
-    r2m = 0.0
-    for i in range(depth + 1):
-        r2 = ws[i].W**2 + f * ws[i].W_prime - ws[i + 1].W**2 + f * ws[i + 1].W_prime - chain.eps_seq[i + 1]
-        r2m = max(r2m, float(np.max(np.abs(r2))))
-    return float(np.max(np.abs(r1))), r2m, scale
-
-
 def chain_residual_max(entry: CatalogEntry, params: dict, depth: int = 5, nodes: int = 101, with_scale: bool = False):
     """(max |r1|, max |r2| over i <= depth) on interior nodes.
 
@@ -107,21 +93,19 @@ def chain_residual_max(entry: CatalogEntry, params: dict, depth: int = 5, nodes:
     problem = entry.chain_problem(params)
     chain = solve_chain(problem, depth + 1)
     a, b = residual_window(entry, params)
-    r1, r2, scale = _chain_residuals(problem, chain, depth, np.linspace(a, b, nodes))
+    r1, r2, scale = chain_residuals(problem, chain, depth, np.linspace(a, b, nodes))
     return (r1, r2, scale) if with_scale else (r1, r2)
 
 
 def printed_chain_residual_max(entry: CatalogEntry, params: dict, depth: int = 5, nodes: int = 101, with_scale: bool = False):
     """Residuals with the published lambda_i, mu_i substituted for the solved ones."""
-    from .si_engine import ParameterChain
-
     problem = entry.chain_problem(params)
     solved = solve_chain(problem, depth + 1)
     lams = tuple(entry.printed_lambda(params, i) for i in range(depth + 2))
     mus = tuple(entry.printed_mu(params, i) for i in range(depth + 2))
     chain = ParameterChain(lams, mus, solved.eps_seq)
     a, b = residual_window(entry, params)
-    r1, r2, scale = _chain_residuals(problem, chain, depth, np.linspace(a, b, nodes))
+    r1, r2, scale = chain_residuals(problem, chain, depth, np.linspace(a, b, nodes))
     return (r1, r2, scale) if with_scale else (r1, r2)
 
 
@@ -142,25 +126,24 @@ def chain_energy(entry: CatalogEntry, params: dict, n: int) -> float:
 
 def vtilde_agreement(entry: CatalogEntry, params: dict, amb: AmbiguityParams, nodes: int = 101) -> Optional[float]:
     """Max |printed V~ - analytic V~| on interior nodes; None if nothing printed."""
+    if entry.v_tilde_closed is None:
+        return None
     a, b = residual_window(entry, params)
     xs = np.linspace(a, b, nodes)
     printed = entry.v_tilde_closed(params, amb.rho, amb.sigma, xs)
-    if printed is None:
-        return None
     ctx = OrderingContext(entry.deforming(params), amb)
     return float(np.max(np.abs(np.asarray(printed) - v_tilde_eval(ctx, xs))))
 
 
 def ground_ratio_spread(entry: CatalogEntry, params: dict, nodes: int = 101) -> float:
-    """Relative spread of ground_state_numeric / printed ground state.
+    """Relative spread of the assembled (integral-form) ground state over the
+    printed one.
 
     Points where the state has decayed below 1e-120 of its peak are skipped:
     both representations underflow there and the ratio becomes 0/0."""
-    from .wavefunctions import ground_state_numeric
-
     a, b = residual_window(entry, params)
     xs = np.linspace(a, b, nodes)
-    num = np.asarray(ground_state_numeric(entry, params, xs), dtype=float)
+    num = np.asarray(excited_state_eval(entry, params, 0, xs), dtype=float)
     closed = np.asarray(entry.ground_state_closed(params, xs), dtype=float)
     mask = np.abs(closed) > 1e-120 * np.max(np.abs(closed))
     ratio = num[mask] / closed[mask]
@@ -169,8 +152,6 @@ def ground_ratio_spread(entry: CatalogEntry, params: dict, nodes: int = 101) -> 
 
 def a_minus_residual(entry: CatalogEntry, params: dict, n_points: int = 8001) -> float:
     """Max |A^- psi0| / max |psi0| with a fourth-order discrete derivative."""
-    from .si_engine import w_eval
-
     problem = entry.chain_problem(params)
     chain = solve_chain(problem, 0)
     assembled = _assemble(entry, params, 0)
@@ -307,8 +288,6 @@ def equivalence_deviation(entry: CatalogEntry, params: dict, amb: AmbiguityParam
 
     Returned relative to the action scale: where the deformation grows steeply
     the raw operator values do too, so only the ratio is grid-size invariant."""
-    from .oracle import discretize_deformed, _test_battery
-
     grid = oracle_grid(entry, params, which="equivalence")
     df = entry.deforming(params)
     ctx = OrderingContext(df, amb)

@@ -287,13 +287,9 @@ def _assemble(entry: CatalogEntry, params: dict, n: int) -> _Assembled:
     return _Assembled(entry, problem, chain, n, np.asarray(poly, dtype=float), F, float(F(y_ref)))
 
 
-def ground_state_numeric(entry: CatalogEntry, params: dict, x):
-    """Unnormalized f^{-1/2} exp(-int W/f) via the class antiderivative."""
-    return _assemble(entry, params, 0).value(x)
-
-
 def excited_state_eval(entry: CatalogEntry, params: dict, n: int, x):
-    """Unnormalized nth bound-state wavefunction (n = 0 reproduces the ground state)."""
+    """Unnormalized nth bound-state wavefunction; n = 0 is the ground state
+    f^{-1/2} exp(-int W/f) via the class antiderivative."""
     return _assemble(entry, params, n).value(x)
 
 

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from pdem_si.cli import SpectrumReport, build_spectrum_report, main
 from pdem_si.catalog import lookup
@@ -214,6 +215,14 @@ def test_grid_env_override(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["grid_meta"]["n_points"] == 1001
     assert doc["levels"][0]["rel_err"] < 2e-6  # coarser grid, but the level is easy
+
+
+@pytest.mark.parametrize("value", ["abc", "2", "-5", "1e3"])
+def test_grid_env_invalid_exit_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("PDEM_GRID_N", value)
+    code, _, err = run(capsys, "spectrum", "--potential", "box", "--n-levels", "1", "--oracle")
+    assert code == 2
+    assert "PDEM_GRID_N" in err
 
 
 def test_verify_all_passes(capsys):

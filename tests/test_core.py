@@ -13,7 +13,6 @@ from pdem_si.core import (
     NonPositiveError,
     NotFound,
     ParameterError,
-    ambiguity_reduce,
     deforming_eval,
     positivity_check,
 )
@@ -33,7 +32,7 @@ def test_preset_values(name):
     assert (amb.xi, amb.zeta) == (xi, zeta)
     assert amb.rho == rho and amb.sigma == sigma
     # recomputing from (xi, zeta) reproduces the stored pair exactly
-    again = ambiguity_reduce(amb.xi, amb.zeta)
+    again = AmbiguityParams(amb.xi, amb.zeta)
     assert again.rho == amb.rho and again.sigma == amb.sigma
 
 
@@ -41,7 +40,7 @@ def test_ambiguity_reduce_random():
     rng = np.random.RandomState(7)
     for _ in range(50):
         xi, zeta = rng.uniform(-3, 3, size=2)
-        amb = ambiguity_reduce(xi, zeta)
+        amb = AmbiguityParams(xi, zeta)
         assert amb.rho == 0.5 * (1 - xi - zeta)
         assert amb.sigma == (0.5 - xi) * (0.5 - zeta)
         assert abs(amb.xi + amb.eta + amb.zeta - 2.0) < 1e-12

@@ -150,6 +150,16 @@ def test_eigenvectors_match_closed_ground_state():
     assert np.max(np.abs(vec - psi)) < 1e-4
 
 
+def test_cached_spectra_are_read_only():
+    # a caller that edits a cached spectrum would poison every later comparison
+    spec = verif.deformed_spectrum(catalog.ENTRIES["box"], {"alpha": 0.5}, 2)
+    with pytest.raises(ValueError):
+        spec.eigenvalues[0] = 0.0
+    vecs = eigenpairs(_box_operator(0.5, 401), 2, want_vectors=True).eigenvectors
+    with pytest.raises(ValueError):
+        vecs[0, 1] = 0.0
+
+
 def test_eigenvector_orthonormality_under_quadrature():
     op = _box_operator(0.5, 4001)
     spec = eigenpairs(op, 4, want_vectors=True)

@@ -5,15 +5,14 @@ import pytest
 
 from pdem_si import catalog
 from pdem_si.core import AmbiguityParams, DeformingFunction, Grid, Interval, ParameterError, deforming_eval
-from pdem_si.ordering import (
-    OrderingContext,
-    deformed_kinetic_apply,
-    recover_initial_potential,
-    v_tilde_eval,
-    vonroos_apply,
-)
+from pdem_si.oracle import discretize_deformed, discretize_vonroos
+from pdem_si.ordering import OrderingContext, recover_initial_potential, v_tilde_eval
 
 PRESETS = ("bdd", "bastard", "zk", "lk")
+
+
+def _zero(t):
+    return np.zeros_like(np.asarray(t, dtype=float))
 
 
 def test_vtilde_zero_without_deformation():
@@ -101,7 +100,7 @@ def test_vonroos_apply_constant_mass():
     x = grid.nodes()
     k = 2.0
     psi = np.sin(k * x)
-    out = vonroos_apply(lambda t: np.ones_like(np.asarray(t)), (0.0, -1.0, 0.0), psi, grid)
+    out = discretize_vonroos(lambda t: np.ones_like(np.asarray(t)), (0.0, -1.0, 0.0), _zero, grid).apply(psi)
     want = k**2 * np.sin(k * x[1:-1])
     assert np.max(np.abs(out - want)) < 5e-6  # O(h^2)
 
@@ -109,7 +108,7 @@ def test_vonroos_apply_constant_mass():
 def test_vonroos_apply_exponent_guard():
     grid = Grid(Interval(0.0, 1.0), 11)
     with pytest.raises(ParameterError):
-        vonroos_apply(lambda t: np.ones_like(np.asarray(t)), (0.0, 0.0, 0.0), np.zeros(11), grid)
+        discretize_vonroos(lambda t: np.ones_like(np.asarray(t)), (0.0, 0.0, 0.0), _zero, grid).apply(np.zeros(11))
 
 
 def test_vonroos_reproduces_ground_state_energy():
@@ -128,7 +127,7 @@ def test_vonroos_reproduces_ground_state_energy():
         return np.asarray(deforming_eval(df, t).M)
 
     v_init = recover_initial_potential(ctx, entry.v_eff(params), x[1:-1])
-    h_psi = vonroos_apply(m_field, amb.primed, psi, grid) + v_init * psi[1:-1]
+    h_psi = discretize_vonroos(m_field, amb.primed, _zero, grid).apply(psi) + v_init * psi[1:-1]
     e0 = 1.5
     resid = h_psi[2:-2] - e0 * psi[3:-3]
     assert np.max(np.abs(resid)) < 1e-5
@@ -137,7 +136,7 @@ def test_vonroos_reproduces_ground_state_energy():
     amb2 = AmbiguityParams.preset("zk")
     ctx2 = OrderingContext(df, amb2)
     v_init2 = recover_initial_potential(ctx2, entry.v_eff(params), x[1:-1])
-    h_psi2 = vonroos_apply(m_field, amb2.primed, psi, grid) + v_init2 * psi[1:-1]
+    h_psi2 = discretize_vonroos(m_field, amb2.primed, _zero, grid).apply(psi) + v_init2 * psi[1:-1]
     assert np.max(np.abs(h_psi2[2:-2] - h_psi[2:-2])) < 1e-6
 
 
@@ -155,7 +154,9 @@ def test_ordering_equivalence_identity(preset):
     def m_field(t):
         return np.asarray(deforming_eval(df, t).M)
 
+    op_vr = discretize_vonroos(m_field, amb.primed, _zero, grid)
+    op_def = discretize_deformed(df, _zero, grid)
     for psi in battery:
-        lhs = vonroos_apply(m_field, amb.primed, psi, grid)
-        rhs = deformed_kinetic_apply(df, psi, grid) + np.asarray(v_tilde_eval(ctx, x[1:-1])) * psi[1:-1]
+        lhs = op_vr.apply(psi)
+        rhs = op_def.apply(psi) + np.asarray(v_tilde_eval(ctx, x[1:-1])) * psi[1:-1]
         assert np.max(np.abs(lhs[2:-2] - rhs[2:-2])) < 1e-6

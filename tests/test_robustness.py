@@ -1,6 +1,15 @@
-"""Off-default parameter regimes that once fooled the numeric probes."""
-import numpy as np
+"""Off-default parameter regimes that once fooled the numeric probes, and
+inputs that once failed to finish or to exit cleanly."""
+import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
+import numpy as np
+import pytest
+
+import pdem_si
 from pdem_si import catalog, verification as verif
 from pdem_si.si_engine import solve_chain
 from pdem_si.wavefunctions import admissibility_check
@@ -58,3 +67,82 @@ def test_coulomb_default_still_compares_two_levels():
     entry = catalog.ENTRIES["coulomb"]
     res = verif.oracle_vs_chain(entry, dict(entry.default_params))
     assert res["levels"] == 2 and res["ok"]
+
+
+def _coulomb_count_loop(e2, l, a):
+    # the counting loop the closed form replaced, kept as the reference
+    if a >= e2 / (l + 1.0):
+        return 0
+    k = 0
+    while k**2 + (l + 1.0) * (2 * k + 1) < e2 / a:
+        k += 1
+    return k
+
+
+def _eckart_count_loop(A, B, a):
+    bound = (2.0 * B + a * A * (A - 1.0)) / (2.0 + a)
+    k = 0
+    while (A + k) ** 2 < bound:
+        k += 1
+    return k
+
+
+def test_coulomb_closed_form_count_matches_loop():
+    entry = catalog.ENTRIES["coulomb"]
+    # (e2, l, alpha) = (2, 0, 0.5) and (7, 1, 0.5) put k = 1 and k = 2 exactly on
+    # the e2/alpha boundary, where the strict inequality excludes the level
+    grid = itertools.product(
+        (0.05, 0.5, 1.0, 2.0, 4.5, 7.0, 10.0, 123.0), (0.0, 0.5, 1.0, 2.0, 3.0), (0.01, 0.1, 0.25, 0.5, 1.0)
+    )
+    # the rounded root lands one below, then one above, the loop's count
+    edges = [(171.00000000000003, 2.0, 0.3), (3.7633118454026553, 3.090445493432364, 0.1)]
+    for e2, l, a in itertools.chain(grid, edges):
+        p = {"e2": e2, "l": l, "alpha": a}
+        assert entry.counting(p).count == _coulomb_count_loop(e2, l, a), p
+    assert entry.counting({"e2": 1.0, "l": 1.0, "alpha": 0.1}).count == 2
+
+
+def test_eckart_closed_form_count_matches_loop():
+    entry = catalog.ENTRIES["eckart"]
+    cases = [
+        (A, A * A + dB, a)
+        for A, dB, a in itertools.product((1.5, 2.0, 3.5), (0.1, 1.0, 6.0, 40.0), (-1.9, -1.0, -0.5, 0.5, 1.0, 3.0))
+    ]
+    cases.append((2.0, 12.5, 1.0))  # (A + 1)^2 equals the bound exactly
+    # the rounded root lands one below, then one above, the loop's count
+    cases += [(2.0, 266.25622610593086, -0.52782046737643), (5.617462882348851, 1784.5838914400915, 1.0)]
+    for A, B, a in cases:
+        p = {"A": A, "B": B, "alpha": a}
+        assert entry.counting(p).count == _eckart_count_loop(A, B, a), p
+
+
+def _cli(*argv):
+    src = str(pathlib.Path(pdem_si.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PDEM_GRID_N", None)
+    return subprocess.run(
+        [sys.executable, "-m", "pdem_si.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--potential", "morse", "--params", "A=inf"),
+        ("spectrum", "--potential", "coulomb", "--params", "e2=inf,l=0,alpha=0.1"),
+        ("spectrum", "--potential", "box", "--params", "alpha=nan"),
+    ],
+)
+def test_nonfinite_parameters_exit_2(argv):
+    res = _cli(*argv)
+    assert res.returncode == 2, res.stderr
+    assert "must be finite" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("potential,param", [("coulomb", "e2"), ("eckart", "B")])
+def test_huge_finite_count_finishes(potential, param):
+    # the counting loops needed ~1e10 iterations here
+    res = _cli("sweep", "--potential", potential, "--param", param, "--from", "1e20", "--to", "1e20", "--steps", "2")
+    assert res.returncode == 0, res.stderr
+    row = res.stdout.splitlines()[1].split(",")
+    assert row[1] == "finite" and int(row[2]) > 10**9

@@ -6,9 +6,9 @@ import pytest
 from pdem_si import catalog, verification as verif
 from pdem_si.core import ChainError, Grid, Interval, ZeroNorm
 from pdem_si.wavefunctions import (
+    _assemble,
     admissibility_check,
     excited_state_eval,
-    ground_state_numeric,
     normalize,
     polynomial_chain,
 )
@@ -34,7 +34,7 @@ def test_undeformed_gaussian_limit():
     entry = catalog.ENTRIES["shifted_oscillator"]
     params = {"omega": 2.0, "b": 0.0, "alpha": 0.0, "beta": 0.0}
     xs = np.linspace(-3.0, 3.0, 61)
-    vals = np.asarray(ground_state_numeric(entry, params, xs))
+    vals = np.asarray(excited_state_eval(entry, params, 0, xs))
     ratio = vals / np.exp(-0.5 * xs**2)
     assert np.max(np.abs(ratio - ratio[30])) < 1e-12
 
@@ -121,9 +121,11 @@ def test_prefactor_consistency(name):
     params = dict(entry.default_params)
     a, b = verif.residual_window(entry, params)
     xs = np.linspace(a, b, 41)
-    g0 = np.asarray(ground_state_numeric(entry, params, xs))
-    e0 = np.asarray(excited_state_eval(entry, params, 0, xs))
-    assert np.max(np.abs(e0 - g0)) <= 1e-12 * np.max(np.abs(g0))
+    # value() and log_abs() each assemble the prefactors; they must agree
+    assembled = _assemble(entry, params, 0)
+    g0 = np.asarray(assembled.value(xs))
+    e0 = np.exp(np.asarray(assembled.log_abs(xs)))
+    assert np.max(np.abs(e0 - np.abs(g0))) <= 1e-12 * np.max(np.abs(g0))
 
 
 def test_normalize():
