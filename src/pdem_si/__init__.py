@@ -23,7 +23,7 @@ from .core import (
     deforming_eval,
     positivity_check,
 )
-from .ordering import OrderingContext, recover_initial_potential, v_tilde_eval
+from .ordering import recover_initial_potential, v_tilde_eval
 from .si_engine import (
     ChainProblem,
     ParameterChain,

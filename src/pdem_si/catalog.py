@@ -44,6 +44,13 @@ class CountingResult:
     def n_max(self) -> Optional[int]:
         return None if self.kind != "finite" else self.count - 1
 
+    def levels(self, cap: int) -> int:
+        """Number of bound states, capped at ``cap``."""
+        return cap if self.kind == "infinite" else min(cap, self.count)
+
+    def __str__(self) -> str:
+        return f"finite({self.count})" if self.kind == "finite" else self.kind
+
 
 @dataclass(frozen=True)
 class OracleRecipe:

@@ -1,7 +1,8 @@
 """Command-line front end: machine-readable spectra, wavefunction samples,
 verification suites and deformation-parameter sweeps.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid flags or parameters.
+Exit codes: 0 success, 1 verification failure, 2 invalid flags or parameters
+or a numeric overflow.
 The environment variable PDEM_GRID_N (an integer >= 3) overrides the default
 oracle grid size.
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -98,10 +100,10 @@ def _grid_n_override() -> Optional[int]:
     return int(raw)
 
 
-def _counting_str(counting) -> str:
-    if counting.kind == "finite":
-        return f"finite({counting.count})"
-    return counting.kind
+def _check_flag(flag: str, value: int, lo: int, hi: float = math.inf) -> None:
+    if not lo <= value <= hi:
+        limit = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
+        raise RangeError(f"{flag} must be {limit}, got {value}")
 
 
 def _parse_params(entry: CatalogEntry, raw: Optional[str]) -> dict:
@@ -130,18 +132,10 @@ def build_spectrum_report(
     entry.validate(params)
     n_override = _grid_n_override()
     counting = entry.counting(params)
-    if n_levels == "auto":
-        k = min(counting.count, 16) if counting.kind == "finite" else (0 if counting.kind == "zero" else 16)
-    else:
-        k = int(n_levels)
-        if counting.kind == "finite" and k > counting.count:
-            print(
-                f"note: {entry.name} supports {counting.count} bound state(s); clamping levels",
-                file=sys.stderr,
-            )
-            k = counting.count
-        if counting.kind == "zero":
-            k = 0
+    wanted = verif.AUTO_LEVELS if n_levels == "auto" else int(n_levels)
+    k = counting.levels(wanted)
+    if n_levels != "auto" and counting.kind == "finite" and k < wanted:
+        print(f"note: {entry.name} supports {counting.count} bound state(s); clamping levels", file=sys.stderr)
 
     chain = solve_chain(entry.chain_problem(params), max(k - 1, 5))
     recipe = entry.oracle_recipe(params)
@@ -176,7 +170,7 @@ def build_spectrum_report(
         )
 
     amb = AmbiguityParams.preset(preset)
-    r1, r2 = verif.chain_residual_max(entry, params)
+    r1, r2, _ = verif.chain_residual_max(entry, params)
     checks = {
         "si_residual_max": max(r1, r2),
         "equivalence_max_dev": verif.equivalence_deviation(entry, params, amb)["max_dev"],
@@ -201,7 +195,7 @@ def build_spectrum_report(
         deformation=deformation,
         ambiguity=preset,
         levels=rows,
-        counting=_counting_str(counting),
+        counting=str(counting),
         checks=checks,
         grid_meta=grid_meta,
     )
@@ -232,8 +226,7 @@ def _cmd_spectrum(ns) -> int:
             n_levels = int(ns.n_levels)
         except ValueError as exc:
             raise RangeError(f"--n-levels expects an integer or 'auto', got {ns.n_levels!r}") from exc
-        if n_levels < 1:
-            raise RangeError("--n-levels must be >= 1")
+        _check_flag("--n-levels", n_levels, 1, 64)
     report = build_spectrum_report(entry, params, n_levels, ns.oracle, ns.preset)
     if ns.format == "json":
         print(report.to_json())
@@ -243,6 +236,8 @@ def _cmd_spectrum(ns) -> int:
 
 
 def _cmd_wavefunction(ns) -> int:
+    _check_flag("--n", ns.n, 0)
+    _check_flag("--samples", ns.samples, 3, 1_000_001)
     entry = lookup(ns.potential)
     params = _parse_params(entry, ns.params)
     entry.validate(params)
@@ -271,120 +266,14 @@ def _cmd_wavefunction(ns) -> int:
     return 0
 
 
-def _check(label: str, ok: bool, detail: str, failures: list) -> None:
-    print(f"  [{'ok' if ok else 'FAIL'}] {label}: {detail}")
-    if not ok:
-        failures.append(label)
-
-
 def _verify_entry(entry: CatalogEntry, params: dict, preset: str, tol: Optional[float]) -> int:
-    from .core import positivity_check
-
-    entry.validate(params)
-    failures: list = []
+    checks = verif.verify_entry(entry, params, preset, tol)
     print(f"verifying {entry.name} with params {params} (preset {preset})")
-
-    grid = Grid(Interval(*verif.residual_window(entry, params)), 10001)
-    rep = positivity_check(entry.deforming(params), grid)
-    _check("positivity", rep.ok, f"min f = {rep.min_f:.6g}", failures)
-
-    # the absolute 1e-10 bound is meaningful at catalog-scale parameters; for
-    # larger user parameters roundoff grows with the largest residual term
-    r1, r2, scale = verif.chain_residual_max(entry, params, with_scale=True)
-    r_tol = max(1e-10, 64.0 * np.finfo(float).eps * scale)
-    _check(
-        "chain residuals",
-        max(r1, r2) < r_tol,
-        f"max |r1| = {r1:.2e}, max |r2| = {r2:.2e} (tol {r_tol:.1e})",
-        failures,
-    )
-
-    pr1, pr2, pscale = verif.printed_chain_residual_max(entry, params, with_scale=True)
-    p_tol = max(1e-10, 64.0 * np.finfo(float).eps * pscale)
-    _check(
-        "printed chain parameters",
-        max(pr1, pr2) < p_tol,
-        f"max |r1| = {pr1:.2e}, max |r2| = {pr2:.2e} (tol {p_tol:.1e})",
-        failures,
-    )
-
-    gap = verif.chain_vs_printed_energy(entry, params)
-    if entry.energy_discrepancy:
-        print(f"  [note] printed energy formula flagged: {entry.energy_discrepancy}")
-        print(f"  [note] chain vs printed E_n relative gap = {gap:.3g} (reported, not asserted)")
-    else:
-        _check("chain vs printed E_n", gap < 1e-10, f"max rel gap = {gap:.2e}", failures)
-
-    amb = AmbiguityParams.preset(preset)
-    vt = verif.vtilde_agreement(entry, params, amb)
-    if vt is None:
-        print("  [note] no printed ordering term for this entry")
-    else:
-        _check("printed ordering term", vt < 1e-10, f"max dev = {vt:.2e}", failures)
-
-    cva = verif.counting_vs_admissibility(entry, params)
-    cnt = cva["counting"]
-
-    def _verdict(v):
-        if v.admissible:
-            return "adm"
-        broke = [tag for tag, ok in (("sq", v.square_integrable), ("herm", v.hermiticity_ok)) if not ok]
-        return "inadm[" + ",".join(broke) + "]"
-
-    _check(
-        "counting vs numeric admissibility",
-        cva["ok"],
-        f"counting = {_counting_str(cnt)}; verdicts "
-        + ", ".join(f"n={n}:{_verdict(v)}" for n, v in sorted(cva["verdicts"].items())),
-        failures,
-    )
-
-    ratio = verif.ground_ratio_spread(entry, params)
-    _check("ground-state closed vs integral form", ratio < 1e-8, f"ratio spread = {ratio:.2e}", failures)
-
-    # 1e-7 here: slowly decaying states evaluated through a saturating chain
-    # variable (coth) carry ~1e-9 relative noise that the discrete derivative
-    # amplifies by 1/h; genuine sign or assembly errors sit many decades higher
-    am = verif.a_minus_residual(entry, params)
-    _check("lowering-operator annihilation", am < 1e-7, f"max residual = {am:.2e}", failures)
-
-    count_known = cnt.count if cnt.kind == "finite" else 4
-    for n in range(min(3, count_known if cnt.kind != "zero" else 0)):
-        er = verif.eigen_residual(entry, params, n)
-        e_tol = 1e-5 * max(1.0, abs(verif.chain_energy(entry, params, n)))
-        _check(f"eigen-residual n={n}", er < e_tol, f"{er:.2e} (tol {e_tol:.1e})", failures)
-
-    dev = verif.equivalence_deviation(entry, params, amb)
-    _check(
-        "ordering-identity operator check",
-        dev["rel_dev"] < 1e-5,
-        f"max dev = {dev['max_dev']:.2e} ({dev['rel_dev']:.2e} of action scale)",
-        failures,
-    )
-
-    se = verif.spectral_equivalence(entry, params, preset)
-    if se is None:
-        print("  [note] no levels below the continuum edge for the spectral comparison")
-    else:
-        _check(
-            "ordered vs deformed spectra",
-            se["max_rel_dev"] < 1e-6,
-            f"{se['levels']} level(s), max rel dev = {se['max_rel_dev']:.2e}",
-            failures,
-        )
-
-    ovc = verif.oracle_vs_chain(entry, params)
-    if ovc is None:
-        print("  [note] oracle energy comparison skipped (no resolvable levels)")
-    else:
-        use_tol = tol if tol is not None else ovc["tol"]
-        _check(
-            "oracle vs chain energies",
-            ovc["max_rel_err"] < use_tol,
-            f"{ovc['levels']} level(s), max rel err = {ovc['max_rel_err']:.2e} (tol {use_tol:g})",
-            failures,
-        )
-
+    failures = []
+    for check in checks:
+        print(check)
+        if check.ok is not None and not check.ok:
+            failures.append(check.name)
     if failures:
         print(f"{entry.name}: {len(failures)} check(s) FAILED: {failures}")
         return 1
@@ -411,8 +300,7 @@ def _cmd_sweep(ns) -> int:
     entry = lookup(ns.potential)
     if ns.param not in entry.param_names:
         raise RangeError(f"{entry.name} has no parameter {ns.param!r}")
-    if ns.steps < 2:
-        raise RangeError("--steps must be >= 2")
+    _check_flag("--steps", ns.steps, 2, 10_000)
     base = _parse_params(entry, ns.params)
     values = np.linspace(getattr(ns, "from"), ns.to, ns.steps)
     max_levels = 8
@@ -427,9 +315,7 @@ def _cmd_sweep(ns) -> int:
         except RangeError:
             lines.append(",".join([_FMT % val, "out_of_range", ""] + [""] * max_levels))
             continue
-        k = min(counting.count, max_levels) if counting.kind == "finite" else (
-            0 if counting.kind == "zero" else max_levels
-        )
+        k = counting.levels(max_levels)
         energies = [entry.printed_energy(params, n) for n in range(k)]
         row = [_FMT % val, counting.kind, "" if counting.count is None else str(counting.count)]
         row += [_FMT % e for e in energies] + [""] * (max_levels - k)
@@ -454,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="Emit a spectrum report (JSON or CSV).")
     sp.add_argument("--potential", required=True)
     sp.add_argument("--params", help="comma-separated name=value pairs (defaults otherwise)")
-    sp.add_argument("--n-levels", default="auto", help="level count or 'auto' (counting rule, capped at 16)")
+    sp.add_argument("--n-levels", default="auto", help="level count 1..64 or 'auto' (counting rule, capped at 16)")
     sp.add_argument("--oracle", action="store_true", help="include matrix-oracle energies")
     sp.add_argument("--preset", default="bdd", choices=["bdd", "bastard", "zk", "lk"])
     sp.add_argument("--format", default="json", choices=["json", "csv"])
@@ -462,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     wf = sub.add_parser("wavefunction", help="Write normalized wavefunction samples as CSV.")
     wf.add_argument("--potential", required=True)
     wf.add_argument("--params")
-    wf.add_argument("--n", type=int, default=0)
-    wf.add_argument("--samples", type=int, default=1001)
+    wf.add_argument("--n", type=int, default=0, help="level index >= 0")
+    wf.add_argument("--samples", type=int, default=1001, help="sample count 3..1000001")
     wf.add_argument("--out", required=True)
 
     vf = sub.add_parser("verify", help="Run the full invariant suite for one entry or all.")
@@ -477,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--param", required=True)
     sw.add_argument("--from", type=float, required=True)
     sw.add_argument("--to", type=float, required=True)
-    sw.add_argument("--steps", type=int, required=True)
+    sw.add_argument("--steps", type=int, required=True, help="number of values 2..10000")
     sw.add_argument("--params", help="fixed parameters as name=value pairs")
 
     return p
@@ -502,6 +388,9 @@ def main(argv=None) -> int:
         return _COMMANDS[ns.cmd](ns)
     except (RangeError, NotFound) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return 2
     except PdemError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -283,12 +283,11 @@ def equivalence_check(df: DeformingFunction, amb, v: Callable, grid: Grid) -> fl
 
     The two nodes adjacent to each boundary are excluded.
     """
-    from .ordering import OrderingContext, v_tilde_eval
+    from .ordering import v_tilde_eval
 
-    ctx = OrderingContext(df, amb)
     op_def = discretize_deformed(
         df,
-        lambda t: np.asarray(v(t), dtype=float) + np.asarray(v_tilde_eval(ctx, t), dtype=float),
+        lambda t: np.asarray(v(t), dtype=float) + np.asarray(v_tilde_eval(df, amb, t), dtype=float),
         grid,
     )
 

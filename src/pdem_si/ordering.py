@@ -8,7 +8,6 @@ operators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -16,18 +15,12 @@ import numpy as np
 from .core import AmbiguityParams, ArrayLike, DeformingFunction, deforming_eval
 
 
-@dataclass(frozen=True)
-class OrderingContext:
-    df: DeformingFunction
-    amb: AmbiguityParams
-
-
-def v_tilde_eval(ctx: OrderingContext, x: ArrayLike) -> ArrayLike:
+def v_tilde_eval(df: DeformingFunction, amb: AmbiguityParams, x: ArrayLike) -> ArrayLike:
     """Ordering term rho*f*f'' + sigma*f'^2 with analytic derivatives."""
-    v = deforming_eval(ctx.df, x)
-    return ctx.amb.rho * v.f * v.f_second + ctx.amb.sigma * v.f_prime**2
+    v = deforming_eval(df, x)
+    return amb.rho * v.f * v.f_second + amb.sigma * v.f_prime**2
 
 
-def recover_initial_potential(ctx: OrderingContext, v_eff: Callable, x: ArrayLike) -> ArrayLike:
+def recover_initial_potential(df: DeformingFunction, amb: AmbiguityParams, v_eff: Callable, x: ArrayLike) -> ArrayLike:
     """Initial potential V(a;x) = V_eff(b;x) - V~(x) of the mass-ordered equation."""
-    return np.asarray(v_eff(x)) - v_tilde_eval(ctx, x)
+    return np.asarray(v_eff(x)) - v_tilde_eval(df, amb, x)

@@ -1,22 +1,27 @@
 """Shared verification battery: every cross-check the verify command and the
 test suite run against a catalog entry lives here, together with a process-wide
-cache of oracle eigensolves (they dominate the runtime)."""
+cache of oracle eigensolves (they dominate the runtime). ``verify_entry``
+yields the verify command's report as ``Check`` records."""
 from __future__ import annotations
 
 import math
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .catalog import CatalogEntry
-from .core import AmbiguityParams, Grid, Interval, deforming_eval
-from .ordering import OrderingContext, recover_initial_potential, v_tilde_eval
+from .core import AmbiguityParams, Grid, Interval, deforming_eval, positivity_check
+from .ordering import recover_initial_potential, v_tilde_eval
 from .oracle import Spectrum, _test_battery, discretize_deformed, discretize_vonroos, eigenpairs, equivalence_check
 from .oracle import quadrature
 from .si_engine import ParameterChain, chain_residuals, solve_chain, w_eval
 from .wavefunctions import _assemble, admissibility_check, excited_state_eval, normalize
 
 _SPECTRUM_CACHE: dict = {}
+
+# levels listed by ``spectrum --n-levels auto`` and probed by the counting check
+AUTO_LEVELS = 16
 
 
 def _params_key(params: dict) -> tuple:
@@ -44,24 +49,18 @@ def deformed_spectrum(
     return _SPECTRUM_CACHE[key]
 
 
-def vonroos_spectrum(
-    entry: CatalogEntry,
-    params: dict,
-    preset: str,
-    k: int,
-    n_override: Optional[int] = None,
-    which: str = "energy",
-) -> Spectrum:
-    key = ("vonroos", entry.name, _params_key(params), preset, k, n_override, which)
+def vonroos_spectrum(entry: CatalogEntry, params: dict, preset: str, k: int) -> Spectrum:
+    """Lowest k levels of the mass-ordered operator on the recovered initial
+    potential, on the entry's equivalence grid."""
+    key = ("vonroos", entry.name, _params_key(params), preset, k)
     if key not in _SPECTRUM_CACHE:
-        grid = oracle_grid(entry, params, n_override, which)
+        grid = oracle_grid(entry, params, which="equivalence")
         df = entry.deforming(params)
         amb = AmbiguityParams.preset(preset)
-        ctx = OrderingContext(df, amb)
         v_eff = entry.v_eff(params)
 
         def v_initial(x):
-            return recover_initial_potential(ctx, v_eff, x)
+            return recover_initial_potential(df, amb, v_eff, x)
 
         def m_field(x):
             return np.asarray(deforming_eval(df, x).M, dtype=float)
@@ -85,19 +84,18 @@ def residual_window(entry: CatalogEntry, params: dict) -> tuple:
     return -4.0, 8.0
 
 
-def chain_residual_max(entry: CatalogEntry, params: dict, depth: int = 5, nodes: int = 101, with_scale: bool = False):
-    """(max |r1|, max |r2| over i <= depth) on interior nodes.
+def chain_residual_max(entry: CatalogEntry, params: dict, depth: int = 5, nodes: int = 101) -> tuple:
+    """(max |r1|, max |r2| over i <= depth, scale) on interior nodes.
 
-    ``with_scale`` additionally returns the largest term magnitude entering the
-    residuals, the natural yardstick once potential parameters grow large."""
+    ``scale`` is the largest term magnitude entering the residuals, the natural
+    yardstick once potential parameters grow large."""
     problem = entry.chain_problem(params)
     chain = solve_chain(problem, depth + 1)
     a, b = residual_window(entry, params)
-    r1, r2, scale = chain_residuals(problem, chain, depth, np.linspace(a, b, nodes))
-    return (r1, r2, scale) if with_scale else (r1, r2)
+    return chain_residuals(problem, chain, depth, np.linspace(a, b, nodes))
 
 
-def printed_chain_residual_max(entry: CatalogEntry, params: dict, depth: int = 5, nodes: int = 101, with_scale: bool = False):
+def printed_chain_residual_max(entry: CatalogEntry, params: dict, depth: int = 5, nodes: int = 101) -> tuple:
     """Residuals with the published lambda_i, mu_i substituted for the solved ones."""
     problem = entry.chain_problem(params)
     solved = solve_chain(problem, depth + 1)
@@ -105,8 +103,7 @@ def printed_chain_residual_max(entry: CatalogEntry, params: dict, depth: int = 5
     mus = tuple(entry.printed_mu(params, i) for i in range(depth + 2))
     chain = ParameterChain(lams, mus, solved.eps_seq)
     a, b = residual_window(entry, params)
-    r1, r2, scale = chain_residuals(problem, chain, depth, np.linspace(a, b, nodes))
-    return (r1, r2, scale) if with_scale else (r1, r2)
+    return chain_residuals(problem, chain, depth, np.linspace(a, b, nodes))
 
 
 def chain_vs_printed_energy(entry: CatalogEntry, params: dict, nmax: int = 5) -> float:
@@ -131,8 +128,7 @@ def vtilde_agreement(entry: CatalogEntry, params: dict, amb: AmbiguityParams, no
     a, b = residual_window(entry, params)
     xs = np.linspace(a, b, nodes)
     printed = entry.v_tilde_closed(params, amb.rho, amb.sigma, xs)
-    ctx = OrderingContext(entry.deforming(params), amb)
-    return float(np.max(np.abs(np.asarray(printed) - v_tilde_eval(ctx, xs))))
+    return float(np.max(np.abs(np.asarray(printed) - v_tilde_eval(entry.deforming(params), amb, xs))))
 
 
 def ground_ratio_spread(entry: CatalogEntry, params: dict, nodes: int = 101) -> float:
@@ -140,12 +136,15 @@ def ground_ratio_spread(entry: CatalogEntry, params: dict, nodes: int = 101) -> 
     printed one.
 
     Points where the state has decayed below 1e-120 of its peak are skipped:
-    both representations underflow there and the ratio becomes 0/0."""
+    both representations underflow there and the ratio becomes 0/0. NaN when
+    no point is left."""
     a, b = residual_window(entry, params)
     xs = np.linspace(a, b, nodes)
     num = np.asarray(excited_state_eval(entry, params, 0, xs), dtype=float)
     closed = np.asarray(entry.ground_state_closed(params, xs), dtype=float)
     mask = np.abs(closed) > 1e-120 * np.max(np.abs(closed))
+    if not np.any(mask):
+        return math.nan
     ratio = num[mask] / closed[mask]
     return float((np.max(ratio) - np.min(ratio)) / np.abs(np.mean(ratio)))
 
@@ -276,7 +275,7 @@ def spectral_equivalence(entry: CatalogEntry, params: dict, preset: str) -> Opti
         nlev = 4
     if nlev < 1:
         return None
-    spec_v = vonroos_spectrum(entry, params, preset, nlev, which="equivalence")
+    spec_v = vonroos_spectrum(entry, params, preset, nlev)
     rel = np.abs(spec_v.eigenvalues - spec_d.eigenvalues[:nlev]) / np.maximum(
         1e-12, np.abs(spec_d.eigenvalues[:nlev])
     )
@@ -290,11 +289,10 @@ def equivalence_deviation(entry: CatalogEntry, params: dict, amb: AmbiguityParam
     the raw operator values do too, so only the ratio is grid-size invariant."""
     grid = oracle_grid(entry, params, which="equivalence")
     df = entry.deforming(params)
-    ctx = OrderingContext(df, amb)
     v_eff = entry.v_eff(params)
 
     def v_initial(x):
-        return recover_initial_potential(ctx, v_eff, x)
+        return recover_initial_potential(df, amb, v_eff, x)
 
     dev = equivalence_check(df, amb, v_initial, grid)
     op = discretize_deformed(df, v_eff, grid)
@@ -302,48 +300,41 @@ def equivalence_deviation(entry: CatalogEntry, params: dict, amb: AmbiguityParam
     return {"max_dev": dev, "action_scale": scale, "rel_dev": dev / max(scale, 1e-300)}
 
 
-def counting_vs_admissibility(entry: CatalogEntry, params: dict, extra: int = 0) -> dict:
+def counting_vs_admissibility(entry: CatalogEntry, params: dict) -> dict:
     """Check the printed counting rule against the numeric verdicts.
 
     A level exists numerically when its wavefunction is admissible AND its
     chain energy lies strictly above the previous level: past the rule's
     cutoff the chain can reproduce an earlier state at a repeated energy,
-    which is normalizable but not a new bound state."""
+    which is normalizable but not a new bound state. A finite count probes at
+    most the first AUTO_LEVELS levels, and the first missing level n = count
+    only when count <= AUTO_LEVELS; other rules probe levels 0..3."""
     counting = entry.counting(params)
-    verdicts = {}
-    ok = True
+    if counting.kind == "finite":
+        probed = counting.count + 1 if counting.count <= AUTO_LEVELS else AUTO_LEVELS
+    else:
+        probed = 4
+    chain = solve_chain(entry.chain_problem(params), probed - 1)
+    verdicts = {n: admissibility_check(entry, params, n) for n in range(probed)}
 
     def exists(n: int, v) -> bool:
         if not v.admissible:
             return False
         if n == 0:
             return True
-        e_prev, e_n = chain_energy(entry, params, n - 1), chain_energy(entry, params, n)
+        e_prev, e_n = chain.energy(n - 1), chain.energy(n)
         return e_n > e_prev + 1e-12 * max(1.0, abs(e_prev))
 
-    if counting.kind == "finite":
-        for n in range(counting.count + 1):
-            v = admissibility_check(entry, params, n)
-            verdicts[n] = v
-            ok = ok and (exists(n, v) == (n <= counting.n_max))
-    elif counting.kind == "infinite":
-        for n in range(4 + extra):
-            v = admissibility_check(entry, params, n)
-            verdicts[n] = v
-            ok = ok and exists(n, v)
+    if counting.kind == "zero":
+        ok = not any(v.admissible for v in verdicts.values())
     else:
-        for n in range(4 + extra):
-            v = admissibility_check(entry, params, n)
-            verdicts[n] = v
-            ok = ok and not v.admissible
+        ok = all(exists(n, v) == (counting.kind == "infinite" or n < counting.count) for n, v in verdicts.items())
     return {"counting": counting, "verdicts": verdicts, "ok": ok}
 
 
 def orthonormality_offdiag(entry: CatalogEntry, params: dict) -> Optional[float]:
     """Max off-diagonal Gram entry over the first min(4, count) admissible states."""
-    counting = entry.counting(params)
-    levels = 4 if counting.kind == "infinite" else (counting.count or 0)
-    levels = min(4, levels)
+    levels = entry.counting(params).levels(4)
     if levels < 1:
         return None
     G = gram_matrix(entry, params, levels)
@@ -351,3 +342,110 @@ def orthonormality_offdiag(entry: CatalogEntry, params: dict) -> Optional[float]
         return 0.0
     off = G - np.diag(np.diag(G))
     return float(np.max(np.abs(off)))
+
+
+@dataclass(frozen=True)
+class Check:
+    """One line of the verify report; ``ok`` is None for a note, which is
+    reported but never fails."""
+
+    name: str
+    ok: Optional[bool]
+    detail: str = ""
+
+    def __str__(self) -> str:
+        tag = "note" if self.ok is None else ("ok" if self.ok else "FAIL")
+        return f"  [{tag}] {self.name}" + (f": {self.detail}" if self.detail else "")
+
+
+def _residual_check(name: str, r1: float, r2: float, scale: float) -> Check:
+    # the absolute 1e-10 bound is meaningful at catalog-scale parameters; for
+    # larger user parameters roundoff grows with the largest residual term
+    tol = max(1e-10, 64.0 * np.finfo(float).eps * scale)
+    return Check(name, max(r1, r2) < tol, f"max |r1| = {r1:.2e}, max |r2| = {r2:.2e} (tol {tol:.1e})")
+
+
+def _verdict_tag(v) -> str:
+    if v.admissible:
+        return "adm"
+    broke = [tag for tag, ok in (("sq", v.square_integrable), ("herm", v.hermiticity_ok)) if not ok]
+    return "inadm[" + ",".join(broke) + "]"
+
+
+def verify_entry(entry: CatalogEntry, params: dict, preset: str = "bdd", tol: Optional[float] = None) -> Iterator[Check]:
+    """Validate ``params``, then return the verify battery as a generator of
+    ``Check`` records in report order; each check runs when it is reached.
+    ``tol`` overrides the recipe tolerance of the oracle energy comparison."""
+    entry.validate(params)
+    return _battery(entry, params, preset, tol)
+
+
+def _battery(entry: CatalogEntry, params: dict, preset: str, tol: Optional[float]) -> Iterator[Check]:
+    grid = Grid(Interval(*residual_window(entry, params)), 10001)
+    rep = positivity_check(entry.deforming(params), grid)
+    yield Check("positivity", rep.ok, f"min f = {rep.min_f:.6g}")
+    yield _residual_check("chain residuals", *chain_residual_max(entry, params))
+    yield _residual_check("printed chain parameters", *printed_chain_residual_max(entry, params))
+
+    gap = chain_vs_printed_energy(entry, params)
+    if entry.energy_discrepancy:
+        yield Check("printed energy formula flagged", None, entry.energy_discrepancy)
+        yield Check(f"chain vs printed E_n relative gap = {gap:.3g} (reported, not asserted)", None)
+    else:
+        yield Check("chain vs printed E_n", gap < 1e-10, f"max rel gap = {gap:.2e}")
+
+    amb = AmbiguityParams.preset(preset)
+    vt = vtilde_agreement(entry, params, amb)
+    if vt is None:
+        yield Check("no printed ordering term for this entry", None)
+    else:
+        yield Check("printed ordering term", vt < 1e-10, f"max dev = {vt:.2e}")
+
+    cva = counting_vs_admissibility(entry, params)
+    cnt = cva["counting"]
+    verdicts = ", ".join(f"n={n}:{_verdict_tag(v)}" for n, v in sorted(cva["verdicts"].items()))
+    yield Check("counting vs numeric admissibility", cva["ok"], f"counting = {cnt}; verdicts {verdicts}")
+    if cnt.kind == "finite" and cnt.count > AUTO_LEVELS:
+        yield Check(f"counting boundary n={cnt.count} not probed (only levels n < {AUTO_LEVELS})", None)
+
+    ratio = ground_ratio_spread(entry, params)
+    yield Check("ground-state closed vs integral form", ratio < 1e-8, f"ratio spread = {ratio:.2e}")
+
+    # 1e-7 here: slowly decaying states evaluated through a saturating chain
+    # variable (coth) carry ~1e-9 relative noise that the discrete derivative
+    # amplifies by 1/h; genuine sign or assembly errors sit many decades higher
+    am = a_minus_residual(entry, params)
+    yield Check("lowering-operator annihilation", am < 1e-7, f"max residual = {am:.2e}")
+
+    for n in range(cnt.levels(3)):
+        er = eigen_residual(entry, params, n)
+        e_tol = 1e-5 * max(1.0, abs(chain_energy(entry, params, n)))
+        yield Check(f"eigen-residual n={n}", er < e_tol, f"{er:.2e} (tol {e_tol:.1e})")
+
+    dev = equivalence_deviation(entry, params, amb)
+    yield Check(
+        "ordering-identity operator check",
+        dev["rel_dev"] < 1e-5,
+        f"max dev = {dev['max_dev']:.2e} ({dev['rel_dev']:.2e} of action scale)",
+    )
+
+    se = spectral_equivalence(entry, params, preset)
+    if se is None:
+        yield Check("no levels below the continuum edge for the spectral comparison", None)
+    else:
+        yield Check(
+            "ordered vs deformed spectra",
+            se["max_rel_dev"] < 1e-6,
+            f"{se['levels']} level(s), max rel dev = {se['max_rel_dev']:.2e}",
+        )
+
+    ovc = oracle_vs_chain(entry, params)
+    if ovc is None:
+        yield Check("oracle energy comparison skipped (no resolvable levels)", None)
+    else:
+        use_tol = tol if tol is not None else ovc["tol"]
+        yield Check(
+            "oracle vs chain energies",
+            ovc["max_rel_err"] < use_tol,
+            f"{ovc['levels']} level(s), max rel err = {ovc['max_rel_err']:.2e} (tol {use_tol:g})",
+        )

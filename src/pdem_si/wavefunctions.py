@@ -216,48 +216,35 @@ class _Assembled:
     F_ref: float
 
     def _parts(self, x):
+        """(f, q, t, y) at x: the class prefactor is q^(-n/2), the deformed
+        polynomial is evaluated at t, and y is the base function phi(x)."""
         sp = self.problem.sp
         x = np.asarray(x, dtype=float)
-        vals = deforming_eval(self.problem.df, x)
+        f = deforming_eval(self.problem.df, x).f
         y = sp.phi_val(x)
         if np.any(~np.isfinite(np.asarray(y))):
             raise SingularPoint("base function phi blows up at an evaluation point")
-        return sp, x, vals, y
-
-    def value(self, x):
-        sp, xa, vals, y = self._parts(x)
-        pref = 1.0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if sp.class_id == "class2":
-                z = y ** (-2.0)
-                pref = z ** (-0.5 * self.n)
-                pval = P.polyval(z, self.poly)
+                q = t = y ** (-2.0)
             elif sp.class_id == "class3":
-                A, B = sp.consts[0], sp.consts[1]
-                pref = (A * y**2 + B) ** (-0.5 * self.n)
-                pval = P.polyval(y, self.poly)
+                q, t = sp.consts[0] * y**2 + sp.consts[1], y
             else:
-                pval = P.polyval(y, self.poly)
-            out = vals.f**-0.5 * pref * pval * np.exp(-(self.F(y) - self.F_ref))
+                q, t = 1.0, y
+        return f, q, t, y
+
+    def value(self, x):
+        f, q, t, y = self._parts(x)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = f**-0.5 * q ** (-0.5 * self.n) * P.polyval(t, self.poly) * np.exp(-(self.F(y) - self.F_ref))
         return float(out) if np.ndim(x) == 0 else out
 
     def log_abs(self, x):
         """log |psi_n(x)|, safe for large arguments (used by the probes)."""
-        sp, xa, vals, y = self._parts(x)
-        logpref = 0.0
+        f, q, t, y = self._parts(x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if sp.class_id == "class2":
-                z = y ** (-2.0)
-                logpref = -0.5 * self.n * np.log(z)
-                logpoly = _log_abs_polyval(self.poly, z)
-            elif sp.class_id == "class3":
-                A, B = sp.consts[0], sp.consts[1]
-                logpref = -0.5 * self.n * np.log(A * y**2 + B)
-                logpoly = _log_abs_polyval(self.poly, y)
-            else:
-                logpoly = _log_abs_polyval(self.poly, y)
-            out = -0.5 * np.log(vals.f) + logpref + logpoly - (self.F(y) - self.F_ref)
-        return out
+            logpref = -0.5 * self.n * np.log(q)
+            return -0.5 * np.log(f) + logpref + _log_abs_polyval(self.poly, t) - (self.F(y) - self.F_ref)
 
 
 def _log_abs_polyval(coeffs: np.ndarray, y):

@@ -121,7 +121,7 @@ def test_criterion_06_eckart_regime_switch():
 def test_criterion_07_chain_consistency():
     for name, entry in catalog.ENTRIES.items():
         params = dict(entry.default_params)
-        r1, r2 = verif.chain_residual_max(entry, params, depth=5, nodes=101)
+        r1, r2, _ = verif.chain_residual_max(entry, params, depth=5, nodes=101)
         assert r1 < 1e-10 and r2 < 1e-10, (name, r1, r2)
         gap = verif.chain_vs_printed_energy(entry, params)
         if entry.energy_discrepancy:
@@ -144,7 +144,7 @@ def test_criterion_08_ordering_identity():
         entry = lookup(name)
         spec_d = verif.deformed_spectrum(entry, params, 4, which="equivalence")
         for preset in ("bdd", "zk"):
-            spec_v = verif.vonroos_spectrum(entry, params, preset, 4, which="equivalence")
+            spec_v = verif.vonroos_spectrum(entry, params, preset, 4)
             rel = np.abs(spec_v.eigenvalues - spec_d.eigenvalues) / np.abs(spec_d.eigenvalues)
             assert np.max(rel) < 1e-6, (name, preset, rel)
     _report(8, "ordering identity < 1e-6 (test family, 4 presets); ordered vs deformed spectra < 1e-6 (box, morse)")

@@ -5,6 +5,7 @@ import pytest
 
 from pdem_si import catalog, verification as verif
 from pdem_si.catalog import (
+    CountingResult,
     bound_state_count,
     closed_energy,
     ground_state_closed,
@@ -130,6 +131,14 @@ def test_counting_rules():
     # above alpha_max(0) the single level disappears
     c = bound_state_count(morse, {"A": 1.0, "B": 1.0, "alpha": 2.7})
     assert c.kind == "zero"
+
+
+def test_counting_levels_and_str():
+    finite, infinite, zero = CountingResult.finite(3), CountingResult.infinite(), CountingResult.zero()
+    assert [finite.levels(cap) for cap in (1, 3, 16)] == [1, 3, 3]
+    assert [infinite.levels(cap) for cap in (1, 3, 16)] == [1, 3, 16]
+    assert [zero.levels(cap) for cap in (1, 3, 16)] == [0, 0, 0]
+    assert [str(c) for c in (finite, infinite, zero)] == ["finite(3)", "infinite", "zero"]
 
 
 def test_ground_state_closed_values():

@@ -5,6 +5,8 @@ import pytest
 
 from pdem_si.cli import SpectrumReport, build_spectrum_report, main
 from pdem_si.catalog import lookup
+from pdem_si.core import RangeError
+from pdem_si.verification import verify_entry
 
 
 def run(capsys, *argv):
@@ -230,3 +232,26 @@ def test_verify_all_passes(capsys):
     assert code == 0
     assert out.count("all checks passed") == 10
     assert out.count("skipping") == 3
+
+
+def test_verify_fail_path(capsys):
+    code, out, _ = run(capsys, "verify", "--potential", "box", "--tol", "1e-12")
+    assert code == 1
+    assert "\n  [FAIL] oracle vs chain energies: 4 level(s), max rel err = " in out
+    assert out.endswith("\nbox: 1 check(s) FAILED: ['oracle vs chain energies']\n")
+
+
+def test_verify_entry_records_are_the_report(capsys):
+    entry = lookup("scarf_i")
+    checks = list(verify_entry(entry, dict(entry.default_params), tol=1e-12))
+    code, out, _ = run(capsys, "verify", "--potential", "scarf_i", "--tol", "1e-12")
+    assert code == 1
+    assert [str(c) for c in checks] == out.splitlines()[1:-1]
+    notes = [c for c in checks if c.ok is None]
+    assert len(notes) == 2 and all(str(c).startswith("  [note] ") for c in notes)
+    assert [c.name for c in checks if c.ok is not None and not c.ok] == ["oracle vs chain energies"]
+
+
+def test_verify_entry_validates_on_call():
+    with pytest.raises(RangeError):
+        verify_entry(lookup("box"), {"alpha": 3.0})

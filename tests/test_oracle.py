@@ -220,3 +220,16 @@ def test_spectral_equivalence_all_presets(name, params):
         res = verif.spectral_equivalence(entry, params, preset)
         assert res is not None, (name, preset)
         assert res["max_rel_dev"] < 1e-6, (name, preset, res)
+
+
+@pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
+def test_eigenpairs_match_lapack(name):
+    # the default LAPACK tolerance is too loose where ||T|| reaches ~1e14
+    # (hyperbolic Poschl-Teller, Morse): ask stebz for full accuracy
+    linalg = pytest.importorskip("scipy.linalg")
+    entry = catalog.ENTRIES[name]
+    params = dict(entry.default_params)
+    op = discretize_deformed(entry.deforming(params), entry.v_eff(params), verif.oracle_grid(entry, params))
+    got = eigenpairs(op, 4).eigenvalues
+    ref = linalg.eigh_tridiagonal(op.diag, op.off, eigvals_only=True, select="i", select_range=(0, 3), tol=1e-300)
+    assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref))), (got, ref)

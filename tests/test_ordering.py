@@ -6,7 +6,7 @@ import pytest
 from pdem_si import catalog
 from pdem_si.core import AmbiguityParams, DeformingFunction, Grid, Interval, ParameterError, deforming_eval
 from pdem_si.oracle import discretize_deformed, discretize_vonroos
-from pdem_si.ordering import OrderingContext, recover_initial_potential, v_tilde_eval
+from pdem_si.ordering import recover_initial_potential, v_tilde_eval
 
 PRESETS = ("bdd", "bastard", "zk", "lk")
 
@@ -19,17 +19,16 @@ def test_vtilde_zero_without_deformation():
     df = DeformingFunction("trig_sin", {"alpha": 0.0})
     xs = np.linspace(-1.0, 1.0, 11)
     for preset in PRESETS:
-        ctx = OrderingContext(df, AmbiguityParams.preset(preset))
-        assert np.all(v_tilde_eval(ctx, xs) == 0.0)
+        assert np.all(v_tilde_eval(df, AmbiguityParams.preset(preset), xs) == 0.0)
 
 
 def test_vtilde_box_lk_value():
-    ctx = OrderingContext(DeformingFunction("trig_sin2", {"alpha": 0.5}), AmbiguityParams.preset("lk"))
-    got = v_tilde_eval(ctx, math.pi / 4)
+    df, amb = DeformingFunction("trig_sin2", {"alpha": 0.5}), AmbiguityParams.preset("lk")
+    got = v_tilde_eval(df, amb, math.pi / 4)
     assert abs(got - (-0.0625)) < 1e-15
     # closed LK form -alpha^2/4 sin^2(2x) across the box
     xs = np.linspace(-1.5, 1.5, 101)
-    assert np.max(np.abs(v_tilde_eval(ctx, xs) + 0.25 * 0.25 * np.sin(2 * xs) ** 2)) < 1e-15
+    assert np.max(np.abs(v_tilde_eval(df, amb, xs) + 0.25 * 0.25 * np.sin(2 * xs) ** 2)) < 1e-15
 
 
 def test_vtilde_shifted_oscillator_origin():
@@ -37,7 +36,7 @@ def test_vtilde_shifted_oscillator_origin():
     df = DeformingFunction("quadratic", {"alpha": alpha, "beta": beta})
     for preset in PRESETS:
         amb = AmbiguityParams.preset(preset)
-        got = v_tilde_eval(OrderingContext(df, amb), 0.0)
+        got = v_tilde_eval(df, amb, 0.0)
         assert abs(got - (2 * amb.rho * alpha + 4 * amb.sigma * beta**2)) < 1e-15
 
 
@@ -45,25 +44,25 @@ def test_recover_initial_identity_and_roundtrip():
     entry = catalog.ENTRIES["box"]
     params = {"alpha": 0.5}
     v_eff = entry.v_eff(params)
-    ctx = OrderingContext(entry.deforming(params), AmbiguityParams.preset("lk"))
-    assert recover_initial_potential(ctx, v_eff, 0.0) == 0.0
+    df, amb = entry.deforming(params), AmbiguityParams.preset("lk")
+    assert recover_initial_potential(df, amb, v_eff, 0.0) == 0.0
 
     # f == 1: V = V_eff pointwise
-    flat = OrderingContext(DeformingFunction("trig_sin", {"alpha": 0.0}), AmbiguityParams.preset("zk"))
+    flat, zk = DeformingFunction("trig_sin", {"alpha": 0.0}), AmbiguityParams.preset("zk")
     xs = np.linspace(-1, 1, 21)
     v = lambda x: np.cos(x)
-    assert np.array_equal(recover_initial_potential(flat, v, xs), np.cos(xs))
+    assert np.array_equal(recover_initial_potential(flat, zk, v, xs), np.cos(xs))
 
     # round trip: recover + vtilde returns V_eff to machine precision
     # (relative to the terms involved: the ordering term can dwarf V_eff)
     for name, entry in catalog.ENTRIES.items():
         params = dict(entry.default_params)
-        ctx = OrderingContext(entry.deforming(params), AmbiguityParams.preset("bdd"))
+        df, amb = entry.deforming(params), AmbiguityParams.preset("bdd")
         v_eff = entry.v_eff(params)
         a, b = _window(entry)
         xs = np.linspace(a, b, 33)
-        vt = np.asarray(v_tilde_eval(ctx, xs))
-        back = recover_initial_potential(ctx, v_eff, xs) + vt
+        vt = np.asarray(v_tilde_eval(df, amb, xs))
+        back = recover_initial_potential(df, amb, v_eff, xs) + vt
         ref = np.asarray(v_eff(xs))
         scale = np.maximum(1.0, np.maximum(np.abs(ref), np.abs(vt)))
         assert np.max(np.abs(back - ref) / scale) <= 1e-12, name
@@ -84,13 +83,12 @@ def test_recover_morse_reshape():
     entry = catalog.ENTRIES["morse"]
     params = {"A": A, "B": B, "alpha": alpha}
     amb = AmbiguityParams.preset("bdd")
-    ctx = OrderingContext(entry.deforming(params), amb)
     b_star = math.sqrt(B**2 - (amb.rho + amb.sigma) * alpha**2)
     a_star = 0.5 * ((B * (2 * A + 1) + amb.rho * alpha) / b_star - 1.0)
     assert abs(b_star - 0.901388) < 5e-7
     assert abs(a_star - 1.302776) < 5e-7
     xs = np.linspace(-2.0, 6.0, 50)
-    got = recover_initial_potential(ctx, entry.v_eff(params), xs)
+    got = recover_initial_potential(entry.deforming(params), amb, entry.v_eff(params), xs)
     want = b_star**2 * np.exp(-2 * xs) - b_star * (2 * a_star + 1) * np.exp(-xs)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -118,7 +116,6 @@ def test_vonroos_reproduces_ground_state_energy():
     params = {"alpha": 0.5}
     df = entry.deforming(params)
     amb = AmbiguityParams.preset("bdd")
-    ctx = OrderingContext(df, amb)
     grid = Grid(Interval(-math.pi / 2, math.pi / 2), 4001)
     x = grid.nodes()
     psi = np.cos(x) / (1.0 + 0.5 * np.sin(x) ** 2)
@@ -126,7 +123,7 @@ def test_vonroos_reproduces_ground_state_energy():
     def m_field(t):
         return np.asarray(deforming_eval(df, t).M)
 
-    v_init = recover_initial_potential(ctx, entry.v_eff(params), x[1:-1])
+    v_init = recover_initial_potential(df, amb, entry.v_eff(params), x[1:-1])
     h_psi = discretize_vonroos(m_field, amb.primed, _zero, grid).apply(psi) + v_init * psi[1:-1]
     e0 = 1.5
     resid = h_psi[2:-2] - e0 * psi[3:-3]
@@ -134,8 +131,7 @@ def test_vonroos_reproduces_ground_state_energy():
 
     # a second preset gives the same action after shifting by the Vtilde difference
     amb2 = AmbiguityParams.preset("zk")
-    ctx2 = OrderingContext(df, amb2)
-    v_init2 = recover_initial_potential(ctx2, entry.v_eff(params), x[1:-1])
+    v_init2 = recover_initial_potential(df, amb2, entry.v_eff(params), x[1:-1])
     h_psi2 = discretize_vonroos(m_field, amb2.primed, _zero, grid).apply(psi) + v_init2 * psi[1:-1]
     assert np.max(np.abs(h_psi2[2:-2] - h_psi[2:-2])) < 1e-6
 
@@ -145,7 +141,6 @@ def test_ordering_equivalence_identity(preset):
     # smooth test family f = 1 + 0.3 sin x on [-pi/2, pi/2], N = 4001
     df = DeformingFunction("trig_sin", {"alpha": 0.3})
     amb = AmbiguityParams.preset(preset)
-    ctx = OrderingContext(df, amb)
     grid = Grid(Interval(-math.pi / 2, math.pi / 2), 4001)
     x = grid.nodes()
     u = x / math.pi
@@ -158,5 +153,5 @@ def test_ordering_equivalence_identity(preset):
     op_def = discretize_deformed(df, _zero, grid)
     for psi in battery:
         lhs = op_vr.apply(psi)
-        rhs = op_def.apply(psi) + np.asarray(v_tilde_eval(ctx, x[1:-1])) * psi[1:-1]
+        rhs = op_def.apply(psi) + np.asarray(v_tilde_eval(df, amb, x[1:-1])) * psi[1:-1]
         assert np.max(np.abs(lhs[2:-2] - rhs[2:-2])) < 1e-6

@@ -146,3 +146,58 @@ def test_huge_finite_count_finishes(potential, param):
     assert res.returncode == 0, res.stderr
     row = res.stdout.splitlines()[1].split(",")
     assert row[1] == "finite" and int(row[2]) > 10**9
+
+
+def test_verify_huge_finite_count_finishes():
+    # the counting check walked all 3,162 levels here, each with a deeper chain
+    res = _cli("verify", "--potential", "coulomb", "--params", "e2=1e6,l=0,alpha=0.1")
+    assert res.returncode == 1, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "  [note] counting boundary n=3162 not probed (only levels n < 16)\n" in res.stdout
+    # every sampled ground-state value underflows: a FAIL, not a ValueError
+    assert "  [FAIL] ground-state closed vs integral form: ratio spread = nan\n" in res.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--potential", "coulomb", "--params", "e2=1e300,l=0,alpha=0.1"),
+        ("verify", "--potential", "coulomb", "--params", "e2=1e300,l=0,alpha=0.1"),
+        ("sweep", "--potential", "coulomb", "--param", "e2", "--from", "1e300", "--to", "1e300", "--steps", "2"),
+    ],
+)
+def test_overflow_exit_2(argv):
+    res = _cli(*argv)
+    assert res.returncode == 2, res.stderr
+    assert "error: numeric overflow" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("spectrum", "--potential", "box", "--n-levels", "0"), "--n-levels"),
+        (("spectrum", "--potential", "box", "--n-levels", "100000"), "--n-levels"),
+        (("wavefunction", "--potential", "box", "--samples", "1"), "--samples"),
+        (("wavefunction", "--potential", "box", "--samples", "100000000"), "--samples"),
+        (("wavefunction", "--potential", "box", "--n", "-1"), "--n"),
+        (("sweep", "--potential", "box", "--param", "alpha", "--from", "0.1", "--to", "0.5", "--steps", "1"), "--steps"),
+        (("sweep", "--potential", "box", "--param", "alpha", "--from", "0.1", "--to", "0.5", "--steps", "100000000"), "--steps"),
+    ],
+)
+def test_flag_limits_exit_2(argv, flag, tmp_path):
+    out = tmp_path / "wf.csv"
+    if argv[0] == "wavefunction":
+        argv += ("--out", str(out))
+    res = _cli(*argv)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith(f"error: {flag} must be") and "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+def test_flag_limits_accept_edges(tmp_path, capsys):
+    from pdem_si.cli import main
+
+    assert main(["spectrum", "--potential", "coulomb", "--n-levels", "64"]) == 0
+    assert main(["wavefunction", "--potential", "box", "--samples", "3", "--out", str(tmp_path / "wf.csv")]) == 0
+    assert main(["sweep", "--potential", "box", "--param", "alpha", "--from", "0.1", "--to", "0.5", "--steps", "2"]) == 0
+    capsys.readouterr()

@@ -92,14 +92,14 @@ def test_shifted_oscillator_undeformed_factorization():
 @pytest.mark.parametrize("name", ALL)
 def test_chain_residuals(name):
     entry = catalog.ENTRIES[name]
-    r1, r2 = verif.chain_residual_max(entry, dict(entry.default_params), depth=5, nodes=101)
+    r1, r2, _ = verif.chain_residual_max(entry, dict(entry.default_params), depth=5, nodes=101)
     assert r1 < 1e-10 and r2 < 1e-10, (name, r1, r2)
 
 
 @pytest.mark.parametrize("name", ALL)
 def test_printed_chain_parameters_satisfy_conditions(name):
     entry = catalog.ENTRIES[name]
-    r1, r2 = verif.printed_chain_residual_max(entry, dict(entry.default_params), depth=5, nodes=101)
+    r1, r2, _ = verif.printed_chain_residual_max(entry, dict(entry.default_params), depth=5, nodes=101)
     assert r1 < 1e-10 and r2 < 1e-10, (name, r1, r2)
 
 
