@@ -83,7 +83,6 @@ class CatalogEntry:
     v_coeffs: Callable
     sp: Callable
     lam_branch: float
-    mu_branch: float
     printed_lambda: Callable
     printed_mu: Callable
     printed_energy: Callable
@@ -99,7 +98,7 @@ class CatalogEntry:
     energy_discrepancy: Optional[str] = None
     notes: str = ""
 
-    def validate(self, params: dict, allow_undeformed: bool = False) -> None:
+    def validate(self, params: dict) -> None:
         unknown = set(params) - set(self.param_names)
         if unknown:
             raise RangeError(f"{self.name}: unknown parameter(s) {sorted(unknown)}")
@@ -109,10 +108,9 @@ class CatalogEntry:
         nonfinite = sorted(k for k in self.param_names if not math.isfinite(params[k]))
         if nonfinite:
             raise RangeError(f"{self.name}: parameter(s) {nonfinite} must be finite")
-        deformed = any(params[k] != 0.0 for k in self.deformation_names)
-        if not deformed and not allow_undeformed:
+        if all(params[k] == 0.0 for k in self.deformation_names):
             raise RangeError(f"{self.name}: deformation parameters all zero (range: {self.range_text})")
-        self._validate(params, allow_undeformed)
+        self._validate(params)
 
     def chain_problem(self, params: dict) -> ChainProblem:
         return ChainProblem(
@@ -121,7 +119,6 @@ class CatalogEntry:
             df=self.deforming(params),
             v_eff=self.v_eff(params),
             lam_branch=self.lam_branch,
-            mu_branch=self.mu_branch,
         )
 
 
@@ -165,7 +162,7 @@ def _box_trig_vtilde(alpha, rho, sigma, x):
 
 
 def _make_box() -> CatalogEntry:
-    def validate(p, allow_undeformed):
+    def validate(p):
         a = p["alpha"]
         # upper bound mirrors the CLI range-enforcement contract
         _require(-1.0 < a < 1.0, f"box: alpha must satisfy -1 < alpha < 1, got {a}")
@@ -191,7 +188,6 @@ def _make_box() -> CatalogEntry:
         v_coeffs=lambda p: (0.0, 0.0, 0.0),
         sp=lambda p: _tan_sp(p["alpha"]),
         lam_branch=+1.0,
-        mu_branch=+1.0,
         printed_lambda=lambda p, i: (i + 1) * (1.0 + p["alpha"]),
         printed_mu=lambda p, i: 0.0,
         printed_energy=printed_energy,
@@ -214,7 +210,7 @@ def _trig_pt_lambda0(p) -> float:
 
 
 def _make_trig_pt() -> CatalogEntry:
-    def validate(p, allow_undeformed):
+    def validate(p):
         A, a = p["A"], p["alpha"]
         _require(A > 1.0, f"trig_poschl_teller: A > 1 required, got {A}")
         _require(a > -1.0, f"trig_poschl_teller: alpha > -1 required, got {a}")
@@ -247,7 +243,6 @@ def _make_trig_pt() -> CatalogEntry:
         v_coeffs=lambda p: (p["A"] * (p["A"] - 1.0), 0.0, p["A"] * (p["A"] - 1.0)),
         sp=lambda p: _tan_sp(p["alpha"]),
         lam_branch=+1.0,
-        mu_branch=+1.0,
         printed_lambda=lambda p, i: _trig_pt_lambda0(p) + i * (1.0 + p["alpha"]),
         printed_mu=lambda p, i: 0.0,
         printed_energy=printed_energy,
@@ -274,11 +269,10 @@ def _hyp_pt_lambda0(p) -> float:
 
 
 def _make_hyp_pt() -> CatalogEntry:
-    def validate(p, allow_undeformed):
+    def validate(p):
         A, a = p["A"], p["alpha"]
         _require(A > 0.0, f"hyperbolic_poschl_teller: A > 0 required, got {A}")
-        if not (allow_undeformed and a == 0.0):
-            _require(0.0 < a < 1.0, f"hyperbolic_poschl_teller: 0 < alpha < 1 required, got {a}")
+        _require(0.0 < a < 1.0, f"hyperbolic_poschl_teller: 0 < alpha < 1 required, got {a}")
 
     def v_eff(p):
         A = p["A"]
@@ -310,7 +304,6 @@ def _make_hyp_pt() -> CatalogEntry:
             "class1", "tanh", (-1.0, 0.0, 1.0), (p["alpha"], 0.0, 0.0), class0=True
         ),
         lam_branch=+1.0,
-        mu_branch=+1.0,
         printed_lambda=lambda p, i: _hyp_pt_lambda0(p) - i * (1.0 - p["alpha"]),
         printed_mu=lambda p, i: 0.0,
         printed_energy=printed_energy,
@@ -340,11 +333,10 @@ def _shifted_lam_mu(p) -> tuple:
 
 
 def _make_shifted() -> CatalogEntry:
-    def validate(p, allow_undeformed):
+    def validate(p):
         om, a, be = p["omega"], p["alpha"], p["beta"]
         _require(om > 0.0, f"shifted_oscillator: omega > 0 required, got {om}")
-        if not (allow_undeformed and a == 0.0 and be == 0.0):
-            _require(a > be**2, f"shifted_oscillator: alpha > beta^2 >= 0 required, got alpha={a}, beta={be}")
+        _require(a > be**2, f"shifted_oscillator: alpha > beta^2 >= 0 required, got alpha={a}, beta={be}")
 
     def v_eff(p):
         om, b = p["omega"], p["b"]
@@ -401,7 +393,6 @@ def _make_shifted() -> CatalogEntry:
             "class1", "x", (0.0, 0.0, 1.0), (p["alpha"], 2.0 * p["beta"], 0.0)
         ),
         lam_branch=+1.0,
-        mu_branch=+1.0,
         printed_lambda=lambda p, i: _shifted_lam_mu(p)[0] + i * p["alpha"],
         printed_mu=printed_mu,
         printed_energy=printed_energy,
@@ -427,12 +418,11 @@ def _osc3d_mu0(p) -> float:
 
 
 def _make_osc3d() -> CatalogEntry:
-    def validate(p, allow_undeformed):
+    def validate(p):
         om, l, a = p["omega"], p["l"], p["alpha"]
         _require(om > 0.0, f"oscillator_3d: omega > 0 required, got {om}")
         _require(l >= 0.0, f"oscillator_3d: l >= 0 required, got {l}")
-        if not (allow_undeformed and a == 0.0):
-            _require(a > 0.0, f"oscillator_3d: alpha > 0 required, got {a}")
+        _require(a > 0.0, f"oscillator_3d: alpha > 0 required, got {a}")
 
     def v_eff(p):
         om, l = p["omega"], p["l"]
@@ -464,7 +454,6 @@ def _make_osc3d() -> CatalogEntry:
         v_coeffs=lambda p: (p["l"] * (p["l"] + 1.0), 0.25 * p["omega"] ** 2, 0.0),
         sp=lambda p: SuperpotentialClass("class2", "inv_x", (-1.0, 0.0), (0.0, -p["alpha"])),
         lam_branch=-1.0,
-        mu_branch=+1.0,
         printed_lambda=lambda p, i: -p["l"] - 1.0 - i,
         printed_mu=lambda p, i: _osc3d_mu0(p) + i * p["alpha"],
         printed_energy=printed_energy,
@@ -486,12 +475,11 @@ def _make_osc3d() -> CatalogEntry:
 # ---------------------------------------------------------------------------
 
 def _make_coulomb() -> CatalogEntry:
-    def validate(p, allow_undeformed):
+    def validate(p):
         e2, l, a = p["e2"], p["l"], p["alpha"]
         _require(e2 > 0.0, f"coulomb: e2 > 0 required, got {e2}")
         _require(l >= 0.0, f"coulomb: l >= 0 required, got {l}")
-        if not (allow_undeformed and a == 0.0):
-            _require(a > 0.0, f"coulomb: alpha > 0 required, got {a}")
+        _require(a > 0.0, f"coulomb: alpha > 0 required, got {a}")
 
     def v_eff(p):
         e2, l = p["e2"], p["l"]
@@ -543,7 +531,6 @@ def _make_coulomb() -> CatalogEntry:
         v_coeffs=lambda p: (p["l"] * (p["l"] + 1.0), -p["e2"], 0.0),
         sp=lambda p: SuperpotentialClass("class1", "inv_x", (-1.0, 0.0, 0.0), (0.0, -p["alpha"], 0.0)),
         lam_branch=-1.0,
-        mu_branch=+1.0,
         printed_lambda=lambda p, i: -p["l"] - 1.0 - i,
         printed_mu=printed_mu,
         printed_energy=printed_energy,
@@ -582,11 +569,10 @@ def _morse_alpha_max(A: float, B: float, n: int) -> float:
 
 
 def _make_morse() -> CatalogEntry:
-    def validate(p, allow_undeformed):
+    def validate(p):
         A, B, a = p["A"], p["B"], p["alpha"]
         _require(A > 0.0 and B > 0.0, f"morse: A > 0 and B > 0 required, got A={A}, B={B}")
-        if not (allow_undeformed and a == 0.0):
-            _require(a > 0.0, f"morse: alpha > 0 required, got {a}")
+        _require(a > 0.0, f"morse: alpha > 0 required, got {a}")
 
     def v_eff(p):
         A, B = p["A"], p["B"]
@@ -651,7 +637,6 @@ def _make_morse() -> CatalogEntry:
         v_coeffs=lambda p: (p["B"] ** 2, -p["B"] * (2.0 * p["A"] + 1.0), 0.0),
         sp=lambda p: SuperpotentialClass("class1", "exp_neg", (0.0, -1.0, 0.0), (-p["alpha"], 0.0, 0.0)),
         lam_branch=-1.0,
-        mu_branch=+1.0,
         printed_lambda=lambda p, i: _morse_lam_mu(p)[0] - i * p["alpha"],
         printed_mu=printed_mu,
         printed_energy=printed_energy,
@@ -673,13 +658,11 @@ def _make_morse() -> CatalogEntry:
 # ---------------------------------------------------------------------------
 
 def _make_eckart() -> CatalogEntry:
-    def validate(p, allow_undeformed):
+    def validate(p):
         A, B, a = p["A"], p["B"], p["alpha"]
         _require(A >= 1.5, f"eckart: A >= 3/2 required, got {A}")
         _require(B > A**2, f"eckart: B > A^2 required, got B={B}, A={A}")
-        if not (allow_undeformed and a == 0.0):
-            _require(-2.0 <= a, f"eckart: -2 <= alpha required, got {a}")
-            _require(a != 0.0, "eckart: alpha must be nonzero")
+        _require(-2.0 <= a, f"eckart: -2 <= alpha required, got {a}")
 
     def v_eff(p):
         A, B = p["A"], p["B"]
@@ -754,7 +737,6 @@ def _make_eckart() -> CatalogEntry:
         ),
         sp=lambda p: SuperpotentialClass("class1", "coth", (-1.0, 0.0, 1.0), (0.0, -p["alpha"], p["alpha"])),
         lam_branch=-1.0,
-        mu_branch=+1.0,
         printed_lambda=lambda p, i: -p["A"] - i,
         printed_mu=printed_mu,
         printed_energy=printed_energy,
@@ -791,11 +773,10 @@ def _scarf_lam_mu(p) -> tuple:
 
 
 def _make_scarf1() -> CatalogEntry:
-    def validate(p, allow_undeformed):
+    def validate(p):
         A, B, a = p["A"], p["B"], p["alpha"]
         _require(0.0 < B < A - 1.0, f"scarf_i: 0 < B < A - 1 required, got A={A}, B={B}")
-        if not (allow_undeformed and a == 0.0):
-            _require(0.0 < abs(a) < 1.0, f"scarf_i: 0 < |alpha| < 1 required, got {a}")
+        _require(0.0 < abs(a) < 1.0, f"scarf_i: 0 < |alpha| < 1 required, got {a}")
 
     def v_eff(p):
         A, B = p["A"], p["B"]
@@ -853,7 +834,6 @@ def _make_scarf1() -> CatalogEntry:
             "class3", "sin", (-1.0, 1.0, 0.0, 1.0), (0.0, 0.0, p["alpha"], 0.0)
         ),
         lam_branch=+1.0,
-        mu_branch=+1.0,
         printed_lambda=lambda p, i: _scarf_lam_mu(p)[0] + i,
         printed_mu=lambda p, i: _scarf_lam_mu(p)[1] + i * p["alpha"],
         printed_energy=printed_energy,
@@ -879,7 +859,7 @@ def _make_scarf1() -> CatalogEntry:
 # ---------------------------------------------------------------------------
 
 def _make_rosen_morse1() -> CatalogEntry:
-    def validate(p, allow_undeformed):
+    def validate(p):
         A, a, be = p["A"], p["alpha"], p["beta"]
         _require(A >= 1.5, f"rosen_morse_i: A >= 3/2 required, got {A}")
         _require(be > -1.0, f"rosen_morse_i: beta > -1 required, got {be}")
@@ -945,7 +925,6 @@ def _make_rosen_morse1() -> CatalogEntry:
             "class1", "cot", (-1.0, 0.0, -1.0), (0.0, -p["alpha"], -p["beta"])
         ),
         lam_branch=-1.0,
-        mu_branch=+1.0,
         printed_lambda=lambda p, i: -p["A"] - i,
         printed_mu=printed_mu,
         printed_energy=printed_energy,
@@ -1011,9 +990,9 @@ def list_entries() -> tuple:
     return tuple(ENTRIES.values()), dict(EXCLUSIONS)
 
 
-def closed_energy(entry: CatalogEntry, params: dict, n: int, allow_undeformed: bool = False) -> float:
+def closed_energy(entry: CatalogEntry, params: dict, n: int) -> float:
     """Evaluate the published E_n after range and counting checks."""
-    entry.validate(params, allow_undeformed)
+    entry.validate(params)
     if n < 0:
         raise IndexError("level index must be >= 0")
     counting = entry.counting(params)
@@ -1024,14 +1003,14 @@ def closed_energy(entry: CatalogEntry, params: dict, n: int, allow_undeformed: b
     return float(entry.printed_energy(params, n))
 
 
-def bound_state_count(entry: CatalogEntry, params: dict, allow_undeformed: bool = False) -> CountingResult:
-    entry.validate(params, allow_undeformed)
+def bound_state_count(entry: CatalogEntry, params: dict) -> CountingResult:
+    entry.validate(params)
     return entry.counting(params)
 
 
-def ground_state_closed(entry: CatalogEntry, params: dict, x, allow_undeformed: bool = False):
+def ground_state_closed(entry: CatalogEntry, params: dict, x):
     """Published unnormalized ground state at interior x."""
-    entry.validate(params, allow_undeformed)
+    entry.validate(params)
     xa = np.asarray(x, dtype=float)
     if not entry.domain.contains_strictly(xa):
         from .core import DomainError

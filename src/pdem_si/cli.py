@@ -236,7 +236,7 @@ def _cmd_spectrum(ns) -> int:
 
 
 def _cmd_wavefunction(ns) -> int:
-    _check_flag("--n", ns.n, 0)
+    _check_flag("--n", ns.n, 0, 63)
     _check_flag("--samples", ns.samples, 3, 1_000_001)
     entry = lookup(ns.potential)
     params = _parse_params(entry, ns.params)
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     wf = sub.add_parser("wavefunction", help="Write normalized wavefunction samples as CSV.")
     wf.add_argument("--potential", required=True)
     wf.add_argument("--params")
-    wf.add_argument("--n", type=int, default=0, help="level index >= 0")
+    wf.add_argument("--n", type=int, default=0, help="level index 0..63")
     wf.add_argument("--samples", type=int, default=1001, help="sample count 3..1000001")
     wf.add_argument("--out", required=True)
 

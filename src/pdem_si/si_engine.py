@@ -2,12 +2,12 @@
 
 A superpotential class fixes a base function phi and the algebraic form of W.
 Both W^2 - f W' and W^2 + f W' expand in a fixed 3-term basis with closed-form
-coefficients, so the two matching conditions
+coefficients, so the one matching condition
 
-    V_eff = W(l0)^2 - f W'(l0) + eps0
-    W(li)^2 + f W'(li) = W(l_{i+1})^2 - f W'(l_{i+1}) + eps_{i+1}
+    W(l_{i+1})^2 - f W'(l_{i+1}) + eps_{i+1} = target,
 
-reduce to exact coefficient equations solved here, never to numerical fits.
+with target V_eff at level 0 and the partner W(li)^2 + f W'(li) after it,
+reduces to exact coefficient equations solved here, never to numerical fits.
 Class 0 (W = lambda*phi) is subsumed into class 1 with mu = B = B' = 0.
 """
 from __future__ import annotations
@@ -113,20 +113,9 @@ class SuperpotentialClass:
         Cp, Dp = self.primed[2], self.primed[3]
         return (Cp * y + Dp) / (C * y + D)
 
-    # -- basis coefficients of W^2 -+ f W' --------------------------------
+    # -- basis coefficients of W^2 + f W' ---------------------------------
     # class1 basis {phi^2, phi, 1}; class2 {phi^2, phi^-2, 1};
     # class3: numerator {phi^2, phi, 1} over the common denominator A phi^2 + B.
-    def minus_coeffs(self, lam: float, mu: float) -> tuple:
-        if self.class_id == "class1":
-            Ab, Bb, Cb = self.barred
-            return (lam * lam - Ab * lam, 2 * lam * mu - Bb * lam, mu * mu - Cb * lam)
-        if self.class_id == "class2":
-            Ab, Bb = self.barred
-            return (lam * lam - Ab * lam, mu * mu + Bb * mu, 2 * lam * mu - Bb * lam + Ab * mu)
-        A, B = self.consts[0], self.consts[1]
-        Cb, Db = self.barred[2], self.barred[3]
-        return (lam * lam + A * Cb * mu, 2 * lam * mu - B * Cb * lam + A * Db * mu, mu * mu - B * Db * lam)
-
     def plus_coeffs(self, lam: float, mu: float) -> tuple:
         if self.class_id == "class1":
             Ab, Bb, Cb = self.barred
@@ -137,12 +126,6 @@ class SuperpotentialClass:
         A, B = self.consts[0], self.consts[1]
         Cb, Db = self.barred[2], self.barred[3]
         return (lam * lam - A * Cb * mu, 2 * lam * mu + B * Cb * lam - A * Db * mu, mu * mu + B * Db * lam)
-
-    def eps_unit(self) -> tuple:
-        """Coefficients of a constant in the class basis (class3 carries the denominator)."""
-        if self.class_id == "class3":
-            return (self.consts[0], 0.0, self.consts[1])
-        return (0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -183,8 +166,7 @@ class ChainProblem:
     v_coeffs: tuple  # target coefficients of V_eff in the class basis
     df: DeformingFunction
     v_eff: Callable
-    lam_branch: float = 1.0  # sign of the square root picked for lambda_0
-    mu_branch: float = 1.0  # class2: sign picked for mu_0; class3: branch of d
+    lam_branch: float = 1.0  # sign of the square root picked for lambda_0 (class3: s_0)
 
 
 @dataclass(frozen=True)
@@ -221,95 +203,60 @@ def _solve_quadratic_branch(coef_lin: float, target: float, branch: float, what:
     return 0.5 * (coef_lin + branch * math.sqrt(disc))
 
 
-def _solve_initial_condition(problem: ChainProblem) -> tuple:
-    sp = problem.sp
-    t2, t1, t0 = problem.v_coeffs
-    if sp.class_id == "class1":
-        Ab, Bb, Cb = sp.barred
-        lam = _solve_quadratic_branch(Ab, t2, problem.lam_branch, "lambda")
-        if sp.class0:
-            if Bb != 0.0 or abs(t1) > 1e-12:
-                raise DegenerateClass("class0 requires B = B' = 0 and no linear term")
-            mu = 0.0
+def _match(sp: SuperpotentialClass, barred: tuple, target: tuple, lam_branch: float = 1.0, prev=None) -> tuple:
+    """(lambda, mu, eps) with W(lambda, mu)^2 - f W' + eps equal to ``target``.
+
+    Every free unknown t obeys t^2 - c t = b: lambda (class2 also mu), or
+    s = lambda + mu and d = lambda - mu for class3. At level 0 (``prev`` None)
+    t is a root of that quadratic, the ``lam_branch`` one for lambda and s and
+    the + one for mu and d. Matching the partner of ``prev`` = (lambda_i, mu_i)
+    takes the shape-invariant root t_i + c, never a fresh square root.
+    """
+    t2, t1, t0 = target
+    if sp.class_id == "class3":
+        Cb, Db = barred[2], barred[3]
+        if prev is None:
+            A, B, C, _ = sp.consts
+            if not (A == -1.0 and B == 1.0 and C == 0.0):
+                raise DegenerateClass("class3 coefficient matching needs phi' = D*sqrt(1 - phi^2)")
+            # s^2 - (Cb + Db) s = t0 + t1 + t2,  d^2 - (Db - Cb) d = t0 + t2 - t1
+            s = _solve_quadratic_branch(Cb + Db, t0 + t1 + t2, lam_branch, "s = lambda + mu")
+            d = _solve_quadratic_branch(Db - Cb, t0 + t2 - t1, 1.0, "d = lambda - mu")
         else:
-            if lam == 0.0:
-                raise DegenerateClass("lambda = 0 leaves mu undetermined")
-            mu = (t1 + Bb * lam) / (2.0 * lam)
-        eps = t0 - mu * mu + Cb * lam
+            s = (prev[0] + prev[1]) + (Cb + Db)
+            d = (prev[0] - prev[1]) + (Db - Cb)
+        lam, mu = 0.5 * (s + d), 0.5 * (s - d)
+        eps = t0 - mu * mu + Db * lam
+        resid = (lam * lam - Cb * mu - eps) - t2
+        if abs(resid) > 1e-9 * max(1.0, abs(t2), abs(eps)):
+            raise DegenerateClass(f"class3 matching inconsistent (residual {resid})")
         return lam, mu, eps
+    Ab, Bb = barred[0], barred[1]
+    lam = _solve_quadratic_branch(Ab, t2, lam_branch, "lambda") if prev is None else prev[0] + Ab
     if sp.class_id == "class2":
-        Ab, Bb = sp.barred
-        lam = _solve_quadratic_branch(Ab, t2, problem.lam_branch, "lambda")
-        mu = _solve_quadratic_branch(-Bb, t1, problem.mu_branch, "mu")
-        eps = t0 - (2.0 * lam * mu - Bb * lam + Ab * mu)
-        return lam, mu, eps
-    return _solve_initial_condition_class3(problem)
-
-
-def _class3_sd_consts(sp: SuperpotentialClass) -> tuple:
-    A, B, C, D = sp.consts
-    if not (A == -1.0 and B == 1.0 and C == 0.0):
-        raise DegenerateClass(
-            "class3 coefficient matching implemented for phi' = D*sqrt(1 - phi^2) structure"
-        )
-    Cb, Db = sp.barred[2], sp.barred[3]
-    return Cb, Db
-
-
-def _solve_initial_condition_class3(problem: ChainProblem) -> tuple:
-    # Decouples in s = lam + mu, d = lam - mu:
-    #   s^2 - (Cb + Db) s = t0 + t1 + t2,  d^2 - (Db - Cb) d = t0 + t2 - t1
-    sp = problem.sp
-    Cb, Db = _class3_sd_consts(sp)
-    t2, t1, t0 = problem.v_coeffs
-    s = _solve_quadratic_branch(Cb + Db, t0 + t1 + t2, problem.lam_branch, "s = lambda + mu")
-    d = _solve_quadratic_branch(Db - Cb, t0 + t2 - t1, problem.mu_branch, "d = lambda - mu")
-    lam, mu = 0.5 * (s + d), 0.5 * (s - d)
-    eps = t0 - mu * mu + Db * lam
-    resid = (lam * lam - Cb * mu - eps) - t2
-    if abs(resid) > 1e-9 * max(1.0, abs(t2), abs(eps)):
-        raise DegenerateClass(f"class3 matching inconsistent (residual {resid})")
-    return lam, mu, eps
-
-
-def _chain_step(sp: SuperpotentialClass, lam: float, mu: float) -> tuple:
-    plus = sp.plus_coeffs(lam, mu)
-    if sp.class_id == "class1":
-        Ab, Bb, Cb = sp.barred
-        lam2 = lam + Ab
-        if sp.class0:
-            mu2 = 0.0
-        else:
-            if lam2 == 0.0:
-                raise DegenerateClass("lambda_{i+1} = 0 in chain step")
-            mu2 = (plus[1] + Bb * lam2) / (2.0 * lam2)
-        eps2 = plus[2] - mu2 * mu2 + Cb * lam2
-        return lam2, mu2, eps2
-    if sp.class_id == "class2":
-        Ab, Bb = sp.barred
-        lam2 = lam + Ab
-        mu2 = mu - Bb
-        eps2 = plus[2] - (2.0 * lam2 * mu2 - Bb * lam2 + Ab * mu2)
-        return lam2, mu2, eps2
-    Cb, Db = _class3_sd_consts(sp)
-    s2 = (lam + mu) + (Cb + Db)
-    d2 = (lam - mu) + (Db - Cb)
-    lam2, mu2 = 0.5 * (s2 + d2), 0.5 * (s2 - d2)
-    eps2 = plus[2] - mu2 * mu2 + Db * lam2
-    resid = (lam2 * lam2 - Cb * mu2 - eps2) - plus[0]
-    if abs(resid) > 1e-9 * max(1.0, abs(plus[0]), abs(eps2)):
-        raise DegenerateClass(f"class3 chain step inconsistent (residual {resid})")
-    return lam2, mu2, eps2
+        mu = _solve_quadratic_branch(-Bb, t1, 1.0, "mu") if prev is None else prev[1] - Bb
+        return lam, mu, t0 - (2.0 * lam * mu - Bb * lam + Ab * mu)
+    if sp.class0:
+        if prev is None and (Bb != 0.0 or abs(t1) > 1e-12):
+            raise DegenerateClass("class0 requires B = B' = 0 and no linear term")
+        mu = 0.0
+    elif lam == 0.0:
+        raise DegenerateClass("lambda = 0 leaves mu undetermined")
+    else:
+        mu = (t1 + Bb * lam) / (2.0 * lam)
+    return lam, mu, t0 - mu * mu + barred[2] * lam
 
 
 def solve_chain(problem: ChainProblem, depth: int) -> ParameterChain:
-    """Solve the first matching condition, then iterate the second to ``depth``."""
+    """Match V_eff at level 0, then the partner of each level to ``depth``."""
     if depth < 0:
         raise ChainError("depth must be >= 0")
-    lam, mu, eps = _solve_initial_condition(problem)
+    sp = problem.sp
+    barred = sp.barred
+    lam, mu, eps = _match(sp, barred, problem.v_coeffs, problem.lam_branch)
     lams, mus, epss = [lam], [mu], [eps]
     for _ in range(depth):
-        lam, mu, eps = _chain_step(problem.sp, lam, mu)
+        lam, mu, eps = _match(sp, barred, sp.plus_coeffs(lam, mu), prev=(lam, mu))
         lams.append(lam)
         mus.append(mu)
         epss.append(eps)

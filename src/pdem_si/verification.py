@@ -22,6 +22,12 @@ _SPECTRUM_CACHE: dict = {}
 
 # levels listed by ``spectrum --n-levels auto`` and probed by the counting check
 AUTO_LEVELS = 16
+# chain levels checked against the matching conditions and the published E_n
+_CHAIN_DEPTH = 5
+# nodes on the residual window for pointwise identities, and the grid size of
+# the discrete-derivative and eigen-residual checks
+_WINDOW_NODES = 101
+_FINE_POINTS = 8001
 
 
 def _params_key(params: dict) -> tuple:
@@ -84,33 +90,33 @@ def residual_window(entry: CatalogEntry, params: dict) -> tuple:
     return -4.0, 8.0
 
 
-def chain_residual_max(entry: CatalogEntry, params: dict, depth: int = 5, nodes: int = 101) -> tuple:
-    """(max |r1|, max |r2| over i <= depth, scale) on interior nodes.
+def chain_residual_max(entry: CatalogEntry, params: dict) -> tuple:
+    """(max |r1|, max |r2| over i <= _CHAIN_DEPTH, scale) on interior nodes.
 
     ``scale`` is the largest term magnitude entering the residuals, the natural
     yardstick once potential parameters grow large."""
     problem = entry.chain_problem(params)
-    chain = solve_chain(problem, depth + 1)
+    chain = solve_chain(problem, _CHAIN_DEPTH + 1)
     a, b = residual_window(entry, params)
-    return chain_residuals(problem, chain, depth, np.linspace(a, b, nodes))
+    return chain_residuals(problem, chain, _CHAIN_DEPTH, np.linspace(a, b, _WINDOW_NODES))
 
 
-def printed_chain_residual_max(entry: CatalogEntry, params: dict, depth: int = 5, nodes: int = 101) -> tuple:
+def printed_chain_residual_max(entry: CatalogEntry, params: dict) -> tuple:
     """Residuals with the published lambda_i, mu_i substituted for the solved ones."""
     problem = entry.chain_problem(params)
-    solved = solve_chain(problem, depth + 1)
-    lams = tuple(entry.printed_lambda(params, i) for i in range(depth + 2))
-    mus = tuple(entry.printed_mu(params, i) for i in range(depth + 2))
+    solved = solve_chain(problem, _CHAIN_DEPTH + 1)
+    lams = tuple(entry.printed_lambda(params, i) for i in range(_CHAIN_DEPTH + 2))
+    mus = tuple(entry.printed_mu(params, i) for i in range(_CHAIN_DEPTH + 2))
     chain = ParameterChain(lams, mus, solved.eps_seq)
     a, b = residual_window(entry, params)
-    return chain_residuals(problem, chain, depth, np.linspace(a, b, nodes))
+    return chain_residuals(problem, chain, _CHAIN_DEPTH, np.linspace(a, b, _WINDOW_NODES))
 
 
-def chain_vs_printed_energy(entry: CatalogEntry, params: dict, nmax: int = 5) -> float:
-    """Max relative gap between chain partial sums and the published E_n."""
-    chain = solve_chain(entry.chain_problem(params), nmax)
+def chain_vs_printed_energy(entry: CatalogEntry, params: dict) -> float:
+    """Max relative gap between chain partial sums and the published E_n, n <= _CHAIN_DEPTH."""
+    chain = solve_chain(entry.chain_problem(params), _CHAIN_DEPTH)
     worst = 0.0
-    for n in range(nmax + 1):
+    for n in range(_CHAIN_DEPTH + 1):
         printed = entry.printed_energy(params, n)
         got = chain.energy(n)
         worst = max(worst, abs(got - printed) / max(1e-12, abs(printed)))
@@ -121,17 +127,17 @@ def chain_energy(entry: CatalogEntry, params: dict, n: int) -> float:
     return solve_chain(entry.chain_problem(params), n).energy(n)
 
 
-def vtilde_agreement(entry: CatalogEntry, params: dict, amb: AmbiguityParams, nodes: int = 101) -> Optional[float]:
+def vtilde_agreement(entry: CatalogEntry, params: dict, amb: AmbiguityParams) -> Optional[float]:
     """Max |printed V~ - analytic V~| on interior nodes; None if nothing printed."""
     if entry.v_tilde_closed is None:
         return None
     a, b = residual_window(entry, params)
-    xs = np.linspace(a, b, nodes)
+    xs = np.linspace(a, b, _WINDOW_NODES)
     printed = entry.v_tilde_closed(params, amb.rho, amb.sigma, xs)
     return float(np.max(np.abs(np.asarray(printed) - v_tilde_eval(entry.deforming(params), amb, xs))))
 
 
-def ground_ratio_spread(entry: CatalogEntry, params: dict, nodes: int = 101) -> float:
+def ground_ratio_spread(entry: CatalogEntry, params: dict) -> float:
     """Relative spread of the assembled (integral-form) ground state over the
     printed one.
 
@@ -139,7 +145,7 @@ def ground_ratio_spread(entry: CatalogEntry, params: dict, nodes: int = 101) -> 
     both representations underflow there and the ratio becomes 0/0. NaN when
     no point is left."""
     a, b = residual_window(entry, params)
-    xs = np.linspace(a, b, nodes)
+    xs = np.linspace(a, b, _WINDOW_NODES)
     num = np.asarray(excited_state_eval(entry, params, 0, xs), dtype=float)
     closed = np.asarray(entry.ground_state_closed(params, xs), dtype=float)
     mask = np.abs(closed) > 1e-120 * np.max(np.abs(closed))
@@ -149,14 +155,14 @@ def ground_ratio_spread(entry: CatalogEntry, params: dict, nodes: int = 101) -> 
     return float((np.max(ratio) - np.min(ratio)) / np.abs(np.mean(ratio)))
 
 
-def a_minus_residual(entry: CatalogEntry, params: dict, n_points: int = 8001) -> float:
+def a_minus_residual(entry: CatalogEntry, params: dict) -> float:
     """Max |A^- psi0| / max |psi0| with a fourth-order discrete derivative."""
     problem = entry.chain_problem(params)
     chain = solve_chain(problem, 0)
     assembled = _assemble(entry, params, 0)
     rec = entry.equivalence_recipe(params)
     a, b = max(rec.x1, residual_window(entry, params)[0]), min(rec.x2, residual_window(entry, params)[1])
-    grid = Grid(Interval(a, b), n_points)
+    grid = Grid(Interval(a, b), _FINE_POINTS)
     x = grid.nodes()
     h = grid.spacing
     psi = np.asarray(assembled.value(x), dtype=float)
@@ -170,15 +176,15 @@ def a_minus_residual(entry: CatalogEntry, params: dict, n_points: int = 8001) ->
     return float(np.max(np.abs(resid)) / np.max(np.abs(psi)))
 
 
-def eigen_residual(entry: CatalogEntry, params: dict, n: int, n_points: int = 8001) -> float:
-    """||H psi_n - E_n psi_n||_2 / ||psi_n||_2 at n_points over the interior window.
+def eigen_residual(entry: CatalogEntry, params: dict, n: int) -> float:
+    """||H psi_n - E_n psi_n||_2 / ||psi_n||_2 at _FINE_POINTS over the interior window.
 
     The window keeps the sampled action meaningful: right at a singular wall
     (sec^2 or 1/x^2 endpoints) the second-order stencil cannot resolve the
     closed-form state and its local truncation error would swamp the norm.
     Boundary couplings are included, so no Dirichlet assumption is made."""
     a, b = residual_window(entry, params)
-    grid = Grid(Interval(a, b), n_points)
+    grid = Grid(Interval(a, b), _FINE_POINTS)
     op = discretize_deformed(entry.deforming(params), entry.v_eff(params), grid)
     assembled = _assemble(entry, params, n)
     psi = np.asarray(assembled.value(grid.nodes()), dtype=float)
@@ -187,12 +193,12 @@ def eigen_residual(entry: CatalogEntry, params: dict, n: int, n_points: int = 80
     return float(np.linalg.norm(resid) / np.linalg.norm(psi[1:-1]))
 
 
-def gram_matrix(entry: CatalogEntry, params: dict, levels: int, n_points: Optional[int] = None) -> np.ndarray:
+def gram_matrix(entry: CatalogEntry, params: dict, levels: int) -> np.ndarray:
     """Simpson Gram matrix of the first ``levels`` normalized closed-form states.
 
     States are sampled strictly inside the truncation; the Dirichlet endpoints
     carry zeros (the base function phi may blow up exactly there)."""
-    grid = oracle_grid(entry, params, n_points, "energy")
+    grid = oracle_grid(entry, params)
     x = grid.nodes()
     states = []
     for n in range(levels):
@@ -228,7 +234,7 @@ def _truncation_resolves(entry: CatalogEntry, params: dict, n: int, rec) -> bool
     return True
 
 
-def oracle_vs_chain(entry: CatalogEntry, params: dict, k: Optional[int] = None) -> Optional[dict]:
+def oracle_vs_chain(entry: CatalogEntry, params: dict) -> Optional[dict]:
     """Compare chain energies with the matrix oracle on the entry recipe.
 
     Levels whose closed-form tails have not decayed at the truncation are not
@@ -239,8 +245,6 @@ def oracle_vs_chain(entry: CatalogEntry, params: dict, k: Optional[int] = None) 
     cap = rec.level_cap
     if counting.kind == "finite":
         cap = min(cap, counting.count)
-    if k is not None:
-        cap = min(cap, k)
     while cap > 0 and not _truncation_resolves(entry, params, cap - 1, rec):
         cap -= 1
     if cap < 1:

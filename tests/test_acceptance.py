@@ -47,7 +47,7 @@ def test_criterion_02_trig_poschl_teller():
             rel = abs(spec.eigenvalues[n] - closed) / abs(closed)
             assert rel < 1e-4, (alpha, n, rel)
     for n in range(5):
-        val = closed_energy(entry, {"A": 2.0, "alpha": 0.0}, n, allow_undeformed=True)
+        val = entry.printed_energy({"A": 2.0, "alpha": 0.0}, n)
         assert val == (2.0 + n) ** 2
     _report(2, "trig PT printed E_n vs oracle (rel < 1e-4); alpha = 0 gives (A+n)^2 exactly")
 
@@ -121,7 +121,7 @@ def test_criterion_06_eckart_regime_switch():
 def test_criterion_07_chain_consistency():
     for name, entry in catalog.ENTRIES.items():
         params = dict(entry.default_params)
-        r1, r2, _ = verif.chain_residual_max(entry, params, depth=5, nodes=101)
+        r1, r2, _ = verif.chain_residual_max(entry, params)
         assert r1 < 1e-10 and r2 < 1e-10, (name, r1, r2)
         gap = verif.chain_vs_printed_energy(entry, params)
         if entry.energy_discrepancy:
@@ -165,7 +165,7 @@ def test_criterion_09_wavefunction_suite():
         counting = entry.counting(params)
         levels = 3 if counting.kind == "infinite" else min(3, counting.count)
         for n in range(levels):
-            er = verif.eigen_residual(entry, params, n, n_points=8001)
+            er = verif.eigen_residual(entry, params, n)
             assert er < 1e-5, (name, n, er)
         gram_levels = min(4, 4 if counting.kind == "infinite" else counting.count)
         G = verif.gram_matrix(entry, params, gram_levels)

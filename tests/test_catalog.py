@@ -55,7 +55,7 @@ def test_closed_energy_morse_limit():
 def test_closed_energy_trig_pt_undeformed_exact():
     entry = lookup("trig_poschl_teller")
     for n in range(5):
-        val = closed_energy(entry, {"A": 2.0, "alpha": 0.0}, n, allow_undeformed=True)
+        val = entry.printed_energy({"A": 2.0, "alpha": 0.0}, n)
         assert val == (2.0 + n) ** 2
 
 
@@ -152,7 +152,7 @@ def test_ground_state_closed_values():
 
     trig = lookup("trig_poschl_teller")
     xs = np.linspace(-1.2, 1.2, 41)
-    vals = ground_state_closed(trig, {"A": 2.0, "alpha": 0.0}, xs, allow_undeformed=True)
+    vals = trig.ground_state_closed({"A": 2.0, "alpha": 0.0}, xs)
     ratio = vals / np.cos(xs) ** 2
     assert np.max(np.abs(ratio - ratio[0])) < 1e-12
 

@@ -182,6 +182,7 @@ def test_overflow_exit_2(argv):
         (("wavefunction", "--potential", "box", "--n", "-1"), "--n"),
         (("sweep", "--potential", "box", "--param", "alpha", "--from", "0.1", "--to", "0.5", "--steps", "1"), "--steps"),
         (("sweep", "--potential", "box", "--param", "alpha", "--from", "0.1", "--to", "0.5", "--steps", "100000000"), "--steps"),
+        (("wavefunction", "--potential", "box", "--n", "20000"), "--n"),
     ],
 )
 def test_flag_limits_exit_2(argv, flag, tmp_path):
@@ -199,5 +200,6 @@ def test_flag_limits_accept_edges(tmp_path, capsys):
 
     assert main(["spectrum", "--potential", "coulomb", "--n-levels", "64"]) == 0
     assert main(["wavefunction", "--potential", "box", "--samples", "3", "--out", str(tmp_path / "wf.csv")]) == 0
+    assert main(["wavefunction", "--potential", "box", "--n", "63", "--out", str(tmp_path / "wf.csv")]) == 0
     assert main(["sweep", "--potential", "box", "--param", "alpha", "--from", "0.1", "--to", "0.5", "--steps", "2"]) == 0
     capsys.readouterr()

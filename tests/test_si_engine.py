@@ -92,14 +92,14 @@ def test_shifted_oscillator_undeformed_factorization():
 @pytest.mark.parametrize("name", ALL)
 def test_chain_residuals(name):
     entry = catalog.ENTRIES[name]
-    r1, r2, _ = verif.chain_residual_max(entry, dict(entry.default_params), depth=5, nodes=101)
+    r1, r2, _ = verif.chain_residual_max(entry, dict(entry.default_params))
     assert r1 < 1e-10 and r2 < 1e-10, (name, r1, r2)
 
 
 @pytest.mark.parametrize("name", ALL)
 def test_printed_chain_parameters_satisfy_conditions(name):
     entry = catalog.ENTRIES[name]
-    r1, r2, _ = verif.printed_chain_residual_max(entry, dict(entry.default_params), depth=5, nodes=101)
+    r1, r2, _ = verif.printed_chain_residual_max(entry, dict(entry.default_params))
     assert r1 < 1e-10 and r2 < 1e-10, (name, r1, r2)
 
 
@@ -286,3 +286,30 @@ def test_chain_depth_guards():
         chain.energy(5)
     with pytest.raises(Exception):
         chain_residuals(prob, chain, 2, 0.5)
+
+
+@pytest.mark.parametrize(
+    "sp,v_coeffs,depth,exc",
+    [
+        # class 2: mu_0^2 + B' mu_0 = -1 has no real root
+        (SuperpotentialClass("class2", "inv_x", (-1.0, 0.0), (0.0, 0.0)), (0.0, -1.0, 0.0), 0, NoRealRoot),
+        # class 0 cannot absorb a linear term with mu = 0
+        (SuperpotentialClass("class1", "tan", (1.0, 0.0, 1.0), (0.5, 0.0, 0.0), class0=True), (0.0, 1.0, 0.0), 0, DegenerateClass),
+        # class 1 with lambda_0 = 0 leaves mu_0 undetermined
+        (SuperpotentialClass("class1", "x", (0.0, 0.0, 1.0), (0.0, 0.0, 0.0)), (0.0, 0.0, 0.0), 0, DegenerateClass),
+        # lambda_0 = 1, and the step lambda_1 = lambda_0 + A = 0 leaves mu_1 undetermined
+        (SuperpotentialClass("class1", "x", (-1.0, 0.0, 1.0), (0.0, 0.0, 0.0)), (2.0, 0.0, 0.0), 1, DegenerateClass),
+    ],
+    ids=["class2_mu_no_root", "class0_linear_term", "class1_lambda0_zero", "class1_step_lambda_zero"],
+)
+def test_matching_solve_raises(sp, v_coeffs, depth, exc):
+    prob = ChainProblem(
+        sp=sp,
+        v_coeffs=v_coeffs,
+        df=DeformingFunction("quadratic", {"alpha": 0.0, "beta": 0.0}),
+        v_eff=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+    )
+    if depth:
+        solve_chain(prob, depth - 1)  # the level before the failing step solves
+    with pytest.raises(exc):
+        solve_chain(prob, depth)
