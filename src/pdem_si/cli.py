@@ -13,14 +13,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from . import verification as verif
 from .catalog import CatalogEntry, EXCLUSIONS, list_entries, lookup
-from .core import AmbiguityParams, Grid, Interval, NotFound, PdemError, RangeError
+from .core import PRESET_EXPONENTS, AmbiguityParams, Grid, Interval, NotFound, PdemError, RangeError
 from .si_engine import solve_chain
 from .wavefunctions import admissibility_check, normalize
 
@@ -51,29 +51,19 @@ class SpectrumReport:
     grid_meta: dict
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["levels"] = [asdict(row) for row in self.levels]
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpectrumReport":
-        rows = [LevelRow(**row) for row in d["levels"]]
-        return cls(
-            potential=d["potential"],
-            params=d["params"],
-            deformation=d["deformation"],
-            ambiguity=d["ambiguity"],
-            levels=rows,
-            counting=d["counting"],
-            checks=d["checks"],
-            grid_meta=d["grid_meta"],
-        )
+        kw = {f.name: d[f.name] for f in fields(cls)}
+        kw["levels"] = [LevelRow(**row) for row in d["levels"]]
+        return cls(**kw)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
     def to_csv(self) -> str:
-        cols = ["n", "e_closed", "e_chain", "e_oracle", "abs_err", "rel_err", "admissible", "hermiticity_ok"]
+        cols = [f.name for f in fields(LevelRow)]
         lines = [",".join(cols)]
         for row in self.levels:
             vals = []
@@ -342,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--params", help="comma-separated name=value pairs (defaults otherwise)")
     sp.add_argument("--n-levels", default="auto", help="level count 1..64 or 'auto' (counting rule, capped at 16)")
     sp.add_argument("--oracle", action="store_true", help="include matrix-oracle energies")
-    sp.add_argument("--preset", default="bdd", choices=["bdd", "bastard", "zk", "lk"])
+    sp.add_argument("--preset", default="bdd", choices=list(PRESET_EXPONENTS))
     sp.add_argument("--format", default="json", choices=["json", "csv"])
 
     wf = sub.add_parser("wavefunction", help="Write normalized wavefunction samples as CSV.")
@@ -355,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="Run the full invariant suite for one entry or all.")
     vf.add_argument("--potential", required=True, help="entry name or 'all'")
     vf.add_argument("--params")
-    vf.add_argument("--preset", default="bdd", choices=["bdd", "bastard", "zk", "lk"])
+    vf.add_argument("--preset", default="bdd", choices=list(PRESET_EXPONENTS))
     vf.add_argument("--tol", type=float, help="override the oracle energy tolerance")
 
     sw = sub.add_parser("sweep", help="Sweep one parameter; emit counts and energies as CSV.")

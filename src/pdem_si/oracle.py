@@ -15,6 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
+    AmbiguityParams,
     ConvergenceError,
     DeformingFunction,
     Grid,
@@ -104,16 +105,15 @@ def discretize_deformed(df: DeformingFunction, v_eff: Callable, grid: Grid) -> T
     )
 
 
-def discretize_vonroos(m_field: Callable, amb_primed: tuple, v: Callable, grid: Grid) -> TridiagonalOperator:
-    """Symmetric discretization of the mass-power ordered kinetic term plus diag(V)."""
-    xi_p, eta_p, zeta_p = amb_primed
-    if abs(xi_p + eta_p + zeta_p + 1.0) > 1e-12:
-        raise ParameterError("primed exponents must sum to -1")
+def discretize_vonroos(df: DeformingFunction, amb: AmbiguityParams, v: Callable, grid: Grid) -> TridiagonalOperator:
+    """Symmetric discretization of the mass-power ordered kinetic term plus diag(V),
+    with M = 1/f^2 and the exponents ``amb.primed``."""
+    xi_p, eta_p, zeta_p = amb.primed
     x = grid.nodes()
     h = grid.spacing
     xin = x[1:-1]
-    M = np.asarray(m_field(xin), dtype=float)
-    Mm = np.asarray(m_field(grid.midpoints()), dtype=float)
+    M = np.asarray(deforming_eval(df, xin).M, dtype=float)
+    Mm = np.asarray(deforming_eval(df, grid.midpoints()).M, dtype=float)
     if np.any(M <= 0.0) or np.any(Mm <= 0.0):
         raise NonPositiveError("mass field must be positive on the grid")
     V = np.asarray(v(xin), dtype=float)
@@ -124,7 +124,7 @@ def discretize_vonroos(m_field: Callable, amb_primed: tuple, v: Callable, grid: 
     C = M**zeta_p
     diag = A * C * (B[1:] + B[:-1]) / h**2 + V
     off = -0.5 * B[1:-1] * (A[:-1] * C[1:] + C[:-1] * A[1:]) / h**2
-    Mb = np.asarray(m_field(x[[0, -1]]), dtype=float)
+    Mb = np.asarray(deforming_eval(df, x[[0, -1]]).M, dtype=float)
     Ab, Cb = Mb**xi_p, Mb**zeta_p
     left = -0.5 * B[0] * (A[0] * Cb[0] + C[0] * Ab[0]) / h**2
     right = -0.5 * B[-1] * (A[-1] * Cb[1] + C[-1] * Ab[1]) / h**2
@@ -204,7 +204,11 @@ def _thomas_pivot(off: np.ndarray, diag_shifted: np.ndarray, b: np.ndarray) -> n
 def eigenpairs(op: TridiagonalOperator, k: int, want_vectors: bool = False) -> Spectrum:
     """k lowest eigenvalues by Sturm bisection from Gershgorin bounds; optional
     eigenvectors by inverse iteration (shift guarded by 1e-10), Simpson-normalized
-    on the full grid with zero boundary values."""
+    on the full grid with zero boundary values.
+
+    A vector is accepted once ||T v - lambda v|| < max(1e-8 max(1, |lambda|),
+    64 eps || |T| |v| ||): the second term is the rounding floor of T v, which
+    the first falls below on fine grids where ||T|| ~ f/h^2 is large."""
     if k < 1 or k > op.n:
         raise ParameterError(f"k must be in 1..{op.n}")
     d = list(map(float, op.diag))
@@ -232,19 +236,19 @@ def eigenpairs(op: TridiagonalOperator, k: int, want_vectors: bool = False) -> S
         h = op.grid.spacing
         rng = np.random.RandomState(8801)
         w = _simpson_weights(op.grid.n_points, h)
+        abs_op = TridiagonalOperator(np.abs(op.diag), np.abs(op.off), op.grid)
         rows = []
         for lam in eigvals:
             b0 = rng.standard_normal(op.n)
-            v = None
-            resid = np.inf
             for _ in range(5):
                 v = _thomas_pivot(op.off, op.diag - (lam + 1e-10), b0)
                 v /= np.linalg.norm(v)
                 b0 = v
                 resid = np.linalg.norm(op.apply_interior(v) - lam * v)
-                if resid < 1e-8 * max(1.0, abs(lam)):
+                floor = 64.0 * np.finfo(float).eps * np.linalg.norm(abs_op.apply_interior(np.abs(v)))
+                if resid < max(1e-8 * max(1.0, abs(lam)), floor):
                     break
-            if resid >= 1e-8 * max(1.0, abs(lam)):
+            else:
                 raise ConvergenceError(f"inverse iteration stalled at lambda={lam} (residual {resid})")
             full = np.concatenate([[0.0], v, [0.0]])
             imax = int(np.argmax(np.abs(full)))
@@ -277,7 +281,7 @@ def _test_battery(grid: Grid) -> list:
     return [bump, window]
 
 
-def equivalence_check(df: DeformingFunction, amb, v: Callable, grid: Grid) -> float:
+def equivalence_check(df: DeformingFunction, amb: AmbiguityParams, v: Callable, grid: Grid) -> float:
     """Max interior deviation between the ordered kinetic operator acting on V and
     the deformed operator acting on V_eff = V + V~, over a smooth test battery.
 
@@ -290,11 +294,7 @@ def equivalence_check(df: DeformingFunction, amb, v: Callable, grid: Grid) -> fl
         lambda t: np.asarray(v(t), dtype=float) + np.asarray(v_tilde_eval(df, amb, t), dtype=float),
         grid,
     )
-
-    def m_field(t):
-        return np.asarray(deforming_eval(df, t).M, dtype=float)
-
-    op_vr = discretize_vonroos(m_field, amb.primed, lambda t: np.asarray(v(t), dtype=float), grid)
+    op_vr = discretize_vonroos(df, amb, v, grid)
     dev = 0.0
     for psi in _test_battery(grid):
         lhs = op_vr.apply(psi)

@@ -47,32 +47,29 @@ def deformed_spectrum(
     which: str = "energy",
     want_vectors: bool = False,
 ) -> Spectrum:
-    key = ("deformed", entry.name, _params_key(params), k, n_override, which, want_vectors)
-    if key not in _SPECTRUM_CACHE:
-        grid = oracle_grid(entry, params, n_override, which)
-        op = discretize_deformed(entry.deforming(params), entry.v_eff(params), grid)
-        _SPECTRUM_CACHE[key] = eigenpairs(op, k, want_vectors=want_vectors)
-    return _SPECTRUM_CACHE[key]
+    return _cached_solve(entry, params, None, oracle_grid(entry, params, n_override, which), k, want_vectors)
 
 
-def vonroos_spectrum(entry: CatalogEntry, params: dict, preset: str, k: int) -> Spectrum:
+def vonroos_spectrum(entry: CatalogEntry, params: dict, amb: AmbiguityParams, k: int) -> Spectrum:
     """Lowest k levels of the mass-ordered operator on the recovered initial
     potential, on the entry's equivalence grid."""
-    key = ("vonroos", entry.name, _params_key(params), preset, k)
+    return _cached_solve(entry, params, amb, oracle_grid(entry, params, which="equivalence"), k, False)
+
+
+def _cached_solve(
+    entry: CatalogEntry, params: dict, amb: Optional[AmbiguityParams], grid: Grid, k: int, want_vectors: bool
+) -> Spectrum:
+    """One eigensolve per matrix: the deformed operator on V_eff when ``amb`` is
+    None, else the von Roos operator with ordering ``amb`` on the recovered V.
+    Requests that resolve to the same operator, grid, k and want_vectors share it."""
+    key = (entry.name, _params_key(params), amb, grid, k, want_vectors)
     if key not in _SPECTRUM_CACHE:
-        grid = oracle_grid(entry, params, which="equivalence")
-        df = entry.deforming(params)
-        amb = AmbiguityParams.preset(preset)
-        v_eff = entry.v_eff(params)
-
-        def v_initial(x):
-            return recover_initial_potential(df, amb, v_eff, x)
-
-        def m_field(x):
-            return np.asarray(deforming_eval(df, x).M, dtype=float)
-
-        op = discretize_vonroos(m_field, amb.primed, v_initial, grid)
-        _SPECTRUM_CACHE[key] = eigenpairs(op, k)
+        df, v_eff = entry.deforming(params), entry.v_eff(params)
+        if amb is None:
+            op = discretize_deformed(df, v_eff, grid)
+        else:
+            op = discretize_vonroos(df, amb, lambda x: recover_initial_potential(df, amb, v_eff, x), grid)
+        _SPECTRUM_CACHE[key] = eigenpairs(op, k, want_vectors=want_vectors)
     return _SPECTRUM_CACHE[key]
 
 
@@ -121,10 +118,6 @@ def chain_vs_printed_energy(entry: CatalogEntry, params: dict) -> float:
         got = chain.energy(n)
         worst = max(worst, abs(got - printed) / max(1e-12, abs(printed)))
     return worst
-
-
-def chain_energy(entry: CatalogEntry, params: dict, n: int) -> float:
-    return solve_chain(entry.chain_problem(params), n).energy(n)
 
 
 def vtilde_agreement(entry: CatalogEntry, params: dict, amb: AmbiguityParams) -> Optional[float]:
@@ -266,7 +259,7 @@ def oracle_vs_chain(entry: CatalogEntry, params: dict) -> Optional[dict]:
     }
 
 
-def spectral_equivalence(entry: CatalogEntry, params: dict, preset: str) -> Optional[dict]:
+def spectral_equivalence(entry: CatalogEntry, params: dict, amb: AmbiguityParams) -> Optional[dict]:
     """Von Roos spectrum on the recovered V vs deformed spectrum on V_eff.
 
     Levels compared are those below the truncation-induced continuum edge
@@ -279,11 +272,11 @@ def spectral_equivalence(entry: CatalogEntry, params: dict, preset: str) -> Opti
         nlev = 4
     if nlev < 1:
         return None
-    spec_v = vonroos_spectrum(entry, params, preset, nlev)
+    spec_v = vonroos_spectrum(entry, params, amb, nlev)
     rel = np.abs(spec_v.eigenvalues - spec_d.eigenvalues[:nlev]) / np.maximum(
         1e-12, np.abs(spec_d.eigenvalues[:nlev])
     )
-    return {"levels": nlev, "max_rel_dev": float(np.max(rel)), "preset": preset}
+    return {"levels": nlev, "max_rel_dev": float(np.max(rel))}
 
 
 def equivalence_deviation(entry: CatalogEntry, params: dict, amb: AmbiguityParams) -> dict:
@@ -421,9 +414,11 @@ def _battery(entry: CatalogEntry, params: dict, preset: str, tol: Optional[float
     am = a_minus_residual(entry, params)
     yield Check("lowering-operator annihilation", am < 1e-7, f"max residual = {am:.2e}")
 
-    for n in range(cnt.levels(3)):
+    levels = cnt.levels(3)
+    chain = solve_chain(entry.chain_problem(params), max(levels - 1, 0))
+    for n in range(levels):
         er = eigen_residual(entry, params, n)
-        e_tol = 1e-5 * max(1.0, abs(chain_energy(entry, params, n)))
+        e_tol = 1e-5 * max(1.0, abs(chain.energy(n)))
         yield Check(f"eigen-residual n={n}", er < e_tol, f"{er:.2e} (tol {e_tol:.1e})")
 
     dev = equivalence_deviation(entry, params, amb)
@@ -433,7 +428,7 @@ def _battery(entry: CatalogEntry, params: dict, preset: str, tol: Optional[float
         f"max dev = {dev['max_dev']:.2e} ({dev['rel_dev']:.2e} of action scale)",
     )
 
-    se = spectral_equivalence(entry, params, preset)
+    se = spectral_equivalence(entry, params, amb)
     if se is None:
         yield Check("no levels below the continuum edge for the spectral comparison", None)
     else:

@@ -281,12 +281,16 @@ def excited_state_eval(entry: CatalogEntry, params: dict, n: int, x):
 
 
 def normalize(samples: np.ndarray, grid: Grid):
-    """Scale sampled psi so the Simpson integral of |psi|^2 is 1."""
+    """Scale sampled psi so the Simpson integral of |psi|^2 is 1.
+
+    The samples are squared after an exact power-of-two scaling that brings
+    max |psi| into [1/2, 1), so the norm neither overflows nor underflows."""
     samples = np.asarray(samples, dtype=float)
-    nrm2 = quadrature(samples**2, grid)
-    if not nrm2 > 1e-300:
-        raise ZeroNorm(f"norm integral {nrm2} too small")
-    const = 1.0 / math.sqrt(nrm2)
+    peak = float(np.max(np.abs(samples)))
+    if not 0.0 < peak < math.inf:
+        raise ZeroNorm(f"peak |psi| = {peak} cannot be normalized")
+    pow2 = math.ldexp(1.0, -math.frexp(peak)[1])
+    const = pow2 / math.sqrt(quadrature((pow2 * samples) ** 2, grid))
     return const, const * samples
 
 

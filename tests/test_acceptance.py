@@ -144,7 +144,7 @@ def test_criterion_08_ordering_identity():
         entry = lookup(name)
         spec_d = verif.deformed_spectrum(entry, params, 4, which="equivalence")
         for preset in ("bdd", "zk"):
-            spec_v = verif.vonroos_spectrum(entry, params, preset, 4)
+            spec_v = verif.vonroos_spectrum(entry, params, AmbiguityParams.preset(preset), 4)
             rel = np.abs(spec_v.eigenvalues - spec_d.eigenvalues) / np.abs(spec_d.eigenvalues)
             assert np.max(rel) < 1e-6, (name, preset, rel)
     _report(8, "ordering identity < 1e-6 (test family, 4 presets); ordered vs deformed spectra < 1e-6 (box, morse)")

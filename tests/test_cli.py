@@ -5,7 +5,8 @@ import pytest
 
 from pdem_si.cli import SpectrumReport, build_spectrum_report, main
 from pdem_si.catalog import lookup
-from pdem_si.core import RangeError
+from pdem_si.core import Grid, Interval, RangeError
+from pdem_si.oracle import quadrature
 from pdem_si.verification import verify_entry
 
 
@@ -155,6 +156,24 @@ def test_wavefunction_csv(tmp_path, capsys):
     assert abs(approx - 1.0) < 1e-3
     # f column matches the deforming function
     assert np.max(np.abs(data[:, 2] - (1 + 0.5 * np.sin(x) ** 2))) < 1e-12
+
+
+def test_wavefunction_large_state_is_normalized(tmp_path, capsys):
+    # max |psi| is ~1e270 here, so its square overflows unless rescaled first
+    out_path = tmp_path / "wf.csv"
+    params = {"A": 1.5, "B": 2.5, "alpha": -2.0}
+    code, _, _ = run(
+        capsys,
+        "wavefunction", "--potential", "eckart", "--params", "A=1.5,B=2.5,alpha=-2",
+        "--n", "63", "--out", str(out_path),
+    )
+    assert code == 0
+    lines = out_path.read_text().strip().splitlines()
+    psi = np.array([float(line.split(",")[1]) for line in lines[1:]])
+    assert np.max(np.abs(psi)) > 0.0
+    rec = lookup("eckart").oracle_recipe(params)
+    grid = Grid(Interval(rec.x1, rec.x2), len(psi) + 2)
+    assert abs(quadrature(np.concatenate([[0.0], psi, [0.0]]) ** 2, grid) - 1.0) < 1e-12
 
 
 def test_wavefunction_rejects_missing_level(capsys, tmp_path):

@@ -21,6 +21,7 @@ from pdem_si.oracle import (
     quadrature,
     sturm_count,
 )
+from pdem_si.wavefunctions import excited_state_eval, normalize
 
 PRESETS = ("bdd", "bastard", "zk", "lk")
 
@@ -175,7 +176,7 @@ def test_vonroos_constant_mass_matches_deformed():
     v = lambda x: np.sin(np.asarray(x))
     flat = DeformingFunction("trig_sin", {"alpha": 0.0})
     a = discretize_deformed(flat, v, grid)
-    b = discretize_vonroos(lambda x: np.ones_like(np.asarray(x)), (0.0, -1.0, 0.0), v, grid)
+    b = discretize_vonroos(flat, AmbiguityParams.preset("bdd"), v, grid)
     assert np.array_equal(a.diag, b.diag) and np.array_equal(a.off, b.off)
 
 
@@ -217,9 +218,42 @@ def test_spectral_equivalence_all_presets(name, params):
     # ordered form on the recovered V vs deformed form on V_eff, same grid
     entry = catalog.ENTRIES[name]
     for preset in PRESETS:
-        res = verif.spectral_equivalence(entry, params, preset)
+        res = verif.spectral_equivalence(entry, params, AmbiguityParams.preset(preset))
         assert res is not None, (name, preset)
         assert res["max_rel_dev"] < 1e-6, (name, preset, res)
+
+
+def test_requests_for_one_matrix_share_one_solve(monkeypatch):
+    # box solves the same deformed matrix for the energy and equivalence grids
+    entry = catalog.ENTRIES["box"]
+    params = dict(entry.default_params)
+    solve, calls = verif.eigenpairs, []
+
+    def counted(op, k, want_vectors=False):
+        calls.append(k)
+        return solve(op, k, want_vectors)
+
+    monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
+    monkeypatch.setattr(verif, "eigenpairs", counted)
+    for _ in verif.verify_entry(entry, params):
+        pass
+    assert len(calls) == 2  # deformed and von Roos
+    assert verif.deformed_spectrum(entry, params, 4) is verif.deformed_spectrum(entry, params, 4, which="equivalence")
+    assert len(calls) == 2
+
+
+def test_eigenvectors_converge_on_fine_grid():
+    # at N = 8001 the rounding floor of T v lies above 1e-8 |lambda|
+    entry = catalog.ENTRIES["box"]
+    params = {"alpha": 0.5}
+    grid = verif.oracle_grid(entry, params, 8001)
+    op = discretize_deformed(entry.deforming(params), entry.v_eff(params), grid)
+    spec = eigenpairs(op, 4, want_vectors=True)
+    x = grid.nodes()
+    for n in range(4):
+        psi = np.concatenate([[0.0], excited_state_eval(entry, params, n, x[1:-1]), [0.0]])
+        _, psi = normalize(psi, grid)
+        assert 1.0 - abs(quadrature(psi * spec.eigenvectors[n], grid)) < 1e-12, n
 
 
 @pytest.mark.parametrize("name", sorted(catalog.ENTRIES))

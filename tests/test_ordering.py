@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pdem_si import catalog
-from pdem_si.core import AmbiguityParams, DeformingFunction, Grid, Interval, ParameterError, deforming_eval
+from pdem_si.core import AmbiguityParams, DeformingFunction, Grid, Interval, ParameterError
 from pdem_si.oracle import discretize_deformed, discretize_vonroos
 from pdem_si.ordering import recover_initial_potential, v_tilde_eval
 
@@ -98,15 +98,16 @@ def test_vonroos_apply_constant_mass():
     x = grid.nodes()
     k = 2.0
     psi = np.sin(k * x)
-    out = discretize_vonroos(lambda t: np.ones_like(np.asarray(t)), (0.0, -1.0, 0.0), _zero, grid).apply(psi)
+    flat = DeformingFunction("trig_sin", {"alpha": 0.0})
+    out = discretize_vonroos(flat, AmbiguityParams.preset("bdd"), _zero, grid).apply(psi)
     want = k**2 * np.sin(k * x[1:-1])
     assert np.max(np.abs(out - want)) < 5e-6  # O(h^2)
 
 
 def test_vonroos_apply_exponent_guard():
-    grid = Grid(Interval(0.0, 1.0), 11)
+    # every AmbiguityParams satisfies the exponent sum; from_primed guards it
     with pytest.raises(ParameterError):
-        discretize_vonroos(lambda t: np.ones_like(np.asarray(t)), (0.0, 0.0, 0.0), _zero, grid).apply(np.zeros(11))
+        AmbiguityParams.from_primed(0.0, 0.0, 0.0)
 
 
 def test_vonroos_reproduces_ground_state_energy():
@@ -119,12 +120,8 @@ def test_vonroos_reproduces_ground_state_energy():
     grid = Grid(Interval(-math.pi / 2, math.pi / 2), 4001)
     x = grid.nodes()
     psi = np.cos(x) / (1.0 + 0.5 * np.sin(x) ** 2)
-
-    def m_field(t):
-        return np.asarray(deforming_eval(df, t).M)
-
     v_init = recover_initial_potential(df, amb, entry.v_eff(params), x[1:-1])
-    h_psi = discretize_vonroos(m_field, amb.primed, _zero, grid).apply(psi) + v_init * psi[1:-1]
+    h_psi = discretize_vonroos(df, amb, _zero, grid).apply(psi) + v_init * psi[1:-1]
     e0 = 1.5
     resid = h_psi[2:-2] - e0 * psi[3:-3]
     assert np.max(np.abs(resid)) < 1e-5
@@ -132,7 +129,7 @@ def test_vonroos_reproduces_ground_state_energy():
     # a second preset gives the same action after shifting by the Vtilde difference
     amb2 = AmbiguityParams.preset("zk")
     v_init2 = recover_initial_potential(df, amb2, entry.v_eff(params), x[1:-1])
-    h_psi2 = discretize_vonroos(m_field, amb2.primed, _zero, grid).apply(psi) + v_init2 * psi[1:-1]
+    h_psi2 = discretize_vonroos(df, amb2, _zero, grid).apply(psi) + v_init2 * psi[1:-1]
     assert np.max(np.abs(h_psi2[2:-2] - h_psi[2:-2])) < 1e-6
 
 
@@ -145,11 +142,7 @@ def test_ordering_equivalence_identity(preset):
     x = grid.nodes()
     u = x / math.pi
     battery = [np.exp(-16.0 * u**2), np.sin(2 * x) * np.cos(math.pi * u) ** 2]
-
-    def m_field(t):
-        return np.asarray(deforming_eval(df, t).M)
-
-    op_vr = discretize_vonroos(m_field, amb.primed, _zero, grid)
+    op_vr = discretize_vonroos(df, amb, _zero, grid)
     op_def = discretize_deformed(df, _zero, grid)
     for psi in battery:
         lhs = op_vr.apply(psi)

@@ -150,6 +150,18 @@ def test_normalize():
         normalize(np.zeros(101), Grid(Interval(0.0, 1.0), 101))
 
 
+def test_normalize_is_scale_free():
+    # squaring raw samples of 1e200 would overflow the norm to inf
+    grid = Grid(Interval(-math.pi / 2, math.pi / 2), 2001)
+    psi = np.cos(grid.nodes())
+    _, normed = normalize(psi, grid)
+    _, big_normed = normalize(1e200 * psi, grid)
+    assert np.max(np.abs(big_normed - normed)) <= 1e-15 * np.max(np.abs(normed))
+    for bad in (np.full(2001, np.inf), np.full(2001, np.nan)):
+        with pytest.raises(ZeroNorm):
+            normalize(bad, grid)
+
+
 def test_eckart_alpha_minus_two_value_tail():
     # beyond x ~ 19, coth x rounds to exactly 1; the double-root antiderivative
     # must take its limit (state dead superexponentially), never NaN
