@@ -310,7 +310,7 @@ def _make_hyp_pt() -> CatalogEntry:
         ground_state_closed=ground,
         counting=lambda p: CountingResult.zero(),
         v_tilde_closed=None,
-        oracle_recipe=lambda p: OracleRecipe(-6.0, 6.0, 4001, level_cap=0),
+        oracle_recipe=lambda p: OracleRecipe(-6.0, 6.0, 4001),
         equivalence_recipe=lambda p: OracleRecipe(-3.5, 3.5, 16001),
         continuum_edge=lambda p: 0.0,
         x_ref=0.0,
@@ -595,13 +595,14 @@ def _make_morse() -> CatalogEntry:
         return -0.25 * ((2.0 * B * (2.0 * A + 1.0) - ((2 * n + 1) * delta + (2 * n**2 + 2 * n + 1) * a)) / den) ** 2
 
     def counting(p):
+        # levels k with (2k^2+2k+1) a + (2k+1) hypot(2B, a) < 2B(2A+1); cancellation-free root
         A, B, a = p["A"], p["B"], p["alpha"]
-        k = 0
-        while k < A and a < _morse_alpha_max(A, B, k):
-            k += 1
-            if k > 10000:
-                break
-        return CountingResult.finite(k)
+        if not a < _morse_alpha_max(A, B, 0):
+            return CountingResult.zero()
+        s = a + math.hypot(2.0 * B, a)
+        c = 2.0 * B * (2.0 * A + 1.0) - s
+        root = c / (s + math.sqrt(s * s + 2.0 * a * c))
+        return _levels_below(root, lambda k: k < A and a < _morse_alpha_max(A, B, k))
 
     def ground(p, x):
         a = p["alpha"]

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import verification as verif
 from .catalog import CatalogEntry, EXCLUSIONS, list_entries, lookup
-from .core import PRESET_EXPONENTS, AmbiguityParams, Grid, Interval, NotFound, PdemError, RangeError
+from .core import PRESET_EXPONENTS, AmbiguityParams, NotFound, PdemError, RangeError
 from .si_engine import solve_chain
-from .wavefunctions import admissibility_check, normalize
+from .wavefunctions import admissibility_check, normalized_state
 
 _FMT = "%.17g"  # full round-trip decimal representation
 
@@ -128,13 +128,11 @@ def build_spectrum_report(
         print(f"note: {entry.name} supports {counting.count} bound state(s); clamping levels", file=sys.stderr)
 
     chain = solve_chain(entry.chain_problem(params), max(k - 1, 5))
-    recipe = entry.oracle_recipe(params)
-    oracle_vals = None
-    if with_oracle and k > 0:
-        cap = min(k, recipe.level_cap)
-        if cap > 0:
-            spec = verif.deformed_spectrum(entry, params, cap, n_override=n_override)
-            oracle_vals = list(spec.eigenvalues)
+    oracle_vals = ()
+    if with_oracle:
+        trusted = min(k, verif.trusted_levels(entry, params))
+        if trusted > 0:
+            oracle_vals = verif.deformed_spectrum(entry, params, trusted, n_override=n_override).eigenvalues
 
     rows = []
     for n in range(k):
@@ -142,7 +140,7 @@ def build_spectrum_report(
         e_chain = chain.energy(n)
         verdict = admissibility_check(entry, params, n)
         e_orc = abs_err = rel_err = None
-        if oracle_vals is not None and n < len(oracle_vals):
+        if n < len(oracle_vals):
             e_orc = float(oracle_vals[n])
             abs_err = abs(e_closed - e_orc)
             rel_err = abs_err / max(1e-12, abs(e_closed))
@@ -168,12 +166,13 @@ def build_spectrum_report(
     }
     deformation = {kk: params[kk] for kk in entry.deformation_names}
     pot_params = {kk: vv for kk, vv in params.items() if kk not in entry.deformation_names}
-    grid_n = n_override or recipe.n_points
+    recipe = entry.oracle_recipe(params)
+    grid = verif.oracle_grid(entry, params, n_override)
     grid_meta = {
-        "x1": recipe.x1,
-        "x2": recipe.x2,
-        "n_points": grid_n,
-        "spacing": (recipe.x2 - recipe.x1) / (grid_n - 1),
+        "x1": grid.interval.x1,
+        "x2": grid.interval.x2,
+        "n_points": grid.n_points,
+        "spacing": grid.spacing,
         "oracle_rel_tol": recipe.rel_tol,
         "oracle_level_cap": recipe.level_cap,
     }
@@ -237,14 +236,9 @@ def _cmd_wavefunction(ns) -> int:
         return 1
     if counting.kind == "finite" and ns.n > counting.n_max:
         raise RangeError(f"{entry.name}: level {ns.n} beyond n_max = {counting.n_max}")
-    from .wavefunctions import excited_state_eval
-
-    rec = entry.oracle_recipe(params)
-    grid = Grid(Interval(rec.x1, rec.x2), ns.samples if ns.samples % 2 == 1 else ns.samples + 1)
+    grid = verif.oracle_grid(entry, params, ns.samples if ns.samples % 2 == 1 else ns.samples + 1)
     x = grid.nodes()
-    # endpoints are Dirichlet nodes of the truncation; sample strictly inside
-    psi = np.concatenate([[0.0], np.asarray(excited_state_eval(entry, params, ns.n, x[1:-1]), dtype=float), [0.0]])
-    _, psi = normalize(psi, grid)
+    psi = normalized_state(entry, params, ns.n, grid)
     vals_f = np.asarray(entry.deforming(params).f(x[1:-1]), dtype=float)
     v = np.asarray(entry.v_eff(params)(x[1:-1]), dtype=float)
     lines = ["x,psi,f,v_eff"]

@@ -16,7 +16,7 @@ from .ordering import recover_initial_potential, v_tilde_eval
 from .oracle import Spectrum, _test_battery, discretize_deformed, discretize_vonroos, eigenpairs, equivalence_check
 from .oracle import quadrature
 from .si_engine import ParameterChain, chain_residuals, solve_chain, w_eval
-from .wavefunctions import _assemble, admissibility_check, excited_state_eval, normalize
+from .wavefunctions import _assemble, admissibility_check, excited_state_eval, normalized_state
 
 _SPECTRUM_CACHE: dict = {}
 
@@ -149,13 +149,13 @@ def ground_ratio_spread(entry: CatalogEntry, params: dict) -> float:
 
 
 def a_minus_residual(entry: CatalogEntry, params: dict) -> float:
-    """Max |A^- psi0| / max |psi0| with a fourth-order discrete derivative."""
-    problem = entry.chain_problem(params)
-    chain = solve_chain(problem, 0)
+    """Max |A^- psi0| / max |psi0| with a fourth-order discrete derivative on
+    the residual window, clamped to the equivalence grid."""
     assembled = _assemble(entry, params, 0)
-    rec = entry.equivalence_recipe(params)
-    a, b = max(rec.x1, residual_window(entry, params)[0]), min(rec.x2, residual_window(entry, params)[1])
-    grid = Grid(Interval(a, b), _FINE_POINTS)
+    problem, chain = assembled.problem, assembled.chain
+    lo, hi = residual_window(entry, params)
+    edges = oracle_grid(entry, params, which="equivalence").interval
+    grid = Grid(Interval(max(edges.x1, lo), min(edges.x2, hi)), _FINE_POINTS)
     x = grid.nodes()
     h = grid.spacing
     psi = np.asarray(assembled.value(x), dtype=float)
@@ -187,18 +187,10 @@ def eigen_residual(entry: CatalogEntry, params: dict, n: int) -> float:
 
 
 def gram_matrix(entry: CatalogEntry, params: dict, levels: int) -> np.ndarray:
-    """Simpson Gram matrix of the first ``levels`` normalized closed-form states.
-
-    States are sampled strictly inside the truncation; the Dirichlet endpoints
-    carry zeros (the base function phi may blow up exactly there)."""
+    """Simpson Gram matrix of the first ``levels`` normalized closed-form states
+    on the oracle grid."""
     grid = oracle_grid(entry, params)
-    x = grid.nodes()
-    states = []
-    for n in range(levels):
-        psi = np.asarray(_assemble(entry, params, n).value(x[1:-1]), dtype=float)
-        psi = np.concatenate([[0.0], psi, [0.0]])
-        _, psi = normalize(psi, grid)
-        states.append(psi)
+    states = [normalized_state(entry, params, n, grid) for n in range(levels)]
     G = np.empty((levels, levels))
     for i in range(levels):
         for j in range(i, levels):
@@ -206,7 +198,7 @@ def gram_matrix(entry: CatalogEntry, params: dict, levels: int) -> np.ndarray:
     return G
 
 
-def _truncation_resolves(entry: CatalogEntry, params: dict, n: int, rec) -> bool:
+def _truncation_resolves(entry: CatalogEntry, params: dict, n: int, edges: Interval) -> bool:
     """True when the closed-form state has actually decayed at the truncation
     edges, so its Dirichlet eigenvalue is trustworthy at the recipe tolerance."""
     if entry.domain.bounded:
@@ -217,31 +209,34 @@ def _truncation_resolves(entry: CatalogEntry, params: dict, n: int, rec) -> bool
     # |psi(edge)|^2 below ~3e-4 of the peak keeps the Dirichlet shift within the
     # per-entry tolerances; marginal tails sit decades above this line
     threshold = -8.0
-    for edge, hard in ((rec.x1, math.isfinite(entry.domain.x1)), (rec.x2, math.isfinite(entry.domain.x2))):
+    for edge, hard in ((edges.x1, math.isfinite(entry.domain.x1)), (edges.x2, math.isfinite(entry.domain.x2))):
         if hard:
             continue  # exact wall of the physical domain
-        inside = edge - math.copysign(1e-6, edge - 0.5 * (rec.x1 + rec.x2))
+        inside = edge - math.copysign(1e-6, edge - 0.5 * (edges.x1 + edges.x2))
         u = 2.0 * (float(assembled.log_abs(inside)) - peak)
         if not u < threshold:
             return False
     return True
 
 
-def oracle_vs_chain(entry: CatalogEntry, params: dict) -> Optional[dict]:
-    """Compare chain energies with the matrix oracle on the entry recipe.
-
-    Levels whose closed-form tails have not decayed at the truncation are not
-    compared (their Dirichlet eigenvalues carry an irreducible truncation
-    shift); returns None when nothing is resolvable."""
-    rec = entry.oracle_recipe(params)
-    counting = entry.counting(params)
-    cap = rec.level_cap
-    if counting.kind == "finite":
-        cap = min(cap, counting.count)
-    while cap > 0 and not _truncation_resolves(entry, params, cap - 1, rec):
+def trusted_levels(entry: CatalogEntry, params: dict) -> int:
+    """Lowest oracle levels trusted by both the oracle comparison and ``spectrum
+    --oracle``: the bound states up to the recipe's level cap, less the top ones
+    whose Dirichlet eigenvalues carry a truncation shift (tails not decayed)."""
+    cap = entry.counting(params).levels(entry.oracle_recipe(params).level_cap)
+    edges = oracle_grid(entry, params).interval
+    while cap > 0 and not _truncation_resolves(entry, params, cap - 1, edges):
         cap -= 1
+    return cap
+
+
+def oracle_vs_chain(entry: CatalogEntry, params: dict) -> Optional[dict]:
+    """Compare chain energies with the matrix oracle on the entry recipe over
+    the trusted levels; None when no level is trusted."""
+    cap = trusted_levels(entry, params)
     if cap < 1:
         return None
+    rel_tol = entry.oracle_recipe(params).rel_tol
     spec = deformed_spectrum(entry, params, cap)
     chain = solve_chain(entry.chain_problem(params), cap - 1)
     rel = [
@@ -252,8 +247,8 @@ def oracle_vs_chain(entry: CatalogEntry, params: dict) -> Optional[dict]:
         "levels": cap,
         "rel_err": rel,
         "max_rel_err": max(rel),
-        "tol": rec.rel_tol,
-        "ok": max(rel) < rec.rel_tol,
+        "tol": rel_tol,
+        "ok": max(rel) < rel_tol,
         "oracle": [float(v) for v in spec.eigenvalues[:cap]],
         "chain": [chain.energy(n) for n in range(cap)],
     }

@@ -30,6 +30,8 @@ from .oracle import quadrature
 from .si_engine import ChainProblem, ParameterChain, SuperpotentialClass, solve_chain
 
 _LN_EPS = math.log(1e-8)
+# edge or tail panels per open end in the square-integrability probe
+_EDGE_PANELS = 21
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +135,6 @@ class DeformedPolynomial:
     coeffs: tuple
     degree: int
     class_id: str
-    chain_offset: int
     cancellations: tuple = ()  # class3: (top-term residual, coefficient scale) per step
 
     def __call__(self, y):
@@ -196,7 +197,6 @@ def polynomial_chain(entry: CatalogEntry, params: dict, n: int) -> DeformedPolyn
         coeffs=tuple(float(c) for c in coeffs),
         degree=len(coeffs) - 1,
         class_id=problem.sp.class_id,
-        chain_offset=0,
         cancellations=cancels,
     )
 
@@ -294,6 +294,15 @@ def normalize(samples: np.ndarray, grid: Grid):
     return const, const * samples
 
 
+def normalized_state(entry: CatalogEntry, params: dict, n: int, grid: Grid) -> np.ndarray:
+    """The nth closed-form state on ``grid``, normalized. It is sampled strictly
+    inside the truncation; the Dirichlet endpoints carry zeros (the base
+    function phi may blow up exactly there)."""
+    x = grid.nodes()
+    psi = np.asarray(excited_state_eval(entry, params, n, x[1:-1]), dtype=float)
+    return normalize(np.concatenate([[0.0], psi, [0.0]]), grid)[1]
+
+
 # ---------------------------------------------------------------------------
 # admissibility
 # ---------------------------------------------------------------------------
@@ -357,7 +366,7 @@ def _hermiticity_endpoint(assembled: _Assembled, entry: CatalogEntry, side: str)
     return False, ev
 
 
-def _panels(entry: CatalogEntry, kmax: int = 21):
+def _panels(entry: CatalogEntry):
     """Base panel plus a geometric sequence of edge/tail panels per open end.
 
     Each truncation of the expanding sequence is the base panel joined with the
@@ -368,8 +377,8 @@ def _panels(entry: CatalogEntry, kmax: int = 21):
     if dom.bounded:
         s0 = 0.1 * dom.length
         base = (dom.x1 + s0, dom.x2 - s0)
-        left = [(dom.x1 + s0 * 2.0 ** -(k + 1), dom.x1 + s0 * 2.0**-k) for k in range(kmax)]
-        right = [(dom.x2 - s0 * 2.0**-k, dom.x2 - s0 * 2.0 ** -(k + 1)) for k in range(kmax)]
+        left = [(dom.x1 + s0 * 2.0 ** -(k + 1), dom.x1 + s0 * 2.0**-k) for k in range(_EDGE_PANELS)]
+        right = [(dom.x2 - s0 * 2.0**-k, dom.x2 - s0 * 2.0 ** -(k + 1)) for k in range(_EDGE_PANELS)]
         return base, [left, right]
     L0 = entry.sq_int_scale
     lo = dom.x1 + 1e-9 if math.isfinite(dom.x1) else -L0
@@ -378,7 +387,7 @@ def _panels(entry: CatalogEntry, kmax: int = 21):
     if not math.isfinite(dom.x1):
         seq = []
         L = L0
-        while L < entry.probe_bound and len(seq) < kmax:
+        while L < entry.probe_bound and len(seq) < _EDGE_PANELS:
             seq.append((-min(2.0 * L, entry.probe_bound), -L))
             L *= 2.0
         sides.append(seq)
@@ -387,7 +396,7 @@ def _panels(entry: CatalogEntry, kmax: int = 21):
     if not math.isfinite(dom.x2):
         seq = []
         L = L0
-        while L < entry.probe_bound and len(seq) < kmax:
+        while L < entry.probe_bound and len(seq) < _EDGE_PANELS:
             seq.append((L, min(2.0 * L, entry.probe_bound)))
             L *= 2.0
         sides.append(seq)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from pdem_si.cli import SpectrumReport, build_spectrum_report, main
-from pdem_si.catalog import lookup
+from pdem_si.catalog import ENTRIES, lookup
 from pdem_si.core import Grid, Interval, RangeError
 from pdem_si.oracle import quadrature
-from pdem_si.verification import verify_entry
+from pdem_si.verification import oracle_vs_chain, verify_entry
 
 
 def run(capsys, *argv):
@@ -54,6 +54,23 @@ def test_spectrum_coulomb_auto(capsys):
     assert doc["counting"] == "finite(3)"
     assert len(doc["levels"]) == 3
     assert abs(doc["levels"][0]["e_closed"] - (-0.2025)) < 1e-15
+
+
+def test_spectrum_oracle_fills_the_trusted_levels(capsys, monkeypatch):
+    # near the binding threshold coulomb level 1 misses by 8e-3 on the recipe
+    # grid; verify does not compare it, so spectrum --oracle must not report it
+    monkeypatch.delenv("PDEM_GRID_N", raising=False)
+    code, out, _ = run(
+        capsys, "spectrum", "--potential", "coulomb", "--params", "e2=0.9218,l=0,alpha=0.1002", "--oracle"
+    )
+    assert code == 0
+    assert [row["n"] for row in json.loads(out)["levels"] if row["e_oracle"] is not None] == [0]
+    for entry in ENTRIES.values():
+        params = dict(entry.default_params)
+        report = build_spectrum_report(entry, params, "auto", with_oracle=True)
+        ovc = oracle_vs_chain(entry, params)
+        filled = [row.e_oracle for row in report.levels if row.e_oracle is not None]
+        assert filled == (ovc["oracle"] if ovc else []), entry.name
 
 
 def test_spectrum_out_of_range_exit_2(capsys):

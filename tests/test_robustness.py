@@ -116,6 +116,41 @@ def test_eckart_closed_form_count_matches_loop():
         assert entry.counting(p).count == _eckart_count_loop(A, B, a), p
 
 
+def _morse_count_loop(A, B, a):
+    # the counting loop the closed form replaced (less its 10,000-level stop),
+    # kept as the reference
+    k = 0
+    while k < A and a < catalog._morse_alpha_max(A, B, k):
+        k += 1
+    return k
+
+
+def test_morse_closed_form_count_matches_loop():
+    entry = catalog.ENTRIES["morse"]
+    values = (0.01, 0.3, 1.0, 2.5, 7.0, 40.0, 300.0)
+    cases = list(itertools.product(values, values, (1e-3, 0.05, 0.5, 1.0, 3.0, 10.0)))
+    # alpha exactly at, just below and just above a level's threshold
+    for A, B, k in ((1.0, 1.0, 0), (2.5, 7.0, 2), (10.0, 1.0, 3)):
+        am = catalog._morse_alpha_max(A, B, k)
+        cases += [(A, B, am), (A, B, np.nextafter(am, 0.0)), (A, B, np.nextafter(am, np.inf))]
+    cases.append((3e4, 40.0, 1e-3))  # 23,246 levels, past the old loop's stop at 10,001
+    for A, B, a in cases:
+        p = {"A": A, "B": B, "alpha": float(a)}
+        assert entry.counting(p).count == _morse_count_loop(A, B, float(a)), p
+
+
+def test_morse_count_past_old_loop_limit():
+    # the loop stopped at 10,001 levels here; the count sits at the predicate's edge
+    A, B, a = 1e6, 1.0, 1e-9
+    count = catalog.ENTRIES["morse"].counting({"A": A, "B": B, "alpha": a}).count
+    assert count == 999_501
+
+    def pred(k):
+        return k < A and a < catalog._morse_alpha_max(A, B, k)
+
+    assert pred(count - 1) and not pred(count)
+
+
 def _cli(*argv):
     src = str(pathlib.Path(pdem_si.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
