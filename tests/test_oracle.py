@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pdem_si import catalog, verification as verif
+from pdem_si import catalog, oracle, verification as verif
 from pdem_si.core import (
     AmbiguityParams,
     DeformingFunction,
@@ -267,3 +267,28 @@ def test_eigenpairs_match_lapack(name):
     got = eigenpairs(op, 4).eigenvalues
     ref = linalg.eigh_tridiagonal(op.diag, op.off, eigvals_only=True, select="i", select_range=(0, 3), tol=1e-300)
     assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref))), (got, ref)
+
+
+@pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
+def test_eigenvalues_sit_in_certified_brackets(name):
+    # each lambda_m is the midpoint of a bracket of relative width <= 1e-12
+    # whose ends count m - 1 and m eigenvalues below them
+    entry = catalog.ENTRIES[name]
+    params = dict(entry.default_params)
+    op = discretize_deformed(entry.deforming(params), entry.v_eff(params), verif.oracle_grid(entry, params))
+    for m, lam in enumerate(eigenpairs(op, 4).eigenvalues, start=1):
+        w = 1e-12 * max(1.0, abs(lam)) + 4.0 * math.ulp(lam)
+        assert sturm_count(op, lam - w) <= m - 1, (m, lam)
+        assert sturm_count(op, lam + w) >= m, (m, lam)
+
+
+def test_sweeps_per_level_bounded(monkeypatch):
+    # counts plus slope sweeps; bisecting each level separately from the
+    # Gershgorin bounds takes about 62 per level on this operator
+    sweeps = []
+    for name in ("_count", "_count_slope"):
+        sweep = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda d, e2, t, sweep=sweep: sweeps.append(t) or sweep(d, e2, t))
+    spec = eigenpairs(_box_operator(0.5, 4001), 4)
+    assert len(sweeps) <= 24 * 4, len(sweeps)
+    assert np.allclose(spec.eigenvalues, [1.5 * (n + 1) ** 2 for n in range(4)], rtol=1e-4)
