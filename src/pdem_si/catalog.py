@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DeformingFunction, Interval, NotFound, RangeError
+from .core import DeformingFunction, Interval, NotFound, ParameterError, RangeError
 from .si_engine import ChainProblem, SuperpotentialClass
 
 
@@ -68,12 +68,14 @@ class CatalogEntry:
     Every callable field takes the parameter dict first, e.g.
     ``printed_energy(params, n)``, ``ground_state_closed(params, x)`` or
     ``v_tilde_closed(params, rho, sigma, x)`` (None when nothing is printed).
+
+    Unset recipes follow from the domain: a bounded domain is its own oracle
+    recipe at 4001 points, and the equivalence recipe defaults to the oracle
+    recipe. ``probe_bound`` and ``sq_int_scale`` are read at infinite ends.
     """
 
     name: str
-    title: str
     domain: Interval
-    param_names: tuple
     deformation_names: tuple
     default_params: dict
     range_text: str
@@ -89,14 +91,33 @@ class CatalogEntry:
     ground_state_closed: Callable
     counting: Callable
     v_tilde_closed: Optional[Callable]
-    oracle_recipe: Callable
-    equivalence_recipe: Callable
-    continuum_edge: Callable
-    x_ref: float
-    probe_bound: float
-    sq_int_scale: float
+    oracle_recipe: Optional[Callable] = None
+    equivalence_recipe: Optional[Callable] = None
+    continuum_edge: Callable = lambda p: math.inf
+    probe_bound: float = math.nan
+    sq_int_scale: float = math.nan
     energy_discrepancy: Optional[str] = None
-    notes: str = ""
+
+    def __post_init__(self):
+        if self.oracle_recipe is None:
+            if not self.domain.bounded:
+                raise ParameterError(f"{self.name}: an unbounded domain needs an oracle recipe")
+            recipe = OracleRecipe(self.domain.x1, self.domain.x2, 4001)
+            object.__setattr__(self, "oracle_recipe", lambda p: recipe)
+        if self.equivalence_recipe is None:
+            object.__setattr__(self, "equivalence_recipe", self.oracle_recipe)
+
+    @property
+    def param_names(self) -> tuple:
+        return tuple(self.default_params)
+
+    @property
+    def x_ref(self) -> float:
+        """Midpoint of a bounded domain, x1 + 1 on a half-line, 0 on the whole line."""
+        x1, x2 = self.domain.x1, self.domain.x2
+        if self.domain.bounded:
+            return 0.5 * (x1 + x2)
+        return x1 + 1.0 if math.isfinite(x1) else 0.0
 
     def validate(self, params: dict) -> None:
         unknown = set(params) - set(self.param_names)
@@ -176,9 +197,7 @@ def _make_box() -> CatalogEntry:
 
     return CatalogEntry(
         name="box",
-        title="particle in a box",
         domain=Interval(-_HALF_PI, _HALF_PI),
-        param_names=("alpha",),
         deformation_names=("alpha",),
         default_params={"alpha": 0.5},
         range_text="-1 < alpha < 1, alpha != 0",
@@ -194,12 +213,6 @@ def _make_box() -> CatalogEntry:
         ground_state_closed=ground,
         counting=lambda p: CountingResult.infinite(),
         v_tilde_closed=lambda p, r, s, x: _box_trig_vtilde(p["alpha"], r, s, x),
-        oracle_recipe=lambda p: OracleRecipe(-_HALF_PI, _HALF_PI, 4001),
-        equivalence_recipe=lambda p: OracleRecipe(-_HALF_PI, _HALF_PI, 4001),
-        continuum_edge=lambda p: math.inf,
-        x_ref=0.0,
-        probe_bound=math.nan,
-        sq_int_scale=math.nan,
     )
 
 
@@ -231,9 +244,7 @@ def _make_trig_pt() -> CatalogEntry:
 
     return CatalogEntry(
         name="trig_poschl_teller",
-        title="trigonometric Poschl-Teller",
         domain=Interval(-_HALF_PI, _HALF_PI),
-        param_names=("A", "alpha"),
         deformation_names=("alpha",),
         default_params={"A": 2.0, "alpha": 0.3},
         range_text="A > 1, -1 < alpha != 0",
@@ -249,12 +260,6 @@ def _make_trig_pt() -> CatalogEntry:
         ground_state_closed=ground,
         counting=lambda p: CountingResult.infinite(),
         v_tilde_closed=lambda p, r, s, x: _box_trig_vtilde(p["alpha"], r, s, x),
-        oracle_recipe=lambda p: OracleRecipe(-_HALF_PI, _HALF_PI, 4001),
-        equivalence_recipe=lambda p: OracleRecipe(-_HALF_PI, _HALF_PI, 4001),
-        continuum_edge=lambda p: math.inf,
-        x_ref=0.0,
-        probe_bound=math.nan,
-        sq_int_scale=math.nan,
     )
 
 
@@ -290,9 +295,7 @@ def _make_hyp_pt() -> CatalogEntry:
 
     return CatalogEntry(
         name="hyperbolic_poschl_teller",
-        title="hyperbolic Poschl-Teller",
         domain=Interval(-math.inf, math.inf),
-        param_names=("A", "alpha"),
         deformation_names=("alpha",),
         default_params={"A": 1.0, "alpha": 0.5},
         range_text="A > 0, 0 < alpha < 1",
@@ -308,15 +311,14 @@ def _make_hyp_pt() -> CatalogEntry:
         printed_mu=lambda p, i: 0.0,
         printed_energy=printed_energy,
         ground_state_closed=ground,
+        # square-integrable levels exist formally, but |psi|^2 f plateaus at infinity
         counting=lambda p: CountingResult.zero(),
         v_tilde_closed=None,
         oracle_recipe=lambda p: OracleRecipe(-6.0, 6.0, 4001),
         equivalence_recipe=lambda p: OracleRecipe(-3.5, 3.5, 16001),
         continuum_edge=lambda p: 0.0,
-        x_ref=0.0,
         probe_bound=120.0,
         sq_int_scale=16.0,
-        notes="square-integrable levels exist formally, but |psi|^2 f plateaus at infinity",
     )
 
 
@@ -375,9 +377,7 @@ def _make_shifted() -> CatalogEntry:
 
     return CatalogEntry(
         name="shifted_oscillator",
-        title="shifted oscillator",
         domain=Interval(-math.inf, math.inf),
-        param_names=("omega", "b", "alpha", "beta"),
         deformation_names=("alpha", "beta"),
         default_params={"omega": 1.0, "b": 0.3, "alpha": 0.1, "beta": 0.1},
         range_text="omega > 0, alpha > beta^2 >= 0",
@@ -401,8 +401,6 @@ def _make_shifted() -> CatalogEntry:
         v_tilde_closed=vtilde,
         oracle_recipe=lambda p: OracleRecipe(-25.0, 25.0, 4001),
         equivalence_recipe=lambda p: OracleRecipe(-12.0, 12.0, 8001),
-        continuum_edge=lambda p: math.inf,
-        x_ref=0.0,
         probe_bound=2.0**40,
         sq_int_scale=16.0,
     )
@@ -442,9 +440,7 @@ def _make_osc3d() -> CatalogEntry:
 
     return CatalogEntry(
         name="oscillator_3d",
-        title="three-dimensional oscillator",
         domain=Interval(0.0, math.inf),
-        param_names=("omega", "l", "alpha"),
         deformation_names=("alpha",),
         default_params={"omega": 1.0, "l": 1.0, "alpha": 0.05},
         range_text="omega > 0, l >= 0, alpha > 0",
@@ -463,8 +459,6 @@ def _make_osc3d() -> CatalogEntry:
         + 2.0 * r * p["alpha"],
         oracle_recipe=lambda p: OracleRecipe(1e-4, 64.0, 8001),
         equivalence_recipe=lambda p: OracleRecipe(1e-4, 24.0, 8001),
-        continuum_edge=lambda p: math.inf,
-        x_ref=1.0,
         probe_bound=2.0**40,
         sq_int_scale=16.0,
     )
@@ -519,9 +513,7 @@ def _make_coulomb() -> CatalogEntry:
 
     return CatalogEntry(
         name="coulomb",
-        title="Coulomb",
         domain=Interval(0.0, math.inf),
-        param_names=("e2", "l", "alpha"),
         deformation_names=("alpha",),
         default_params={"e2": 1.0, "l": 0.0, "alpha": 0.1},
         range_text="e2 > 0, l >= 0, alpha > 0",
@@ -537,13 +529,12 @@ def _make_coulomb() -> CatalogEntry:
         ground_state_closed=ground,
         counting=counting,
         v_tilde_closed=lambda p, r, s, x: s * p["alpha"] ** 2 * np.ones_like(np.asarray(x, dtype=float)),
+        # slow second-order oracle convergence near the 1/x singularity; relaxed tolerance
         oracle_recipe=lambda p: OracleRecipe(1e-3, 512.0, 8001, rel_tol=5e-3, level_cap=2),
         equivalence_recipe=lambda p: OracleRecipe(1e-3, 30.0, 8001),
         continuum_edge=lambda p: 0.0,
-        x_ref=1.0,
         probe_bound=2.0**40,
         sq_int_scale=16.0,
-        notes="slow second-order oracle convergence near the 1/x singularity; relaxed tolerance",
     )
 
 
@@ -626,9 +617,7 @@ def _make_morse() -> CatalogEntry:
 
     return CatalogEntry(
         name="morse",
-        title="Morse",
         domain=Interval(-math.inf, math.inf),
-        param_names=("A", "B", "alpha"),
         deformation_names=("alpha",),
         default_params={"A": 1.0, "B": 1.0, "alpha": 0.5},
         range_text="A > 0, B > 0, alpha > 0",
@@ -648,7 +637,6 @@ def _make_morse() -> CatalogEntry:
         oracle_recipe=recipe,
         equivalence_recipe=lambda p: OracleRecipe(-6.0, 20.0, 8001),
         continuum_edge=lambda p: 0.0,
-        x_ref=0.0,
         probe_bound=240.0,
         sq_int_scale=16.0,
     )
@@ -722,9 +710,7 @@ def _make_eckart() -> CatalogEntry:
 
     return CatalogEntry(
         name="eckart",
-        title="Eckart",
         domain=Interval(0.0, math.inf),
-        param_names=("A", "B", "alpha"),
         deformation_names=("alpha",),
         default_params={"A": 1.5, "B": 2.5, "alpha": -1.0},
         range_text="A >= 3/2, B > A^2, -2 <= alpha != 0",
@@ -747,7 +733,6 @@ def _make_eckart() -> CatalogEntry:
         oracle_recipe=recipe,
         equivalence_recipe=lambda p: OracleRecipe(1e-4, 8.0, 8001),
         continuum_edge=lambda p: -2.0 * p["B"],
-        x_ref=1.0,
         # coth x rounds to 1.0 beyond ~18, where the chain variable degenerates;
         # the small panel scale buys enough doublings below that ceiling to
         # resolve slowly decaying tails
@@ -817,9 +802,7 @@ def _make_scarf1() -> CatalogEntry:
 
     return CatalogEntry(
         name="scarf_i",
-        title="Scarf I",
         domain=Interval(-_HALF_PI, _HALF_PI),
-        param_names=("A", "B", "alpha"),
         deformation_names=("alpha",),
         default_params={"A": 3.0, "B": 0.5, "alpha": 0.5},
         range_text="0 < B < A - 1, 0 < |alpha| < 1",
@@ -841,12 +824,6 @@ def _make_scarf1() -> CatalogEntry:
         ground_state_closed=ground,
         counting=lambda p: CountingResult.infinite(),
         v_tilde_closed=vtilde,
-        oracle_recipe=lambda p: OracleRecipe(-_HALF_PI, _HALF_PI, 4001),
-        equivalence_recipe=lambda p: OracleRecipe(-_HALF_PI, _HALF_PI, 4001),
-        continuum_edge=lambda p: math.inf,
-        x_ref=0.0,
-        probe_bound=math.nan,
-        sq_int_scale=math.nan,
         energy_discrepancy=(
             "printed E_n leads with -1/4(2n+1+Dp+Dm)^2, which gives -(A+n)^2 in the"
             " undeformed limit; the chain solve and the matrix oracle both give the"
@@ -908,9 +885,7 @@ def _make_rosen_morse1() -> CatalogEntry:
 
     return CatalogEntry(
         name="rosen_morse_i",
-        title="Rosen-Morse I",
         domain=Interval(0.0, math.pi),
-        param_names=("A", "B", "alpha", "beta"),
         deformation_names=("alpha", "beta"),
         default_params={"A": 1.5, "B": 0.5, "alpha": 0.4, "beta": 0.3},
         range_text="A >= 3/2, beta > -1, |alpha|/2 < sqrt(1 + beta)",
@@ -932,12 +907,6 @@ def _make_rosen_morse1() -> CatalogEntry:
         ground_state_closed=ground,
         counting=lambda p: CountingResult.infinite(),
         v_tilde_closed=vtilde,
-        oracle_recipe=lambda p: OracleRecipe(0.0, math.pi, 4001),
-        equivalence_recipe=lambda p: OracleRecipe(0.0, math.pi, 4001),
-        continuum_edge=lambda p: math.inf,
-        x_ref=_HALF_PI,
-        probe_bound=math.nan,
-        sq_int_scale=math.nan,
     )
 
 

@@ -3,8 +3,8 @@ verification suites and deformation-parameter sweeps.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid flags or parameters
 or a numeric overflow.
-The environment variable PDEM_GRID_N (an integer >= 3) overrides the default
-oracle grid size.
+The environment variable PDEM_GRID_N (an integer in 3..1000001) overrides the
+default oracle grid size.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from .si_engine import solve_chain
 from .wavefunctions import admissibility_check, normalized_state
 
 _FMT = "%.17g"  # full round-trip decimal representation
+_MAX_POINTS = 1_000_001  # largest grid for --samples and PDEM_GRID_N
 
 
 @dataclass
@@ -85,8 +86,8 @@ def _grid_n_override() -> Optional[int]:
     raw = os.environ.get("PDEM_GRID_N")
     if not raw:
         return None
-    if not raw.strip().isdecimal() or int(raw) < 3:
-        raise RangeError(f"PDEM_GRID_N must be an integer >= 3, got {raw!r}")
+    if not raw.strip().isdecimal() or not 3 <= int(raw) <= _MAX_POINTS:
+        raise RangeError(f"PDEM_GRID_N must be an integer in 3..{_MAX_POINTS}, got {raw!r}")
     return int(raw)
 
 
@@ -226,7 +227,7 @@ def _cmd_spectrum(ns) -> int:
 
 def _cmd_wavefunction(ns) -> int:
     _check_flag("--n", ns.n, 0, 63)
-    _check_flag("--samples", ns.samples, 3, 1_000_001)
+    _check_flag("--samples", ns.samples, 3, _MAX_POINTS)
     entry = lookup(ns.potential)
     params = _parse_params(entry, ns.params)
     entry.validate(params)
@@ -266,6 +267,8 @@ def _verify_entry(entry: CatalogEntry, params: dict, preset: str, tol: Optional[
 
 
 def _cmd_verify(ns) -> int:
+    if ns.tol is not None and not (math.isfinite(ns.tol) and ns.tol > 0.0):
+        raise RangeError(f"--tol must be finite and > 0, got {ns.tol}")
     if ns.potential == "all":
         from .catalog import ENTRIES
 
@@ -285,6 +288,9 @@ def _cmd_sweep(ns) -> int:
     if ns.param not in entry.param_names:
         raise RangeError(f"{entry.name} has no parameter {ns.param!r}")
     _check_flag("--steps", ns.steps, 2, 10_000)
+    for flag, value in (("--from", getattr(ns, "from")), ("--to", ns.to)):
+        if not math.isfinite(value):
+            raise RangeError(f"{flag} must be finite, got {value}")
     base = _parse_params(entry, ns.params)
     values = np.linspace(getattr(ns, "from"), ns.to, ns.steps)
     max_levels = 8

@@ -80,7 +80,6 @@ class TridiagonalOperator:
 class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray]  # rows on the full grid, Simpson-normalized
-    grid_meta: dict
 
 
 def discretize_deformed(df: DeformingFunction, v_eff: Callable, grid: Grid) -> TridiagonalOperator:
@@ -332,14 +331,7 @@ def eigenpairs(op: TridiagonalOperator, k: int, want_vectors: bool = False) -> S
         vectors.setflags(write=False)
     # cached spectra are shared between callers, so no caller may edit them
     eigvals.setflags(write=False)
-
-    meta = {
-        "x1": op.grid.interval.x1,
-        "x2": op.grid.interval.x2,
-        "n_points": op.grid.n_points,
-        "spacing": op.grid.spacing,
-    }
-    return Spectrum(eigenvalues=eigvals, eigenvectors=vectors, grid_meta=meta)
+    return Spectrum(eigenvalues=eigvals, eigenvectors=vectors)
 
 
 def _test_battery(grid: Grid) -> list:

@@ -371,38 +371,23 @@ def _panels(entry: CatalogEntry):
 
     Each truncation of the expanding sequence is the base panel joined with the
     first k edge panels on each side, so the panel integrals are exactly the
-    truncation increments while every panel keeps its own resolution."""
+    truncation increments while every panel keeps its own resolution. Offsets
+    from a finite end halve; distances towards an infinite end double."""
     dom = entry.domain
-    sides = []
-    if dom.bounded:
-        s0 = 0.1 * dom.length
-        base = (dom.x1 + s0, dom.x2 - s0)
-        left = [(dom.x1 + s0 * 2.0 ** -(k + 1), dom.x1 + s0 * 2.0**-k) for k in range(_EDGE_PANELS)]
-        right = [(dom.x2 - s0 * 2.0**-k, dom.x2 - s0 * 2.0 ** -(k + 1)) for k in range(_EDGE_PANELS)]
-        return base, [left, right]
-    L0 = entry.sq_int_scale
-    lo = dom.x1 + 1e-9 if math.isfinite(dom.x1) else -L0
-    hi = dom.x2 - 1e-9 if math.isfinite(dom.x2) else L0
-    base = (lo, hi)
-    if not math.isfinite(dom.x1):
-        seq = []
-        L = L0
-        while L < entry.probe_bound and len(seq) < _EDGE_PANELS:
-            seq.append((-min(2.0 * L, entry.probe_bound), -L))
-            L *= 2.0
-        sides.append(seq)
-    else:
-        sides.append([(dom.x1 + 1e-9 * 2.0 ** -(k + 1), dom.x1 + 1e-9 * 2.0**-k) for k in range(8)])
-    if not math.isfinite(dom.x2):
-        seq = []
-        L = L0
-        while L < entry.probe_bound and len(seq) < _EDGE_PANELS:
-            seq.append((L, min(2.0 * L, entry.probe_bound)))
-            L *= 2.0
-        sides.append(seq)
-    else:
-        sides.append([(dom.x2 - 1e-9 * 2.0**-k, dom.x2 - 1e-9 * 2.0 ** -(k + 1)) for k in range(8)])
-    return base, sides
+    base, sides = [], []
+    for end, sign in ((dom.x1, 1.0), (dom.x2, -1.0)):
+        if math.isfinite(end):
+            s0, k = (0.1 * dom.length, _EDGE_PANELS) if dom.bounded else (1e-9, 8)
+            pts = [end + sign * s0 * 2.0**-j for j in range(k + 1)]
+        else:
+            L = entry.sq_int_scale
+            pts = [-sign * L]
+            while L < entry.probe_bound and len(pts) <= _EDGE_PANELS:
+                L *= 2.0
+                pts.append(-sign * min(L, entry.probe_bound))
+        base.append(pts[0])
+        sides.append([tuple(sorted(pair)) for pair in zip(pts[1:], pts)])
+    return tuple(base), sides
 
 
 def _classify_side(increments: list, total: float) -> tuple:

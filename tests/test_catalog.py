@@ -239,3 +239,25 @@ def test_oracle_recipes_sane():
         assert rec.x1 < rec.x2 and rec.n_points >= 1001
         eq = entry.equivalence_recipe(p)
         assert eq.x1 < eq.x2
+        if entry.domain.bounded:
+            assert rec == eq == catalog.OracleRecipe(entry.domain.x1, entry.domain.x2, 4001)
+
+
+@pytest.mark.parametrize(
+    "name,x_ref,param_names",
+    [
+        ("box", 0.0, ("alpha",)),
+        ("trig_poschl_teller", 0.0, ("A", "alpha")),
+        ("hyperbolic_poschl_teller", 0.0, ("A", "alpha")),
+        ("shifted_oscillator", 0.0, ("omega", "b", "alpha", "beta")),
+        ("oscillator_3d", 1.0, ("omega", "l", "alpha")),
+        ("coulomb", 1.0, ("e2", "l", "alpha")),
+        ("morse", 0.0, ("A", "B", "alpha")),
+        ("eckart", 1.0, ("A", "B", "alpha")),
+        ("scarf_i", 0.0, ("A", "B", "alpha")),
+        ("rosen_morse_i", math.pi / 2.0, ("A", "B", "alpha", "beta")),
+    ],
+)
+def test_derived_x_ref_and_param_names(name, x_ref, param_names):
+    entry = catalog.ENTRIES[name]
+    assert entry.x_ref == x_ref and entry.param_names == param_names

@@ -255,7 +255,7 @@ def test_grid_env_override(capsys, monkeypatch):
     assert doc["levels"][0]["rel_err"] < 2e-6  # coarser grid, but the level is easy
 
 
-@pytest.mark.parametrize("value", ["abc", "2", "-5", "1e3"])
+@pytest.mark.parametrize("value", ["abc", "2", "-5", "1e3", "1000002"])
 def test_grid_env_invalid_exit_2(capsys, monkeypatch, value):
     monkeypatch.setenv("PDEM_GRID_N", value)
     code, _, err = run(capsys, "spectrum", "--potential", "box", "--n-levels", "1", "--oracle")

@@ -218,6 +218,12 @@ def test_overflow_exit_2(argv):
         (("sweep", "--potential", "box", "--param", "alpha", "--from", "0.1", "--to", "0.5", "--steps", "1"), "--steps"),
         (("sweep", "--potential", "box", "--param", "alpha", "--from", "0.1", "--to", "0.5", "--steps", "100000000"), "--steps"),
         (("wavefunction", "--potential", "box", "--n", "20000"), "--n"),
+        (("verify", "--potential", "box", "--tol", "nan"), "--tol"),
+        (("verify", "--potential", "box", "--tol", "0"), "--tol"),
+        (("verify", "--potential", "box", "--tol", "-1"), "--tol"),
+        (("verify", "--potential", "box", "--tol", "inf"), "--tol"),
+        (("sweep", "--potential", "box", "--param", "alpha", "--from", "nan", "--to", "0.5", "--steps", "3"), "--from"),
+        (("sweep", "--potential", "box", "--param", "alpha", "--from", "0.1", "--to", "inf", "--steps", "3"), "--to"),
     ],
 )
 def test_flag_limits_exit_2(argv, flag, tmp_path):
