@@ -299,24 +299,34 @@ class DeformingFunction:
     def _g_funcs(self):
         return _FAMILIES[self.family](self.params)
 
+    def _f_unchecked(self, xa: np.ndarray) -> np.ndarray:
+        funcs = self._g_funcs()
+        return funcs[3](xa) if len(funcs) > 3 else 1.0 + funcs[0](xa)
+
+    def _f_checked(self, x: ArrayLike) -> np.ndarray:
+        xa = np.asarray(x, dtype=float)
+        if not self.domain.contains_strictly(xa):
+            raise DomainError(f"x={x} outside open domain ({self.domain.x1}, {self.domain.x2})")
+        f = self._f_unchecked(xa)
+        if np.any(f <= 0.0) or np.any(~np.isfinite(f)):
+            bad = np.asarray(f)
+            idx = int(np.argmin(bad)) if bad.ndim else 0
+            raise NonPositiveError(f"f(x) <= 0 encountered (min f = {np.min(bad)}, near index {idx})")
+        return f
+
     def f(self, x: ArrayLike) -> ArrayLike:
-        return deforming_eval(self, x).f
+        """f at x (scalar or array), strictly inside the domain, without the
+        derivatives that ``deforming_eval`` also computes."""
+        f = self._f_checked(x)
+        return float(f) if np.ndim(x) == 0 else f
 
 
 def deforming_eval(df: DeformingFunction, x: ArrayLike) -> DeformingValues:
     """Evaluate f, f', f'', g and M at x (scalar or array), strictly inside the domain."""
+    f = df._f_checked(x)
     xa = np.asarray(x, dtype=float)
-    if not df.domain.contains_strictly(xa):
-        raise DomainError(f"x={x} outside open domain ({df.domain.x1}, {df.domain.x2})")
-    funcs = df._g_funcs()
-    g, g1, g2 = funcs[:3]
-    gv = g(xa)
-    f = funcs[3](xa) if len(funcs) > 3 else 1.0 + gv
-    if np.any(f <= 0.0) or np.any(~np.isfinite(f)):
-        bad = np.asarray(f)
-        idx = int(np.argmin(bad)) if bad.ndim else 0
-        raise NonPositiveError(f"f(x) <= 0 encountered (min f = {np.min(bad)}, near index {idx})")
-    vals = DeformingValues(f=f, f_prime=g1(xa), f_second=g2(xa), g=gv, M=1.0 / f**2)
+    g, g1, g2 = df._g_funcs()[:3]
+    vals = DeformingValues(f=f, f_prime=g1(xa), f_second=g2(xa), g=g(xa), M=1.0 / f**2)
     if np.ndim(x) == 0:
         return DeformingValues(*(float(v) for v in (vals.f, vals.f_prime, vals.f_second, vals.g, vals.M)))
     return vals
@@ -339,8 +349,7 @@ def positivity_check(df: DeformingFunction, grid: Grid) -> PositivityReport:
     x = grid.nodes()
     if not df.domain.contains_strictly(x):
         raise DomainError("grid extends outside the deforming-function domain")
-    funcs = df._g_funcs()
-    f = funcs[3](x) if len(funcs) > 3 else 1.0 + funcs[0](x)
+    f = df._f_unchecked(x)
     imin = int(np.argmin(f))
     if f[imin] > 0.0:
         return PositivityReport(ok=True, min_f=float(f[imin]), x_at_min=float(x[imin]))

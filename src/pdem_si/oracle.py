@@ -87,8 +87,8 @@ def discretize_deformed(df: DeformingFunction, v_eff: Callable, grid: Grid) -> T
     x = grid.nodes()
     h = grid.spacing
     xi = x[1:-1]
-    f = np.asarray(deforming_eval(df, xi).f, dtype=float)
-    fm = np.asarray(deforming_eval(df, grid.midpoints()).f, dtype=float)
+    f = np.asarray(df.f(xi), dtype=float)
+    fm = np.asarray(df.f(grid.midpoints()), dtype=float)
     if np.any(f <= 0.0) or np.any(fm <= 0.0):
         raise NonPositiveError("deforming function must be positive on the grid")
     V = np.asarray(v_eff(xi), dtype=float)
@@ -97,7 +97,7 @@ def discretize_deformed(df: DeformingFunction, v_eff: Callable, grid: Grid) -> T
     s = np.sqrt(f)
     diag = f * (fm[1:] + fm[:-1]) / h**2 + V
     off = -s[:-1] * fm[1:-1] * s[1:] / h**2
-    sb = np.sqrt(np.asarray(deforming_eval(df, x[[0, -1]]).f, dtype=float))
+    sb = np.sqrt(np.asarray(df.f(x[[0, -1]]), dtype=float))
     return TridiagonalOperator(
         diag,
         off,

@@ -24,7 +24,6 @@ from .core import (
     DegenerateClass,
     NoRealRoot,
     SingularPoint,
-    deforming_eval,
 )
 
 # phi(x) and its analytic derivative; the derivative is evaluated at x directly
@@ -274,7 +273,7 @@ def chain_residuals(problem: ChainProblem, chain: ParameterChain, depth: int, x)
     if depth < 0 or depth + 1 > chain.depth:
         raise ChainError(f"residuals up to i={depth} need chain depth >= {depth + 1}")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    f = np.asarray(deforming_eval(problem.df, xs).f, dtype=float)
+    f = np.asarray(problem.df.f(xs), dtype=float)
     v = np.asarray(problem.v_eff(xs), dtype=float)
     # one row per chain level 0..depth+1, one column per point
     lam, mu = (np.asarray(seq[: depth + 2])[:, None] for seq in (chain.lambda_seq, chain.mu_seq))
@@ -288,6 +287,6 @@ def chain_residuals(problem: ChainProblem, chain: ParameterChain, depth: int, x)
 
 def partner_potential(problem: ChainProblem, chain: ParameterChain, x) -> float:
     """First deformed partner potential V_eff(x) + 2 f(x) W'(lambda_0; x)."""
-    f = deforming_eval(problem.df, x).f
+    f = problem.df.f(x)
     w0 = w_eval(problem.sp, chain.lambda_seq[0], chain.mu_seq[0], x)
     return float(np.asarray(problem.v_eff(x)) + 2.0 * f * w0.W_prime)

@@ -11,7 +11,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .catalog import CatalogEntry
-from .core import AmbiguityParams, Grid, Interval, deforming_eval, positivity_check
+from .core import AmbiguityParams, Grid, Interval, positivity_check
 from .ordering import recover_initial_potential, v_tilde_eval
 from .oracle import Spectrum, _test_battery, discretize_deformed, discretize_vonroos, eigenpairs, equivalence_check
 from .oracle import quadrature
@@ -159,7 +159,7 @@ def a_minus_residual(entry: CatalogEntry, params: dict) -> float:
     x = grid.nodes()
     h = grid.spacing
     psi = np.asarray(assembled.value(x), dtype=float)
-    f = np.asarray(deforming_eval(problem.df, x).f, dtype=float)
+    f = np.asarray(problem.df.f(x), dtype=float)
     s = np.sqrt(f)
     sp = s * psi
     j = slice(2, -2)

@@ -21,17 +21,17 @@ from .core import (
     ChainError,
     DegenerateClass,
     Grid,
-    Interval,
     SingularPoint,
     ZeroNorm,
-    deforming_eval,
 )
-from .oracle import quadrature
+from .oracle import _simpson_weights, quadrature
 from .si_engine import ChainProblem, ParameterChain, SuperpotentialClass, solve_chain
 
 _LN_EPS = math.log(1e-8)
 # edge or tail panels per open end in the square-integrability probe
 _EDGE_PANELS = 21
+# Simpson nodes per panel of that probe
+_PANEL_NODES = 513
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +220,7 @@ class _Assembled:
         polynomial is evaluated at t, and y is the base function phi(x)."""
         sp = self.problem.sp
         x = np.asarray(x, dtype=float)
-        f = deforming_eval(self.problem.df, x).f
+        f = self.problem.df.f(x)
         y = sp.phi_val(x)
         if np.any(~np.isfinite(np.asarray(y))):
             raise SingularPoint("base function phi blows up at an evaluation point")
@@ -345,7 +345,7 @@ def _f_plateaus(fvals: np.ndarray) -> bool:
 
 def _hermiticity_endpoint(assembled: _Assembled, entry: CatalogEntry, side: str):
     xs, _finite = _endpoint_probes(entry, side)
-    f = np.asarray(deforming_eval(assembled.problem.df, xs).f, dtype=float)
+    f = np.asarray(assembled.problem.df.f(xs), dtype=float)
     if _f_plateaus(f):
         return True, {"side": side, "auto": True, "f_limit": float(f[-1])}
     u = 2.0 * assembled.log_abs(xs) + np.log(f)
@@ -434,28 +434,35 @@ def _exp_decay_certificate(assembled: _Assembled, entry: CatalogEntry, side: str
     return bool(ok), ev
 
 
+def _panel_integrals(assembled: _Assembled, panels: list) -> tuple:
+    """(log_ref, integrals): Simpson integrals of |psi|^2 / e^(2 log_ref) over
+    each panel on 513 nodes, from one ``log_abs`` evaluation of all panels.
+    log_ref is the peak of log |psi| on the first panel; a panel where |psi|^2
+    exceeds e^700 times the reference integrates to inf."""
+    a, b = np.array(panels).T
+    nodes = np.linspace(a, b, _PANEL_NODES, axis=1)
+    lg = assembled.log_abs(nodes.ravel()).reshape(nodes.shape)
+    ref = float(np.max(lg[0]))
+    lg = lg - ref
+    over = np.any(lg > 350.0, axis=1)
+    y = np.exp(2.0 * np.where(over[:, None], -math.inf, lg))
+    w = _simpson_weights(_PANEL_NODES, ((b - a) / (_PANEL_NODES - 1))[:, None])
+    return ref, np.where(over, math.inf, (w * y).sum(axis=1)).tolist()
+
+
 def _square_integrable(assembled: _Assembled, entry: CatalogEntry):
     base, sides = _panels(entry)
-    ref_nodes = np.linspace(base[0], base[1], 513)
-    ref = float(np.max(assembled.log_abs(ref_nodes)))
+    ref, integrals = _panel_integrals(assembled, [base, *sides[0], *sides[1]])
     ev: dict = {"log_ref": ref}
-
-    def panel_integral(a, b):
-        grid = Grid(Interval(a, b), 513)
-        lg = assembled.log_abs(grid.nodes())
-        if np.any(lg - ref > 350.0):
-            return math.inf
-        return quadrature(np.exp(2.0 * (lg - ref)), grid)
-
-    total = panel_integral(*base)
+    total = integrals[0]
     side_info = []
     ok = True
-    for side_name, seq in zip(("left", "right"), sides):
+    left = 1 + len(sides[0])
+    for side_name, side_incs in zip(("left", "right"), (integrals[1:left], integrals[left:])):
         pre = total
         incs = []
         overflow = False
-        for (a, b) in seq:
-            inc = panel_integral(a, b)
+        for inc in side_incs:
             if math.isinf(inc):
                 overflow = True
                 break

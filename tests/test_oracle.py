@@ -21,6 +21,7 @@ from pdem_si.oracle import (
     quadrature,
     sturm_count,
 )
+from pdem_si.ordering import recover_initial_potential
 from pdem_si.wavefunctions import excited_state_eval, normalize
 
 PRESETS = ("bdd", "bastard", "zk", "lk")
@@ -264,6 +265,22 @@ def test_eigenpairs_match_lapack(name):
     entry = catalog.ENTRIES[name]
     params = dict(entry.default_params)
     op = discretize_deformed(entry.deforming(params), entry.v_eff(params), verif.oracle_grid(entry, params))
+    got = eigenpairs(op, 4).eigenvalues
+    ref = linalg.eigh_tridiagonal(op.diag, op.off, eigvals_only=True, select="i", select_range=(0, 3), tol=1e-300)
+    assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref))), (got, ref)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
+def test_vonroos_eigenpairs_match_lapack(name, preset):
+    # the mass-ordered form on the recovered V, on the equivalence grid that
+    # ``ordered vs deformed spectra`` solves it on
+    linalg = pytest.importorskip("scipy.linalg")
+    entry = catalog.ENTRIES[name]
+    params = dict(entry.default_params)
+    df, amb, v_eff = entry.deforming(params), AmbiguityParams.preset(preset), entry.v_eff(params)
+    grid = verif.oracle_grid(entry, params, which="equivalence")
+    op = discretize_vonroos(df, amb, lambda x: recover_initial_potential(df, amb, v_eff, x), grid)
     got = eigenpairs(op, 4).eigenvalues
     ref = linalg.eigh_tridiagonal(op.diag, op.off, eigvals_only=True, select="i", select_range=(0, 3), tol=1e-300)
     assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref))), (got, ref)

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from pdem_si import catalog, verification as verif
-from pdem_si.core import ChainError, Grid, Interval, ZeroNorm
+from pdem_si.core import ChainError, Grid, Interval, PdemError, ZeroNorm
+from pdem_si.oracle import quadrature
 from pdem_si.wavefunctions import (
+    _Assembled,
     _assemble,
+    _classify_side,
+    _exp_decay_certificate,
+    _panels,
+    _square_integrable,
     admissibility_check,
     excited_state_eval,
     normalize,
@@ -268,3 +274,140 @@ def test_orthonormality_gram(name):
     levels = min(4, 4 if counting.kind == "infinite" else counting.count)
     G = verif.gram_matrix(entry, p, levels)
     assert np.max(np.abs(G - np.eye(levels))) < 1e-6, name
+
+
+def _square_integrable_reference(assembled, entry):
+    # the probe with one log_abs call and one quadrature per panel, kept as the
+    # reference for the batched probe
+    base, sides = _panels(entry)
+    ref_nodes = np.linspace(base[0], base[1], 513)
+    ref = float(np.max(assembled.log_abs(ref_nodes)))
+    ev: dict = {"log_ref": ref}
+
+    def panel_integral(a, b):
+        grid = Grid(Interval(a, b), 513)
+        lg = assembled.log_abs(grid.nodes())
+        if np.any(lg - ref > 350.0):
+            return math.inf
+        return quadrature(np.exp(2.0 * (lg - ref)), grid)
+
+    total = panel_integral(*base)
+    side_info = []
+    ok = True
+    for side_name, seq in zip(("left", "right"), sides):
+        pre = total
+        incs = []
+        overflow = False
+        for (a, b) in seq:
+            inc = panel_integral(a, b)
+            if math.isinf(inc):
+                overflow = True
+                break
+            incs.append(inc)
+            total += inc
+            if len(incs) >= 2 and incs[-1] == 0.0 and incs[-2] == 0.0:
+                break  # tail numerically dead
+            if len(incs) >= 6:
+                ratios = np.asarray(incs[-4:], dtype=float)
+                ratios = ratios[1:] / np.maximum(ratios[:-1], 1e-300)
+                # blatant sustained blow-up that already dwarfs the bulk
+                if np.all(ratios >= 1.5) and total - pre > 1e3 * max(pre, 1e-300):
+                    break
+        if overflow:
+            verdict, detail = "diverged", {"overflow": True}
+        else:
+            verdict, detail = _classify_side(incs, total)
+            if verdict == "diverged":
+                cert, cert_ev = _exp_decay_certificate(assembled, entry, side_name)
+                if cert:
+                    verdict = "converged"
+                    detail = {**detail, **cert_ev, "exp_decay_certificate": True}
+        side_info.append({"verdict": verdict, **detail})
+        ok = ok and verdict == "converged"
+    ev["sides"] = side_info
+    ev["integral_rescaled"] = float(total)
+    return ok, ev
+
+
+def _same(a, b):
+    """== that also holds between two NaNs, recursing into dicts, lists, tuples."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
+        return True
+    return type(a) is type(b) and a == b
+
+
+def _probe_outcome(probe, entry, params, n):
+    try:
+        return probe(_assemble(entry, params, n), entry)
+    except PdemError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _probed_levels(entry, params):
+    # the levels that spectrum --n-levels auto and the counting check probe
+    counting = entry.counting(params)
+    if counting.kind == "zero":
+        return 4
+    return min(counting.levels(verif.AUTO_LEVELS) + (counting.kind == "finite"), verif.AUTO_LEVELS)
+
+
+def _drawn_params(entry, seed, draws):
+    # each default scaled by e^U, U uniform in [-1.2, 1.2], redrawn until valid
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < draws:
+        p = {k: v * math.exp(rng.uniform(-1.2, 1.2)) for k, v in entry.default_params.items()}
+        try:
+            entry.validate(p)
+        except PdemError:
+            continue
+        found.append(p)
+    return found
+
+
+_PROBE_REGIMES = {
+    "coulomb": [
+        {"e2": 1.0, "l": 1.0, "alpha": 0.1},
+        {"e2": 1e6, "l": 0.0, "alpha": 0.1},
+        {"e2": 0.669, "l": 1.0, "alpha": 0.3102},
+    ],
+    "eckart": [{"A": 2.0, "B": 5.0, "alpha": 0.8}, {"A": 2.1222, "B": 6.2799, "alpha": -0.9425}],
+    "morse": [{"A": 2.5, "B": 7.0, "alpha": 1.0}, {"A": 1.0832, "B": 0.9487, "alpha": 1.4426}],
+    "oscillator_3d": [{"omega": 1.0, "l": 1.0, "alpha": 1.0}],
+}
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_batched_probe_matches_per_panel_reference(name):
+    # defaults, the regimes of test_robustness.py, known false-FAIL points and
+    # seeded draws: identical verdicts and evidence, NaNs included
+    entry = catalog.ENTRIES[name]
+    cases = [dict(entry.default_params), *_PROBE_REGIMES.get(name, []), *_drawn_params(entry, 7, 2)]
+    for params in cases:
+        for n in range(_probed_levels(entry, params)):
+            want = _probe_outcome(_square_integrable_reference, entry, params, n)
+            got = _probe_outcome(_square_integrable, entry, params, n)
+            assert _same(got, want), (params, n, got, want)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_probe_evaluates_each_level_once(monkeypatch, name):
+    # one log_abs call covers every panel of the square-integrability probe;
+    # the endpoint probes sample far fewer than one panel's 513 nodes
+    sizes = []
+    log_abs = _Assembled.log_abs
+
+    def counted(self, x):
+        sizes.append(np.size(x))
+        return log_abs(self, x)
+
+    monkeypatch.setattr(_Assembled, "log_abs", counted)
+    entry = catalog.ENTRIES[name]
+    for n in range(4):
+        sizes.clear()
+        admissibility_check(entry, dict(entry.default_params), n)
+        assert sum(s >= 513 for s in sizes) == 1, (n, sizes)
