@@ -59,7 +59,7 @@ class ZeroNorm(PdemError):
 
 
 class ConvergenceError(PdemError):
-    """Iterative eigenvector refinement failed to converge."""
+    """An oracle eigenvector misses its residual bound."""
 
 
 class SingularPotential(PdemError):

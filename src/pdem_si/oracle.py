@@ -1,6 +1,6 @@
 """Independent verification engine: symmetric tridiagonal discretizations,
 Sturm-count eigenvalues (shared bisection brackets, Newton finish),
-inverse-iteration eigenvectors, Simpson quadrature.
+eigenvectors from one twisted factorization each, Simpson quadrature.
 
 Both discretizations use midpoint (staggered) coefficients so the matrices are
 exactly symmetric; boundary nodes carry Dirichlet conditions and are excluded
@@ -196,32 +196,34 @@ def quadrature(samples: np.ndarray, grid: Grid) -> float:
     return float(np.trapezoid(y, dx=h))
 
 
-def _thomas_pivot(off: np.ndarray, diag_shifted: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Tridiagonal solve with partial pivoting (fill-in in a second superdiagonal).
-    n = len(diag_shifted)
-    dl = np.concatenate([[0.0], off])
-    d = diag_shifted.copy()
-    du = np.concatenate([off, [0.0]])
-    c = np.zeros(n)
-    b = b.copy()
-    for k in range(n - 1):
-        if abs(dl[k + 1]) > abs(d[k]):
-            d[k], dl[k + 1] = dl[k + 1], d[k]
-            du[k], d[k + 1] = d[k + 1], du[k]
-            c[k], du[k + 1] = du[k + 1], 0.0
-            b[k], b[k + 1] = b[k + 1], b[k]
-        piv = d[k] if d[k] != 0.0 else _PIVMIN
-        m = dl[k + 1] / piv
-        d[k + 1] -= m * du[k]
-        du[k + 1] -= m * c[k]
-        b[k + 1] -= m * b[k]
-    x = np.zeros(n)
-    x[n - 1] = b[n - 1] / (d[n - 1] if d[n - 1] != 0.0 else _PIVMIN)
-    if n > 1:
-        x[n - 2] = (b[n - 2] - du[n - 2] * x[n - 1]) / (d[n - 2] if d[n - 2] != 0.0 else _PIVMIN)
-    for k in range(n - 3, -1, -1):
-        x[k] = (b[k] - du[k] * x[k + 1] - c[k] * x[k + 2]) / (d[k] if d[k] != 0.0 else _PIVMIN)
-    return x
+def _pivots(d: list, e2: list, t: float) -> list:
+    # the pivots of _count's LDL^T sweep, zero pivots replaced by -pivmin
+    out = []
+    q = d[0] - t
+    for dj, ej in zip(d[1:], e2):
+        out.append(q if not -_PIVMIN < q < _PIVMIN else -_PIVMIN)
+        q = dj - t - ej / out[-1]
+    out.append(q if not -_PIVMIN < q < _PIVMIN else -_PIVMIN)
+    return out
+
+
+def _twisted_vector(d: np.ndarray, e: np.ndarray, lam: float) -> np.ndarray:
+    """Eigenvector of T at the eigenvalue lam from one twisted factorization
+    (Dhillon & Parlett, Linear Algebra Appl. 387, 2004; LAPACK dlar1v).
+
+    The forward pivots D+ of T - lam = L D+ L^T and the backward pivots D- of
+    T - lam = U D- U^T give gamma_i = D+_i + D-_i - (d_i - lam), the reciprocal
+    of the ith diagonal entry of (T - lam)^-1. Twisting at r = argmin |gamma|
+    gives z with z_r = 1 and (T - lam) z = gamma_r e_r."""
+    dl = list(map(float, d))
+    e2 = [float(x) ** 2 for x in e]
+    fwd = np.array(_pivots(dl, e2, lam))
+    bwd = np.array(_pivots(dl[::-1], e2[::-1], lam)[::-1])
+    r = int(np.argmin(np.abs(fwd + bwd - (d - lam))))
+    z = np.ones(len(dl))
+    z[:r] = np.cumprod(-e[:r][::-1] / fwd[:r][::-1])[::-1]
+    z[r + 1 :] = np.cumprod(-e[r:] / bwd[r + 1 :])
+    return z
 
 
 def _lowest_eigenvalues(d: list, e2: list, gershgorin: tuple, k: int) -> list:
@@ -289,13 +291,15 @@ def _lowest_eigenvalues(d: list, e2: list, gershgorin: tuple, k: int) -> list:
 
 def eigenpairs(op: TridiagonalOperator, k: int, want_vectors: bool = False) -> Spectrum:
     """k lowest eigenvalues from shared Sturm brackets with a Newton finish
-    (``_lowest_eigenvalues``); optional eigenvectors by inverse iteration (shift
-    guarded by 1e-10), Simpson-normalized on the full grid with zero boundary
-    values.
+    (``_lowest_eigenvalues``); optional eigenvectors, each from one twisted
+    factorization at its eigenvalue (``_twisted_vector``), Simpson-normalized
+    on the full grid with zero boundary values and the largest component
+    positive.
 
-    A vector is accepted once ||T v - lambda v|| < max(1e-8 max(1, |lambda|),
-    64 eps || |T| |v| ||): the second term is the rounding floor of T v, which
-    the first falls below on fine grids where ||T|| ~ f/h^2 is large."""
+    A vector is accepted if ||T v - lambda v|| < max(1e-8 max(1, |lambda|),
+    64 eps || |T| |v| ||), and ConvergenceError is raised otherwise: the second
+    term is the rounding floor of T v, which the first falls below on fine
+    grids where ||T|| ~ f/h^2 is large."""
     if k < 1 or k > op.n:
         raise ParameterError(f"k must be in 1..{op.n}")
     d = list(map(float, op.diag))
@@ -304,23 +308,16 @@ def eigenpairs(op: TridiagonalOperator, k: int, want_vectors: bool = False) -> S
 
     vectors = None
     if want_vectors:
-        h = op.grid.spacing
-        rng = np.random.RandomState(8801)
-        w = _simpson_weights(op.grid.n_points, h)
+        w = _simpson_weights(op.grid.n_points, op.grid.spacing)
         abs_op = TridiagonalOperator(np.abs(op.diag), np.abs(op.off), op.grid)
         rows = []
-        for lam in eigvals:
-            b0 = rng.standard_normal(op.n)
-            for _ in range(5):
-                v = _thomas_pivot(op.off, op.diag - (lam + 1e-10), b0)
-                v /= np.linalg.norm(v)
-                b0 = v
-                resid = np.linalg.norm(op.apply_interior(v) - lam * v)
-                floor = 64.0 * np.finfo(float).eps * np.linalg.norm(abs_op.apply_interior(np.abs(v)))
-                if resid < max(1e-8 * max(1.0, abs(lam)), floor):
-                    break
-            else:
-                raise ConvergenceError(f"inverse iteration stalled at lambda={lam} (residual {resid})")
+        for lam in eigvals.tolist():
+            v = _twisted_vector(op.diag, op.off, lam)
+            v /= np.linalg.norm(v)
+            resid = np.linalg.norm(op.apply_interior(v) - lam * v)
+            floor = 64.0 * np.finfo(float).eps * np.linalg.norm(abs_op.apply_interior(np.abs(v)))
+            if not resid < max(1e-8 * max(1.0, abs(lam)), floor):
+                raise ConvergenceError(f"twisted vector at lambda={lam} misses the residual bound (residual {resid})")
             full = np.concatenate([[0.0], v, [0.0]])
             imax = int(np.argmax(np.abs(full)))
             if full[imax] < 0.0:

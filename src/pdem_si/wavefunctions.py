@@ -207,7 +207,6 @@ def polynomial_chain(entry: CatalogEntry, params: dict, n: int) -> DeformedPolyn
 
 @dataclass(frozen=True)
 class _Assembled:
-    entry: CatalogEntry
     problem: ChainProblem
     chain: ParameterChain
     n: int
@@ -271,7 +270,7 @@ def _assemble(entry: CatalogEntry, params: dict, n: int) -> _Assembled:
     lam_n, mu_n = chain.lambda_seq[n], chain.mu_seq[n]
     F = _antideriv(problem.sp, lam_n, mu_n)
     y_ref = problem.sp.phi_val(entry.x_ref)
-    return _Assembled(entry, problem, chain, n, np.asarray(poly, dtype=float), F, float(F(y_ref)))
+    return _Assembled(problem, chain, n, np.asarray(poly, dtype=float), F, float(F(y_ref)))
 
 
 def excited_state_eval(entry: CatalogEntry, params: dict, n: int, x):

@@ -6,6 +6,7 @@ import pytest
 from pdem_si import catalog, oracle, verification as verif
 from pdem_si.core import (
     AmbiguityParams,
+    ConvergenceError,
     DeformingFunction,
     Grid,
     Interval,
@@ -260,14 +261,33 @@ def test_eigenvectors_converge_on_fine_grid():
 @pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
 def test_eigenpairs_match_lapack(name):
     # the default LAPACK tolerance is too loose where ||T|| reaches ~1e14
-    # (hyperbolic Poschl-Teller, Morse): ask stebz for full accuracy
+    # (hyperbolic Poschl-Teller, Morse): ask stebz for full accuracy; the
+    # vectors are compared up to sign on the recipe grid and at N = 16001
     linalg = pytest.importorskip("scipy.linalg")
     entry = catalog.ENTRIES[name]
     params = dict(entry.default_params)
-    op = discretize_deformed(entry.deforming(params), entry.v_eff(params), verif.oracle_grid(entry, params))
-    got = eigenpairs(op, 4).eigenvalues
-    ref = linalg.eigh_tridiagonal(op.diag, op.off, eigvals_only=True, select="i", select_range=(0, 3), tol=1e-300)
-    assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref))), (got, ref)
+    for n_points in (None, 16001):
+        grid = verif.oracle_grid(entry, params, n_points)
+        op = discretize_deformed(entry.deforming(params), entry.v_eff(params), grid)
+        spec = eigenpairs(op, 4, want_vectors=True)
+        ref, U = linalg.eigh_tridiagonal(op.diag, op.off, select="i", select_range=(0, 3), tol=1e-300)
+        got = spec.eigenvalues
+        if n_points is None:  # at N = 16001 the counts' backward error eps ||T|| is 2.6e-8 for box
+            assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref))), (got, ref)
+        for n, vec in enumerate(spec.eigenvectors):
+            u = np.concatenate([[0.0], U[:, n], [0.0]])
+            u /= math.sqrt(quadrature(u * u, grid))
+            dev = min(np.max(np.abs(vec - u)), np.max(np.abs(vec + u)))
+            assert dev <= 5e-9 * np.max(np.abs(u)), (n_points, n, dev)
+
+
+def test_vector_that_misses_the_residual_bound_raises(monkeypatch):
+    # a NaN residual must fail the acceptance test as well as a large one
+    op = _box_operator(0.5, 401)
+    for bad in (np.ones, lambda n: np.full(n, np.nan)):
+        monkeypatch.setattr(oracle, "_twisted_vector", lambda d, e, lam, bad=bad: bad(len(d)))
+        with pytest.raises(ConvergenceError):
+            eigenpairs(op, 2, want_vectors=True)
 
 
 @pytest.mark.parametrize("preset", PRESETS)

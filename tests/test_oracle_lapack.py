@@ -1,6 +1,6 @@
-"""Oracle eigenvalues against LAPACK on the matrix shapes that stress shared
-brackets and the Newton finish: graded, exactly degenerate, tightly clustered
-and split (zero couplings)."""
+"""Oracle eigenpairs against LAPACK on the matrix shapes that stress shared
+brackets, the Newton finish and the twisted factorization: graded, exactly
+degenerate, tightly clustered and split (zero couplings)."""
 import numpy as np
 import pytest
 
@@ -9,7 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from pdem_si.core import Grid, Interval  # noqa: E402
-from pdem_si.oracle import TridiagonalOperator, eigenpairs  # noqa: E402
+from pdem_si.oracle import TridiagonalOperator, _simpson_weights, eigenpairs  # noqa: E402
 
 
 def _tridiagonal(shape, n, rng):
@@ -33,6 +33,12 @@ def _tridiagonal(shape, n, rng):
     return diag, off
 
 
+def _assert_normalized_rows(op, vectors):
+    assert np.all(np.isfinite(vectors))
+    norms = np.sum(_simpson_weights(op.grid.n_points, op.grid.spacing) * vectors**2, axis=1)
+    assert np.allclose(norms, 1.0, rtol=0.0, atol=1e-12), norms
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     shape=st.sampled_from(["graded", "double", "cluster", "split", "plain"]),
@@ -44,7 +50,20 @@ def test_eigenpairs_match_lapack_on_hard_shapes(shape, n, k, seed):
     diag, off = _tridiagonal(shape, n, np.random.RandomState(seed))
     k = min(k, len(diag))
     op = TridiagonalOperator(diag, off, Grid(Interval(0.0, 1.0), len(diag) + 2))
-    got = eigenpairs(op, k).eigenvalues
+    # vectors too: any RuntimeWarning on the way is an error in this suite
+    spec = eigenpairs(op, k, want_vectors=True)
+    got = spec.eigenvalues
     ref = linalg.eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, k - 1), tol=1e-300)
     assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref))), (shape, got - ref)
     assert np.all(np.diff(got) >= 0.0)
+    _assert_normalized_rows(op, spec.eigenvectors)
+
+
+def test_graded_eigenvector_far_above_unit_scale_is_finite():
+    # lambda_2 = 6.6e8: any fixed absolute shift below ulp(lambda_2) leaves
+    # T - lambda_2 singular, and a solve with it overflows into a row of NaN
+    diag, off = _tridiagonal("graded", 4, np.random.RandomState(1624898412))
+    op = TridiagonalOperator(diag, off, Grid(Interval(0.0, 1.0), len(diag) + 2))
+    spec = eigenpairs(op, 4, want_vectors=True)
+    assert 6e8 < spec.eigenvalues[2] < 7e8
+    _assert_normalized_rows(op, spec.eigenvectors)
