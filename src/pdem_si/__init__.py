@@ -48,6 +48,7 @@ from .oracle import (
     discretize_deformed,
     discretize_vonroos,
     eigenpairs,
+    eigenvectors,
     equivalence_check,
     quadrature,
     sturm_count,

@@ -1,8 +1,8 @@
 """Command-line front end: machine-readable spectra, wavefunction samples,
 verification suites and deformation-parameter sweeps.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid flags or parameters
-or a numeric overflow.
+Exit codes: 0 success, 1 verification failure, 2 invalid flags or parameters,
+a numeric overflow or a state too large or small to normalize.
 The environment variable PDEM_GRID_N (an integer in 3..1000001) overrides the
 default oracle grid size.
 """
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import verification as verif
 from .catalog import CatalogEntry, EXCLUSIONS, list_entries, lookup
-from .core import PRESET_EXPONENTS, AmbiguityParams, NotFound, PdemError, RangeError
+from .core import PRESET_EXPONENTS, AmbiguityParams, NotFound, PdemError, RangeError, ZeroNorm
 from .si_engine import solve_chain
 from .wavefunctions import admissibility_check, normalized_state
 
@@ -376,7 +376,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[ns.cmd](ns)
-    except (RangeError, NotFound) as exc:
+    except (RangeError, NotFound, ZeroNorm) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

@@ -1,6 +1,6 @@
 """Independent verification engine: symmetric tridiagonal discretizations,
-Sturm-count eigenvalues (shared bisection brackets, Newton finish),
-eigenvectors from one twisted factorization each, Simpson quadrature.
+Sturm-count eigenvalues (``eigenpairs``), eigenvectors at given eigenvalues
+(``eigenvectors``, one twisted factorization each), Simpson quadrature.
 
 Both discretizations use midpoint (staggered) coefficients so the matrices are
 exactly symmetric; boundary nodes carry Dirichlet conditions and are excluded
@@ -289,46 +289,48 @@ def _lowest_eigenvalues(d: list, e2: list, gershgorin: tuple, k: int) -> list:
     return [0.5 * (a + b) for a, b in zip(lo, hi)]
 
 
-def eigenpairs(op: TridiagonalOperator, k: int, want_vectors: bool = False) -> Spectrum:
-    """k lowest eigenvalues from shared Sturm brackets with a Newton finish
-    (``_lowest_eigenvalues``); optional eigenvectors, each from one twisted
-    factorization at its eigenvalue (``_twisted_vector``), Simpson-normalized
-    on the full grid with zero boundary values and the largest component
-    positive.
-
-    A vector is accepted if ||T v - lambda v|| < max(1e-8 max(1, |lambda|),
-    64 eps || |T| |v| ||), and ConvergenceError is raised otherwise: the second
-    term is the rounding floor of T v, which the first falls below on fine
-    grids where ||T|| ~ f/h^2 is large."""
+def eigenpairs(op: TridiagonalOperator, k: int) -> Spectrum:
+    """The k lowest eigenvalues, read-only, from shared Sturm brackets with a
+    Newton finish (``_lowest_eigenvalues``); ``eigenvectors`` gives the vectors."""
     if k < 1 or k > op.n:
         raise ParameterError(f"k must be in 1..{op.n}")
     d = list(map(float, op.diag))
     e2 = [float(e) ** 2 for e in op.off]
     eigvals = np.array(_lowest_eigenvalues(d, e2, op.gershgorin(), k))
-
-    vectors = None
-    if want_vectors:
-        w = _simpson_weights(op.grid.n_points, op.grid.spacing)
-        abs_op = TridiagonalOperator(np.abs(op.diag), np.abs(op.off), op.grid)
-        rows = []
-        for lam in eigvals.tolist():
-            v = _twisted_vector(op.diag, op.off, lam)
-            v /= np.linalg.norm(v)
-            resid = np.linalg.norm(op.apply_interior(v) - lam * v)
-            floor = 64.0 * np.finfo(float).eps * np.linalg.norm(abs_op.apply_interior(np.abs(v)))
-            if not resid < max(1e-8 * max(1.0, abs(lam)), floor):
-                raise ConvergenceError(f"twisted vector at lambda={lam} misses the residual bound (residual {resid})")
-            full = np.concatenate([[0.0], v, [0.0]])
-            imax = int(np.argmax(np.abs(full)))
-            if full[imax] < 0.0:
-                full = -full
-            full /= np.sqrt(np.sum(w * full * full))
-            rows.append(full)
-        vectors = np.array(rows)
-        vectors.setflags(write=False)
     # cached spectra are shared between callers, so no caller may edit them
     eigvals.setflags(write=False)
-    return Spectrum(eigenvalues=eigvals, eigenvectors=vectors)
+    return Spectrum(eigenvalues=eigvals, eigenvectors=None)
+
+
+def eigenvectors(op: TridiagonalOperator, eigvals) -> np.ndarray:
+    """Read-only rows of eigenvectors of ``op`` at the eigenvalues ``eigvals``
+    (as ``eigenpairs`` gives them), each from one twisted factorization at its
+    eigenvalue (``_twisted_vector``), Simpson-normalized on the full grid with
+    zero boundary values and the largest component positive.
+
+    A vector is accepted if ||T v - lambda v|| < max(1e-8 max(1, |lambda|),
+    64 eps || |T| |v| ||), and ConvergenceError is raised otherwise: the second
+    term is the rounding floor of T v, which the first falls below on fine
+    grids where ||T|| ~ f/h^2 is large."""
+    w = _simpson_weights(op.grid.n_points, op.grid.spacing)
+    abs_op = TridiagonalOperator(np.abs(op.diag), np.abs(op.off), op.grid)
+    rows = []
+    for lam in np.asarray(eigvals, dtype=float).tolist():
+        v = _twisted_vector(op.diag, op.off, lam)
+        v /= np.linalg.norm(v)
+        resid = np.linalg.norm(op.apply_interior(v) - lam * v)
+        floor = 64.0 * np.finfo(float).eps * np.linalg.norm(abs_op.apply_interior(np.abs(v)))
+        if not resid < max(1e-8 * max(1.0, abs(lam)), floor):
+            raise ConvergenceError(f"twisted vector at lambda={lam} misses the residual bound (residual {resid})")
+        full = np.concatenate([[0.0], v, [0.0]])
+        imax = int(np.argmax(np.abs(full)))
+        if full[imax] < 0.0:
+            full = -full
+        full /= np.sqrt(np.sum(w * full * full))
+        rows.append(full)
+    vectors = np.array(rows)
+    vectors.setflags(write=False)
+    return vectors
 
 
 def _test_battery(grid: Grid) -> list:

@@ -13,8 +13,8 @@ import numpy as np
 from .catalog import CatalogEntry
 from .core import AmbiguityParams, Grid, Interval, positivity_check
 from .ordering import recover_initial_potential, v_tilde_eval
-from .oracle import Spectrum, _test_battery, discretize_deformed, discretize_vonroos, eigenpairs, equivalence_check
-from .oracle import quadrature
+from .oracle import Spectrum, TridiagonalOperator, _test_battery, discretize_deformed, discretize_vonroos, eigenpairs
+from .oracle import eigenvectors, equivalence_check, quadrature, sturm_count
 from .si_engine import ParameterChain, chain_residuals, solve_chain, w_eval
 from .wavefunctions import _assemble, admissibility_check, excited_state_eval, normalized_state
 
@@ -47,29 +47,32 @@ def deformed_spectrum(
     which: str = "energy",
     want_vectors: bool = False,
 ) -> Spectrum:
-    return _cached_solve(entry, params, None, oracle_grid(entry, params, n_override, which), k, want_vectors)
+    grid = oracle_grid(entry, params, n_override, which)
+    spec = _cached_solve(entry, params, None, grid, k)
+    if want_vectors:  # vectors at the cached eigenvalues; only the eigenvalues are cached
+        spec = Spectrum(spec.eigenvalues, eigenvectors(_operator(entry, params, None, grid), spec.eigenvalues))
+    return spec
 
 
 def vonroos_spectrum(entry: CatalogEntry, params: dict, amb: AmbiguityParams, k: int) -> Spectrum:
     """Lowest k levels of the mass-ordered operator on the recovered initial
     potential, on the entry's equivalence grid."""
-    return _cached_solve(entry, params, amb, oracle_grid(entry, params, which="equivalence"), k, False)
+    return _cached_solve(entry, params, amb, oracle_grid(entry, params, which="equivalence"), k)
 
 
-def _cached_solve(
-    entry: CatalogEntry, params: dict, amb: Optional[AmbiguityParams], grid: Grid, k: int, want_vectors: bool
-) -> Spectrum:
-    """One eigensolve per matrix: the deformed operator on V_eff when ``amb`` is
-    None, else the von Roos operator with ordering ``amb`` on the recovered V.
-    Requests that resolve to the same operator, grid, k and want_vectors share it."""
-    key = (entry.name, _params_key(params), amb, grid, k, want_vectors)
+def _operator(entry: CatalogEntry, params: dict, amb: Optional[AmbiguityParams], grid: Grid) -> TridiagonalOperator:
+    """The deformed operator on V_eff if ``amb`` is None, else the von Roos one on the recovered V."""
+    df, v_eff = entry.deforming(params), entry.v_eff(params)
+    if amb is None:
+        return discretize_deformed(df, v_eff, grid)
+    return discretize_vonroos(df, amb, lambda x: recover_initial_potential(df, amb, v_eff, x), grid)
+
+
+def _cached_solve(entry: CatalogEntry, params: dict, amb: Optional[AmbiguityParams], grid: Grid, k: int) -> Spectrum:
+    """One eigenvalue solve per (operator, grid, k), shared by every request for it."""
+    key = (entry.name, _params_key(params), amb, grid, k)
     if key not in _SPECTRUM_CACHE:
-        df, v_eff = entry.deforming(params), entry.v_eff(params)
-        if amb is None:
-            op = discretize_deformed(df, v_eff, grid)
-        else:
-            op = discretize_vonroos(df, amb, lambda x: recover_initial_potential(df, amb, v_eff, x), grid)
-        _SPECTRUM_CACHE[key] = eigenpairs(op, k, want_vectors=want_vectors)
+        _SPECTRUM_CACHE[key] = eigenpairs(_operator(entry, params, amb, grid), k)
     return _SPECTRUM_CACHE[key]
 
 
@@ -178,7 +181,7 @@ def eigen_residual(entry: CatalogEntry, params: dict, n: int) -> float:
     Boundary couplings are included, so no Dirichlet assumption is made."""
     a, b = residual_window(entry, params)
     grid = Grid(Interval(a, b), _FINE_POINTS)
-    op = discretize_deformed(entry.deforming(params), entry.v_eff(params), grid)
+    op = _operator(entry, params, None, grid)
     assembled = _assemble(entry, params, n)
     psi = np.asarray(assembled.value(grid.nodes()), dtype=float)
     energy = assembled.chain.energy(n)
@@ -258,19 +261,15 @@ def spectral_equivalence(entry: CatalogEntry, params: dict, amb: AmbiguityParams
     """Von Roos spectrum on the recovered V vs deformed spectrum on V_eff.
 
     Levels compared are those below the truncation-induced continuum edge
-    (at most 4); None when no level qualifies."""
+    (at most 4, counted by one Sturm count); None when no level qualifies."""
     edge = entry.continuum_edge(params)
-    spec_d = deformed_spectrum(entry, params, 4, which="equivalence")
-    if math.isfinite(edge):
-        nlev = int(np.sum(spec_d.eigenvalues < edge - 1e-9))
-    else:
-        nlev = 4
+    grid = oracle_grid(entry, params, which="equivalence")
+    nlev = min(4, sturm_count(_operator(entry, params, None, grid), edge - 1e-9)) if math.isfinite(edge) else 4
     if nlev < 1:
         return None
+    spec_d = deformed_spectrum(entry, params, nlev, which="equivalence")
     spec_v = vonroos_spectrum(entry, params, amb, nlev)
-    rel = np.abs(spec_v.eigenvalues - spec_d.eigenvalues[:nlev]) / np.maximum(
-        1e-12, np.abs(spec_d.eigenvalues[:nlev])
-    )
+    rel = np.abs(spec_v.eigenvalues - spec_d.eigenvalues) / np.maximum(1e-12, np.abs(spec_d.eigenvalues))
     return {"levels": nlev, "max_rel_dev": float(np.max(rel))}
 
 
@@ -287,7 +286,7 @@ def equivalence_deviation(entry: CatalogEntry, params: dict, amb: AmbiguityParam
         return recover_initial_potential(df, amb, v_eff, x)
 
     dev = equivalence_check(df, amb, v_initial, grid)
-    op = discretize_deformed(df, v_eff, grid)
+    op = _operator(entry, params, None, grid)
     scale = max(float(np.max(np.abs(op.apply(psi)))) for psi in _test_battery(grid))
     return {"max_dev": dev, "action_scale": scale, "rel_dev": dev / max(scale, 1e-300)}
 

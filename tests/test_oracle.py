@@ -18,6 +18,7 @@ from pdem_si.oracle import (
     discretize_deformed,
     discretize_vonroos,
     eigenpairs,
+    eigenvectors,
     equivalence_check,
     quadrature,
     sturm_count,
@@ -143,11 +144,11 @@ def test_harmonic_oscillator_constant_mass():
 
 def test_eigenvectors_match_closed_ground_state():
     op = _box_operator(0.5, 4001)
-    spec = eigenpairs(op, 1, want_vectors=True)
+    spec = eigenpairs(op, 1)
     x = op.grid.nodes()
     psi = np.cos(x) / (1.0 + 0.5 * np.sin(x) ** 2)
     psi /= math.sqrt(quadrature(psi**2, op.grid))
-    vec = spec.eigenvectors[0]
+    vec = eigenvectors(op, spec.eigenvalues)[0]
     if vec[len(vec) // 2] < 0:
         vec = -vec
     assert np.max(np.abs(vec - psi)) < 1e-4
@@ -158,18 +159,19 @@ def test_cached_spectra_are_read_only():
     spec = verif.deformed_spectrum(catalog.ENTRIES["box"], {"alpha": 0.5}, 2)
     with pytest.raises(ValueError):
         spec.eigenvalues[0] = 0.0
-    vecs = eigenpairs(_box_operator(0.5, 401), 2, want_vectors=True).eigenvectors
+    op = _box_operator(0.5, 401)
+    vecs = eigenvectors(op, eigenpairs(op, 2).eigenvalues)
     with pytest.raises(ValueError):
         vecs[0, 1] = 0.0
 
 
 def test_eigenvector_orthonormality_under_quadrature():
     op = _box_operator(0.5, 4001)
-    spec = eigenpairs(op, 4, want_vectors=True)
+    vectors = eigenvectors(op, eigenpairs(op, 4).eigenvalues)
     G = np.empty((4, 4))
     for i in range(4):
         for j in range(4):
-            G[i, j] = quadrature(spec.eigenvectors[i] * spec.eigenvectors[j], op.grid)
+            G[i, j] = quadrature(vectors[i] * vectors[j], op.grid)
     assert np.max(np.abs(G - np.eye(4))) < 1e-8
 
 
@@ -231,9 +233,9 @@ def test_requests_for_one_matrix_share_one_solve(monkeypatch):
     params = dict(entry.default_params)
     solve, calls = verif.eigenpairs, []
 
-    def counted(op, k, want_vectors=False):
+    def counted(op, k):
         calls.append(k)
-        return solve(op, k, want_vectors)
+        return solve(op, k)
 
     monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
     monkeypatch.setattr(verif, "eigenpairs", counted)
@@ -244,18 +246,59 @@ def test_requests_for_one_matrix_share_one_solve(monkeypatch):
     assert len(calls) == 2
 
 
+def _count_solves(monkeypatch):
+    solve, calls = verif.eigenpairs, []
+
+    def counted(op, k):
+        calls.append((op, k))
+        return solve(op, k)
+
+    monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
+    monkeypatch.setattr(verif, "eigenpairs", counted)
+    return calls
+
+
+def test_vectors_reuse_the_cached_eigenvalues(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    entry = catalog.ENTRIES["box"]
+    params = dict(entry.default_params)
+    spec = verif.deformed_spectrum(entry, params, 4, n_override=2001)
+    with_vectors = verif.deformed_spectrum(entry, params, 4, n_override=2001, want_vectors=True)
+    assert len(calls) == 1
+    assert with_vectors.eigenvalues is spec.eigenvalues
+    op = discretize_deformed(entry.deforming(params), entry.v_eff(params), verif.oracle_grid(entry, params, 2001))
+    assert np.array_equal(with_vectors.eigenvectors, eigenvectors(op, eigenpairs(op, 4).eigenvalues))
+
+
+def test_equivalence_solves_only_the_levels_it_compares(monkeypatch):
+    # Morse binds one level below the continuum edge: neither operator is solved for 4
+    calls = _count_solves(monkeypatch)
+    entry = catalog.ENTRIES["morse"]
+    params = dict(entry.default_params)
+    for _ in verif.verify_entry(entry, params):
+        pass
+    levels = verif.spectral_equivalence(entry, params, AmbiguityParams.preset("bdd"))["levels"]
+    assert levels < 4
+    grid = verif.oracle_grid(entry, params, which="equivalence")
+    deformed = discretize_deformed(entry.deforming(params), entry.v_eff(params), grid)
+    on_grid = [(op, k) for op, k in calls if op.grid == grid]
+    assert len(on_grid) == 2  # deformed and von Roos
+    assert all(k == levels for _, k in on_grid)
+    assert any(np.array_equal(op.diag, deformed.diag) for op, _ in on_grid)
+
+
 def test_eigenvectors_converge_on_fine_grid():
     # at N = 8001 the rounding floor of T v lies above 1e-8 |lambda|
     entry = catalog.ENTRIES["box"]
     params = {"alpha": 0.5}
     grid = verif.oracle_grid(entry, params, 8001)
     op = discretize_deformed(entry.deforming(params), entry.v_eff(params), grid)
-    spec = eigenpairs(op, 4, want_vectors=True)
+    vectors = eigenvectors(op, eigenpairs(op, 4).eigenvalues)
     x = grid.nodes()
     for n in range(4):
         psi = np.concatenate([[0.0], excited_state_eval(entry, params, n, x[1:-1]), [0.0]])
         _, psi = normalize(psi, grid)
-        assert 1.0 - abs(quadrature(psi * spec.eigenvectors[n], grid)) < 1e-12, n
+        assert 1.0 - abs(quadrature(psi * vectors[n], grid)) < 1e-12, n
 
 
 @pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
@@ -269,12 +312,12 @@ def test_eigenpairs_match_lapack(name):
     for n_points in (None, 16001):
         grid = verif.oracle_grid(entry, params, n_points)
         op = discretize_deformed(entry.deforming(params), entry.v_eff(params), grid)
-        spec = eigenpairs(op, 4, want_vectors=True)
+        spec = eigenpairs(op, 4)
         ref, U = linalg.eigh_tridiagonal(op.diag, op.off, select="i", select_range=(0, 3), tol=1e-300)
         got = spec.eigenvalues
         if n_points is None:  # at N = 16001 the counts' backward error eps ||T|| is 2.6e-8 for box
             assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref))), (got, ref)
-        for n, vec in enumerate(spec.eigenvectors):
+        for n, vec in enumerate(eigenvectors(op, spec.eigenvalues)):
             u = np.concatenate([[0.0], U[:, n], [0.0]])
             u /= math.sqrt(quadrature(u * u, grid))
             dev = min(np.max(np.abs(vec - u)), np.max(np.abs(vec + u)))
@@ -287,7 +330,7 @@ def test_vector_that_misses_the_residual_bound_raises(monkeypatch):
     for bad in (np.ones, lambda n: np.full(n, np.nan)):
         monkeypatch.setattr(oracle, "_twisted_vector", lambda d, e, lam, bad=bad: bad(len(d)))
         with pytest.raises(ConvergenceError):
-            eigenpairs(op, 2, want_vectors=True)
+            eigenvectors(op, eigenpairs(op, 2).eigenvalues)
 
 
 @pytest.mark.parametrize("preset", PRESETS)
@@ -313,10 +356,14 @@ def test_eigenvalues_sit_in_certified_brackets(name):
     entry = catalog.ENTRIES[name]
     params = dict(entry.default_params)
     op = discretize_deformed(entry.deforming(params), entry.v_eff(params), verif.oracle_grid(entry, params))
-    for m, lam in enumerate(eigenpairs(op, 4).eigenvalues, start=1):
+    got = eigenpairs(op, 4).eigenvalues
+    for m, lam in enumerate(got, start=1):
         w = 1e-12 * max(1.0, abs(lam)) + 4.0 * math.ulp(lam)
         assert sturm_count(op, lam - w) <= m - 1, (m, lam)
         assert sturm_count(op, lam + w) >= m, (m, lam)
+    # a solve for fewer levels gives the same bits: caches and level counts rest on it
+    for j in range(1, 4):
+        assert np.array_equal(eigenpairs(op, j).eigenvalues, got[:j]), j
 
 
 def test_sweeps_per_level_bounded(monkeypatch):

@@ -9,7 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from pdem_si.core import Grid, Interval  # noqa: E402
-from pdem_si.oracle import TridiagonalOperator, _simpson_weights, eigenpairs  # noqa: E402
+from pdem_si.oracle import TridiagonalOperator, _simpson_weights, eigenpairs, eigenvectors  # noqa: E402
 
 
 def _tridiagonal(shape, n, rng):
@@ -51,12 +51,15 @@ def test_eigenpairs_match_lapack_on_hard_shapes(shape, n, k, seed):
     k = min(k, len(diag))
     op = TridiagonalOperator(diag, off, Grid(Interval(0.0, 1.0), len(diag) + 2))
     # vectors too: any RuntimeWarning on the way is an error in this suite
-    spec = eigenpairs(op, k, want_vectors=True)
+    spec = eigenpairs(op, k)
     got = spec.eigenvalues
     ref = linalg.eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, k - 1), tol=1e-300)
     assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref))), (shape, got - ref)
     assert np.all(np.diff(got) >= 0.0)
-    _assert_normalized_rows(op, spec.eigenvectors)
+    # level j comes out bit-identical for every k > j: fewer levels is a prefix
+    j = max(1, k // 2)
+    assert np.array_equal(eigenpairs(op, j).eigenvalues, got[:j]), (shape, j, k)
+    _assert_normalized_rows(op, eigenvectors(op, got))
 
 
 def test_graded_eigenvector_far_above_unit_scale_is_finite():
@@ -64,6 +67,6 @@ def test_graded_eigenvector_far_above_unit_scale_is_finite():
     # T - lambda_2 singular, and a solve with it overflows into a row of NaN
     diag, off = _tridiagonal("graded", 4, np.random.RandomState(1624898412))
     op = TridiagonalOperator(diag, off, Grid(Interval(0.0, 1.0), len(diag) + 2))
-    spec = eigenpairs(op, 4, want_vectors=True)
+    spec = eigenpairs(op, 4)
     assert 6e8 < spec.eigenvalues[2] < 7e8
-    _assert_normalized_rows(op, spec.eigenvectors)
+    _assert_normalized_rows(op, eigenvectors(op, spec.eigenvalues))

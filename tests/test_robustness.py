@@ -236,6 +236,17 @@ def test_flag_limits_exit_2(argv, flag, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd", ["spectrum", "wavefunction"])
+def test_unnormalizable_state_exits_2(cmd, tmp_path):
+    # log|psi_0| spans 4.4e5 on the oracle grid: no double holds the state
+    out = tmp_path / "wf.csv"
+    argv = (cmd, "--potential", "coulomb", "--params", "e2=1e6,l=0,alpha=0.1")
+    res = _cli(*argv, *(("--out", str(out)) if cmd == "wavefunction" else ()))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == "error: peak |psi| = inf cannot be normalized\n"
+    assert not out.exists()
+
+
 def test_flag_limits_accept_edges(tmp_path, capsys):
     from pdem_si.cli import main
 
