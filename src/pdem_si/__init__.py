@@ -57,6 +57,7 @@ from .wavefunctions import (
     AdmissibilityVerdict,
     DeformedPolynomial,
     admissibility_check,
+    admissibility_checks,
     excited_state_eval,
     normalize,
     polynomial_chain,

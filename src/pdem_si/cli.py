@@ -22,7 +22,7 @@ from . import verification as verif
 from .catalog import CatalogEntry, EXCLUSIONS, list_entries, lookup
 from .core import PRESET_EXPONENTS, AmbiguityParams, NotFound, PdemError, RangeError, ZeroNorm
 from .si_engine import solve_chain
-from .wavefunctions import admissibility_check, normalized_state
+from .wavefunctions import admissibility_checks, normalized_state
 
 _FMT = "%.17g"  # full round-trip decimal representation
 _MAX_POINTS = 1_000_001  # largest grid for --samples and PDEM_GRID_N
@@ -135,11 +135,11 @@ def build_spectrum_report(
         if trusted > 0:
             oracle_vals = verif.deformed_spectrum(entry, params, trusted, n_override=n_override).eigenvalues
 
+    # closed forms first: when they overflow, the request exits before any probe runs
+    closed = [entry.printed_energy(params, n) for n in range(k)]
     rows = []
-    for n in range(k):
-        e_closed = entry.printed_energy(params, n)
+    for n, (e_closed, verdict) in enumerate(zip(closed, admissibility_checks(entry, params, range(k)))):
         e_chain = chain.energy(n)
-        verdict = admissibility_check(entry, params, n)
         e_orc = abs_err = rel_err = None
         if n < len(oracle_vals):
             e_orc = float(oracle_vals[n])

@@ -16,7 +16,7 @@ from .ordering import recover_initial_potential, v_tilde_eval
 from .oracle import Spectrum, TridiagonalOperator, _test_battery, discretize_deformed, discretize_vonroos, eigenpairs
 from .oracle import eigenvectors, equivalence_check, quadrature, sturm_count
 from .si_engine import ParameterChain, chain_residuals, solve_chain, w_eval
-from .wavefunctions import _assemble, admissibility_check, excited_state_eval, normalized_state
+from .wavefunctions import _assemble, admissibility_checks, excited_state_eval, normalized_state
 
 _SPECTRUM_CACHE: dict = {}
 
@@ -68,11 +68,11 @@ def _operator(entry: CatalogEntry, params: dict, amb: Optional[AmbiguityParams],
     return discretize_vonroos(df, amb, lambda x: recover_initial_potential(df, amb, v_eff, x), grid)
 
 
-def _cached_solve(entry: CatalogEntry, params: dict, amb: Optional[AmbiguityParams], grid: Grid, k: int) -> Spectrum:
-    """One eigenvalue solve per (operator, grid, k), shared by every request for it."""
+def _cached_solve(entry: CatalogEntry, params: dict, amb: Optional[AmbiguityParams], grid: Grid, k: int, op=None):
+    """One eigenvalue solve per (operator, grid, k), shared by every request; ``op`` is it if already built."""
     key = (entry.name, _params_key(params), amb, grid, k)
     if key not in _SPECTRUM_CACHE:
-        _SPECTRUM_CACHE[key] = eigenpairs(_operator(entry, params, amb, grid), k)
+        _SPECTRUM_CACHE[key] = eigenpairs(op or _operator(entry, params, amb, grid), k)
     return _SPECTRUM_CACHE[key]
 
 
@@ -264,10 +264,13 @@ def spectral_equivalence(entry: CatalogEntry, params: dict, amb: AmbiguityParams
     (at most 4, counted by one Sturm count); None when no level qualifies."""
     edge = entry.continuum_edge(params)
     grid = oracle_grid(entry, params, which="equivalence")
-    nlev = min(4, sturm_count(_operator(entry, params, None, grid), edge - 1e-9)) if math.isfinite(edge) else 4
+    op, nlev = None, 4
+    if math.isfinite(edge):  # one operator build for the count and the solve
+        op = _operator(entry, params, None, grid)
+        nlev = min(4, sturm_count(op, edge - 1e-9))
     if nlev < 1:
         return None
-    spec_d = deformed_spectrum(entry, params, nlev, which="equivalence")
+    spec_d = _cached_solve(entry, params, None, grid, nlev, op)
     spec_v = vonroos_spectrum(entry, params, amb, nlev)
     rel = np.abs(spec_v.eigenvalues - spec_d.eigenvalues) / np.maximum(1e-12, np.abs(spec_d.eigenvalues))
     return {"levels": nlev, "max_rel_dev": float(np.max(rel))}
@@ -306,7 +309,7 @@ def counting_vs_admissibility(entry: CatalogEntry, params: dict) -> dict:
     else:
         probed = 4
     chain = solve_chain(entry.chain_problem(params), probed - 1)
-    verdicts = {n: admissibility_check(entry, params, n) for n in range(probed)}
+    verdicts = dict(enumerate(admissibility_checks(entry, params, range(probed))))
 
     def exists(n: int, v) -> bool:
         if not v.admissible:

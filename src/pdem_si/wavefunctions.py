@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -142,8 +143,22 @@ class DeformedPolynomial:
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
+    if c[-1] != 0:
+        return c
     nz = np.nonzero(c)[0]
     return c[: nz[-1] + 1] if len(nz) else c[:1]
+
+
+# products and sums trim trailing zeros of inputs and result, as polymul and polyadd do
+def _mul(a, b) -> np.ndarray:
+    return _trim(np.convolve(_trim(np.asarray(a, dtype=float)), _trim(b)))
+
+
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a, b = sorted((_trim(a), _trim(b)), key=len)
+    out = b.copy()
+    out[: len(a)] += a
+    return _trim(out)
 
 
 def _descend(sp: SuperpotentialClass, chain: ParameterChain, n: int):
@@ -153,36 +168,26 @@ def _descend(sp: SuperpotentialClass, chain: ParameterChain, n: int):
     cancels = []
     for m in range(n):
         j = n - m - 1  # producing subscript m+1 at chain offset j
-        dpoly = P.polyder(poly)
+        dpoly = poly[:1] * 0 if len(poly) == 1 else np.arange(1, len(poly)) * poly[1:]
         lam_sum = lam[n] + lam[j]
         mu_sum = mu[n] + mu[j]
         if sp.class_id == "class1":
             ab, bb, cb = sp.barred
-            poly = P.polyadd(
-                -P.polymul(np.array([cb, bb, ab]), dpoly),
-                P.polymul(np.array([mu_sum, lam_sum]), poly),
-            )
+            poly = _add(-_mul([cb, bb, ab], dpoly), _mul([mu_sum, lam_sum], poly))
         elif sp.class_id == "class2":
             ab, bb = sp.barred
-            poly = P.polyadd(
-                P.polymul(np.array([0.0, 2.0 * ab, 2.0 * bb]), dpoly),
-                P.polymul(np.array([lam_sum - m * ab, mu_sum - m * bb]), poly),
-            )
+            poly = _add(_mul([0.0, 2.0 * ab, 2.0 * bb], dpoly), _mul([lam_sum - m * ab, mu_sum - m * bb], poly))
         else:
             A, B = sp.consts[0], sp.consts[1]
             cb, db = sp.barred[2], sp.barred[3]
-            t1 = -P.polymul(np.array([B, 0.0, A]), dpoly)
-            t2 = m * A * P.polymul(np.array([0.0, 1.0]), poly)
-            bracket = P.polyadd(t1, t2)
-            scale = max(np.max(np.abs(t1)) if len(t1) else 0.0, np.max(np.abs(t2)) if len(t2) else 0.0, 1e-300)
+            t1 = -_mul([B, 0.0, A], dpoly)
+            t2 = m * A * _mul([0.0, 1.0], poly)
+            bracket = _add(t1, t2)
+            scale = max(np.max(np.abs(t1)), np.max(np.abs(t2)), 1e-300)
             top = bracket[m + 1] if len(bracket) > m + 1 else 0.0
             cancels.append((float(abs(top)), float(scale)))
             bracket = bracket[: m + 1]  # the (m+1)-degree term vanishes identically
-            poly = P.polyadd(
-                P.polymul(np.array([db, cb]), bracket),
-                P.polymul(np.array([mu_sum, lam_sum]), poly),
-            )
-        poly = _trim(np.asarray(poly, dtype=float))
+            poly = _add(_mul([db, cb], bracket), _mul([mu_sum, lam_sum], poly))
     return poly, tuple(cancels)
 
 
@@ -205,22 +210,24 @@ def polynomial_chain(entry: CatalogEntry, params: dict, n: int) -> DeformedPolyn
 # wavefunction assembly
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Assembled:
-    problem: ChainProblem
-    chain: ParameterChain
-    n: int
-    poly: np.ndarray
-    F: Callable
-    F_ref: float
+class _Points:
+    """f, the base function phi and the class variables at fixed points x. Each
+    part is evaluated on first use, in the order one level needs them, so errors
+    and warnings surface where one level's probe met them; then it serves all levels."""
 
-    def _parts(self, x):
-        """(f, q, t, y) at x: the class prefactor is q^(-n/2), the deformed
-        polynomial is evaluated at t, and y is the base function phi(x)."""
+    def __init__(self, problem: ChainProblem, x):
+        self.problem, self.x = problem, np.asarray(x, dtype=float)
+
+    @cached_property
+    def f(self):
+        return self.problem.df.f(self.x)
+
+    @cached_property
+    def parts(self):
+        """(q, t, y): the class prefactor is q^(-n/2), the deformed polynomial
+        is evaluated at t, and y is the base function phi(x)."""
         sp = self.problem.sp
-        x = np.asarray(x, dtype=float)
-        f = self.problem.df.f(x)
-        y = sp.phi_val(x)
+        y = sp.phi_val(self.x)
         if np.any(~np.isfinite(np.asarray(y))):
             raise SingularPoint("base function phi blows up at an evaluation point")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -230,37 +237,49 @@ class _Assembled:
                 q, t = sp.consts[0] * y**2 + sp.consts[1], y
             else:
                 q, t = 1.0, y
-        return f, q, t, y
+        return q, t, y
+
+    @cached_property
+    def logs(self):
+        """(-log(f)/2, log q, |t| <= 1, t there, and 1/t and log |t| elsewhere):
+        log |P(t)| is read through 1/t where |t| > 1, so it stays finite."""
+        f, (q, t, _) = self.f, self.parts
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = np.atleast_1d(t)
+            small = np.abs(t) <= 1.0
+            big = t[~small]
+            return -0.5 * np.log(f), np.log(q), small, t[small], 1.0 / big, np.log(np.abs(big))
+
+
+@dataclass(frozen=True)
+class _Assembled:
+    problem: ChainProblem
+    chain: ParameterChain
+    n: int
+    poly: np.ndarray
+    F: Callable
+    F_ref: float
 
     def value(self, x):
-        f, q, t, y = self._parts(x)
+        pts = _Points(self.problem, x)
+        f, (q, t, y) = pts.f, pts.parts
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = f**-0.5 * q ** (-0.5 * self.n) * P.polyval(t, self.poly) * np.exp(-(self.F(y) - self.F_ref))
         return float(out) if np.ndim(x) == 0 else out
 
     def log_abs(self, x):
         """log |psi_n(x)|, safe for large arguments (used by the probes)."""
-        f, q, t, y = self._parts(x)
+        return self.log_abs_at(_Points(self.problem, x))
+
+    def log_abs_at(self, pts: _Points):
+        """log |psi_n| from this level's P_n and F and the shared parts of ``pts``."""
+        half_log_f, log_q, small, t_small, t_inv, log_t = pts.logs
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            logpref = -0.5 * self.n * np.log(q)
-            return -0.5 * np.log(f) + logpref + _log_abs_polyval(self.poly, t) - (self.F(y) - self.F_ref)
-
-
-def _log_abs_polyval(coeffs: np.ndarray, y):
-    """log |P(y)| that stays finite for |y| far outside the unit scale."""
-    y = np.asarray(y, dtype=float)
-    deg = len(coeffs) - 1
-    small = np.abs(y) <= 1.0
-    out = np.empty(y.shape if y.ndim else (1,))
-    ys = np.atleast_1d(y)
-    sm = np.atleast_1d(small)
-    if np.any(sm):
-        out[sm] = np.log(np.abs(P.polyval(ys[sm], coeffs)) + 1e-300)
-    if np.any(~sm):
-        rev = np.asarray(coeffs)[::-1]
-        yb = ys[~sm]
-        out[~sm] = deg * np.log(np.abs(yb)) + np.log(np.abs(P.polyval(1.0 / yb, rev)) + 1e-300)
-    return float(out[0]) if y.ndim == 0 else out
+            dF = self.F(pts.parts[2]) - self.F_ref
+            log_P = np.empty(small.shape)
+            log_P[small] = np.log(np.abs(P.polyval(t_small, self.poly)) + 1e-300)
+            log_P[~small] = (len(self.poly) - 1) * log_t + np.log(np.abs(P.polyval(t_inv, self.poly[::-1])) + 1e-300)
+            return half_log_f + -0.5 * self.n * log_q + log_P.reshape(pts.x.shape) - dF
 
 
 def _assemble(entry: CatalogEntry, params: dict, n: int) -> _Assembled:
@@ -317,7 +336,8 @@ class AdmissibilityVerdict:
         return self.square_integrable and self.hermiticity_ok
 
 
-def _endpoint_probes(entry: CatalogEntry, side: str):
+def _endpoint_probes(entry: CatalogEntry, problem: ChainProblem, side: str):
+    """(points, whether the end is finite) of one side's endpoint probes."""
     dom = entry.domain
     if side == "left":
         end, sign = dom.x1, +1.0
@@ -326,10 +346,9 @@ def _endpoint_probes(entry: CatalogEntry, side: str):
     if math.isfinite(end):
         scale = dom.length if dom.bounded else 1.0
         s0 = 0.1 * scale
-        return end + sign * s0 * 2.0 ** -np.arange(0, 21), True
+        return _Points(problem, end + sign * s0 * 2.0 ** -np.arange(0, 21)), True
     kmax = int(math.floor(math.log2(entry.probe_bound))) if entry.probe_bound > 1 else 0
-    xs = (2.0 ** np.arange(0, kmax + 1)) * (-sign)
-    return xs, False
+    return _Points(problem, (2.0 ** np.arange(0, kmax + 1)) * (-sign)), False
 
 
 def _f_plateaus(fvals: np.ndarray) -> bool:
@@ -342,12 +361,11 @@ def _f_plateaus(fvals: np.ndarray) -> bool:
     )
 
 
-def _hermiticity_endpoint(assembled: _Assembled, entry: CatalogEntry, side: str):
-    xs, _finite = _endpoint_probes(entry, side)
-    f = np.asarray(assembled.problem.df.f(xs), dtype=float)
+def _hermiticity_endpoint(assembled: _Assembled, side: str, pts: _Points):
+    f = np.asarray(pts.f, dtype=float)
     if _f_plateaus(f):
         return True, {"side": side, "auto": True, "f_limit": float(f[-1])}
-    u = 2.0 * assembled.log_abs(xs) + np.log(f)
+    u = 2.0 * assembled.log_abs_at(pts) + np.log(f)
     u = np.asarray(u, dtype=float)
     finite = np.isfinite(u)
     if not np.any(finite):
@@ -389,6 +407,19 @@ def _panels(entry: CatalogEntry):
     return tuple(base), sides
 
 
+class _Probe:
+    """The probe points of one (entry, params) request, shared by its levels:
+    every panel of ``_panels(entry)`` as a row of Simpson nodes, and the ends."""
+
+    def __init__(self, entry: CatalogEntry, problem: ChainProblem):
+        base, sides = _panels(entry)
+        a, b = np.array([base, *sides[0], *sides[1]]).T
+        self.panels = _Points(problem, np.linspace(a, b, _PANEL_NODES, axis=1))
+        self.weights = _simpson_weights(_PANEL_NODES, ((b - a) / (_PANEL_NODES - 1))[:, None])
+        self.left_end = 1 + len(sides[0])  # rows before it: the base panel and the left side
+        self.ends = {side: _endpoint_probes(entry, problem, side) for side in ("left", "right")}
+
+
 def _classify_side(increments: list, total: float) -> tuple:
     """Final verdict for one side from its full panel-increment sequence.
 
@@ -412,14 +443,14 @@ def _classify_side(increments: list, total: float) -> tuple:
     return ("converged" if last_rel < 1e-6 else "diverged"), {"drift": last_rel}
 
 
-def _exp_decay_certificate(assembled: _Assembled, entry: CatalogEntry, side: str):
+def _exp_decay_certificate(assembled: _Assembled, end: tuple):
     """Endpoint log-slope test: |psi|^2 falling ever faster along geometric
     points certifies exponential decay (always integrable), which the panel
     ratios cannot resolve for rates below ~ln(2)/probe_bound."""
-    xs, finite_end = _endpoint_probes(entry, side)
+    pts, finite_end = end
     if finite_end:
         return False, {}
-    u = 2.0 * np.asarray(assembled.log_abs(xs), dtype=float)
+    u = 2.0 * np.asarray(assembled.log_abs_at(pts), dtype=float)
     u = u[np.isfinite(u)]
     if len(u) < 4:
         return False, {}
@@ -433,31 +464,20 @@ def _exp_decay_certificate(assembled: _Assembled, entry: CatalogEntry, side: str
     return bool(ok), ev
 
 
-def _panel_integrals(assembled: _Assembled, panels: list) -> tuple:
-    """(log_ref, integrals): Simpson integrals of |psi|^2 / e^(2 log_ref) over
-    each panel on 513 nodes, from one ``log_abs`` evaluation of all panels.
-    log_ref is the peak of log |psi| on the first panel; a panel where |psi|^2
-    exceeds e^700 times the reference integrates to inf."""
-    a, b = np.array(panels).T
-    nodes = np.linspace(a, b, _PANEL_NODES, axis=1)
-    lg = assembled.log_abs(nodes.ravel()).reshape(nodes.shape)
+def _square_integrable(assembled: _Assembled, probe: _Probe):
+    """Simpson integrals of |psi|^2 / e^(2 log_ref) on every panel at once, log_ref
+    the peak of log |psi| on the base panel; above e^700 times it a panel is inf."""
+    lg = assembled.log_abs_at(probe.panels)
     ref = float(np.max(lg[0]))
-    lg = lg - ref
+    lg -= ref
     over = np.any(lg > 350.0, axis=1)
-    y = np.exp(2.0 * np.where(over[:, None], -math.inf, lg))
-    w = _simpson_weights(_PANEL_NODES, ((b - a) / (_PANEL_NODES - 1))[:, None])
-    return ref, np.where(over, math.inf, (w * y).sum(axis=1)).tolist()
-
-
-def _square_integrable(assembled: _Assembled, entry: CatalogEntry):
-    base, sides = _panels(entry)
-    ref, integrals = _panel_integrals(assembled, [base, *sides[0], *sides[1]])
+    lg[over] = -math.inf
+    integrals = np.where(over, math.inf, (probe.weights * np.exp(2.0 * lg)).sum(axis=1)).tolist()
     ev: dict = {"log_ref": ref}
     total = integrals[0]
     side_info = []
     ok = True
-    left = 1 + len(sides[0])
-    for side_name, side_incs in zip(("left", "right"), (integrals[1:left], integrals[left:])):
+    for side_name, side_incs in zip(("left", "right"), (integrals[1 : probe.left_end], integrals[probe.left_end :])):
         pre = total
         incs = []
         overflow = False
@@ -470,17 +490,16 @@ def _square_integrable(assembled: _Assembled, entry: CatalogEntry):
             if len(incs) >= 2 and incs[-1] == 0.0 and incs[-2] == 0.0:
                 break  # tail numerically dead
             if len(incs) >= 6:
-                ratios = np.asarray(incs[-4:], dtype=float)
-                ratios = ratios[1:] / np.maximum(ratios[:-1], 1e-300)
                 # blatant sustained blow-up that already dwarfs the bulk
-                if np.all(ratios >= 1.5) and total - pre > 1e3 * max(pre, 1e-300):
+                rising = all(b / max(a, 1e-300) >= 1.5 for a, b in zip(incs[-4:-1], incs[-3:]))
+                if rising and total - pre > 1e3 * max(pre, 1e-300):
                     break
         if overflow:
             verdict, detail = "diverged", {"overflow": True}
         else:
             verdict, detail = _classify_side(incs, total)
             if verdict == "diverged":
-                cert, cert_ev = _exp_decay_certificate(assembled, entry, side_name)
+                cert, cert_ev = _exp_decay_certificate(assembled, probe.ends[side_name])
                 if cert:
                     verdict = "converged"
                     detail = {**detail, **cert_ev, "exp_decay_certificate": True}
@@ -491,16 +510,22 @@ def _square_integrable(assembled: _Assembled, entry: CatalogEntry):
     return ok, ev
 
 
+def admissibility_checks(entry: CatalogEntry, params: dict, levels) -> list:
+    """Numeric verdicts for each level n in ``levels``: quadrature convergence of
+    |psi_n|^2 and the |psi_n|^2 f -> 0 boundary probe (endpoints where f tends
+    to a finite positive constant pass automatically). The probe points and
+    what psi_n needs there apart from n are evaluated once, for all levels."""
+    probe = _Probe(entry, entry.chain_problem(params))
+    verdicts = []
+    for n in levels:
+        assembled = _assemble(entry, params, n)
+        sq, sq_ev = _square_integrable(assembled, probe)
+        left, right = (_hermiticity_endpoint(assembled, side, probe.ends[side][0]) for side in ("left", "right"))
+        evidence = {"square": sq_ev, "left": left[1], "right": right[1]}
+        verdicts.append(AdmissibilityVerdict(sq, bool(left[0] and right[0]), evidence))
+    return verdicts
+
+
 def admissibility_check(entry: CatalogEntry, params: dict, n: int) -> AdmissibilityVerdict:
-    """Numeric verdicts for level n: quadrature convergence of |psi_n|^2 and the
-    |psi_n|^2 f -> 0 boundary probe (endpoints where f tends to a finite positive
-    constant pass automatically)."""
-    assembled = _assemble(entry, params, n)
-    sq, sq_ev = _square_integrable(assembled, entry)
-    left_ok, left_ev = _hermiticity_endpoint(assembled, entry, "left")
-    right_ok, right_ev = _hermiticity_endpoint(assembled, entry, "right")
-    return AdmissibilityVerdict(
-        square_integrable=sq,
-        hermiticity_ok=bool(left_ok and right_ok),
-        evidence={"square": sq_ev, "left": left_ev, "right": right_ev},
-    )
+    """The verdict of ``admissibility_checks`` for level n alone."""
+    return admissibility_checks(entry, params, [n])[0]

@@ -2,18 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from pdem_si import catalog, verification as verif
-from pdem_si.core import ChainError, Grid, Interval, PdemError, ZeroNorm
+from pdem_si.core import ChainError, DeformingFunction, Grid, Interval, PdemError, ZeroNorm
 from pdem_si.oracle import quadrature
+from pdem_si.si_engine import solve_chain
 from pdem_si.wavefunctions import (
+    _PANEL_NODES,
     _Assembled,
     _assemble,
     _classify_side,
+    _descend,
+    _endpoint_probes,
     _exp_decay_certificate,
+    _hermiticity_endpoint,
     _panels,
-    _square_integrable,
     admissibility_check,
+    admissibility_checks,
     excited_state_eval,
     normalize,
     polynomial_chain,
@@ -94,6 +100,62 @@ def test_scarf_class3_degree_cancellation():
             assert resid < 1e-12 * scale
 
 
+def _descend_reference(sp, chain, n):
+    # the descending construction on numpy.polynomial's polyder, polymul and
+    # polyadd, kept as the reference for _descend
+    lam, mu = chain.lambda_seq, chain.mu_seq
+    poly = np.array([1.0])
+    cancels = []
+    for m in range(n):
+        j = n - m - 1
+        dpoly = P.polyder(poly)
+        lam_sum = lam[n] + lam[j]
+        mu_sum = mu[n] + mu[j]
+        if sp.class_id == "class1":
+            ab, bb, cb = sp.barred
+            poly = P.polyadd(
+                -P.polymul(np.array([cb, bb, ab]), dpoly),
+                P.polymul(np.array([mu_sum, lam_sum]), poly),
+            )
+        elif sp.class_id == "class2":
+            ab, bb = sp.barred
+            poly = P.polyadd(
+                P.polymul(np.array([0.0, 2.0 * ab, 2.0 * bb]), dpoly),
+                P.polymul(np.array([lam_sum - m * ab, mu_sum - m * bb]), poly),
+            )
+        else:
+            A, B = sp.consts[0], sp.consts[1]
+            cb, db = sp.barred[2], sp.barred[3]
+            t1 = -P.polymul(np.array([B, 0.0, A]), dpoly)
+            t2 = m * A * P.polymul(np.array([0.0, 1.0]), poly)
+            bracket = P.polyadd(t1, t2)
+            scale = max(np.max(np.abs(t1)) if len(t1) else 0.0, np.max(np.abs(t2)) if len(t2) else 0.0, 1e-300)
+            top = bracket[m + 1] if len(bracket) > m + 1 else 0.0
+            cancels.append((float(abs(top)), float(scale)))
+            bracket = bracket[: m + 1]
+            poly = P.polyadd(
+                P.polymul(np.array([db, cb]), bracket),
+                P.polymul(np.array([mu_sum, lam_sum]), poly),
+            )
+        nz = np.nonzero(poly)[0]
+        poly = poly[: nz[-1] + 1] if len(nz) else poly[:1]
+    return poly, tuple(cancels)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_descend_matches_numpy_polynomial_reference(name):
+    # same coefficients bit for bit, and the same class3 cancellation record
+    entry = catalog.ENTRIES[name]
+    for params in [dict(entry.default_params), *_drawn_params(entry, 7, 40)]:
+        problem = entry.chain_problem(params)
+        chain = solve_chain(problem, 16)
+        for n in range(17):
+            got, got_cancels = _descend(problem.sp, chain, n)
+            want, want_cancels = _descend_reference(problem.sp, chain, n)
+            assert np.array_equal(got, want) and got_cancels == want_cancels, (params, n)
+            assert bool(got_cancels) == (problem.sp.class_id == "class3" and n > 0)
+
+
 def test_box_undeformed_gegenbauer():
     # alpha -> 0: psi_n ~ cos^{n+1} x P_n(tan x) matches cos(x) C_n^(1)(sin x)
     entry = catalog.ENTRIES["box"]
@@ -127,11 +189,13 @@ def test_prefactor_consistency(name):
     params = dict(entry.default_params)
     a, b = verif.residual_window(entry, params)
     xs = np.linspace(a, b, 41)
-    # value() and log_abs() each assemble the prefactors; they must agree
-    assembled = _assemble(entry, params, 0)
-    g0 = np.asarray(assembled.value(xs))
-    e0 = np.exp(np.asarray(assembled.log_abs(xs)))
-    assert np.max(np.abs(e0 - np.abs(g0))) <= 1e-12 * np.max(np.abs(g0))
+    # value() and log_abs() each assemble the prefactors; they must agree,
+    # the q^(-n/2) class prefactor of the excited states included
+    for n in range(4):
+        assembled = _assemble(entry, params, n)
+        g0 = np.asarray(assembled.value(xs))
+        e0 = np.exp(np.asarray(assembled.log_abs(xs)))
+        assert np.max(np.abs(e0 - np.abs(g0))) <= 1e-12 * np.max(np.abs(g0)), n
 
 
 def test_normalize():
@@ -318,7 +382,7 @@ def _square_integrable_reference(assembled, entry):
         else:
             verdict, detail = _classify_side(incs, total)
             if verdict == "diverged":
-                cert, cert_ev = _exp_decay_certificate(assembled, entry, side_name)
+                cert, cert_ev = _exp_decay_certificate(assembled, _endpoint_probes(entry, assembled.problem, side_name))
                 if cert:
                     verdict = "converged"
                     detail = {**detail, **cert_ev, "exp_decay_certificate": True}
@@ -338,13 +402,6 @@ def _same(a, b):
     if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
         return True
     return type(a) is type(b) and a == b
-
-
-def _probe_outcome(probe, entry, params, n):
-    try:
-        return probe(_assemble(entry, params, n), entry)
-    except PdemError as exc:
-        return type(exc).__name__, str(exc)
 
 
 def _probed_levels(entry, params):
@@ -381,33 +438,67 @@ _PROBE_REGIMES = {
 }
 
 
+def _per_level_reference(entry, params, n):
+    # (square integrable, hermiticity ok, evidence) of level n, from the
+    # per-panel reference and this level's own endpoint evaluations
+    assembled = _assemble(entry, params, n)
+    sq, sq_ev = _square_integrable_reference(assembled, entry)
+    left, right = (
+        _hermiticity_endpoint(assembled, side, _endpoint_probes(entry, assembled.problem, side)[0])
+        for side in ("left", "right")
+    )
+    return sq, left[0] and right[0], {"square": sq_ev, "left": left[1], "right": right[1]}
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_batched_probe_matches_per_panel_reference(name):
     # defaults, the regimes of test_robustness.py, known false-FAIL points and
-    # seeded draws: identical verdicts and evidence, NaNs included
+    # seeded draws: every level of one batched call has the verdicts and the
+    # full evidence of the per-level reference, NaNs included
     entry = catalog.ENTRIES[name]
     cases = [dict(entry.default_params), *_PROBE_REGIMES.get(name, []), *_drawn_params(entry, 7, 2)]
     for params in cases:
-        for n in range(_probed_levels(entry, params)):
-            want = _probe_outcome(_square_integrable_reference, entry, params, n)
-            got = _probe_outcome(_square_integrable, entry, params, n)
+        levels = _probed_levels(entry, params)
+        batched = admissibility_checks(entry, params, range(levels))
+        assert len(batched) == levels
+        for n, verdict in enumerate(batched):
+            got = (verdict.square_integrable, verdict.hermiticity_ok, verdict.evidence)
+            want = _per_level_reference(entry, params, n)
             assert _same(got, want), (params, n, got, want)
 
 
 @pytest.mark.parametrize("name", ALL)
 def test_probe_evaluates_each_level_once(monkeypatch, name):
-    # one log_abs call covers every panel of the square-integrability probe;
-    # the endpoint probes sample far fewer than one panel's 513 nodes
+    # each level combines its polynomial with the shared parts once on all
+    # panel nodes together; the endpoint probes sample far fewer points
     sizes = []
-    log_abs = _Assembled.log_abs
+    log_abs_at = _Assembled.log_abs_at
+
+    def counted(self, pts):
+        sizes.append(pts.x.size)
+        return log_abs_at(self, pts)
+
+    monkeypatch.setattr(_Assembled, "log_abs_at", counted)
+    entry = catalog.ENTRIES[name]
+    admissibility_checks(entry, dict(entry.default_params), range(4))
+    assert sum(s >= _PANEL_NODES for s in sizes) == 4, sizes
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_probe_evaluates_f_on_panel_nodes_once(monkeypatch, name):
+    # one batched call evaluates f on the panel nodes once, however many
+    # levels it probes; the endpoint probes sample far fewer points
+    sizes = []
+    f = DeformingFunction.f
 
     def counted(self, x):
         sizes.append(np.size(x))
-        return log_abs(self, x)
+        return f(self, x)
 
-    monkeypatch.setattr(_Assembled, "log_abs", counted)
+    monkeypatch.setattr(DeformingFunction, "f", counted)
     entry = catalog.ENTRIES[name]
-    for n in range(4):
+    params = dict(entry.default_params)
+    for k in (1, _probed_levels(entry, params)):
         sizes.clear()
-        admissibility_check(entry, dict(entry.default_params), n)
-        assert sum(s >= 513 for s in sizes) == 1, (n, sizes)
+        admissibility_checks(entry, params, range(k))
+        assert sum(s >= _PANEL_NODES for s in sizes) == 1, (k, sizes)
