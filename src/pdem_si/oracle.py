@@ -30,6 +30,9 @@ _V_GUARD = 1e14
 _PIVMIN = 1e-290
 _NEWTON_WIDTH = 0.05  # relative bracket width at which an isolated level starts Newton steps
 _NEWTON_SWEEPS = 12  # slope sweeps per level before it finishes by bisection
+_COUNT_WIDTH = 1e-6  # relative bracket width below which a rejected Newton step is a plain count
+_GEOMETRIC_SPAN = 16.0  # magnitude ratio beyond the unit window above which brackets split geometrically
+_GUESS_WIDTH = 1e-5  # relative half-width of the two counts that certify a guess
 
 
 @dataclass(frozen=True)
@@ -133,9 +136,15 @@ def discretize_vonroos(df: DeformingFunction, amb: AmbiguityParams, v: Callable,
     return TridiagonalOperator(diag, off, grid, left_coupling=float(left), right_coupling=float(right))
 
 
+def _sweep_lists(op: TridiagonalOperator) -> tuple:
+    # the diagonal and the squared off-diagonal as lists of Python floats, the
+    # form every scalar sweep loops over fastest
+    return op.diag.tolist(), [e**2 for e in map(float, op.off)]
+
+
 def sturm_count(op: TridiagonalOperator, t: float) -> int:
     """Number of eigenvalues of ``op`` strictly below t (LDL^T sign count)."""
-    return _count(list(map(float, op.diag)), [float(e) ** 2 for e in op.off], float(t))
+    return _count(*_sweep_lists(op), float(t))
 
 
 def _count(d: list, e2: list, t: float) -> int:
@@ -198,50 +207,72 @@ def quadrature(samples: np.ndarray, grid: Grid) -> float:
 
 def _pivots(d: list, e2: list, t: float) -> list:
     # the pivots of _count's LDL^T sweep, zero pivots replaced by -pivmin
-    out = []
+    pivmin = _PIVMIN
     q = d[0] - t
+    if -pivmin < q < pivmin:
+        q = -pivmin
+    out = [q]
+    append = out.append
     for dj, ej in zip(d[1:], e2):
-        out.append(q if not -_PIVMIN < q < _PIVMIN else -_PIVMIN)
-        q = dj - t - ej / out[-1]
-    out.append(q if not -_PIVMIN < q < _PIVMIN else -_PIVMIN)
+        q = dj - t - ej / q
+        if q < pivmin:
+            if q > -pivmin:
+                q = -pivmin
+        append(q)
     return out
 
 
-def _twisted_vector(d: np.ndarray, e: np.ndarray, lam: float) -> np.ndarray:
+def _twisted_vector(op: TridiagonalOperator, d: list, e2: list, lam: float) -> np.ndarray:
     """Eigenvector of T at the eigenvalue lam from one twisted factorization
     (Dhillon & Parlett, Linear Algebra Appl. 387, 2004; LAPACK dlar1v).
 
     The forward pivots D+ of T - lam = L D+ L^T and the backward pivots D- of
     T - lam = U D- U^T give gamma_i = D+_i + D-_i - (d_i - lam), the reciprocal
     of the ith diagonal entry of (T - lam)^-1. Twisting at r = argmin |gamma|
-    gives z with z_r = 1 and (T - lam) z = gamma_r e_r."""
-    dl = list(map(float, d))
-    e2 = [float(x) ** 2 for x in e]
-    fwd = np.array(_pivots(dl, e2, lam))
-    bwd = np.array(_pivots(dl[::-1], e2[::-1], lam)[::-1])
-    r = int(np.argmin(np.abs(fwd + bwd - (d - lam))))
-    z = np.ones(len(dl))
+    gives z with z_r = 1 and (T - lam) z = gamma_r e_r. ``d``, ``e2`` are the
+    sweep lists of T = ``op`` (``_sweep_lists``), built once per operator."""
+    fwd = np.array(_pivots(d, e2, lam))
+    bwd = np.array(_pivots(d[::-1], e2[::-1], lam)[::-1])
+    r = int(np.argmin(np.abs(fwd + bwd - (op.diag - lam))))
+    e = op.off
+    z = np.ones(len(d))
     z[:r] = np.cumprod(-e[:r][::-1] / fwd[:r][::-1])[::-1]
     z[r + 1 :] = np.cumprod(-e[r:] / bwd[r + 1 :])
     return z
 
 
-def _lowest_eigenvalues(d: list, e2: list, gershgorin: tuple, k: int) -> list:
+def _split(a: float, b: float) -> float:
+    """Bisection point of [a, b]: the signed geometric mean of max(1, |a|) and
+    max(1, |b|) while one end lies _GEOMETRIC_SPAN times farther outside the
+    unit window than the other on the same side of it, else the midpoint."""
+    if b <= 1.0 and -a > _GEOMETRIC_SPAN * max(1.0, -b):
+        return -math.sqrt(-a) * math.sqrt(max(1.0, -b))
+    if a >= -1.0 and b > _GEOMETRIC_SPAN * max(1.0, a):
+        return math.sqrt(b) * math.sqrt(max(1.0, a))
+    return 0.5 * (a + b)
+
+
+def _lowest_eigenvalues(d: list, e2: list, gershgorin: tuple, k: int, guess) -> list:
     """The k lowest eigenvalues, each the midpoint of a bracket [lo, hi] with
     count(lo) < m <= count(hi) for level m and hi - lo <= 1e-12 max(1, |lo|, |hi|).
 
     All k brackets are kept at once, and every count tightens each bracket that
-    contains its shift (as LAPACK's dlaebz does). The upper bound gallops up from
-    the Gershgorin lower bound instead of starting at the Gershgorin upper bound.
-    A level bisects until it is isolated (count(lo) = m - 1, count(hi) = m) and
-    its bracket is within _NEWTON_WIDTH relative; then it takes Newton steps on
-    log|det(T - t)| (Li & Zeng, SIAM J. Sci. Comput. 15, 1994). Each step is
-    pushed past the predicted root by a quarter of the stop width, doubled for
-    every step that lands on the same side as the one before, so the bracket
-    closes from both sides even where rounding in d_i - t freezes the slope.
-    A step that leaves the bracket or has a non-finite slope becomes a
-    bisection step, and a level that has spent _NEWTON_SWEEPS slope sweeps
-    finishes by bisection."""
+    contains its shift (as LAPACK's dlaebz does). Each finite guess g first
+    counts at g -+ _GUESS_WIDTH max(1, |g|); a good guess certifies its level's
+    bracket at that relative width, and a wrong one costs only its two counts.
+    Unless the guesses have already bounded the top level, the upper bound
+    gallops up from the Gershgorin lower bound instead of starting at the
+    Gershgorin upper bound. A level bisects (``_split``) until it is isolated
+    (count(lo) = m - 1, count(hi) = m) and its bracket is within _NEWTON_WIDTH
+    relative; then it takes Newton steps on log|det(T - t)| (Li & Zeng, SIAM J.
+    Sci. Comput. 15, 1994). Each step is pushed past the predicted root by a
+    quarter of the stop width, doubled for every step that lands on the same
+    side as the one before, so the bracket closes from both sides even where
+    rounding in d_i - t freezes the slope. A step that leaves the bracket or
+    has a non-finite slope becomes a bisection step: a plain count once the
+    bracket is within _COUNT_WIDTH relative, where the slope has nothing left
+    to say, else a slope sweep at the midpoint. A level that has spent
+    _NEWTON_SWEEPS slope sweeps finishes by bisection."""
     glo, ghi = gershgorin
     lo, hi = [glo] * k, [ghi] * k
     clo, chi = [0] * k, [len(d)] * k
@@ -254,12 +285,18 @@ def _lowest_eigenvalues(d: list, e2: list, gershgorin: tuple, k: int) -> list:
                 else:
                     lo[j], clo[j] = t, c
 
+    for g in guess:
+        g = float(g)
+        if not math.isfinite(g):
+            continue
+        w = _GUESS_WIDTH * max(1.0, abs(g))
+        for t in (g - w, g + w):
+            if any(a < t < b for a, b in zip(lo, hi)):
+                tighten(t, _count(d, e2, t))
+
     step = max(1.0, abs(glo))
-    while glo + step < ghi:
-        c = _count(d, e2, glo + step)
-        tighten(glo + step, c)
-        if c >= k:
-            break
+    while hi[-1] == ghi and glo + step < ghi:
+        tighten(glo + step, _count(d, e2, glo + step))
         step *= 2.0
 
     for j in range(k):
@@ -270,16 +307,19 @@ def _lowest_eigenvalues(d: list, e2: list, gershgorin: tuple, k: int) -> list:
             scale = max(1.0, abs(a), abs(b))
             if b - a <= 1e-12 * scale:
                 break
-            mid = 0.5 * (a + b)
             if clo[j] != j or chi[j] != j + 1 or b - a > _NEWTON_WIDTH * scale or sweeps == _NEWTON_SWEEPS:
-                tighten(mid, _count(d, e2, mid))
+                x = _split(a, b)
+                tighten(x, _count(d, e2, x))
                 continue
-            x = mid
+            x = 0.5 * (a + b)
             if slope is not None and math.isfinite(slope) and slope != 0.0:
                 x = t - 1.0 / slope
                 x += math.copysign(reach * 1e-12 * max(1.0, abs(x)), x - t)
                 if not a < x < b:
-                    x = mid
+                    x = 0.5 * (a + b)
+                    if b - a <= _COUNT_WIDTH * scale:
+                        tighten(x, _count(d, e2, x))
+                        continue
             t = x
             c, slope = _count_slope(d, e2, t)
             reach = 2.0 * reach if (c > j) == above else 0.25
@@ -289,14 +329,18 @@ def _lowest_eigenvalues(d: list, e2: list, gershgorin: tuple, k: int) -> list:
     return [0.5 * (a + b) for a, b in zip(lo, hi)]
 
 
-def eigenpairs(op: TridiagonalOperator, k: int) -> Spectrum:
+def eigenpairs(op: TridiagonalOperator, k: int, guess=None) -> Spectrum:
     """The k lowest eigenvalues, read-only, from shared Sturm brackets with a
-    Newton finish (``_lowest_eigenvalues``); ``eigenvectors`` gives the vectors."""
+    Newton finish (``_lowest_eigenvalues``); ``eigenvectors`` gives the vectors.
+
+    ``guess`` is an optional sequence of approximate eigenvalues (the spectrum
+    of a nearby operator); each is certified by two counts or costs only them,
+    so the returned values meet the same bracket bound whatever it holds. A
+    solve without guesses gives level j the same bits for every k > j."""
     if k < 1 or k > op.n:
         raise ParameterError(f"k must be in 1..{op.n}")
-    d = list(map(float, op.diag))
-    e2 = [float(e) ** 2 for e in op.off]
-    eigvals = np.array(_lowest_eigenvalues(d, e2, op.gershgorin(), k))
+    d, e2 = _sweep_lists(op)
+    eigvals = np.array(_lowest_eigenvalues(d, e2, op.gershgorin(), k, () if guess is None else guess))
     # cached spectra are shared between callers, so no caller may edit them
     eigvals.setflags(write=False)
     return Spectrum(eigenvalues=eigvals, eigenvectors=None)
@@ -315,8 +359,9 @@ def eigenvectors(op: TridiagonalOperator, eigvals) -> np.ndarray:
     w = _simpson_weights(op.grid.n_points, op.grid.spacing)
     abs_op = TridiagonalOperator(np.abs(op.diag), np.abs(op.off), op.grid)
     rows = []
+    d, e2 = _sweep_lists(op)
     for lam in np.asarray(eigvals, dtype=float).tolist():
-        v = _twisted_vector(op.diag, op.off, lam)
+        v = _twisted_vector(op, d, e2, lam)
         v /= np.linalg.norm(v)
         resid = np.linalg.norm(op.apply_interior(v) - lam * v)
         floor = 64.0 * np.finfo(float).eps * np.linalg.norm(abs_op.apply_interior(np.abs(v)))

@@ -233,9 +233,9 @@ def test_requests_for_one_matrix_share_one_solve(monkeypatch):
     params = dict(entry.default_params)
     solve, calls = verif.eigenpairs, []
 
-    def counted(op, k):
+    def counted(op, k, *args, **kwargs):
         calls.append(k)
-        return solve(op, k)
+        return solve(op, k, *args, **kwargs)
 
     monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
     monkeypatch.setattr(verif, "eigenpairs", counted)
@@ -249,9 +249,9 @@ def test_requests_for_one_matrix_share_one_solve(monkeypatch):
 def _count_solves(monkeypatch):
     solve, calls = verif.eigenpairs, []
 
-    def counted(op, k):
+    def counted(op, k, *args, **kwargs):
         calls.append((op, k))
-        return solve(op, k)
+        return solve(op, k, *args, **kwargs)
 
     monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
     monkeypatch.setattr(verif, "eigenpairs", counted)
@@ -328,7 +328,7 @@ def test_vector_that_misses_the_residual_bound_raises(monkeypatch):
     # a NaN residual must fail the acceptance test as well as a large one
     op = _box_operator(0.5, 401)
     for bad in (np.ones, lambda n: np.full(n, np.nan)):
-        monkeypatch.setattr(oracle, "_twisted_vector", lambda d, e, lam, bad=bad: bad(len(d)))
+        monkeypatch.setattr(oracle, "_twisted_vector", lambda op, d, e2, lam, bad=bad: bad(op.n))
         with pytest.raises(ConvergenceError):
             eigenvectors(op, eigenpairs(op, 2).eigenvalues)
 
@@ -376,3 +376,111 @@ def test_sweeps_per_level_bounded(monkeypatch):
     spec = eigenpairs(_box_operator(0.5, 4001), 4)
     assert len(sweeps) <= 24 * 4, len(sweeps)
     assert np.allclose(spec.eigenvalues, [1.5 * (n + 1) ** 2 for n in range(4)], rtol=1e-4)
+
+
+def _reference_pivots(d, e2, t):
+    # the pivot sweep as first written, kept to pin the faster one bit for bit
+    out = []
+    q = d[0] - t
+    for dj, ej in zip(d[1:], e2):
+        out.append(q if not -oracle._PIVMIN < q < oracle._PIVMIN else -oracle._PIVMIN)
+        q = dj - t - ej / out[-1]
+    out.append(q if not -oracle._PIVMIN < q < oracle._PIVMIN else -oracle._PIVMIN)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
+def test_eigenvectors_match_reference_pivot_sweep(name, monkeypatch):
+    entry = catalog.ENTRIES[name]
+    params = dict(entry.default_params)
+    op = discretize_deformed(entry.deforming(params), entry.v_eff(params), verif.oracle_grid(entry, params))
+    eigvals = eigenpairs(op, 4).eigenvalues
+    got = eigenvectors(op, eigvals)
+    monkeypatch.setattr(oracle, "_pivots", _reference_pivots)
+    assert np.array_equal(got, eigenvectors(op, eigvals))
+
+
+def _assert_certified(op, eigvals):
+    for m, lam in enumerate(eigvals, start=1):
+        w = 1e-12 * max(1.0, abs(lam)) + 4.0 * math.ulp(lam)
+        assert sturm_count(op, lam - w) <= m - 1, (m, lam)
+        assert sturm_count(op, lam + w) >= m, (m, lam)
+
+
+def _assert_near(got, cold):
+    assert np.all(np.abs(got - cold) <= 1e-12 * np.maximum(1.0, np.abs(cold))), (got, cold)
+
+
+@pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
+def test_warm_started_vonroos_levels_are_certified(name, monkeypatch):
+    # the deformed levels only seed the solve: the von Roos levels keep the
+    # bracket bound and agree with a solve that starts from the Gershgorin bounds
+    monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
+    entry = catalog.ENTRIES[name]
+    params = dict(entry.default_params)
+    grid = verif.oracle_grid(entry, params, which="equivalence")
+    for preset in PRESETS:
+        amb = AmbiguityParams.preset(preset)
+        warm = verif.vonroos_spectrum(entry, params, amb, 4).eigenvalues
+        op = verif._operator(entry, params, amb, grid)
+        _assert_certified(op, warm)
+        _assert_near(warm, eigenpairs(op, 4).eigenvalues)
+
+
+@pytest.mark.parametrize("name", ("box", "coulomb", "hyperbolic_poschl_teller"))
+def test_bad_guesses_still_give_certified_levels(name):
+    entry = catalog.ENTRIES[name]
+    params = dict(entry.default_params)
+    op = verif._operator(entry, params, None, verif.oracle_grid(entry, params, which="equivalence"))
+    cold = eigenpairs(op, 4).eigenvalues
+    for guess in (1.1 * cold, cold[::-1], np.repeat(cold, 2), [math.nan, -math.inf, cold[1]], []):
+        got = eigenpairs(op, 4, guess=guess).eigenvalues
+        _assert_certified(op, got)
+        _assert_near(got, cold)
+
+
+@pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
+def test_vonroos_spectrum_does_not_depend_on_the_cache(name, monkeypatch):
+    entry = catalog.ENTRIES[name]
+    params = dict(entry.default_params)
+    amb = AmbiguityParams.preset("bdd")
+    monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
+    levels = verif.spectral_equivalence(entry, params, amb)["levels"]
+    after = verif.vonroos_spectrum(entry, params, amb, levels).eigenvalues
+    monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
+    assert np.array_equal(verif.vonroos_spectrum(entry, params, amb, levels).eigenvalues, after)
+
+
+def _record_sweeps(monkeypatch):
+    shifts = {"_count": [], "_count_slope": []}
+    for name, seen in shifts.items():
+        sweep = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda d, e2, t, sweep=sweep, seen=seen: seen.append((t, len(d))) or sweep(d, e2, t))
+    monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
+    return shifts
+
+
+def test_sweep_shifts_are_floats(monkeypatch):
+    # a numpy scalar shift would make every later sweep step a numpy operation
+    shifts = _record_sweeps(monkeypatch)
+    for name in ("box", "coulomb"):
+        entry = catalog.ENTRIES[name]
+        for _ in verif.verify_entry(entry, dict(entry.default_params)):
+            pass
+    assert shifts["_count"] and shifts["_count_slope"]
+    assert all(type(t) is float for seen in shifts.values() for t, _ in seen)
+
+
+def test_solver_work_in_verify_all(monkeypatch):
+    # the deterministic sweep counters of ``verify --potential all``; a slope
+    # sweep costs about 1.8 counts at N = 16001
+    shifts = _record_sweeps(monkeypatch)
+    for name in sorted(catalog.ENTRIES):
+        entry = catalog.ENTRIES[name]
+        for _ in verif.verify_entry(entry, dict(entry.default_params)):
+            pass
+    counts, slopes = shifts["_count"], shifts["_count_slope"]
+    steps = sum(n for _, n in counts) + 1.8 * sum(n for _, n in slopes)
+    print(f"\nsolver work: {len(counts)} counts, {len(slopes)} slope sweeps, {steps:.4g} weighted pivot steps")
+    assert steps <= 8.2e6, steps
+    assert len(slopes) <= 480, len(slopes)
