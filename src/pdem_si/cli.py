@@ -9,6 +9,7 @@ default oracle grid size.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -314,6 +315,7 @@ def _cmd_sweep(ns) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pdem-si",

@@ -2,9 +2,9 @@
 Sturm-count eigenvalues (``eigenpairs``), eigenvectors at given eigenvalues
 (``eigenvectors``, one twisted factorization each), Simpson quadrature.
 
-Both discretizations use midpoint (staggered) coefficients so the matrices are
-exactly symmetric; boundary nodes carry Dirichlet conditions and are excluded
-from the matrix.
+One midpoint (staggered) stencil, ``discretize_vonroos``, forms every operator,
+the deformed one as the ordering DEFORMED; the matrices are exactly symmetric,
+and boundary nodes carry Dirichlet conditions outside the matrix.
 """
 from __future__ import annotations
 
@@ -20,11 +20,10 @@ from .core import (
     ConvergenceError,
     DeformingFunction,
     Grid,
-    NonPositiveError,
     ParameterError,
     SingularPotential,
-    deforming_eval,
 )
+from .ordering import v_tilde_eval
 
 _V_GUARD = 1e14
 _PIVMIN = 1e-290
@@ -85,55 +84,32 @@ class Spectrum:
     eigenvectors: Optional[np.ndarray]  # rows on the full grid, Simpson-normalized
 
 
+# the deformed kinetic term: pi^2 with pi = sqrt(f) p sqrt(f) is the ordering f^1/2 d f d f^1/2, where V~ = 0
+DEFORMED = AmbiguityParams(0.5, 0.5)
+
+
 def discretize_deformed(df: DeformingFunction, v_eff: Callable, grid: Grid) -> TridiagonalOperator:
-    """H = S T_f S + diag(V_eff), S = diag(sqrt f), T_f the symmetric flux form."""
-    x = grid.nodes()
-    h = grid.spacing
-    xi = x[1:-1]
-    f = np.asarray(df.f(xi), dtype=float)
-    fm = np.asarray(df.f(grid.midpoints()), dtype=float)
-    if np.any(f <= 0.0) or np.any(fm <= 0.0):
-        raise NonPositiveError("deforming function must be positive on the grid")
-    V = np.asarray(v_eff(xi), dtype=float)
-    if np.any(~np.isfinite(V)) or np.any(np.abs(V) > _V_GUARD):
-        raise SingularPotential("potential exceeds overflow guard at an interior node")
-    s = np.sqrt(f)
-    diag = f * (fm[1:] + fm[:-1]) / h**2 + V
-    off = -s[:-1] * fm[1:-1] * s[1:] / h**2
-    sb = np.sqrt(np.asarray(df.f(x[[0, -1]]), dtype=float))
-    return TridiagonalOperator(
-        diag,
-        off,
-        grid,
-        left_coupling=float(-s[0] * fm[0] * sb[0] / h**2),
-        right_coupling=float(-s[-1] * fm[-1] * sb[1] / h**2),
-    )
+    """H = S T_f S + diag(V_eff), S = diag(sqrt f), T_f the symmetric flux form:
+    the ordered stencil at DEFORMED."""
+    return discretize_vonroos(df, DEFORMED, v_eff, grid)
 
 
 def discretize_vonroos(df: DeformingFunction, amb: AmbiguityParams, v: Callable, grid: Grid) -> TridiagonalOperator:
-    """Symmetric discretization of the mass-power ordered kinetic term plus diag(V),
-    with M = 1/f^2 and the exponents ``amb.primed``."""
-    xi_p, eta_p, zeta_p = amb.primed
+    """The ordered kinetic term -(A d B d C + C d B d A)/2 plus diag(V), with
+    A = f^xi, B = f^eta, C = f^zeta (the mass powers of M = 1/f^2). Each edge
+    couples its end nodes by -(A B C' + C B A')/(2 h^2), B at its midpoint; the
+    outer two edges give the boundary couplings."""
     x = grid.nodes()
     h = grid.spacing
-    xin = x[1:-1]
-    M = np.asarray(deforming_eval(df, xin).M, dtype=float)
-    Mm = np.asarray(deforming_eval(df, grid.midpoints()).M, dtype=float)
-    if np.any(M <= 0.0) or np.any(Mm <= 0.0):
-        raise NonPositiveError("mass field must be positive on the grid")
-    V = np.asarray(v(xin), dtype=float)
+    f = np.asarray(df.f(x), dtype=float)
+    B = np.asarray(df.f(grid.midpoints()), dtype=float) ** amb.eta
+    V = np.asarray(v(x[1:-1]), dtype=float)
     if np.any(~np.isfinite(V)) or np.any(np.abs(V) > _V_GUARD):
         raise SingularPotential("potential exceeds overflow guard at an interior node")
-    A = M**xi_p
-    B = Mm**eta_p
-    C = M**zeta_p
-    diag = A * C * (B[1:] + B[:-1]) / h**2 + V
-    off = -0.5 * B[1:-1] * (A[:-1] * C[1:] + C[:-1] * A[1:]) / h**2
-    Mb = np.asarray(deforming_eval(df, x[[0, -1]]).M, dtype=float)
-    Ab, Cb = Mb**xi_p, Mb**zeta_p
-    left = -0.5 * B[0] * (A[0] * Cb[0] + C[0] * Ab[0]) / h**2
-    right = -0.5 * B[-1] * (A[-1] * Cb[1] + C[-1] * Ab[1]) / h**2
-    return TridiagonalOperator(diag, off, grid, left_coupling=float(left), right_coupling=float(right))
+    A, C = f**amb.xi, f**amb.zeta
+    edge = -0.5 * (A[:-1] * B * C[1:] + C[:-1] * B * A[1:]) / h**2
+    diag = f[1:-1] ** (amb.xi + amb.zeta) * (B[1:] + B[:-1]) / h**2 + V
+    return TridiagonalOperator(diag, edge[1:-1], grid, left_coupling=float(edge[0]), right_coupling=float(edge[-1]))
 
 
 def _sweep_lists(op: TridiagonalOperator) -> tuple:
@@ -378,34 +354,22 @@ def eigenvectors(op: TridiagonalOperator, eigvals) -> np.ndarray:
     return vectors
 
 
-def _test_battery(grid: Grid) -> list:
-    x = grid.nodes()
-    a, b = grid.interval.x1, grid.interval.x2
-    mid = 0.5 * (a + b)
-    width = b - a
-    u = (x - mid) / width
-    bump = np.exp(-16.0 * u**2)
-    window = np.sin(2.0 * x) * np.cos(np.pi * u) ** 2
-    return [bump, window]
+def _battery_deviation(op: TridiagonalOperator, ref: TridiagonalOperator) -> tuple:
+    """(max |op psi - ref psi| off the two nodes next to each boundary, max
+    |ref psi|) over a smooth test battery, boundary couplings included."""
+    x = ref.grid.nodes()
+    a, b = ref.grid.interval.x1, ref.grid.interval.x2
+    u = (x - 0.5 * (a + b)) / (b - a)
+    dev = scale = 0.0
+    for psi in (np.exp(-16.0 * u**2), np.sin(2.0 * x) * np.cos(np.pi * u) ** 2):
+        lhs, rhs = op.apply(psi), ref.apply(psi)
+        dev = max(dev, float(np.max(np.abs(lhs[2:-2] - rhs[2:-2]))))
+        scale = max(scale, float(np.max(np.abs(rhs))))
+    return dev, scale
 
 
 def equivalence_check(df: DeformingFunction, amb: AmbiguityParams, v: Callable, grid: Grid) -> float:
-    """Max interior deviation between the ordered kinetic operator acting on V and
-    the deformed operator acting on V_eff = V + V~, over a smooth test battery.
-
-    The two nodes adjacent to each boundary are excluded.
-    """
-    from .ordering import v_tilde_eval
-
-    op_def = discretize_deformed(
-        df,
-        lambda t: np.asarray(v(t), dtype=float) + np.asarray(v_tilde_eval(df, amb, t), dtype=float),
-        grid,
-    )
-    op_vr = discretize_vonroos(df, amb, v, grid)
-    dev = 0.0
-    for psi in _test_battery(grid):
-        lhs = op_vr.apply(psi)
-        rhs = op_def.apply(psi)
-        dev = max(dev, float(np.max(np.abs(lhs[2:-2] - rhs[2:-2]))))
-    return dev
+    """Max interior deviation between the ordered operator on V and the deformed
+    operator (the ordering DEFORMED) on V_eff = V + V~, over the test battery."""
+    op_def = discretize_deformed(df, lambda t: np.asarray(v(t), dtype=float) + v_tilde_eval(df, amb, t), grid)
+    return _battery_deviation(discretize_vonroos(df, amb, v, grid), op_def)[0]

@@ -1,10 +1,10 @@
 """Scalar formulas tying the ordered kinetic term to the deformed-operator form.
 
-The ordering term is V~ = rho*f*f'' + sigma*f'^2; the kinetic operator written
-with mass powers M^{xi'} d/dx M^{eta'} d/dx M^{zeta'} (symmetrized) equals the
-deformed kinetic operator -(sqrt(f) d/dx sqrt(f))^2 plus V~, which
-``oracle.equivalence_check`` verifies operator-by-operator on the discretized
-operators.
+The kinetic term of ordering (xi, zeta), -(f^xi d/dx f^eta d/dx f^zeta)
+symmetrized, equals the deformed kinetic term -(sqrt(f) d/dx sqrt(f))^2 plus the
+ordering term V~ = rho*f*f'' + sigma*f'^2. The deformed term is itself the
+ordering (1/2, 1/2), where rho = sigma = 0, so ``oracle.equivalence_check``
+compares two orderings of one discretized operator.
 """
 from __future__ import annotations
 

@@ -13,8 +13,8 @@ import numpy as np
 from .catalog import CatalogEntry
 from .core import AmbiguityParams, Grid, Interval, positivity_check
 from .ordering import recover_initial_potential, v_tilde_eval
-from .oracle import Spectrum, TridiagonalOperator, _test_battery, discretize_deformed, discretize_vonroos, eigenpairs
-from .oracle import eigenvectors, equivalence_check, quadrature, sturm_count
+from .oracle import DEFORMED, Spectrum, TridiagonalOperator, _battery_deviation, discretize_vonroos, eigenpairs
+from .oracle import eigenvectors, quadrature, sturm_count
 from .si_engine import ParameterChain, chain_residuals, solve_chain, w_eval
 from .wavefunctions import _assemble, admissibility_checks, excited_state_eval, normalized_state
 
@@ -48,9 +48,9 @@ def deformed_spectrum(
     want_vectors: bool = False,
 ) -> Spectrum:
     grid = oracle_grid(entry, params, n_override, which)
-    spec = _cached_solve(entry, params, None, grid, k)
+    spec = _cached_solve(entry, params, DEFORMED, grid, k)
     if want_vectors:  # vectors at the cached eigenvalues; only the eigenvalues are cached
-        spec = Spectrum(spec.eigenvalues, eigenvectors(_operator(entry, params, None, grid), spec.eigenvalues))
+        spec = Spectrum(spec.eigenvalues, eigenvectors(_operator(entry, params, DEFORMED, grid), spec.eigenvalues))
     return spec
 
 
@@ -61,19 +61,18 @@ def vonroos_spectrum(entry: CatalogEntry, params: dict, amb: AmbiguityParams, k:
     the discretization error of these; the oracle certifies them as guesses,
     so the result is the same whether they were cached or not."""
     grid = oracle_grid(entry, params, which="equivalence")
-    guess = _cached_solve(entry, params, None, grid, k).eigenvalues.tolist()
+    guess = _cached_solve(entry, params, DEFORMED, grid, k).eigenvalues.tolist()
     return _cached_solve(entry, params, amb, grid, k, guess=guess)
 
 
-def _operator(entry: CatalogEntry, params: dict, amb: Optional[AmbiguityParams], grid: Grid) -> TridiagonalOperator:
-    """The deformed operator on V_eff if ``amb`` is None, else the von Roos one on the recovered V."""
+def _operator(entry: CatalogEntry, params: dict, amb: AmbiguityParams, grid: Grid) -> TridiagonalOperator:
+    """The operator of ordering ``amb`` on the initial potential recovered from
+    V_eff; at DEFORMED, where V~ vanishes, that is the deformed operator on V_eff."""
     df, v_eff = entry.deforming(params), entry.v_eff(params)
-    if amb is None:
-        return discretize_deformed(df, v_eff, grid)
     return discretize_vonroos(df, amb, lambda x: recover_initial_potential(df, amb, v_eff, x), grid)
 
 
-def _cached_solve(entry: CatalogEntry, params: dict, amb: Optional[AmbiguityParams], grid: Grid, k: int, op=None, guess=None):
+def _cached_solve(entry: CatalogEntry, params: dict, amb: AmbiguityParams, grid: Grid, k: int, op=None, guess=None):
     """One eigenvalue solve per (operator, grid, k), shared by every request; ``op`` is it if already built.
     ``guess`` goes to ``eigenpairs`` and must follow from the key alone."""
     key = (entry.name, _params_key(params), amb, grid, k)
@@ -188,7 +187,7 @@ def eigen_residual(entry: CatalogEntry, params: dict, n: int) -> float:
     Boundary couplings are included, so no Dirichlet assumption is made."""
     a, b = residual_window(entry, params)
     grid = Grid(Interval(a, b), _FINE_POINTS)
-    op = _operator(entry, params, None, grid)
+    op = _operator(entry, params, DEFORMED, grid)
     assembled = _assemble(entry, params, n)
     psi = np.asarray(assembled.value(grid.nodes()), dtype=float)
     energy = assembled.chain.energy(n)
@@ -273,31 +272,26 @@ def spectral_equivalence(entry: CatalogEntry, params: dict, amb: AmbiguityParams
     grid = oracle_grid(entry, params, which="equivalence")
     op, nlev = None, 4
     if math.isfinite(edge):  # one operator build for the count and the solve
-        op = _operator(entry, params, None, grid)
+        op = _operator(entry, params, DEFORMED, grid)
         nlev = min(4, sturm_count(op, edge - 1e-9))
     if nlev < 1:
         return None
-    spec_d = _cached_solve(entry, params, None, grid, nlev, op)
+    spec_d = _cached_solve(entry, params, DEFORMED, grid, nlev, op)
     spec_v = vonroos_spectrum(entry, params, amb, nlev)
     rel = np.abs(spec_v.eigenvalues - spec_d.eigenvalues) / np.maximum(1e-12, np.abs(spec_d.eigenvalues))
     return {"levels": nlev, "max_rel_dev": float(np.max(rel))}
 
 
 def equivalence_deviation(entry: CatalogEntry, params: dict, amb: AmbiguityParams) -> dict:
-    """Pointwise operator-level ordering-identity deviation on the entry grid.
+    """Pointwise ordering-identity deviation between the two operators that
+    ``spectral_equivalence`` solves, the ordered one on the recovered V and the
+    deformed one on V_eff, on the equivalence grid.
 
-    Returned relative to the action scale: where the deformation grows steeply
-    the raw operator values do too, so only the ratio is grid-size invariant."""
+    Returned relative to the action scale (the largest deformed action): where
+    the deformation grows steeply the raw operator values do too, so only the
+    ratio is grid-size invariant."""
     grid = oracle_grid(entry, params, which="equivalence")
-    df = entry.deforming(params)
-    v_eff = entry.v_eff(params)
-
-    def v_initial(x):
-        return recover_initial_potential(df, amb, v_eff, x)
-
-    dev = equivalence_check(df, amb, v_initial, grid)
-    op = _operator(entry, params, None, grid)
-    scale = max(float(np.max(np.abs(op.apply(psi)))) for psi in _test_battery(grid))
+    dev, scale = _battery_deviation(_operator(entry, params, amb, grid), _operator(entry, params, DEFORMED, grid))
     return {"max_dev": dev, "action_scale": scale, "rel_dev": dev / max(scale, 1e-300)}
 
 

@@ -184,6 +184,49 @@ def test_vonroos_constant_mass_matches_deformed():
     assert np.array_equal(a.diag, b.diag) and np.array_equal(a.off, b.off)
 
 
+def _reference_deformed(df, v_eff, grid):
+    # the deformed stencil as first written, in sqrt(f), kept to pin the
+    # ordered stencil at DEFORMED bit for bit
+    x = grid.nodes()
+    h = grid.spacing
+    f = np.asarray(df.f(x[1:-1]), dtype=float)
+    fm = np.asarray(df.f(grid.midpoints()), dtype=float)
+    s = np.sqrt(f)
+    diag = f * (fm[1:] + fm[:-1]) / h**2 + np.asarray(v_eff(x[1:-1]), dtype=float)
+    off = -s[:-1] * fm[1:-1] * s[1:] / h**2
+    sb = np.sqrt(np.asarray(df.f(x[[0, -1]]), dtype=float))
+    return diag, off, -s[0] * fm[0] * sb[0] / h**2, -s[-1] * fm[-1] * sb[1] / h**2
+
+
+@pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
+def test_deformed_operator_matches_reference_stencil(name):
+    entry = catalog.ENTRIES[name]
+    params = dict(entry.default_params)
+    df, v_eff = entry.deforming(params), entry.v_eff(params)
+    grids = [verif.oracle_grid(entry, params, which=which) for which in ("energy", "equivalence")]
+    for grid in grids + [verif.oracle_grid(entry, params, 16001)]:
+        op = discretize_deformed(df, v_eff, grid)
+        diag, off, left, right = _reference_deformed(df, v_eff, grid)
+        assert np.array_equal(op.diag, diag) and np.array_equal(op.off, off)
+        # the couplings multiply the same three factors, the left one in another order
+        assert abs(op.left_coupling - left) <= 2.0 * math.ulp(left) and op.right_coupling == right
+
+
+def test_equivalence_deviation_builds_two_operators(monkeypatch):
+    built = []
+
+    def counted(*args, real=discretize_vonroos):
+        built.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(verif, "discretize_vonroos", counted)
+    monkeypatch.setattr(oracle, "discretize_vonroos", counted)
+    entry = catalog.ENTRIES["scarf_i"]
+    amb = AmbiguityParams.preset("bdd")
+    verif.equivalence_deviation(entry, dict(entry.default_params), amb)
+    assert len(built) == 2 and set(built) == {amb, oracle.DEFORMED}
+
+
 def test_guards():
     grid = Grid(Interval(-math.pi / 2, math.pi / 2), 101)
     bad = DeformingFunction("trig_sin2", {"alpha": -1.5})
@@ -431,7 +474,7 @@ def test_warm_started_vonroos_levels_are_certified(name, monkeypatch):
 def test_bad_guesses_still_give_certified_levels(name):
     entry = catalog.ENTRIES[name]
     params = dict(entry.default_params)
-    op = verif._operator(entry, params, None, verif.oracle_grid(entry, params, which="equivalence"))
+    op = verif._operator(entry, params, oracle.DEFORMED, verif.oracle_grid(entry, params, which="equivalence"))
     cold = eigenpairs(op, 4).eigenvalues
     for guess in (1.1 * cold, cold[::-1], np.repeat(cold, 2), [math.nan, -math.inf, cold[1]], []):
         got = eigenpairs(op, 4, guess=guess).eigenvalues
