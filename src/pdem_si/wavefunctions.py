@@ -32,7 +32,7 @@ _LN_EPS = math.log(1e-8)
 # edge or tail panels per open end in the square-integrability probe
 _EDGE_PANELS = 21
 # Simpson nodes per panel of that probe
-_PANEL_NODES = 513
+_PANEL_NODES = 129
 
 
 # ---------------------------------------------------------------------------

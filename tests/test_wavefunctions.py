@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from pdem_si import catalog, verification as verif
+from pdem_si import catalog, verification as verif, wavefunctions
 from pdem_si.core import ChainError, DeformingFunction, Grid, Interval, PdemError, ZeroNorm
 from pdem_si.oracle import quadrature
 from pdem_si.si_engine import solve_chain
 from pdem_si.wavefunctions import (
     _PANEL_NODES,
     _Assembled,
+    _Probe,
     _assemble,
     _classify_side,
     _descend,
@@ -344,12 +345,12 @@ def _square_integrable_reference(assembled, entry):
     # the probe with one log_abs call and one quadrature per panel, kept as the
     # reference for the batched probe
     base, sides = _panels(entry)
-    ref_nodes = np.linspace(base[0], base[1], 513)
+    ref_nodes = np.linspace(base[0], base[1], _PANEL_NODES)
     ref = float(np.max(assembled.log_abs(ref_nodes)))
     ev: dict = {"log_ref": ref}
 
     def panel_integral(a, b):
-        grid = Grid(Interval(a, b), 513)
+        grid = Grid(Interval(a, b), _PANEL_NODES)
         lg = assembled.log_abs(grid.nodes())
         if np.any(lg - ref > 350.0):
             return math.inf
@@ -412,12 +413,12 @@ def _probed_levels(entry, params):
     return min(counting.levels(verif.AUTO_LEVELS) + (counting.kind == "finite"), verif.AUTO_LEVELS)
 
 
-def _drawn_params(entry, seed, draws):
-    # each default scaled by e^U, U uniform in [-1.2, 1.2], redrawn until valid
+def _drawn_params(entry, seed, draws, spread=1.2):
+    # each default scaled by e^U, U uniform in [-spread, spread], redrawn until valid
     rng = np.random.default_rng(seed)
     found = []
     while len(found) < draws:
-        p = {k: v * math.exp(rng.uniform(-1.2, 1.2)) for k, v in entry.default_params.items()}
+        p = {k: v * math.exp(rng.uniform(-spread, spread)) for k, v in entry.default_params.items()}
         try:
             entry.validate(p)
         except PdemError:
@@ -431,11 +432,46 @@ _PROBE_REGIMES = {
         {"e2": 1.0, "l": 1.0, "alpha": 0.1},
         {"e2": 1e6, "l": 0.0, "alpha": 0.1},
         {"e2": 0.669, "l": 1.0, "alpha": 0.3102},
+        {"e2": 0.9218, "l": 0.0, "alpha": 0.1002},
     ],
     "eckart": [{"A": 2.0, "B": 5.0, "alpha": 0.8}, {"A": 2.1222, "B": 6.2799, "alpha": -0.9425}],
     "morse": [{"A": 2.5, "B": 7.0, "alpha": 1.0}, {"A": 1.0832, "B": 0.9487, "alpha": 1.4426}],
     "oscillator_3d": [{"omega": 1.0, "l": 1.0, "alpha": 1.0}],
 }
+
+
+def _counting_boundaries(entry, params, rel=1e-6, spread=2.5, steps=21):
+    # the points rel (relative) either side of each place where the counting
+    # rule changes as one parameter alone moves from params by e^U, U in
+    # [-spread, spread], each place found by bisecting U
+    def counting(key, u):
+        p = {**params, key: params[key] * math.exp(u)}
+        try:
+            entry.validate(p)
+        except PdemError:
+            return None
+        return str(entry.counting(p))
+
+    us = np.linspace(-spread, spread, steps)
+    found = []
+    for key in entry.param_names:
+        counts = [counting(key, u) for u in us]
+        for lo, hi, c_lo, c_hi in zip(us[:-1], us[1:], counts[:-1], counts[1:]):
+            if None in (c_lo, c_hi) or c_lo == c_hi:
+                continue
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                c = counting(key, mid)
+                if c is None:
+                    break
+                if c == c_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            else:
+                edge = params[key] * math.exp(0.5 * (lo + hi))
+                found += [{**params, key: edge * (1.0 + d)} for d in (-rel, rel)]
+    return found
 
 
 def _per_level_reference(entry, params, n):
@@ -465,6 +501,23 @@ def test_batched_probe_matches_per_panel_reference(name):
             got = (verdict.square_integrable, verdict.hermiticity_ok, verdict.evidence)
             want = _per_level_reference(entry, params, n)
             assert _same(got, want), (params, n, got, want)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_probe_rows_are_simpson_rules(name):
+    # Simpson weights need an odd node count; with an even one every row would
+    # silently integrate wrong. Each row integrates x^3 on its panel exactly,
+    # to 1e-12 of the integral of max|x|^3 (a symmetric panel integrates to 0)
+    assert _PANEL_NODES % 2 == 1
+    entry = catalog.ENTRIES[name]
+    probe = _Probe(entry, entry.chain_problem(dict(entry.default_params)))
+    x = probe.panels.x
+    assert probe.weights.shape == x.shape == (len(x), _PANEL_NODES)
+    a, b = x[:, 0], x[:, -1]
+    got = (probe.weights * x**3).sum(axis=1)
+    want = (b - a) * (a + b) * (a * a + b * b) / 4.0
+    scale = (b - a) * np.maximum(abs(a), abs(b)) ** 3
+    assert np.all(abs(got - want) <= 1e-12 * scale), (got, want)
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -502,3 +555,29 @@ def test_probe_evaluates_f_on_panel_nodes_once(monkeypatch, name):
         sizes.clear()
         admissibility_checks(entry, params, range(k))
         assert sum(s >= _PANEL_NODES for s in sizes) == 1, (k, sizes)
+
+
+def _verdicts(entry, params):
+    levels = range(_probed_levels(entry, params))
+    return [(v.square_integrable, v.hermiticity_ok) for v in admissibility_checks(entry, params, levels)]
+
+
+def test_probe_verdicts_match_513_nodes(monkeypatch):
+    # the probe's node count rests on this: every probed level reads the same
+    # verdicts at _PANEL_NODES Simpson nodes per panel as at 513, at the
+    # defaults, the regimes above, wide seeded draws and both sides of every
+    # counting boundary along one parameter
+    cases = []
+    for name in ALL:
+        entry = catalog.ENTRIES[name]
+        base = dict(entry.default_params)
+        edges = _counting_boundaries(entry, base)
+        assert all(str(entry.counting(p)) != str(entry.counting(q)) for p, q in zip(edges[::2], edges[1::2]))
+        points = [base, *_PROBE_REGIMES.get(name, []), *_drawn_params(entry, 11, 4, spread=2.5), *edges]
+        cases += [(entry, p) for p in points]
+    coarse = [_verdicts(entry, p) for entry, p in cases]
+    monkeypatch.setattr(wavefunctions, "_PANEL_NODES", 513)
+    fine = [_verdicts(entry, p) for entry, p in cases]
+    print(f"\n{len(cases)} points, {sum(map(len, fine))} levels: verdicts compared at {_PANEL_NODES} and 513 nodes per panel")
+    differ = [(entry.name, p, c, f) for (entry, p), c, f in zip(cases, coarse, fine) if c != f]
+    assert not differ, differ
