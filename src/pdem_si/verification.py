@@ -28,6 +28,8 @@ _CHAIN_DEPTH = 5
 # the discrete-derivative and eigen-residual checks
 _WINDOW_NODES = 101
 _FINE_POINTS = 8001
+# the ordered-vs-deformed Richardson pair runs at _PAIR_POINTS and 2 _PAIR_POINTS - 1 points, so h halves
+_PAIR_POINTS = 501
 
 
 def _params_key(params: dict) -> tuple:
@@ -56,13 +58,17 @@ def deformed_spectrum(
 
 def vonroos_spectrum(entry: CatalogEntry, params: dict, amb: AmbiguityParams, k: int) -> Spectrum:
     """Lowest k levels of the mass-ordered operator on the recovered initial
-    potential, on the entry's equivalence grid. The solve starts from the
-    deformed levels on the same grid, which the paper's equivalence puts within
-    the discretization error of these; the oracle certifies them as guesses,
-    so the result is the same whether they were cached or not."""
-    grid = oracle_grid(entry, params, which="equivalence")
-    guess = _cached_solve(entry, params, DEFORMED, grid, k).eigenvalues.tolist()
-    return _cached_solve(entry, params, amb, grid, k, guess=guess)
+    potential, on the entry's equivalence grid."""
+    return _deformed_then_ordered(entry, params, amb, oracle_grid(entry, params, which="equivalence"), k)[1]
+
+
+def _deformed_then_ordered(entry: CatalogEntry, params: dict, amb: AmbiguityParams, grid: Grid, k: int) -> tuple:
+    """(deformed, ordered) lowest k levels on ``grid``. The ordered solve starts
+    from the deformed levels, which the paper's equivalence puts within the
+    discretization error of its own; the oracle certifies them as guesses, so
+    the result is the same whether they were cached or not."""
+    deformed = _cached_solve(entry, params, DEFORMED, grid, k)
+    return deformed, _cached_solve(entry, params, amb, grid, k, guess=deformed.eigenvalues.tolist())
 
 
 def _operator(entry: CatalogEntry, params: dict, amb: AmbiguityParams, grid: Grid) -> TridiagonalOperator:
@@ -264,28 +270,37 @@ def oracle_vs_chain(entry: CatalogEntry, params: dict) -> Optional[dict]:
 
 
 def spectral_equivalence(entry: CatalogEntry, params: dict, amb: AmbiguityParams) -> Optional[dict]:
-    """Von Roos spectrum on the recovered V vs deformed spectrum on V_eff.
-
-    Levels compared are those below the truncation-induced continuum edge
-    (at most 4, counted by one Sturm count); None when no level qualifies."""
+    """Von Roos spectrum on the recovered V vs deformed spectrum on V_eff, as a
+    Richardson pair: D = E_vonRoos - E_deformed per level on the equivalence
+    interval at h and h/2, reported as (4 D(h/2) - D(h))/3 where the order ratio
+    D(h)/D(h/2) lies in [3, 5], else as D(h/2), relative to the fine deformed
+    level. Levels compared are those below the truncation-induced continuum
+    edge (at most 4, counted by one Sturm count); None when none qualifies."""
+    coarse, fine = (oracle_grid(entry, params, n, "equivalence") for n in (_PAIR_POINTS, 2 * _PAIR_POINTS - 1))
     edge = entry.continuum_edge(params)
-    grid = oracle_grid(entry, params, which="equivalence")
-    op, nlev = None, 4
+    nlev = 4
     if math.isfinite(edge):  # one operator build for the count and the solve
-        op = _operator(entry, params, DEFORMED, grid)
+        op = _operator(entry, params, DEFORMED, fine)
         nlev = min(4, sturm_count(op, edge - 1e-9))
-    if nlev < 1:
-        return None
-    spec_d = _cached_solve(entry, params, DEFORMED, grid, nlev, op)
-    spec_v = vonroos_spectrum(entry, params, amb, nlev)
-    rel = np.abs(spec_v.eigenvalues - spec_d.eigenvalues) / np.maximum(1e-12, np.abs(spec_d.eigenvalues))
-    return {"levels": nlev, "max_rel_dev": float(np.max(rel))}
+        if nlev < 1:
+            return None
+        _cached_solve(entry, params, DEFORMED, fine, nlev, op)
+    (def_h, vr_h), (def_h2, vr_h2) = (_deformed_then_ordered(entry, params, amb, g, nlev) for g in (coarse, fine))
+    d_h, d_h2 = vr_h.eigenvalues - def_h.eigenvalues, vr_h2.eigenvalues - def_h2.eigenvalues
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = d_h / d_h2
+    richardson = (ratio >= 3.0) & (ratio <= 5.0)
+    dev = np.where(richardson, (4.0 * d_h2 - d_h) / 3.0, d_h2)
+    rel = np.abs(dev) / np.maximum(1e-12, np.abs(def_h2.eigenvalues))
+    reported = ["richardson" if r else "fine" for r in richardson]
+    return {"levels": nlev, "max_rel_dev": float(np.max(rel)), "d_h": d_h.tolist(), "d_h2": d_h2.tolist(),
+            "order_ratio": ratio.tolist(), "reported": reported}
 
 
 def equivalence_deviation(entry: CatalogEntry, params: dict, amb: AmbiguityParams) -> dict:
     """Pointwise ordering-identity deviation between the two operators that
     ``spectral_equivalence`` solves, the ordered one on the recovered V and the
-    deformed one on V_eff, on the equivalence grid.
+    deformed one on V_eff, on the equivalence recipe's grid.
 
     Returned relative to the action scale (the largest deformed action): where
     the deformation grows steeply the raw operator values do too, so only the

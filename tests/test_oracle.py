@@ -23,7 +23,7 @@ from pdem_si.oracle import (
     quadrature,
     sturm_count,
 )
-from pdem_si.ordering import recover_initial_potential
+from pdem_si.ordering import recover_initial_potential, v_tilde_eval
 from pdem_si.wavefunctions import excited_state_eval, normalize
 
 PRESETS = ("bdd", "bastard", "zk", "lk")
@@ -258,6 +258,9 @@ def _equivalence_cases():
         entry = catalog.ENTRIES[name]
         yield name, dict(entry.default_params)
     yield "eckart", {"A": 1.5, "B": 2.5, "alpha": -2.0}
+    # scan points whose single-grid gap exceeded 1e-6 before the Richardson pair
+    yield "morse", {"A": 1.0832, "B": 0.9487, "alpha": 1.4426}
+    yield "morse", {"A": 0.5616, "B": 1.1535, "alpha": 1.4487}
 
 
 @pytest.mark.parametrize("name,params", list(_equivalence_cases()), ids=lambda v: str(v))
@@ -270,23 +273,44 @@ def test_spectral_equivalence_all_presets(name, params):
         assert res["max_rel_dev"] < 1e-6, (name, preset, res)
 
 
+@pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
+def test_spectral_equivalence_pair_is_second_order(name):
+    # D(h)/D(h/2) near 4 on every level: the reported value is the extrapolated one
+    entry = catalog.ENTRIES[name]
+    params = dict(entry.default_params)
+    for preset in PRESETS:
+        res = verif.spectral_equivalence(entry, params, AmbiguityParams.preset(preset))
+        assert all(3.0 <= r <= 5.0 for r in res["order_ratio"]), (name, preset, res)
+        assert res["reported"] == ["richardson"] * res["levels"]
+        assert len(res["d_h"]) == len(res["d_h2"]) == res["levels"]
+
+
+def test_spectral_equivalence_keeps_its_power(monkeypatch):
+    # V~ off by 1e-4 in the von Roos potential must read above the 1e-6 tolerance
+    def perturbed(df, amb, v_eff, x):
+        return np.asarray(v_eff(x), dtype=float) - (1.0 + 1e-4) * v_tilde_eval(df, amb, x)
+
+    monkeypatch.setattr(verif, "recover_initial_potential", perturbed)
+    monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
+    for name in sorted(catalog.ENTRIES):
+        entry = catalog.ENTRIES[name]
+        res = verif.spectral_equivalence(entry, dict(entry.default_params), AmbiguityParams.preset("bastard"))
+        assert res["max_rel_dev"] > 1e-6, (name, res)
+
+
 def test_requests_for_one_matrix_share_one_solve(monkeypatch):
-    # box solves the same deformed matrix for the energy and equivalence grids
+    # box: one energy solve on the 4,001-point recipe grid, and the deformed and
+    # von Roos solves on each grid of the equivalence pair; no matrix twice
+    calls = _count_solves(monkeypatch)
     entry = catalog.ENTRIES["box"]
     params = dict(entry.default_params)
-    solve, calls = verif.eigenpairs, []
-
-    def counted(op, k, *args, **kwargs):
-        calls.append(k)
-        return solve(op, k, *args, **kwargs)
-
-    monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
-    monkeypatch.setattr(verif, "eigenpairs", counted)
     for _ in verif.verify_entry(entry, params):
         pass
-    assert len(calls) == 2  # deformed and von Roos
+    pair = 2 * verif._PAIR_POINTS - 1
+    assert sorted(op.grid.n_points for op, _ in calls) == [verif._PAIR_POINTS] * 2 + [pair] * 2 + [4001]
+    assert len(verif._SPECTRUM_CACHE) == len(calls)  # each solve filled its own (operator, grid, k) key
     assert verif.deformed_spectrum(entry, params, 4) is verif.deformed_spectrum(entry, params, 4, which="equivalence")
-    assert len(calls) == 2
+    assert len(calls) == 5
 
 
 def _count_solves(monkeypatch):
@@ -322,12 +346,14 @@ def test_equivalence_solves_only_the_levels_it_compares(monkeypatch):
         pass
     levels = verif.spectral_equivalence(entry, params, AmbiguityParams.preset("bdd"))["levels"]
     assert levels < 4
-    grid = verif.oracle_grid(entry, params, which="equivalence")
-    deformed = discretize_deformed(entry.deforming(params), entry.v_eff(params), grid)
-    on_grid = [(op, k) for op, k in calls if op.grid == grid]
-    assert len(on_grid) == 2  # deformed and von Roos
-    assert all(k == levels for _, k in on_grid)
-    assert any(np.array_equal(op.diag, deformed.diag) for op, _ in on_grid)
+    assert not any(op.grid == verif.oracle_grid(entry, params, which="equivalence") for op, _ in calls)
+    for n in (verif._PAIR_POINTS, 2 * verif._PAIR_POINTS - 1):
+        grid = verif.oracle_grid(entry, params, n, "equivalence")
+        deformed = discretize_deformed(entry.deforming(params), entry.v_eff(params), grid)
+        on_grid = [(op, k) for op, k in calls if op.grid == grid]
+        assert len(on_grid) == 2  # deformed and von Roos
+        assert all(k == levels for _, k in on_grid)
+        assert any(np.array_equal(op.diag, deformed.diag) for op, _ in on_grid)
 
 
 def test_eigenvectors_converge_on_fine_grid():
@@ -523,7 +549,11 @@ def test_solver_work_in_verify_all(monkeypatch):
         for _ in verif.verify_entry(entry, dict(entry.default_params)):
             pass
     counts, slopes = shifts["_count"], shifts["_count_slope"]
-    steps = sum(n for _, n in counts) + 1.8 * sum(n for _, n in slopes)
-    print(f"\nsolver work: {len(counts)} counts, {len(slopes)} slope sweeps, {steps:.4g} weighted pivot steps")
-    assert steps <= 8.2e6, steps
-    assert len(slopes) <= 480, len(slopes)
+    slope_steps = sum(n for _, n in slopes)
+    steps = sum(n for _, n in counts) + 1.8 * slope_steps
+    print(
+        f"\nsolver work: {len(counts)} counts, {len(slopes)} slope sweeps of {slope_steps} pivot steps,"
+        f" {steps:.4g} weighted pivot steps"
+    )
+    assert steps <= 4.4e6, steps
+    assert slope_steps <= 1.6e6, slope_steps
