@@ -30,7 +30,6 @@ _PIVMIN = 1e-290
 _NEWTON_WIDTH = 0.05  # relative bracket width at which an isolated level starts Newton steps
 _NEWTON_SWEEPS = 12  # slope sweeps per level before it finishes by bisection
 _COUNT_WIDTH = 1e-6  # relative bracket width below which a rejected Newton step is a plain count
-_GEOMETRIC_SPAN = 16.0  # magnitude ratio beyond the unit window above which brackets split geometrically
 _GUESS_WIDTH = 1e-5  # relative half-width of the two counts that certify a guess
 
 
@@ -217,17 +216,6 @@ def _twisted_vector(op: TridiagonalOperator, d: list, e2: list, lam: float) -> n
     return z
 
 
-def _split(a: float, b: float) -> float:
-    """Bisection point of [a, b]: the signed geometric mean of max(1, |a|) and
-    max(1, |b|) while one end lies _GEOMETRIC_SPAN times farther outside the
-    unit window than the other on the same side of it, else the midpoint."""
-    if b <= 1.0 and -a > _GEOMETRIC_SPAN * max(1.0, -b):
-        return -math.sqrt(-a) * math.sqrt(max(1.0, -b))
-    if a >= -1.0 and b > _GEOMETRIC_SPAN * max(1.0, a):
-        return math.sqrt(b) * math.sqrt(max(1.0, a))
-    return 0.5 * (a + b)
-
-
 def _lowest_eigenvalues(d: list, e2: list, gershgorin: tuple, k: int, guess) -> list:
     """The k lowest eigenvalues, each the midpoint of a bracket [lo, hi] with
     count(lo) < m <= count(hi) for level m and hi - lo <= 1e-12 max(1, |lo|, |hi|).
@@ -238,7 +226,7 @@ def _lowest_eigenvalues(d: list, e2: list, gershgorin: tuple, k: int, guess) -> 
     bracket at that relative width, and a wrong one costs only its two counts.
     Unless the guesses have already bounded the top level, the upper bound
     gallops up from the Gershgorin lower bound instead of starting at the
-    Gershgorin upper bound. A level bisects (``_split``) until it is isolated
+    Gershgorin upper bound. A level bisects at the midpoint until it is isolated
     (count(lo) = m - 1, count(hi) = m) and its bracket is within _NEWTON_WIDTH
     relative; then it takes Newton steps on log|det(T - t)| (Li & Zeng, SIAM J.
     Sci. Comput. 15, 1994). Each step is pushed past the predicted root by a
@@ -283,11 +271,10 @@ def _lowest_eigenvalues(d: list, e2: list, gershgorin: tuple, k: int, guess) -> 
             scale = max(1.0, abs(a), abs(b))
             if b - a <= 1e-12 * scale:
                 break
+            x = 0.5 * (a + b)
             if clo[j] != j or chi[j] != j + 1 or b - a > _NEWTON_WIDTH * scale or sweeps == _NEWTON_SWEEPS:
-                x = _split(a, b)
                 tighten(x, _count(d, e2, x))
                 continue
-            x = 0.5 * (a + b)
             if slope is not None and math.isfinite(slope) and slope != 0.0:
                 x = t - 1.0 / slope
                 x += math.copysign(reach * 1e-12 * max(1.0, abs(x)), x - t)

@@ -42,33 +42,13 @@ def oracle_grid(entry: CatalogEntry, params: dict, n_override: Optional[int] = N
 
 
 def deformed_spectrum(
-    entry: CatalogEntry,
-    params: dict,
-    k: int,
-    n_override: Optional[int] = None,
-    which: str = "energy",
-    want_vectors: bool = False,
+    entry: CatalogEntry, params: dict, k: int, n_override: Optional[int] = None, want_vectors: bool = False
 ) -> Spectrum:
-    grid = oracle_grid(entry, params, n_override, which)
+    grid = oracle_grid(entry, params, n_override)
     spec = _cached_solve(entry, params, DEFORMED, grid, k)
     if want_vectors:  # vectors at the cached eigenvalues; only the eigenvalues are cached
         spec = Spectrum(spec.eigenvalues, eigenvectors(_operator(entry, params, DEFORMED, grid), spec.eigenvalues))
     return spec
-
-
-def vonroos_spectrum(entry: CatalogEntry, params: dict, amb: AmbiguityParams, k: int) -> Spectrum:
-    """Lowest k levels of the mass-ordered operator on the recovered initial
-    potential, on the entry's equivalence grid."""
-    return _deformed_then_ordered(entry, params, amb, oracle_grid(entry, params, which="equivalence"), k)[1]
-
-
-def _deformed_then_ordered(entry: CatalogEntry, params: dict, amb: AmbiguityParams, grid: Grid, k: int) -> tuple:
-    """(deformed, ordered) lowest k levels on ``grid``. The ordered solve starts
-    from the deformed levels, which the paper's equivalence puts within the
-    discretization error of its own; the oracle certifies them as guesses, so
-    the result is the same whether they were cached or not."""
-    deformed = _cached_solve(entry, params, DEFORMED, grid, k)
-    return deformed, _cached_solve(entry, params, amb, grid, k, guess=deformed.eigenvalues.tolist())
 
 
 def _operator(entry: CatalogEntry, params: dict, amb: AmbiguityParams, grid: Grid) -> TridiagonalOperator:
@@ -275,7 +255,12 @@ def spectral_equivalence(entry: CatalogEntry, params: dict, amb: AmbiguityParams
     interval at h and h/2, reported as (4 D(h/2) - D(h))/3 where the order ratio
     D(h)/D(h/2) lies in [3, 5], else as D(h/2), relative to the fine deformed
     level. Levels compared are those below the truncation-induced continuum
-    edge (at most 4, counted by one Sturm count); None when none qualifies."""
+    edge (at most 4, counted by one Sturm count); None when none qualifies.
+
+    On each grid the von Roos solve starts from the deformed levels, which the
+    paper's equivalence puts within the discretization error of its own; the
+    oracle certifies them as guesses, so the result is the same whether the
+    deformed levels were cached or not."""
     coarse, fine = (oracle_grid(entry, params, n, "equivalence") for n in (_PAIR_POINTS, 2 * _PAIR_POINTS - 1))
     edge = entry.continuum_edge(params)
     nlev = 4
@@ -285,13 +270,16 @@ def spectral_equivalence(entry: CatalogEntry, params: dict, amb: AmbiguityParams
         if nlev < 1:
             return None
         _cached_solve(entry, params, DEFORMED, fine, nlev, op)
-    (def_h, vr_h), (def_h2, vr_h2) = (_deformed_then_ordered(entry, params, amb, g, nlev) for g in (coarse, fine))
-    d_h, d_h2 = vr_h.eigenvalues - def_h.eigenvalues, vr_h2.eigenvalues - def_h2.eigenvalues
+    d = []
+    for grid in (coarse, fine):
+        deformed = _cached_solve(entry, params, DEFORMED, grid, nlev).eigenvalues
+        d.append(_cached_solve(entry, params, amb, grid, nlev, guess=deformed.tolist()).eigenvalues - deformed)
+    d_h, d_h2 = d
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = d_h / d_h2
     richardson = (ratio >= 3.0) & (ratio <= 5.0)
     dev = np.where(richardson, (4.0 * d_h2 - d_h) / 3.0, d_h2)
-    rel = np.abs(dev) / np.maximum(1e-12, np.abs(def_h2.eigenvalues))
+    rel = np.abs(dev) / np.maximum(1e-12, np.abs(deformed))  # deformed: the fine grid's levels
     reported = ["richardson" if r else "fine" for r in richardson]
     return {"levels": nlev, "max_rel_dev": float(np.max(rel)), "d_h": d_h.tolist(), "d_h2": d_h2.tolist(),
             "order_ratio": ratio.tolist(), "reported": reported}

@@ -142,11 +142,9 @@ def test_criterion_08_ordering_identity():
         assert dev < 1e-6, (preset, dev)
     for name, params in (("box", {"alpha": 0.5}), ("morse", {"A": 1.0, "B": 1.0, "alpha": 0.5})):
         entry = lookup(name)
-        spec_d = verif.deformed_spectrum(entry, params, 4, which="equivalence")
         for preset in ("bdd", "zk"):
-            spec_v = verif.vonroos_spectrum(entry, params, AmbiguityParams.preset(preset), 4)
-            rel = np.abs(spec_v.eigenvalues - spec_d.eigenvalues) / np.abs(spec_d.eigenvalues)
-            assert np.max(rel) < 1e-6, (name, preset, rel)
+            res = verif.spectral_equivalence(entry, params, AmbiguityParams.preset(preset))
+            assert res["max_rel_dev"] < 1e-6, (name, preset, res)
     _report(8, "ordering identity < 1e-6 (test family, 4 presets); ordered vs deformed spectra < 1e-6 (box, morse)")
 
 

@@ -309,7 +309,6 @@ def test_requests_for_one_matrix_share_one_solve(monkeypatch):
     pair = 2 * verif._PAIR_POINTS - 1
     assert sorted(op.grid.n_points for op, _ in calls) == [verif._PAIR_POINTS] * 2 + [pair] * 2 + [4001]
     assert len(verif._SPECTRUM_CACHE) == len(calls)  # each solve filled its own (operator, grid, k) key
-    assert verif.deformed_spectrum(entry, params, 4) is verif.deformed_spectrum(entry, params, 4, which="equivalence")
     assert len(calls) == 5
 
 
@@ -481,17 +480,18 @@ def _assert_near(got, cold):
 
 
 @pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
-def test_warm_started_vonroos_levels_are_certified(name, monkeypatch):
+def test_warm_started_vonroos_levels_are_certified(name):
     # the deformed levels only seed the solve: the von Roos levels keep the
-    # bracket bound and agree with a solve that starts from the Gershgorin bounds
-    monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
+    # bracket bound and agree with a solve that starts from the Gershgorin
+    # bounds, on the fine grid of the pair that ``ordered vs deformed spectra`` solves
     entry = catalog.ENTRIES[name]
     params = dict(entry.default_params)
-    grid = verif.oracle_grid(entry, params, which="equivalence")
+    grid = verif.oracle_grid(entry, params, 2 * verif._PAIR_POINTS - 1, "equivalence")
+    deformed = eigenpairs(verif._operator(entry, params, oracle.DEFORMED, grid), 4).eigenvalues
     for preset in PRESETS:
         amb = AmbiguityParams.preset(preset)
-        warm = verif.vonroos_spectrum(entry, params, amb, 4).eigenvalues
         op = verif._operator(entry, params, amb, grid)
+        warm = eigenpairs(op, 4, deformed.tolist()).eigenvalues
         _assert_certified(op, warm)
         _assert_near(warm, eigenpairs(op, 4).eigenvalues)
 
@@ -510,14 +510,17 @@ def test_bad_guesses_still_give_certified_levels(name):
 
 @pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
 def test_vonroos_spectrum_does_not_depend_on_the_cache(name, monkeypatch):
+    # from a cold cache, and with the fine deformed solve already cached
     entry = catalog.ENTRIES[name]
     params = dict(entry.default_params)
     amb = AmbiguityParams.preset("bdd")
     monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
-    levels = verif.spectral_equivalence(entry, params, amb)["levels"]
-    after = verif.vonroos_spectrum(entry, params, amb, levels).eigenvalues
+    cold = verif.spectral_equivalence(entry, params, amb)
     monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
-    assert np.array_equal(verif.vonroos_spectrum(entry, params, amb, levels).eigenvalues, after)
+    fine = verif.oracle_grid(entry, params, 2 * verif._PAIR_POINTS - 1, "equivalence")
+    verif._cached_solve(entry, params, oracle.DEFORMED, fine, cold["levels"])
+    warm = verif.spectral_equivalence(entry, params, amb)
+    assert warm["d_h"] == cold["d_h"] and warm["d_h2"] == cold["d_h2"]
 
 
 def _record_sweeps(monkeypatch):

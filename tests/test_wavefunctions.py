@@ -7,11 +7,12 @@ from numpy.polynomial import polynomial as P
 from pdem_si import catalog, verification as verif, wavefunctions
 from pdem_si.core import ChainError, DeformingFunction, Grid, Interval, PdemError, ZeroNorm
 from pdem_si.oracle import quadrature
-from pdem_si.si_engine import solve_chain
+from pdem_si.si_engine import SuperpotentialClass, solve_chain
 from pdem_si.wavefunctions import (
     _PANEL_NODES,
     _Assembled,
     _Probe,
+    _antideriv,
     _assemble,
     _classify_side,
     _descend,
@@ -243,6 +244,35 @@ def test_eckart_alpha_minus_two_value_tail():
         vals = np.asarray(excited_state_eval(entry, p, n, xs))
         assert np.all(np.isfinite(vals))
         assert np.max(np.abs(vals)) == 0.0
+
+
+# superpotential forms outside the catalog, (class, phi, consts, primed): each
+# zeroes a barred coefficient and so selects an antiderivative branch of its own
+_OFF_CATALOG_FORMS = [
+    ("class1", "x", (0.0, 0.0, 1.0), (0.0, 0.7, 0.3)),  # ab = 0, bb != 0
+    ("class1", "x", (0.0, 0.0, 1.0), (0.0, 0.0, 0.5)),  # ab = bb = 0
+    ("class2", "inv_x", (-1.0, 0.0), (1.0, 0.5)),  # ab = 0
+    ("class2", "inv_x", (-1.0, 0.0), (0.3, 0.0)),  # bb = 0
+    ("class3", "sin", (-1.0, 1.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.5)),  # cb = 0
+]
+
+
+@pytest.mark.parametrize("class_id,phi,consts,primed", _OFF_CATALOG_FORMS)
+def test_antiderivative_branches_off_the_catalog(class_id, phi, consts, primed):
+    # F' is the ground-state integrand W / (f phi') in the class variable y,
+    # where f phi' is the barred polynomial of the class
+    sp = SuperpotentialClass(class_id, phi, consts, primed)
+    lam, mu, h = 1.3, -0.4, 1e-6
+    bar, y = sp.barred, np.linspace(0.15, 0.85, 15)
+    if class_id == "class1":
+        integrand = (lam * y + mu) / (bar[0] * y**2 + bar[1] * y + bar[2])
+    elif class_id == "class2":
+        integrand = (lam * y + mu / y) / (bar[0] * y**2 + bar[1])
+    else:  # A = -1, B = 1: W and f phi' share the factor sqrt(1 - y^2)
+        integrand = (lam * y + mu) / ((bar[2] * y + bar[3]) * (1.0 - y**2))
+    F = _antideriv(sp, lam, mu)
+    dev = np.abs((F(y + h) - F(y - h)) / (2.0 * h) - integrand)
+    assert np.all(dev < 1e-8 * np.maximum(1.0, np.abs(integrand))), dev
 
 
 def test_polynomial_chain_guards():
