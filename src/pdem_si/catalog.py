@@ -70,8 +70,8 @@ class CatalogEntry:
     ``v_tilde_closed(params, rho, sigma, x)`` (None when nothing is printed).
 
     Unset recipes follow from the domain: a bounded domain is its own oracle
-    recipe at 4001 points, and the equivalence recipe defaults to the oracle
-    recipe. ``probe_bound`` and ``sq_int_scale`` are read at infinite ends.
+    recipe at 4001 points and its own equivalence interval. ``probe_bound`` and
+    ``sq_int_scale`` are read at infinite ends.
     """
 
     name: str
@@ -92,20 +92,20 @@ class CatalogEntry:
     counting: Callable
     v_tilde_closed: Optional[Callable]
     oracle_recipe: Optional[Callable] = None
-    equivalence_recipe: Optional[Callable] = None
+    equivalence_interval: Optional[Interval] = None
     continuum_edge: Callable = lambda p: math.inf
     probe_bound: float = math.nan
     sq_int_scale: float = math.nan
     energy_discrepancy: Optional[str] = None
 
     def __post_init__(self):
+        if not self.domain.bounded and (self.oracle_recipe is None or self.equivalence_interval is None):
+            raise ParameterError(f"{self.name}: an unbounded domain needs an oracle recipe and an equivalence interval")
         if self.oracle_recipe is None:
-            if not self.domain.bounded:
-                raise ParameterError(f"{self.name}: an unbounded domain needs an oracle recipe")
             recipe = OracleRecipe(self.domain.x1, self.domain.x2, 4001)
             object.__setattr__(self, "oracle_recipe", lambda p: recipe)
-        if self.equivalence_recipe is None:
-            object.__setattr__(self, "equivalence_recipe", self.oracle_recipe)
+        if self.equivalence_interval is None:
+            object.__setattr__(self, "equivalence_interval", self.domain)
 
     @property
     def param_names(self) -> tuple:
@@ -315,7 +315,7 @@ def _make_hyp_pt() -> CatalogEntry:
         counting=lambda p: CountingResult.zero(),
         v_tilde_closed=None,
         oracle_recipe=lambda p: OracleRecipe(-6.0, 6.0, 4001),
-        equivalence_recipe=lambda p: OracleRecipe(-3.5, 3.5, 16001),
+        equivalence_interval=Interval(-3.5, 3.5),
         continuum_edge=lambda p: 0.0,
         probe_bound=120.0,
         sq_int_scale=16.0,
@@ -400,7 +400,7 @@ def _make_shifted() -> CatalogEntry:
         counting=lambda p: CountingResult.infinite(),
         v_tilde_closed=vtilde,
         oracle_recipe=lambda p: OracleRecipe(-25.0, 25.0, 4001),
-        equivalence_recipe=lambda p: OracleRecipe(-12.0, 12.0, 8001),
+        equivalence_interval=Interval(-12.0, 12.0),
         probe_bound=2.0**40,
         sq_int_scale=16.0,
     )
@@ -458,7 +458,7 @@ def _make_osc3d() -> CatalogEntry:
         v_tilde_closed=lambda p, r, s, x: 2.0 * (r + 2.0 * s) * p["alpha"] ** 2 * np.asarray(x, dtype=float) ** 2
         + 2.0 * r * p["alpha"],
         oracle_recipe=lambda p: OracleRecipe(1e-4, 64.0, 8001),
-        equivalence_recipe=lambda p: OracleRecipe(1e-4, 24.0, 8001),
+        equivalence_interval=Interval(1e-4, 24.0),
         probe_bound=2.0**40,
         sq_int_scale=16.0,
     )
@@ -531,7 +531,7 @@ def _make_coulomb() -> CatalogEntry:
         v_tilde_closed=lambda p, r, s, x: s * p["alpha"] ** 2 * np.ones_like(np.asarray(x, dtype=float)),
         # slow second-order oracle convergence near the 1/x singularity; relaxed tolerance
         oracle_recipe=lambda p: OracleRecipe(1e-3, 512.0, 8001, rel_tol=5e-3, level_cap=2),
-        equivalence_recipe=lambda p: OracleRecipe(1e-3, 30.0, 8001),
+        equivalence_interval=Interval(1e-3, 30.0),
         continuum_edge=lambda p: 0.0,
         probe_bound=2.0**40,
         sq_int_scale=16.0,
@@ -635,7 +635,7 @@ def _make_morse() -> CatalogEntry:
         v_tilde_closed=lambda p, r, s, x: (r + s) * p["alpha"] ** 2 * np.exp(-2.0 * np.asarray(x, dtype=float))
         + r * p["alpha"] * np.exp(-np.asarray(x, dtype=float)),
         oracle_recipe=recipe,
-        equivalence_recipe=lambda p: OracleRecipe(-6.0, 20.0, 8001),
+        equivalence_interval=Interval(-6.0, 20.0),
         continuum_edge=lambda p: 0.0,
         probe_bound=240.0,
         sq_int_scale=16.0,
@@ -731,7 +731,7 @@ def _make_eckart() -> CatalogEntry:
         counting=counting,
         v_tilde_closed=vtilde,
         oracle_recipe=recipe,
-        equivalence_recipe=lambda p: OracleRecipe(1e-4, 8.0, 8001),
+        equivalence_interval=Interval(1e-4, 8.0),
         continuum_edge=lambda p: -2.0 * p["B"],
         # coth x rounds to 1.0 beyond ~18, where the chain variable degenerates;
         # the small panel scale buys enough doublings below that ceiling to

@@ -233,11 +233,8 @@ def _cmd_wavefunction(ns) -> int:
     params = _parse_params(entry, ns.params)
     entry.validate(params)
     counting = entry.counting(params)
-    if counting.kind == "zero":
-        print(f"{entry.name}: no bound states for these parameters", file=sys.stderr)
-        return 1
-    if counting.kind == "finite" and ns.n > counting.n_max:
-        raise RangeError(f"{entry.name}: level {ns.n} beyond n_max = {counting.n_max}")
+    if counting.levels(ns.n + 1) <= ns.n:
+        raise RangeError(f"{entry.name}: no level {ns.n} for these parameters (counting = {counting})")
     grid = verif.oracle_grid(entry, params, ns.samples if ns.samples % 2 == 1 else ns.samples + 1)
     x = grid.nodes()
     psi = normalized_state(entry, params, ns.n, grid)

@@ -28,7 +28,7 @@ _CHAIN_DEPTH = 5
 # the discrete-derivative and eigen-residual checks
 _WINDOW_NODES = 101
 _FINE_POINTS = 8001
-# the ordered-vs-deformed Richardson pair runs at _PAIR_POINTS and 2 _PAIR_POINTS - 1 points, so h halves
+# both ordering checks run on the equivalence interval at _PAIR_POINTS and 2 _PAIR_POINTS - 1 points, so h halves
 _PAIR_POINTS = 501
 
 
@@ -36,8 +36,8 @@ def _params_key(params: dict) -> tuple:
     return tuple(sorted(params.items()))
 
 
-def oracle_grid(entry: CatalogEntry, params: dict, n_override: Optional[int] = None, which: str = "energy") -> Grid:
-    rec = entry.oracle_recipe(params) if which == "energy" else entry.equivalence_recipe(params)
+def oracle_grid(entry: CatalogEntry, params: dict, n_override: Optional[int] = None) -> Grid:
+    rec = entry.oracle_recipe(params)
     return Grid(Interval(rec.x1, rec.x2), n_override or rec.n_points)
 
 
@@ -145,11 +145,11 @@ def ground_ratio_spread(entry: CatalogEntry, params: dict) -> float:
 
 def a_minus_residual(entry: CatalogEntry, params: dict) -> float:
     """Max |A^- psi0| / max |psi0| with a fourth-order discrete derivative on
-    the residual window, clamped to the equivalence grid."""
+    the residual window, clamped to the equivalence interval."""
     assembled = _assemble(entry, params, 0)
     problem, chain = assembled.problem, assembled.chain
     lo, hi = residual_window(entry, params)
-    edges = oracle_grid(entry, params, which="equivalence").interval
+    edges = entry.equivalence_interval
     grid = Grid(Interval(max(edges.x1, lo), min(edges.x2, hi)), _FINE_POINTS)
     x = grid.nodes()
     h = grid.spacing
@@ -261,7 +261,7 @@ def spectral_equivalence(entry: CatalogEntry, params: dict, amb: AmbiguityParams
     paper's equivalence puts within the discretization error of its own; the
     oracle certifies them as guesses, so the result is the same whether the
     deformed levels were cached or not."""
-    coarse, fine = (oracle_grid(entry, params, n, "equivalence") for n in (_PAIR_POINTS, 2 * _PAIR_POINTS - 1))
+    coarse, fine = (Grid(entry.equivalence_interval, n) for n in (_PAIR_POINTS, 2 * _PAIR_POINTS - 1))
     edge = entry.continuum_edge(params)
     nlev = 4
     if math.isfinite(edge):  # one operator build for the count and the solve
@@ -288,13 +288,17 @@ def spectral_equivalence(entry: CatalogEntry, params: dict, amb: AmbiguityParams
 def equivalence_deviation(entry: CatalogEntry, params: dict, amb: AmbiguityParams) -> dict:
     """Pointwise ordering-identity deviation between the two operators that
     ``spectral_equivalence`` solves, the ordered one on the recovered V and the
-    deformed one on V_eff, on the equivalence recipe's grid.
-
-    Returned relative to the action scale (the largest deformed action): where
-    the deformation grows steeply the raw operator values do too, so only the
-    ratio is grid-size invariant."""
-    grid = oracle_grid(entry, params, which="equivalence")
-    dev, scale = _battery_deviation(_operator(entry, params, amb, grid), _operator(entry, params, DEFORMED, grid))
+    deformed one on V_eff, on its two grids: with D the ordered minus the
+    deformed action on the test battery, max |4 D(h/2) - D(h)|/3 at the coarse
+    interior nodes off the two next to each boundary (fine row index 2 i + 1 is
+    coarse i). Relative to the action scale (the largest fine deformed action):
+    where the deformation grows steeply the raw operator values do too, so
+    only the ratio is grid-size invariant."""
+    (d_h, _), (d_h2, scale) = (
+        _battery_deviation(_operator(entry, params, amb, grid), _operator(entry, params, DEFORMED, grid))
+        for grid in (Grid(entry.equivalence_interval, n) for n in (_PAIR_POINTS, 2 * _PAIR_POINTS - 1))
+    )
+    dev = float(np.max(np.abs(4.0 * d_h2[:, 1::2] - d_h)[:, 2:-2]) / 3.0)
     return {"max_dev": dev, "action_scale": scale, "rel_dev": dev / max(scale, 1e-300)}
 
 

@@ -237,10 +237,10 @@ def test_oracle_recipes_sane():
         p = dict(entry.default_params)
         rec = entry.oracle_recipe(p)
         assert rec.x1 < rec.x2 and rec.n_points >= 1001
-        eq = entry.equivalence_recipe(p)
-        assert eq.x1 < eq.x2
+        eq = entry.equivalence_interval
+        assert eq.bounded and entry.domain.x1 <= eq.x1 < eq.x2 <= entry.domain.x2
         if entry.domain.bounded:
-            assert rec == eq == catalog.OracleRecipe(entry.domain.x1, entry.domain.x2, 4001)
+            assert rec == catalog.OracleRecipe(entry.domain.x1, entry.domain.x2, 4001) and eq == entry.domain
 
 
 @pytest.mark.parametrize(

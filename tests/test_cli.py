@@ -101,6 +101,17 @@ def test_verify_hyperbolic_pt(capsys):
     assert "all checks passed" in out
 
 
+def test_verify_without_levels_below_the_edge(capsys):
+    # at A = 0.05 no deformed level lies below the continuum edge
+    code, out, _ = run(
+        capsys, "verify", "--potential", "hyperbolic_poschl_teller", "--params", "A=0.05,alpha=0.5"
+    )
+    assert code == 0
+    assert "  [note] no levels below the continuum edge for the spectral comparison\n" in out
+    assert "  [note] oracle energy comparison skipped (no resolvable levels)\n" in out
+    assert "  [ok] ordering-identity operator check" in out
+
+
 def test_verify_scarf_reports_discrepancy(capsys):
     code, out, _ = run(capsys, "verify", "--potential", "scarf_i")
     assert code == 0
@@ -200,6 +211,14 @@ def test_wavefunction_rejects_missing_level(capsys, tmp_path):
         "--n", "3", "--out", str(tmp_path / "x.csv"),
     )
     assert code == 2
+
+
+def test_wavefunction_without_bound_states_exit_2(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    code, _, err = run(capsys, "wavefunction", "--potential", "hyperbolic_poschl_teller", "--out", str(out))
+    assert code == 2
+    assert "no level 0" in err and "counting = zero" in err
+    assert not out.exists()
 
 
 def test_sweep_box(capsys):

@@ -203,8 +203,8 @@ def test_deformed_operator_matches_reference_stencil(name):
     entry = catalog.ENTRIES[name]
     params = dict(entry.default_params)
     df, v_eff = entry.deforming(params), entry.v_eff(params)
-    grids = [verif.oracle_grid(entry, params, which=which) for which in ("energy", "equivalence")]
-    for grid in grids + [verif.oracle_grid(entry, params, 16001)]:
+    pair = [Grid(entry.equivalence_interval, n) for n in (verif._PAIR_POINTS, 2 * verif._PAIR_POINTS - 1)]
+    for grid in [verif.oracle_grid(entry, params)] + pair + [verif.oracle_grid(entry, params, 16001)]:
         op = discretize_deformed(df, v_eff, grid)
         diag, off, left, right = _reference_deformed(df, v_eff, grid)
         assert np.array_equal(op.diag, diag) and np.array_equal(op.off, off)
@@ -213,10 +213,11 @@ def test_deformed_operator_matches_reference_stencil(name):
 
 
 def test_equivalence_deviation_builds_two_operators(monkeypatch):
+    # two on each grid of the pair
     built = []
 
     def counted(*args, real=discretize_vonroos):
-        built.append(args[1])
+        built.append((args[1], args[3].n_points))
         return real(*args)
 
     monkeypatch.setattr(verif, "discretize_vonroos", counted)
@@ -224,7 +225,26 @@ def test_equivalence_deviation_builds_two_operators(monkeypatch):
     entry = catalog.ENTRIES["scarf_i"]
     amb = AmbiguityParams.preset("bdd")
     verif.equivalence_deviation(entry, dict(entry.default_params), amb)
-    assert len(built) == 2 and set(built) == {amb, oracle.DEFORMED}
+    pair = (verif._PAIR_POINTS, 2 * verif._PAIR_POINTS - 1)
+    assert built == [(ordering, n) for n in pair for ordering in (amb, oracle.DEFORMED)]
+
+
+@pytest.mark.parametrize("name", ("box", "morse", "oscillator_3d"))
+def test_equivalence_deviation_pairs_nodes_at_the_same_x(name):
+    # reference: match each coarse interior node to the fine node at its x
+    entry = catalog.ENTRIES[name]
+    params, amb = dict(entry.default_params), AmbiguityParams.preset("bastard")
+    dev, x = [], []
+    for n in (verif._PAIR_POINTS, 2 * verif._PAIR_POINTS - 1):
+        grid = Grid(entry.equivalence_interval, n)
+        ops = (verif._operator(entry, params, amb, grid), verif._operator(entry, params, oracle.DEFORMED, grid))
+        dev.append(oracle._battery_deviation(*ops))
+        x.append(grid.nodes()[1:-1])
+    (d_h, _), (d_h2, scale) = dev
+    at = np.rint((x[0][2:-2] - x[1][0]) / (x[1][1] - x[1][0])).astype(int)
+    assert np.allclose(x[1][at], x[0][2:-2], rtol=0.0, atol=1e-9)
+    want = np.max(np.abs(4.0 * d_h2[:, at] - d_h[:, 2:-2])) / 3.0 / scale
+    assert verif.equivalence_deviation(entry, params, amb)["rel_dev"] == pytest.approx(want, rel=1e-12)
 
 
 def test_guards():
@@ -298,6 +318,30 @@ def test_spectral_equivalence_keeps_its_power(monkeypatch):
         assert res["max_rel_dev"] > 1e-6, (name, res)
 
 
+# the pointwise check at the defaults under bastard with V~ off by 1e-4, on one
+# recipe grid per entry (4,001 to 16,001 points) before the check moved to the pair
+_SINGLE_GRID_POWER = {
+    "box": 7.812e-6, "coulomb": 3.375e-8, "eckart": 2.822e-10, "hyperbolic_poschl_teller": 3.444e-5,
+    "morse": 2.978e-5, "oscillator_3d": 5.939e-8, "rosen_morse_i": 2.489e-9, "scarf_i": 8.170e-11,
+    "shifted_oscillator": 1.354e-6, "trig_poschl_teller": 5.058e-10,
+}
+
+
+def test_ordering_identity_keeps_its_power(monkeypatch):
+    # the error V~ eps does not depend on h, so the Richardson value keeps it
+    def perturbed(df, amb, v_eff, x):
+        return np.asarray(v_eff(x), dtype=float) - (1.0 + 1e-4) * v_tilde_eval(df, amb, x)
+
+    monkeypatch.setattr(verif, "recover_initial_potential", perturbed)
+    amb = AmbiguityParams.preset("bastard")
+    for name, single_grid in _SINGLE_GRID_POWER.items():
+        entry = catalog.ENTRIES[name]
+        rel = verif.equivalence_deviation(entry, dict(entry.default_params), amb)["rel_dev"]
+        assert rel >= single_grid / 2.0, (name, rel)
+        if name in ("morse", "hyperbolic_poschl_teller"):
+            assert rel > 1e-5, (name, rel)  # the verify tolerance
+
+
 def test_requests_for_one_matrix_share_one_solve(monkeypatch):
     # box: one energy solve on the 4,001-point recipe grid, and the deformed and
     # von Roos solves on each grid of the equivalence pair; no matrix twice
@@ -345,9 +389,8 @@ def test_equivalence_solves_only_the_levels_it_compares(monkeypatch):
         pass
     levels = verif.spectral_equivalence(entry, params, AmbiguityParams.preset("bdd"))["levels"]
     assert levels < 4
-    assert not any(op.grid == verif.oracle_grid(entry, params, which="equivalence") for op, _ in calls)
     for n in (verif._PAIR_POINTS, 2 * verif._PAIR_POINTS - 1):
-        grid = verif.oracle_grid(entry, params, n, "equivalence")
+        grid = Grid(entry.equivalence_interval, n)
         deformed = discretize_deformed(entry.deforming(params), entry.v_eff(params), grid)
         on_grid = [(op, k) for op, k in calls if op.grid == grid]
         assert len(on_grid) == 2  # deformed and von Roos
@@ -404,13 +447,13 @@ def test_vector_that_misses_the_residual_bound_raises(monkeypatch):
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
 def test_vonroos_eigenpairs_match_lapack(name, preset):
-    # the mass-ordered form on the recovered V, on the equivalence grid that
-    # ``ordered vs deformed spectra`` solves it on
+    # the mass-ordered form on the recovered V, on the fine grid of the pair
+    # that ``ordered vs deformed spectra`` solves it on
     linalg = pytest.importorskip("scipy.linalg")
     entry = catalog.ENTRIES[name]
     params = dict(entry.default_params)
     df, amb, v_eff = entry.deforming(params), AmbiguityParams.preset(preset), entry.v_eff(params)
-    grid = verif.oracle_grid(entry, params, which="equivalence")
+    grid = Grid(entry.equivalence_interval, 2 * verif._PAIR_POINTS - 1)
     op = discretize_vonroos(df, amb, lambda x: recover_initial_potential(df, amb, v_eff, x), grid)
     got = eigenpairs(op, 4).eigenvalues
     ref = linalg.eigh_tridiagonal(op.diag, op.off, eigvals_only=True, select="i", select_range=(0, 3), tol=1e-300)
@@ -486,7 +529,7 @@ def test_warm_started_vonroos_levels_are_certified(name):
     # bounds, on the fine grid of the pair that ``ordered vs deformed spectra`` solves
     entry = catalog.ENTRIES[name]
     params = dict(entry.default_params)
-    grid = verif.oracle_grid(entry, params, 2 * verif._PAIR_POINTS - 1, "equivalence")
+    grid = Grid(entry.equivalence_interval, 2 * verif._PAIR_POINTS - 1)
     deformed = eigenpairs(verif._operator(entry, params, oracle.DEFORMED, grid), 4).eigenvalues
     for preset in PRESETS:
         amb = AmbiguityParams.preset(preset)
@@ -500,7 +543,7 @@ def test_warm_started_vonroos_levels_are_certified(name):
 def test_bad_guesses_still_give_certified_levels(name):
     entry = catalog.ENTRIES[name]
     params = dict(entry.default_params)
-    op = verif._operator(entry, params, oracle.DEFORMED, verif.oracle_grid(entry, params, which="equivalence"))
+    op = verif._operator(entry, params, oracle.DEFORMED, Grid(entry.equivalence_interval, 2 * verif._PAIR_POINTS - 1))
     cold = eigenpairs(op, 4).eigenvalues
     for guess in (1.1 * cold, cold[::-1], np.repeat(cold, 2), [math.nan, -math.inf, cold[1]], []):
         got = eigenpairs(op, 4, guess=guess).eigenvalues
@@ -517,7 +560,7 @@ def test_vonroos_spectrum_does_not_depend_on_the_cache(name, monkeypatch):
     monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
     cold = verif.spectral_equivalence(entry, params, amb)
     monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
-    fine = verif.oracle_grid(entry, params, 2 * verif._PAIR_POINTS - 1, "equivalence")
+    fine = Grid(entry.equivalence_interval, 2 * verif._PAIR_POINTS - 1)
     verif._cached_solve(entry, params, oracle.DEFORMED, fine, cold["levels"])
     warm = verif.spectral_equivalence(entry, params, amb)
     assert warm["d_h"] == cold["d_h"] and warm["d_h2"] == cold["d_h2"]

@@ -275,6 +275,15 @@ def test_antiderivative_branches_off_the_catalog(class_id, phi, consts, primed):
     assert np.all(dev < 1e-8 * np.maximum(1.0, np.abs(integrand))), dev
 
 
+@pytest.mark.parametrize("name", ("box", "oscillator_3d", "scarf_i"))  # class1, class2, class3
+def test_deformed_polynomial_call_is_polyval(name):
+    entry = catalog.ENTRIES[name]
+    poly = polynomial_chain(entry, dict(entry.default_params), 3)
+    t = np.linspace(-0.9, 0.9, 7)
+    assert np.array_equal(poly(t), P.polyval(t, poly.coeffs))
+    assert poly(0.25) == P.polyval(0.25, poly.coeffs) and np.ndim(poly(0.25)) == 0
+
+
 def test_polynomial_chain_guards():
     with pytest.raises(ChainError):
         polynomial_chain(catalog.ENTRIES["box"], {"alpha": 0.5}, -1)
