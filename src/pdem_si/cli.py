@@ -3,8 +3,8 @@ verification suites and deformation-parameter sweeps.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid flags or parameters,
 a numeric overflow or a state too large or small to normalize.
-The environment variable PDEM_GRID_N (an integer in 3..1000001) overrides the
-default oracle grid size.
+The environment variable PDEM_GRID_N (an integer in 3..1000001) replaces the
+oracle's Richardson triple with one grid of that size, with no extrapolation.
 """
 from __future__ import annotations
 
@@ -134,7 +134,10 @@ def build_spectrum_report(
     if with_oracle:
         trusted = min(k, verif.trusted_levels(entry, params))
         if trusted > 0:
-            oracle_vals = verif.deformed_spectrum(entry, params, trusted, n_override=n_override).eigenvalues
+            if n_override:  # one grid of that size, as given
+                oracle_vals = verif.deformed_spectrum(entry, params, trusted, n_override=n_override).eigenvalues
+            else:
+                oracle_vals = verif.oracle_energies(entry, params, trusted)["energies"]
 
     # closed forms first: when they overflow, the request exits before any probe runs
     closed = [entry.printed_energy(params, n) for n in range(k)]
@@ -177,6 +180,7 @@ def build_spectrum_report(
         "spacing": grid.spacing,
         "oracle_rel_tol": recipe.rel_tol,
         "oracle_level_cap": recipe.level_cap,
+        "oracle_grids": verif.oracle_grid_sizes(entry, params, n_override),
     }
     if entry.energy_discrepancy:
         checks["printed_energy_discrepancy"] = entry.energy_discrepancy

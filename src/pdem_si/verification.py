@@ -225,17 +225,49 @@ def trusted_levels(entry: CatalogEntry, params: dict) -> int:
     return cap
 
 
+def _richardson(coarse, fine, num, den) -> tuple:
+    """The gated Richardson step shared by the energy oracle and the ordering
+    pair, for an O(h^2) quantity at h and h/2: (4 fine - coarse)/3 per level
+    where the order ratio num/den lies in [3, 5], else fine. Returns the value,
+    the ratio and "richardson" or "fine" per level; a zero ``den`` fails the gate."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / den
+    richardson = (ratio >= 3.0) & (ratio <= 5.0)
+    value = np.where(richardson, (4.0 * fine - coarse) / 3.0, fine)
+    return value, ratio, ["richardson" if r else "fine" for r in richardson]
+
+
+def oracle_grid_sizes(entry: CatalogEntry, params: dict, n_override: Optional[int] = None) -> list:
+    """Grid sizes behind the energy oracle on the recipe window: [n_override]
+    for one grid, else n1, n2, n3 = (N-1)/16+1, (N-1)/8+1, (N-1)/4+1 for the
+    recipe's N, so that h halves twice."""
+    if n_override:
+        return [n_override]
+    n = entry.oracle_recipe(params).n_points
+    return [(n - 1) // m + 1 for m in (16, 8, 4)]
+
+
+def oracle_energies(entry: CatalogEntry, params: dict, k: int) -> dict:
+    """The lowest ``k`` deformed-operator levels from the Richardson triple on
+    the recipe window: with E1, E2, E3 on the ``oracle_grid_sizes`` grids,
+    (4 E3 - E2)/3 per level where (E1-E2)/(E2-E3) lies in [3, 5], else E3."""
+    grids = oracle_grid_sizes(entry, params)
+    e1, e2, e3 = (deformed_spectrum(entry, params, k, n).eigenvalues for n in grids)
+    energies, ratio, reported = _richardson(e2, e3, e1 - e2, e2 - e3)
+    return {"energies": energies, "order_ratio": ratio.tolist(), "reported": reported, "grids": grids}
+
+
 def oracle_vs_chain(entry: CatalogEntry, params: dict) -> Optional[dict]:
-    """Compare chain energies with the matrix oracle on the entry recipe over
-    the trusted levels; None when no level is trusted."""
+    """Compare chain energies with the matrix oracle (``oracle_energies``) on
+    the entry recipe over the trusted levels; None when no level is trusted."""
     cap = trusted_levels(entry, params)
     if cap < 1:
         return None
     rel_tol = entry.oracle_recipe(params).rel_tol
-    spec = deformed_spectrum(entry, params, cap)
+    orc = oracle_energies(entry, params, cap)
     chain = solve_chain(entry.chain_problem(params), cap - 1)
     rel = [
-        abs(spec.eigenvalues[n] - chain.energy(n)) / max(1e-12, abs(chain.energy(n)))
+        abs(orc["energies"][n] - chain.energy(n)) / max(1e-12, abs(chain.energy(n)))
         for n in range(cap)
     ]
     return {
@@ -244,9 +276,20 @@ def oracle_vs_chain(entry: CatalogEntry, params: dict) -> Optional[dict]:
         "max_rel_err": max(rel),
         "tol": rel_tol,
         "ok": max(rel) < rel_tol,
-        "oracle": [float(v) for v in spec.eigenvalues[:cap]],
+        "oracle": [float(v) for v in orc["energies"]],
         "chain": [chain.energy(n) for n in range(cap)],
+        "order_ratio": orc["order_ratio"],
+        "reported": orc["reported"],
+        "grids": orc["grids"],
     }
+
+
+def _pair_operators(entry: CatalogEntry, params: dict, amb: AmbiguityParams) -> list:
+    """(ordered, deformed) operators on each grid of the equivalence pair, at
+    _PAIR_POINTS and 2 _PAIR_POINTS - 1 points, so h halves: both ordering
+    checks read them, and one battery builds them once."""
+    grids = (Grid(entry.equivalence_interval, n) for n in (_PAIR_POINTS, 2 * _PAIR_POINTS - 1))
+    return [(_operator(entry, params, amb, grid), _operator(entry, params, DEFORMED, grid)) for grid in grids]
 
 
 def spectral_equivalence(entry: CatalogEntry, params: dict, amb: AmbiguityParams) -> Optional[dict]:
@@ -261,26 +304,24 @@ def spectral_equivalence(entry: CatalogEntry, params: dict, amb: AmbiguityParams
     paper's equivalence puts within the discretization error of its own; the
     oracle certifies them as guesses, so the result is the same whether the
     deformed levels were cached or not."""
-    coarse, fine = (Grid(entry.equivalence_interval, n) for n in (_PAIR_POINTS, 2 * _PAIR_POINTS - 1))
+    return _spectral_equivalence(entry, params, amb, _pair_operators(entry, params, amb))
+
+
+def _spectral_equivalence(entry: CatalogEntry, params: dict, amb: AmbiguityParams, pair: list) -> Optional[dict]:
     edge = entry.continuum_edge(params)
     nlev = 4
-    if math.isfinite(edge):  # one operator build for the count and the solve
-        op = _operator(entry, params, DEFORMED, fine)
-        nlev = min(4, sturm_count(op, edge - 1e-9))
+    if math.isfinite(edge):
+        nlev = min(4, sturm_count(pair[1][1], edge - 1e-9))
         if nlev < 1:
             return None
-        _cached_solve(entry, params, DEFORMED, fine, nlev, op)
     d = []
-    for grid in (coarse, fine):
-        deformed = _cached_solve(entry, params, DEFORMED, grid, nlev).eigenvalues
-        d.append(_cached_solve(entry, params, amb, grid, nlev, guess=deformed.tolist()).eigenvalues - deformed)
+    for ordered, deformed_op in pair:
+        grid = ordered.grid
+        deformed = _cached_solve(entry, params, DEFORMED, grid, nlev, deformed_op).eigenvalues
+        d.append(_cached_solve(entry, params, amb, grid, nlev, ordered, guess=deformed.tolist()).eigenvalues - deformed)
     d_h, d_h2 = d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = d_h / d_h2
-    richardson = (ratio >= 3.0) & (ratio <= 5.0)
-    dev = np.where(richardson, (4.0 * d_h2 - d_h) / 3.0, d_h2)
+    dev, ratio, reported = _richardson(d_h, d_h2, d_h, d_h2)
     rel = np.abs(dev) / np.maximum(1e-12, np.abs(deformed))  # deformed: the fine grid's levels
-    reported = ["richardson" if r else "fine" for r in richardson]
     return {"levels": nlev, "max_rel_dev": float(np.max(rel)), "d_h": d_h.tolist(), "d_h2": d_h2.tolist(),
             "order_ratio": ratio.tolist(), "reported": reported}
 
@@ -294,10 +335,11 @@ def equivalence_deviation(entry: CatalogEntry, params: dict, amb: AmbiguityParam
     coarse i). Relative to the action scale (the largest fine deformed action):
     where the deformation grows steeply the raw operator values do too, so
     only the ratio is grid-size invariant."""
-    (d_h, _), (d_h2, scale) = (
-        _battery_deviation(_operator(entry, params, amb, grid), _operator(entry, params, DEFORMED, grid))
-        for grid in (Grid(entry.equivalence_interval, n) for n in (_PAIR_POINTS, 2 * _PAIR_POINTS - 1))
-    )
+    return _equivalence_deviation(_pair_operators(entry, params, amb))
+
+
+def _equivalence_deviation(pair: list) -> dict:
+    (d_h, _), (d_h2, scale) = (_battery_deviation(*ops) for ops in pair)
     dev = float(np.max(np.abs(4.0 * d_h2[:, 1::2] - d_h)[:, 2:-2]) / 3.0)
     return {"max_dev": dev, "action_scale": scale, "rel_dev": dev / max(scale, 1e-300)}
 
@@ -426,14 +468,15 @@ def _battery(entry: CatalogEntry, params: dict, preset: str, tol: Optional[float
         e_tol = 1e-5 * max(1.0, abs(chain.energy(n)))
         yield Check(f"eigen-residual n={n}", er < e_tol, f"{er:.2e} (tol {e_tol:.1e})")
 
-    dev = equivalence_deviation(entry, params, amb)
+    pair = _pair_operators(entry, params, amb)
+    dev = _equivalence_deviation(pair)
     yield Check(
         "ordering-identity operator check",
         dev["rel_dev"] < 1e-5,
         f"max dev = {dev['max_dev']:.2e} ({dev['rel_dev']:.2e} of action scale)",
     )
 
-    se = spectral_equivalence(entry, params, amb)
+    se = _spectral_equivalence(entry, params, amb, pair)
     if se is None:
         yield Check("no levels below the continuum edge for the spectral comparison", None)
     else:

@@ -7,7 +7,7 @@ from pdem_si.cli import SpectrumReport, build_spectrum_report, main
 from pdem_si.catalog import ENTRIES, lookup
 from pdem_si.core import Grid, Interval, RangeError
 from pdem_si.oracle import quadrature
-from pdem_si.verification import oracle_vs_chain, verify_entry
+from pdem_si.verification import deformed_spectrum, oracle_vs_chain, verify_entry
 
 
 def run(capsys, *argv):
@@ -272,6 +272,30 @@ def test_grid_env_override(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["grid_meta"]["n_points"] == 1001
     assert doc["levels"][0]["rel_err"] < 2e-6  # coarser grid, but the level is easy
+
+
+@pytest.mark.parametrize("name", ("box", "morse"))
+def test_grid_env_oracle_is_one_grid(capsys, monkeypatch, name):
+    # PDEM_GRID_N means one grid of that size, with no extrapolation
+    monkeypatch.setenv("PDEM_GRID_N", "2001")
+    code, out, _ = run(capsys, "spectrum", "--potential", name, "--oracle")
+    assert code == 0
+    doc = json.loads(out)
+    filled = [row["e_oracle"] for row in doc["levels"] if row["e_oracle"] is not None]
+    entry = ENTRIES[name]
+    spec = deformed_spectrum(entry, dict(entry.default_params), len(filled), n_override=2001)
+    assert filled and filled == spec.eigenvalues.tolist()
+    assert doc["grid_meta"]["oracle_grids"] == [2001]
+
+
+def test_spectrum_oracle_grids_default(capsys, monkeypatch):
+    monkeypatch.delenv("PDEM_GRID_N", raising=False)
+    code, out, _ = run(capsys, "spectrum", "--potential", "box", "--oracle")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["grid_meta"]["oracle_grids"] == [251, 501, 1001]
+    assert doc["grid_meta"]["n_points"] == 4001  # the recipe grid the triple divides
+    assert SpectrumReport.from_dict(doc).to_dict() == doc
 
 
 @pytest.mark.parametrize("value", ["abc", "2", "-5", "1e3", "1000002"])

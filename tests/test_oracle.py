@@ -229,6 +229,25 @@ def test_equivalence_deviation_builds_two_operators(monkeypatch):
     assert built == [(ordering, n) for n in pair for ordering in (amb, oracle.DEFORMED)]
 
 
+def test_battery_builds_each_ordering_operator_once(monkeypatch):
+    # both ordering checks of one battery read the same four operators
+    built = []
+
+    def counted(*args, real=discretize_vonroos):
+        built.append((args[1], args[3]))
+        return real(*args)
+
+    monkeypatch.setattr(verif, "discretize_vonroos", counted)
+    monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
+    entry = catalog.ENTRIES["morse"]
+    for _ in verif.verify_entry(entry, dict(entry.default_params)):
+        pass
+    amb = AmbiguityParams.preset("bdd")
+    pair = (verif._PAIR_POINTS, 2 * verif._PAIR_POINTS - 1)
+    on_pair = [(ordering, grid.n_points) for ordering, grid in built if grid.interval == entry.equivalence_interval]
+    assert on_pair == [(ordering, n) for n in pair for ordering in (amb, oracle.DEFORMED)]
+
+
 @pytest.mark.parametrize("name", ("box", "morse", "oscillator_3d"))
 def test_equivalence_deviation_pairs_nodes_at_the_same_x(name):
     # reference: match each coarse interior node to the fine node at its x
@@ -342,16 +361,43 @@ def test_ordering_identity_keeps_its_power(monkeypatch):
             assert rel > 1e-5, (name, rel)  # the verify tolerance
 
 
+def test_richardson_gate_on_synthetic_levels():
+    # order ratios 4, 2 and 6, then E2 = E3 and E1 = E2 = E3; dyadic steps keep the ratios exact
+    e3 = np.array([1.0, 1.0, 1.0, 2.0, 3.0])
+    e2 = e3 + 2.0**-10 * np.array([1.0, 1.0, 1.0, 0.0, 0.0])
+    e1 = e2 + 2.0**-10 * np.array([4.0, 2.0, 6.0, 1.0, 0.0])
+    value, ratio, reported = verif._richardson(e2, e3, e1 - e2, e2 - e3)
+    assert reported == ["richardson", "fine", "fine", "fine", "fine"]
+    assert ratio[:3].tolist() == [4.0, 2.0, 6.0]
+    assert value[0] == (4.0 * e3[0] - e2[0]) / 3.0
+    assert value[1:].tolist() == e3[1:].tolist()
+
+
+@pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
+def test_energy_oracle_is_second_order(name):
+    # every trusted default level converges at O(h^2) across the triple
+    entry = catalog.ENTRIES[name]
+    params = dict(entry.default_params)
+    ovc = verif.oracle_vs_chain(entry, params)
+    if name == "hyperbolic_poschl_teller":
+        assert ovc is None  # no trusted level
+        return
+    assert ovc["grids"] == verif.oracle_grid_sizes(entry, params)
+    assert ovc["reported"] == ["richardson"] * ovc["levels"]
+    assert all(3.0 <= r <= 5.0 for r in ovc["order_ratio"]), ovc["order_ratio"]
+
+
 def test_requests_for_one_matrix_share_one_solve(monkeypatch):
-    # box: one energy solve on the 4,001-point recipe grid, and the deformed and
-    # von Roos solves on each grid of the equivalence pair; no matrix twice
+    # box: the deformed and von Roos solves on each grid of the equivalence pair,
+    # whose deformed solves are also the energy triple's 501- and 1,001-point
+    # grids, and the triple's 251-point solve; no matrix twice
     calls = _count_solves(monkeypatch)
     entry = catalog.ENTRIES["box"]
     params = dict(entry.default_params)
     for _ in verif.verify_entry(entry, params):
         pass
     pair = 2 * verif._PAIR_POINTS - 1
-    assert sorted(op.grid.n_points for op, _ in calls) == [verif._PAIR_POINTS] * 2 + [pair] * 2 + [4001]
+    assert sorted(op.grid.n_points for op, _ in calls) == [251] + [verif._PAIR_POINTS] * 2 + [pair] * 2
     assert len(verif._SPECTRUM_CACHE) == len(calls)  # each solve filled its own (operator, grid, k) key
     assert len(calls) == 5
 
@@ -601,5 +647,5 @@ def test_solver_work_in_verify_all(monkeypatch):
         f"\nsolver work: {len(counts)} counts, {len(slopes)} slope sweeps of {slope_steps} pivot steps,"
         f" {steps:.4g} weighted pivot steps"
     )
-    assert steps <= 4.4e6, steps
-    assert slope_steps <= 1.6e6, slope_steps
+    assert steps <= 2.0e6, steps
+    assert slope_steps <= 0.75e6, slope_steps
