@@ -70,8 +70,8 @@ class CatalogEntry:
     ``v_tilde_closed(params, rho, sigma, x)`` (None when nothing is printed).
 
     Unset recipes follow from the domain: a bounded domain is its own oracle
-    recipe at 4001 points and its own equivalence interval. ``probe_bound`` and
-    ``sq_int_scale`` are read at infinite ends.
+    recipe at 4001 points and its own equivalence interval. ``probe_bound`` is
+    read at infinite ends.
     """
 
     name: str
@@ -95,7 +95,6 @@ class CatalogEntry:
     equivalence_interval: Optional[Interval] = None
     continuum_edge: Callable = lambda p: math.inf
     probe_bound: float = math.nan
-    sq_int_scale: float = math.nan
     energy_discrepancy: Optional[str] = None
 
     def __post_init__(self):
@@ -318,7 +317,6 @@ def _make_hyp_pt() -> CatalogEntry:
         equivalence_interval=Interval(-3.5, 3.5),
         continuum_edge=lambda p: 0.0,
         probe_bound=120.0,
-        sq_int_scale=16.0,
     )
 
 
@@ -402,7 +400,6 @@ def _make_shifted() -> CatalogEntry:
         oracle_recipe=lambda p: OracleRecipe(-25.0, 25.0, 4001),
         equivalence_interval=Interval(-12.0, 12.0),
         probe_bound=2.0**40,
-        sq_int_scale=16.0,
     )
 
 
@@ -460,7 +457,6 @@ def _make_osc3d() -> CatalogEntry:
         oracle_recipe=lambda p: OracleRecipe(1e-4, 64.0, 8001),
         equivalence_interval=Interval(1e-4, 24.0),
         probe_bound=2.0**40,
-        sq_int_scale=16.0,
     )
 
 
@@ -534,7 +530,6 @@ def _make_coulomb() -> CatalogEntry:
         equivalence_interval=Interval(1e-3, 30.0),
         continuum_edge=lambda p: 0.0,
         probe_bound=2.0**40,
-        sq_int_scale=16.0,
     )
 
 
@@ -638,7 +633,6 @@ def _make_morse() -> CatalogEntry:
         equivalence_interval=Interval(-6.0, 20.0),
         continuum_edge=lambda p: 0.0,
         probe_bound=240.0,
-        sq_int_scale=16.0,
     )
 
 
@@ -733,11 +727,8 @@ def _make_eckart() -> CatalogEntry:
         oracle_recipe=recipe,
         equivalence_interval=Interval(1e-4, 8.0),
         continuum_edge=lambda p: -2.0 * p["B"],
-        # coth x rounds to 1.0 beyond ~18, where the chain variable degenerates;
-        # the small panel scale buys enough doublings below that ceiling to
-        # resolve slowly decaying tails
+        # coth x rounds to 1.0 beyond ~18, where the chain variable degenerates
         probe_bound=16.0,
-        sq_int_scale=1.0,
     )
 
 

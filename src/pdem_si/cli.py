@@ -134,8 +134,9 @@ def build_spectrum_report(
     if with_oracle:
         trusted = min(k, verif.trusted_levels(entry, params))
         if trusted > 0:
-            if n_override:  # one grid of that size, as given
-                oracle_vals = verif.deformed_spectrum(entry, params, trusted, n_override=n_override).eigenvalues
+            if n_override:  # one grid of that size, as given; its N - 2 interior nodes hold N - 2 levels
+                k_grid = min(trusted, n_override - 2)
+                oracle_vals = verif.deformed_spectrum(entry, params, k_grid, n_override=n_override).eigenvalues
             else:
                 oracle_vals = verif.oracle_energies(entry, params, trusted)["energies"]
 
@@ -274,6 +275,8 @@ def _cmd_verify(ns) -> int:
     if ns.potential == "all":
         from .catalog import ENTRIES
 
+        if ns.params is not None:
+            raise RangeError("--params cannot be combined with --potential all (each entry runs at its defaults)")
         rc = 0
         for entry in ENTRIES.values():
             rc |= _verify_entry(entry, dict(entry.default_params), ns.preset, ns.tol)

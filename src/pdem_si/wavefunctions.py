@@ -25,14 +25,10 @@ from .core import (
     SingularPoint,
     ZeroNorm,
 )
-from .oracle import _simpson_weights, quadrature
+from .oracle import quadrature
 from .si_engine import ChainProblem, ParameterChain, SuperpotentialClass, solve_chain
 
 _LN_EPS = math.log(1e-8)
-# edge or tail panels per open end in the square-integrability probe
-_EDGE_PANELS = 21
-# Simpson nodes per panel of that probe
-_PANEL_NODES = 129
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +333,8 @@ class AdmissibilityVerdict:
 
 
 def _endpoint_probes(entry: CatalogEntry, problem: ChainProblem, side: str):
-    """(points, whether the end is finite) of one side's endpoint probes."""
+    """(points, whether the end is finite) of one side's endpoint probes: offsets
+    from a finite end halve, distances towards an infinite end double."""
     dom = entry.domain
     if side == "left":
         end, sign = dom.x1, +1.0
@@ -361,12 +358,11 @@ def _f_plateaus(fvals: np.ndarray) -> bool:
     )
 
 
-def _hermiticity_endpoint(assembled: _Assembled, side: str, pts: _Points):
+def _hermiticity_endpoint(side: str, pts: _Points, log_abs: np.ndarray):
     f = np.asarray(pts.f, dtype=float)
     if _f_plateaus(f):
         return True, {"side": side, "auto": True, "f_limit": float(f[-1])}
-    u = 2.0 * assembled.log_abs_at(pts) + np.log(f)
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(2.0 * log_abs + np.log(f), dtype=float)
     finite = np.isfinite(u)
     if not np.any(finite):
         return True, {"side": side, "auto": False, "note": "psi underflows to zero"}
@@ -383,75 +379,11 @@ def _hermiticity_endpoint(assembled: _Assembled, side: str, pts: _Points):
     return False, ev
 
 
-def _panels(entry: CatalogEntry):
-    """Base panel plus a geometric sequence of edge/tail panels per open end.
-
-    Each truncation of the expanding sequence is the base panel joined with the
-    first k edge panels on each side, so the panel integrals are exactly the
-    truncation increments while every panel keeps its own resolution. Offsets
-    from a finite end halve; distances towards an infinite end double."""
-    dom = entry.domain
-    base, sides = [], []
-    for end, sign in ((dom.x1, 1.0), (dom.x2, -1.0)):
-        if math.isfinite(end):
-            s0, k = (0.1 * dom.length, _EDGE_PANELS) if dom.bounded else (1e-9, 8)
-            pts = [end + sign * s0 * 2.0**-j for j in range(k + 1)]
-        else:
-            L = entry.sq_int_scale
-            pts = [-sign * L]
-            while L < entry.probe_bound and len(pts) <= _EDGE_PANELS:
-                L *= 2.0
-                pts.append(-sign * min(L, entry.probe_bound))
-        base.append(pts[0])
-        sides.append([tuple(sorted(pair)) for pair in zip(pts[1:], pts)])
-    return tuple(base), sides
-
-
-class _Probe:
-    """The probe points of one (entry, params) request, shared by its levels:
-    every panel of ``_panels(entry)`` as a row of Simpson nodes, and the ends."""
-
-    def __init__(self, entry: CatalogEntry, problem: ChainProblem):
-        base, sides = _panels(entry)
-        a, b = np.array([base, *sides[0], *sides[1]]).T
-        self.panels = _Points(problem, np.linspace(a, b, _PANEL_NODES, axis=1))
-        self.weights = _simpson_weights(_PANEL_NODES, ((b - a) / (_PANEL_NODES - 1))[:, None])
-        self.left_end = 1 + len(sides[0])  # rows before it: the base panel and the left side
-        self.ends = {side: _endpoint_probes(entry, problem, side) for side in ("left", "right")}
-
-
-def _classify_side(increments: list, total: float) -> tuple:
-    """Final verdict for one side from its full panel-increment sequence.
-
-    Transient growth is tolerated (the |psi|^2 envelope may hump far out before
-    its tail sets in), so only the trend at the far end decides."""
-    d = np.asarray(increments, dtype=float)
-    if len(d) == 0:
-        return "converged", {}
-    total = max(total, 1e-300)
-    last_rel = float(d[-1] / total)
-    growing = len(d) >= 2 and d[-2] > 0.0 and d[-1] / d[-2] > 1.0
-    if last_rel <= 1e-8 and not growing:
-        return "converged", {"last_rel_increment": last_rel}
-    if len(d) >= 3 and np.all(d[-3:] > 0.0):
-        ratios = d[-2:] / d[-3:-1]
-        ev = {"increment_ratios": [float(r) for r in ratios]}
-        if np.all(ratios <= 0.9):
-            return "converged", ev
-        if np.all(ratios >= 1.02):
-            return "diverged", ev
-    return ("converged" if last_rel < 1e-6 else "diverged"), {"drift": last_rel}
-
-
-def _exp_decay_certificate(assembled: _Assembled, end: tuple):
-    """Endpoint log-slope test: |psi|^2 falling ever faster along geometric
-    points certifies exponential decay (always integrable), which the panel
-    ratios cannot resolve for rates below ~ln(2)/probe_bound."""
-    pts, finite_end = end
-    if finite_end:
-        return False, {}
-    u = 2.0 * np.asarray(assembled.log_abs_at(pts), dtype=float)
-    u = u[np.isfinite(u)]
+def _exp_decay_certificate(u: np.ndarray):
+    """Endpoint log-slope test on the finite u = log |psi|^2 towards an infinite
+    end: |psi|^2 falling ever faster along the doubling distances certifies
+    exponential decay (always integrable) whose rate is still too slow to push
+    the last power-law slope below -1."""
     if len(u) < 4:
         return False, {}
     diffs = np.diff(u)
@@ -464,65 +396,47 @@ def _exp_decay_certificate(assembled: _Assembled, end: tuple):
     return bool(ok), ev
 
 
-def _square_integrable(assembled: _Assembled, probe: _Probe):
-    """Simpson integrals of |psi|^2 / e^(2 log_ref) on every panel at once, log_ref
-    the peak of log |psi| on the base panel; above e^700 times it a panel is inf."""
-    lg = assembled.log_abs_at(probe.panels)
-    ref = float(np.max(lg[0]))
-    lg -= ref
-    over = np.any(lg > 350.0, axis=1)
-    lg[over] = -math.inf
-    integrals = np.where(over, math.inf, (probe.weights * np.exp(2.0 * lg)).sum(axis=1)).tolist()
-    ev: dict = {"log_ref": ref}
-    total = integrals[0]
-    side_info = []
-    ok = True
-    for side_name, side_incs in zip(("left", "right"), (integrals[1 : probe.left_end], integrals[probe.left_end :])):
-        pre = total
-        incs = []
-        overflow = False
-        for inc in side_incs:
-            if math.isinf(inc):
-                overflow = True
-                break
-            incs.append(inc)
-            total += inc
-            if len(incs) >= 2 and incs[-1] == 0.0 and incs[-2] == 0.0:
-                break  # tail numerically dead
-            if len(incs) >= 6:
-                # blatant sustained blow-up that already dwarfs the bulk
-                rising = all(b / max(a, 1e-300) >= 1.5 for a, b in zip(incs[-4:-1], incs[-3:]))
-                if rising and total - pre > 1e3 * max(pre, 1e-300):
-                    break
-        if overflow:
-            verdict, detail = "diverged", {"overflow": True}
-        else:
-            verdict, detail = _classify_side(incs, total)
-            if verdict == "diverged":
-                cert, cert_ev = _exp_decay_certificate(assembled, probe.ends[side_name])
-                if cert:
-                    verdict = "converged"
-                    detail = {**detail, **cert_ev, "exp_decay_certificate": True}
-        side_info.append({"verdict": verdict, **detail})
-        ok = ok and verdict == "converged"
-    ev["sides"] = side_info
-    ev["integral_rescaled"] = float(total)
-    return ok, ev
+def _square_integrable(log_abs: np.ndarray, finite_end: bool):
+    """Square integrability of psi at one end from u = log |psi|^2 at its endpoint
+    probes. The tail exponent p is the slope of u against the log of the offset
+    from a finite end (or the distance towards an infinite end) between the last
+    two finite values; |psi|^2 ~ s^p is integrable iff p > -1 as s -> 0 and iff
+    p < -1 as s -> inf. A tail that underflows to -inf is integrable; otherwise
+    an infinite end may still pass on the exponential-decay certificate."""
+    u = 2.0 * np.asarray(log_abs, dtype=float)
+    if u[-1] == -math.inf:
+        return True, {"underflow": True}
+    u = u[np.isfinite(u)]
+    p = (-1.0 if finite_end else 1.0) * float(u[-1] - u[-2]) / math.log(2.0) if len(u) >= 2 else math.nan
+    ev = {"tail_exponent": p}
+    if finite_end:
+        return p > -1.0, ev
+    if p < -1.0:
+        return True, ev
+    cert, cert_ev = _exp_decay_certificate(u)
+    return cert, {**ev, **cert_ev, "exp_decay_certificate": cert}
 
 
 def admissibility_checks(entry: CatalogEntry, params: dict, levels) -> list:
-    """Numeric verdicts for each level n in ``levels``: quadrature convergence of
-    |psi_n|^2 and the |psi_n|^2 f -> 0 boundary probe (endpoints where f tends
-    to a finite positive constant pass automatically). The probe points and
-    what psi_n needs there apart from n are evaluated once, for all levels."""
-    probe = _Probe(entry, entry.chain_problem(params))
+    """Numeric verdicts for each level n in ``levels``, both read from log |psi_n|
+    at each end's endpoint probes: the tail exponent of |psi_n|^2 for square
+    integrability, and the |psi_n|^2 f -> 0 boundary probe (endpoints where f
+    tends to a finite positive constant pass automatically). The probe points
+    and what psi_n needs there apart from n are evaluated once, for all levels."""
+    problem = entry.chain_problem(params)
+    ends = {side: _endpoint_probes(entry, problem, side) for side in ("left", "right")}
     verdicts = []
     for n in levels:
         assembled = _assemble(entry, params, n)
-        sq, sq_ev = _square_integrable(assembled, probe)
-        left, right = (_hermiticity_endpoint(assembled, side, probe.ends[side][0]) for side in ("left", "right"))
-        evidence = {"square": sq_ev, "left": left[1], "right": right[1]}
-        verdicts.append(AdmissibilityVerdict(sq, bool(left[0] and right[0]), evidence))
+        square, herm = {}, {}
+        for side, (pts, finite_end) in ends.items():
+            log_abs = assembled.log_abs_at(pts)
+            square[side] = _square_integrable(log_abs, finite_end)
+            herm[side] = _hermiticity_endpoint(side, pts, log_abs)
+        evidence = {"square": {side: ev for side, (_, ev) in square.items()}}
+        evidence.update((side, ev) for side, (_, ev) in herm.items())
+        sq_ok, herm_ok = (all(ok for ok, _ in checks.values()) for checks in (square, herm))
+        verdicts.append(AdmissibilityVerdict(sq_ok, herm_ok, evidence))
     return verdicts
 
 

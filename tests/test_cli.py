@@ -298,6 +298,17 @@ def test_spectrum_oracle_grids_default(capsys, monkeypatch):
     assert SpectrumReport.from_dict(doc).to_dict() == doc
 
 
+@pytest.mark.parametrize("grid_n", [3, 4, 5])
+def test_grid_env_smallest_grids(capsys, monkeypatch, grid_n):
+    # N points hold N - 2 interior levels; the rows beyond carry no oracle value
+    monkeypatch.setenv("PDEM_GRID_N", str(grid_n))
+    code, out, err = run(capsys, "spectrum", "--potential", "box", "--oracle", "--n-levels", "4")
+    assert code == 0, err
+    oracle = [row["e_oracle"] for row in json.loads(out)["levels"]]
+    assert len(oracle) == 4 and oracle[grid_n - 2 :] == [None] * (6 - grid_n)
+    assert all(isinstance(e, float) for e in oracle[: grid_n - 2])
+
+
 @pytest.mark.parametrize("value", ["abc", "2", "-5", "1e3", "1000002"])
 def test_grid_env_invalid_exit_2(capsys, monkeypatch, value):
     monkeypatch.setenv("PDEM_GRID_N", value)
@@ -311,6 +322,12 @@ def test_verify_all_passes(capsys):
     assert code == 0
     assert out.count("all checks passed") == 10
     assert out.count("skipping") == 3
+
+
+def test_verify_all_rejects_params(capsys):
+    code, out, err = run(capsys, "verify", "--potential", "all", "--params", "bogus=1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --params cannot be combined with --potential all")
 
 
 def test_verify_fail_path(capsys):

@@ -30,16 +30,35 @@ def test_coulomb_degenerate_chain_repeat():
 
 
 def test_eckart_slow_decay_certificate():
-    # decay rate ~0.07 is invisible to octave panel ratios below the coth
-    # resolution ceiling; the endpoint log-slope certificate must carry it
+    # a slow exponential tail is integrable whatever its last power-law slope:
+    # at (2, 5, 0.8) level 0's exponent is already -1.65 at x = 16
     entry = catalog.ENTRIES["eckart"]
     p = {"A": 2.0, "B": 5.0, "alpha": 0.8}
     v0 = admissibility_check(entry, p, 0)
     assert v0.square_integrable and v0.admissible
-    assert any(s.get("exp_decay_certificate") for s in v0.evidence["square"]["sides"])
+    right = v0.evidence["square"]["right"]
+    assert right["tail_exponent"] < -1.0 or right["exp_decay_certificate"]
     v1 = admissibility_check(entry, p, 1)
     assert not v1.square_integrable
     assert verif.counting_vs_admissibility(entry, p)["ok"]
+    # at (2, 8, -0.3) level 1's exponent is still -0.45 at x = 16: only the
+    # endpoint log-slope certificate can carry it
+    p = {"A": 2.0, "B": 8.0, "alpha": -0.3}
+    v1 = admissibility_check(entry, p, 1)
+    right = v1.evidence["square"]["right"]
+    assert -1.0 < right["tail_exponent"] < 0.0 and right["exp_decay_certificate"]
+    assert v1.square_integrable and v1.admissible
+    assert verif.counting_vs_admissibility(entry, p)["ok"]
+
+
+@pytest.mark.parametrize("params", ["e2=0.669,l=1,alpha=0.3102", "e2=0.9218,l=0,alpha=0.1002"])
+def test_coulomb_slow_power_tail_counts(params, capsys):
+    # |psi|^2 ~ x^-1.08 and x^-1.07 far out: integrable, though no finite panel
+    # sum converges visibly; the tail exponent must agree with the counting rule
+    from pdem_si.cli import main
+
+    assert main(["verify", "--potential", "coulomb", "--params", params]) == 0
+    assert "\n  [ok] counting vs numeric admissibility: " in capsys.readouterr().out
 
 
 def test_morse_oracle_skips_unresolvable_shallow_level():
