@@ -28,7 +28,7 @@ from .core import (
 from .oracle import quadrature
 from .si_engine import ChainProblem, ParameterChain, SuperpotentialClass, solve_chain
 
-_LN_EPS = math.log(1e-8)
+_ROUNDING = 64.0 * np.finfo(float).eps  # relative rounding floor of a tail increment
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +246,11 @@ class _Points:
             big = t[~small]
             return -0.5 * np.log(f), np.log(q), small, t[small], 1.0 / big, np.log(np.abs(big))
 
+    @cached_property
+    def log_f(self) -> list:
+        """log f as floats, for the tail test."""
+        return (-2.0 * self.logs[0]).tolist()
+
 
 @dataclass(frozen=True)
 class _Assembled:
@@ -348,81 +353,56 @@ def _endpoint_probes(entry: CatalogEntry, problem: ChainProblem, side: str):
     return _Points(problem, (2.0 ** np.arange(0, kmax + 1)) * (-sign)), False
 
 
-def _f_plateaus(fvals: np.ndarray) -> bool:
-    tail = fvals[-3:]
-    return bool(
-        np.all(np.isfinite(tail))
-        and np.min(tail) > 0.0
-        and np.max(tail) / np.min(tail) < 1.0 + 1e-3
-        and np.max(tail) < 1e6
-    )
-
-
-def _hermiticity_endpoint(side: str, pts: _Points, log_abs: np.ndarray):
-    f = np.asarray(pts.f, dtype=float)
-    if _f_plateaus(f):
-        return True, {"side": side, "auto": True, "f_limit": float(f[-1])}
-    u = np.asarray(2.0 * log_abs + np.log(f), dtype=float)
-    finite = np.isfinite(u)
-    if not np.any(finite):
-        return True, {"side": side, "auto": False, "note": "psi underflows to zero"}
-    u = u[finite]
-    ev = {"side": side, "auto": False, "u_first": float(u[0]), "u_last": float(u[-1])}
-    if u[-1] - u[0] <= _LN_EPS:
-        ev["decayed_below_threshold"] = True
-        return True, ev
-    if len(u) >= 4:
-        slopes = np.diff(u)[-3:] / math.log(2.0)
-        ev["tail_slopes_per_doubling"] = [float(s) for s in slopes]
-        if np.all(slopes <= -0.02):
-            return True, ev
-    return False, ev
-
-
-def _exp_decay_certificate(u: np.ndarray):
+def _exp_decay_certificate(u):
     """Endpoint log-slope test on the finite u = log |psi|^2 towards an infinite
     end: |psi|^2 falling ever faster along the doubling distances certifies
     exponential decay (always integrable) whose rate is still too slow to push
-    the last power-law slope below -1."""
+    the last power-law slope below -1. It reads the last five values of u."""
     if len(u) < 4:
         return False, {}
-    diffs = np.diff(u)
-    ev = {"log_slope_diffs": [float(d) for d in diffs[-4:]]}
-    ok = (
-        diffs[-1] <= -0.1
-        and diffs[-1] < diffs[-2] - 0.02
-        and diffs[-2] < diffs[-3] - 0.02
-    )
-    return bool(ok), ev
+    diffs = [b - a for a, b in zip(u[-5:-1], u[-4:])]
+    ok = diffs[-1] <= -0.1 and diffs[-1] < diffs[-2] - 0.02 and diffs[-2] < diffs[-3] - 0.02
+    return ok, {"log_slope_diffs": diffs}
 
 
-def _square_integrable(log_abs: np.ndarray, finite_end: bool):
-    """Square integrability of psi at one end from u = log |psi|^2 at its endpoint
-    probes. The tail exponent p is the slope of u against the log of the offset
-    from a finite end (or the distance towards an infinite end) between the last
-    two finite values; |psi|^2 ~ s^p is integrable iff p > -1 as s -> 0 and iff
-    p < -1 as s -> inf. A tail that underflows to -inf is integrable; otherwise
-    an infinite end may still pass on the exponential-decay certificate."""
-    u = 2.0 * np.asarray(log_abs, dtype=float)
-    if u[-1] == -math.inf:
-        return True, {"underflow": True}
-    u = u[np.isfinite(u)]
-    p = (-1.0 if finite_end else 1.0) * float(u[-1] - u[-2]) / math.log(2.0) if len(u) >= 2 else math.nan
-    ev = {"tail_exponent": p}
-    if finite_end:
-        return p > -1.0, ev
-    if p < -1.0:
+def _tail_test(two_log_abs: list, log_f: list, bound: float, finite_end: bool):
+    """One end's verdict on u = 2 log |psi| + log f at its endpoint probes: log f
+    = 0 and bound -1 for square integrability, log f and bound 0 for the
+    Hermiticity condition |psi|^2 f -> 0. The tail exponents are the slopes of u
+    per doubling of the offset from a finite end (or of the distance towards an
+    infinite end) over the last three finite values; u ~ p log s passes when both
+    are > bound as s -> 0, or both < bound as s -> inf. An increment within the
+    rounding of u's terms reads as 0, so an exact plateau never passes. A tail
+    that underflows to -inf passes; otherwise an infinite end may still pass on
+    the exponential-decay certificate."""
+    tail = []  # (u, the scale of its terms) at the last five finite values
+    for a, b in zip(reversed(two_log_abs), reversed(log_f)):
+        if math.isfinite(a + b):
+            tail.insert(0, (a + b, max(1.0, abs(a), abs(b))))
+            if len(tail) == 5:
+                break
+    sign, last = (-1.0 if finite_end else 1.0), tail[-3:]
+    p = [
+        sign * (v1 - v0) / math.log(2.0) if abs(v1 - v0) > _ROUNDING * max(s0, s1) else 0.0
+        for (v0, s0), (v1, s1) in zip(last, last[1:])
+    ]
+    ev = {"tail_exponents": p}
+    if two_log_abs[-1] + log_f[-1] == -math.inf:
+        return True, {**ev, "underflow": True}
+    if len(p) == 2 and all(e > bound if finite_end else e < bound for e in p):
         return True, ev
-    cert, cert_ev = _exp_decay_certificate(u)
+    if finite_end:
+        return False, ev
+    cert, cert_ev = _exp_decay_certificate([v for v, _ in tail])
     return cert, {**ev, **cert_ev, "exp_decay_certificate": cert}
 
 
 def admissibility_checks(entry: CatalogEntry, params: dict, levels) -> list:
     """Numeric verdicts for each level n in ``levels``, both read from log |psi_n|
-    at each end's endpoint probes: the tail exponent of |psi_n|^2 for square
-    integrability, and the |psi_n|^2 f -> 0 boundary probe (endpoints where f
-    tends to a finite positive constant pass automatically). The probe points
-    and what psi_n needs there apart from n are evaluated once, for all levels."""
+    at each end's endpoint probes by one tail test: the tail exponents of
+    |psi_n|^2 against -1 for square integrability, and of |psi_n|^2 f against 0
+    for the Hermiticity condition |psi_n|^2 f -> 0. The probe points and what
+    psi_n needs there apart from n are evaluated once, for all levels."""
     problem = entry.chain_problem(params)
     ends = {side: _endpoint_probes(entry, problem, side) for side in ("left", "right")}
     verdicts = []
@@ -430,12 +410,12 @@ def admissibility_checks(entry: CatalogEntry, params: dict, levels) -> list:
         assembled = _assemble(entry, params, n)
         square, herm = {}, {}
         for side, (pts, finite_end) in ends.items():
-            log_abs = assembled.log_abs_at(pts)
-            square[side] = _square_integrable(log_abs, finite_end)
-            herm[side] = _hermiticity_endpoint(side, pts, log_abs)
-        evidence = {"square": {side: ev for side, (_, ev) in square.items()}}
-        evidence.update((side, ev) for side, (_, ev) in herm.items())
-        sq_ok, herm_ok = (all(ok for ok, _ in checks.values()) for checks in (square, herm))
+            two_log_abs = (2.0 * assembled.log_abs_at(pts)).tolist()
+            square[side] = _tail_test(two_log_abs, [0.0] * len(two_log_abs), -1.0, finite_end)
+            herm[side] = _tail_test(two_log_abs, pts.log_f, 0.0, finite_end)
+        tests = {"square": square, "hermiticity": herm}
+        evidence = {name: {side: ev for side, (_, ev) in checks.items()} for name, checks in tests.items()}
+        sq_ok, herm_ok = (all(ok for ok, _ in checks.values()) for checks in tests.values())
         verdicts.append(AdmissibilityVerdict(sq_ok, herm_ok, evidence))
     return verdicts
 

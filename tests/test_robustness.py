@@ -37,7 +37,7 @@ def test_eckart_slow_decay_certificate():
     v0 = admissibility_check(entry, p, 0)
     assert v0.square_integrable and v0.admissible
     right = v0.evidence["square"]["right"]
-    assert right["tail_exponent"] < -1.0 or right["exp_decay_certificate"]
+    assert right["tail_exponents"][-1] < -1.0 or right["exp_decay_certificate"]
     v1 = admissibility_check(entry, p, 1)
     assert not v1.square_integrable
     assert verif.counting_vs_admissibility(entry, p)["ok"]
@@ -46,7 +46,7 @@ def test_eckart_slow_decay_certificate():
     p = {"A": 2.0, "B": 8.0, "alpha": -0.3}
     v1 = admissibility_check(entry, p, 1)
     right = v1.evidence["square"]["right"]
-    assert -1.0 < right["tail_exponent"] < 0.0 and right["exp_decay_certificate"]
+    assert -1.0 < right["tail_exponents"][-1] < 0.0 and right["exp_decay_certificate"]
     assert v1.square_integrable and v1.admissible
     assert verif.counting_vs_admissibility(entry, p)["ok"]
 
@@ -58,6 +58,21 @@ def test_coulomb_slow_power_tail_counts(params, capsys):
     from pdem_si.cli import main
 
     assert main(["verify", "--potential", "coulomb", "--params", params]) == 0
+    assert "\n  [ok] counting vs numeric admissibility: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("potential,params", [
+    # the last bound level's |psi|^2 f ~ x^(p+1) with p just below -1: it
+    # vanishes, though slowly, and the Hermiticity test must pass it
+    ("coulomb", "e2=0.9009,l=0,alpha=0.1"),
+    # |psi|^2 f plateaus near e^-37 at both ends: far below its peak, yet no
+    # level meets the Hermiticity condition, as the zero count says
+    ("hyperbolic_poschl_teller", "A=12.950214257840315,alpha=0.06973132594846719"),
+])
+def test_hermiticity_tail_agrees_with_counting(potential, params, capsys):
+    from pdem_si.cli import main
+
+    assert main(["verify", "--potential", potential, "--params", params]) == 0
     assert "\n  [ok] counting vs numeric admissibility: " in capsys.readouterr().out
 
 

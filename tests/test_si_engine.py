@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -131,6 +132,27 @@ def test_chain_vs_printed_energies(name):
         assert gap > 0.5, (name, gap)
     else:
         assert gap < 1e-10, (name, gap)
+
+
+@pytest.mark.parametrize("name,params,level", [
+    *((name, dict(catalog.ENTRIES[name].default_params), 0) for name in ALL if not catalog.ENTRIES[name].energy_discrepancy),
+    # E_2 = -2.25e-8 next to the binding threshold, with E_0 = -0.16: the gap is
+    # relative to the chain's partial sum, so rounding of the sum passes and an
+    # error of 1e-9 |E_0| in the printed E_2 still fails
+    ("coulomb", {"e2": 0.9009, "l": 0.0, "alpha": 0.1}, 2),
+])
+def test_chain_vs_printed_energy_scale(name, params, level):
+    entry = catalog.ENTRIES[name]
+    e0 = entry.printed_energy(params, 0)
+
+    def off(p, n):
+        return entry.printed_energy(p, n) + (1e-9 * abs(e0) if n == level else 0.0)
+
+    def check(e):
+        return next(c for c in verif.verify_entry(e, params) if c.name == "chain vs printed E_n")
+
+    assert check(entry).ok
+    assert not check(dataclasses.replace(entry, printed_energy=off)).ok
 
 
 def test_scarf_chain_matches_sign_corrected_formula():
