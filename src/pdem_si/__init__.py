@@ -39,24 +39,20 @@ from .catalog import (
     bound_state_count,
     closed_energy,
     ground_state_closed,
-    list_entries,
     lookup,
 )
 from .oracle import (
     Spectrum,
     TridiagonalOperator,
-    discretize_deformed,
     discretize_vonroos,
     eigenpairs,
     eigenvectors,
-    equivalence_check,
     quadrature,
     sturm_count,
 )
 from .wavefunctions import (
     AdmissibilityVerdict,
     DeformedPolynomial,
-    admissibility_check,
     admissibility_checks,
     excited_state_eval,
     normalize,

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DeformingFunction, Interval, NotFound, ParameterError, RangeError
+from .core import DeformingFunction, DomainError, Interval, NotFound, ParameterError, RangeError
 from .si_engine import ChainProblem, SuperpotentialClass
 
 
@@ -946,11 +946,6 @@ def lookup(name: str) -> CatalogEntry:
     raise NotFound(f"unknown potential {name!r}; available: {sorted(ENTRIES)}")
 
 
-def list_entries() -> tuple:
-    """All entries plus the documented exclusions, in registry order."""
-    return tuple(ENTRIES.values()), dict(EXCLUSIONS)
-
-
 def closed_energy(entry: CatalogEntry, params: dict, n: int) -> float:
     """Evaluate the published E_n after range and counting checks."""
     entry.validate(params)
@@ -972,10 +967,7 @@ def bound_state_count(entry: CatalogEntry, params: dict) -> CountingResult:
 def ground_state_closed(entry: CatalogEntry, params: dict, x):
     """Published unnormalized ground state at interior x."""
     entry.validate(params)
-    xa = np.asarray(x, dtype=float)
-    if not entry.domain.contains_strictly(xa):
-        from .core import DomainError
-
+    if not entry.domain.contains_strictly(x):
         raise DomainError(f"{entry.name}: x outside open domain")
     val = entry.ground_state_closed(params, x)
     return float(val) if np.ndim(x) == 0 else val

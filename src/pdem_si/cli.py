@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import verification as verif
-from .catalog import CatalogEntry, EXCLUSIONS, list_entries, lookup
+from .catalog import CatalogEntry, ENTRIES, EXCLUSIONS, lookup
 from .core import PRESET_EXPONENTS, AmbiguityParams, NotFound, PdemError, RangeError, ZeroNorm
 from .si_engine import solve_chain
 from .wavefunctions import admissibility_checks, normalized_state
@@ -198,16 +198,15 @@ def build_spectrum_report(
 
 
 def _cmd_catalog(ns) -> int:
-    entries, exclusions = list_entries()
     print(f"{'name':26s} {'domain':22s} {'class':7s} validity")
-    for e in entries:
+    for e in ENTRIES.values():
         dom = f"({e.domain.x1:.6g}, {e.domain.x2:.6g})"
         cls = e.sp(dict(e.default_params)).class_id
         print(f"{e.name:26s} {dom:22s} {cls:7s} {e.range_text}")
         if e.energy_discrepancy:
             print(f"{'':26s} note: {e.energy_discrepancy}")
     print("\nexcluded potentials:")
-    for name, reason in exclusions.items():
+    for name, reason in EXCLUSIONS.items():
         print(f"{name:26s} {reason}")
     return 0
 
@@ -248,8 +247,11 @@ def _cmd_wavefunction(ns) -> int:
     lines = ["x,psi,f,v_eff"]
     for i in range(1, grid.n_points - 1):
         lines.append(",".join(_FMT % val for val in (x[i], psi[i], vals_f[i - 1], v[i - 1])))
-    with open(ns.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(ns.out, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise RangeError(f"--out {ns.out!r} cannot be written: {exc.strerror or exc}") from exc
     print(f"wrote {grid.n_points - 2} samples to {ns.out}")
     return 0
 
@@ -273,8 +275,6 @@ def _cmd_verify(ns) -> int:
     if ns.tol is not None and not (math.isfinite(ns.tol) and ns.tol > 0.0):
         raise RangeError(f"--tol must be finite and > 0, got {ns.tol}")
     if ns.potential == "all":
-        from .catalog import ENTRIES
-
         if ns.params is not None:
             raise RangeError("--params cannot be combined with --potential all (each entry runs at its defaults)")
         rc = 0

@@ -277,20 +277,17 @@ _FAMILIES: dict = {
     "trig_mix": _family_trig_mix,
 }
 
-_FULL_LINE = Interval(-math.inf, math.inf)
-
 
 @dataclass(frozen=True)
 class DeformingFunction:
     """f(x) = 1 + g(x) with analytic hand-coded derivatives, M = 1/f^2.
 
-    All catalog families are entire, so the default domain is the full line;
+    All catalog families are entire, so f is defined at every finite x;
     positivity is checked at evaluation, never assumed.
     """
 
     family: str
     params: dict
-    domain: Interval = _FULL_LINE
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -305,8 +302,8 @@ class DeformingFunction:
 
     def _f_checked(self, x: ArrayLike) -> np.ndarray:
         xa = np.asarray(x, dtype=float)
-        if not self.domain.contains_strictly(xa):
-            raise DomainError(f"x={x} outside open domain ({self.domain.x1}, {self.domain.x2})")
+        if not np.all(np.isfinite(xa)):
+            raise DomainError(f"x={x} is not finite")
         f = self._f_unchecked(xa)
         if np.any(f <= 0.0) or np.any(~np.isfinite(f)):
             bad = np.asarray(f)
@@ -315,14 +312,14 @@ class DeformingFunction:
         return f
 
     def f(self, x: ArrayLike) -> ArrayLike:
-        """f at x (scalar or array), strictly inside the domain, without the
-        derivatives that ``deforming_eval`` also computes."""
+        """f at finite x (scalar or array), without the derivatives that
+        ``deforming_eval`` also computes."""
         f = self._f_checked(x)
         return float(f) if np.ndim(x) == 0 else f
 
 
 def deforming_eval(df: DeformingFunction, x: ArrayLike) -> DeformingValues:
-    """Evaluate f, f', f'', g and M at x (scalar or array), strictly inside the domain."""
+    """Evaluate f, f', f'', g and M at finite x (scalar or array)."""
     f = df._f_checked(x)
     xa = np.asarray(x, dtype=float)
     g, g1, g2 = df._g_funcs()[:3]
@@ -347,8 +344,6 @@ def positivity_check(df: DeformingFunction, grid: Grid) -> PositivityReport:
     A violation is reported as a value, not raised.
     """
     x = grid.nodes()
-    if not df.domain.contains_strictly(x):
-        raise DomainError("grid extends outside the deforming-function domain")
     f = df._f_unchecked(x)
     imin = int(np.argmin(f))
     if f[imin] > 0.0:

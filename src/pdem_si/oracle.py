@@ -23,7 +23,6 @@ from .core import (
     ParameterError,
     SingularPotential,
 )
-from .ordering import v_tilde_eval
 
 _V_GUARD = 1e14
 _PIVMIN = 1e-290
@@ -85,12 +84,6 @@ class Spectrum:
 
 # the deformed kinetic term: pi^2 with pi = sqrt(f) p sqrt(f) is the ordering f^1/2 d f d f^1/2, where V~ = 0
 DEFORMED = AmbiguityParams(0.5, 0.5)
-
-
-def discretize_deformed(df: DeformingFunction, v_eff: Callable, grid: Grid) -> TridiagonalOperator:
-    """H = S T_f S + diag(V_eff), S = diag(sqrt f), T_f the symmetric flux form:
-    the ordered stencil at DEFORMED."""
-    return discretize_vonroos(df, DEFORMED, v_eff, grid)
 
 
 def discretize_vonroos(df: DeformingFunction, amb: AmbiguityParams, v: Callable, grid: Grid) -> TridiagonalOperator:
@@ -351,10 +344,3 @@ def _battery_deviation(op: TridiagonalOperator, ref: TridiagonalOperator) -> tup
     actions = [ref.apply(psi) for psi in battery]
     dev = np.array([op.apply(psi) - rhs for psi, rhs in zip(battery, actions)])
     return dev, max(float(np.max(np.abs(rhs))) for rhs in actions)
-
-
-def equivalence_check(df: DeformingFunction, amb: AmbiguityParams, v: Callable, grid: Grid) -> float:
-    """Max interior deviation between the ordered operator on V and the deformed
-    operator (the ordering DEFORMED) on V_eff = V + V~, over the test battery."""
-    op_def = discretize_deformed(df, lambda t: np.asarray(v(t), dtype=float) + v_tilde_eval(df, amb, t), grid)
-    return float(np.max(np.abs(_battery_deviation(discretize_vonroos(df, amb, v, grid), op_def)[0][:, 2:-2])))

@@ -3,8 +3,8 @@
 The kinetic term of ordering (xi, zeta), -(f^xi d/dx f^eta d/dx f^zeta)
 symmetrized, equals the deformed kinetic term -(sqrt(f) d/dx sqrt(f))^2 plus the
 ordering term V~ = rho*f*f'' + sigma*f'^2. The deformed term is itself the
-ordering (1/2, 1/2), where rho = sigma = 0, so ``oracle.equivalence_check``
-compares two orderings of one discretized operator.
+ordering (1/2, 1/2), where rho = sigma = 0, so the verify battery's
+``equivalence_deviation`` compares two orderings of one discretized operator.
 """
 from __future__ import annotations
 

@@ -384,8 +384,6 @@ def orthonormality_offdiag(entry: CatalogEntry, params: dict) -> Optional[float]
     if levels < 1:
         return None
     G = gram_matrix(entry, params, levels)
-    if levels == 1:
-        return 0.0
     off = G - np.diag(np.diag(G))
     return float(np.max(np.abs(off)))
 

@@ -418,8 +418,3 @@ def admissibility_checks(entry: CatalogEntry, params: dict, levels) -> list:
         sq_ok, herm_ok = (all(ok for ok, _ in checks.values()) for checks in tests.values())
         verdicts.append(AdmissibilityVerdict(sq_ok, herm_ok, evidence))
     return verdicts
-
-
-def admissibility_check(entry: CatalogEntry, params: dict, n: int) -> AdmissibilityVerdict:
-    """The verdict of ``admissibility_checks`` for level n alone."""
-    return admissibility_checks(entry, params, [n])[0]

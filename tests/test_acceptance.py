@@ -4,18 +4,14 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 Tolerances are fixed here; nothing is calibrated at runtime.
 """
 import json
-import math
 
 import numpy as np
 
 from pdem_si import catalog, verification as verif
 from pdem_si.catalog import bound_state_count, closed_energy, lookup, _morse_alpha_max
 from pdem_si.cli import SpectrumReport, build_spectrum_report, main
-from pdem_si.core import AmbiguityParams, DeformingFunction, Grid, Interval
-from pdem_si.oracle import equivalence_check
-from pdem_si.wavefunctions import admissibility_check, polynomial_chain
-
-PRESETS = ("bdd", "bastard", "zk", "lk")
+from pdem_si.core import AmbiguityParams
+from pdem_si.wavefunctions import admissibility_checks, polynomial_chain
 
 
 def _report(num, text):
@@ -56,8 +52,7 @@ def test_criterion_03_hyperbolic_pt_no_bound_states():
     entry = lookup("hyperbolic_poschl_teller")
     params = {"A": 1.0, "alpha": 0.5}
     assert bound_state_count(entry, params).kind == "zero"
-    for n in range(4):
-        verdict = admissibility_check(entry, params, n)
+    for n, verdict in enumerate(admissibility_checks(entry, params, range(4))):
         assert verdict.square_integrable, n
         assert not verdict.hermiticity_ok, n
         for side in verdict.evidence["hermiticity"].values():
@@ -71,7 +66,7 @@ def test_criterion_04_coulomb_counting_and_values():
     params = {"e2": 1.0, "l": 0.0, "alpha": 0.1}
     counting = bound_state_count(entry, params)
     assert counting.kind == "finite" and counting.count == 3
-    verdicts = [admissibility_check(entry, params, n).admissible for n in range(4)]
+    verdicts = [v.admissible for v in admissibility_checks(entry, params, range(4))]
     assert verdicts == [True, True, True, False]
     assert closed_energy(entry, params, 0) == -0.2025
     assert abs(closed_energy(entry, params, 2) - (-2.7778e-4)) < 1e-8
@@ -90,8 +85,7 @@ def test_criterion_05_morse_counting():
         params = {"A": 1.0, "B": 1.0, "alpha": alpha}
         counting = bound_state_count(entry, params)
         assert counting.kind == "finite" and counting.count == 1
-        assert admissibility_check(entry, params, 0).admissible
-        assert not admissibility_check(entry, params, 1).admissible
+        assert [v.admissible for v in admissibility_checks(entry, params, [0, 1])] == [True, False]
         spec = verif.deformed_spectrum(entry, params, 1)
         closed = closed_energy(entry, params, 0)
         rel = abs(spec.eigenvalues[0] - closed) / abs(closed)
@@ -111,7 +105,7 @@ def test_criterion_06_eckart_regime_switch():
     fin_params = {"A": 1.5, "B": 2.5, "alpha": -1.0}
     counting = bound_state_count(entry, fin_params)
     assert counting.kind == "finite" and counting.count == 1
-    assert not admissibility_check(entry, fin_params, 1).admissible
+    assert not admissibility_checks(entry, fin_params, [1])[0].admissible
     _report(6, "eckart: alpha = -2 infinite (4 levels vs oracle < 1e-3); alpha = -1 finite(1), n = 1 inadmissible")
 
 
@@ -131,18 +125,14 @@ def test_criterion_07_chain_consistency():
 
 
 def test_criterion_08_ordering_identity():
-    df = DeformingFunction("trig_sin", {"alpha": 0.3})
-    grid = Grid(Interval(-math.pi / 2, math.pi / 2), 4001)
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    for preset in PRESETS:
-        dev = equivalence_check(df, AmbiguityParams.preset(preset), zero, grid)
-        assert dev < 1e-6, (preset, dev)
+    # the pointwise identity on the trig_sin test family under all four presets
+    # is tests/test_ordering.py::test_ordering_equivalence_identity
     for name, params in (("box", {"alpha": 0.5}), ("morse", {"A": 1.0, "B": 1.0, "alpha": 0.5})):
         entry = lookup(name)
         for preset in ("bdd", "zk"):
             res = verif.spectral_equivalence(entry, params, AmbiguityParams.preset(preset))
             assert res["max_rel_dev"] < 1e-6, (name, preset, res)
-    _report(8, "ordering identity < 1e-6 (test family, 4 presets); ordered vs deformed spectra < 1e-6 (box, morse)")
+    _report(8, "ordered vs deformed spectra < 1e-6 (box, morse)")
 
 
 def test_criterion_09_wavefunction_suite():

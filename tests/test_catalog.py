@@ -9,7 +9,6 @@ from pdem_si.catalog import (
     bound_state_count,
     closed_energy,
     ground_state_closed,
-    list_entries,
     lookup,
 )
 from pdem_si.core import AmbiguityParams, DomainError, NotFound, RangeError
@@ -19,9 +18,8 @@ ALL = sorted(catalog.ENTRIES)
 
 def test_lookup_and_listing():
     assert lookup("coulomb").domain.x1 == 0.0 and math.isinf(lookup("coulomb").domain.x2)
-    entries, exclusions = list_entries()
-    assert len(entries) == 10
-    assert set(exclusions) == {"scarf_ii", "rosen_morse_ii", "gen_poschl_teller"}
+    assert len(catalog.ENTRIES) == 10
+    assert set(catalog.EXCLUSIONS) == {"scarf_ii", "rosen_morse_ii", "gen_poschl_teller"}
     with pytest.raises(NotFound) as err:
         lookup("scarf_ii")
     assert "positive definiteness" in str(err.value)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import pdem_si
 from pdem_si import catalog
 from pdem_si.core import (
     AmbiguityParams,
@@ -92,9 +93,12 @@ def test_deforming_eval_examples():
 
 
 def test_deforming_domain_and_positivity_errors():
-    df = DeformingFunction("trig_sin2", {"alpha": 0.5}, domain=Interval(-1.0, 1.0))
-    with pytest.raises(DomainError):
-        deforming_eval(df, 2.0)
+    df = DeformingFunction("trig_sin2", {"alpha": 0.5})
+    for x in (math.inf, -math.inf, math.nan, np.array([0.0, math.inf]), np.array([math.nan, 0.5])):
+        with pytest.raises(DomainError):
+            deforming_eval(df, x)
+        with pytest.raises(DomainError):
+            df.f(x)
     bad = DeformingFunction("trig_sin2", {"alpha": -1.5})
     with pytest.raises(NonPositiveError):
         deforming_eval(bad, math.pi / 2)
@@ -157,3 +161,19 @@ def test_positivity_all_catalog_families(name):
     a, b = _sample_window(entry)
     rep = positivity_check(entry.deforming(dict(entry.default_params)), Grid(Interval(a, b), 10001))
     assert rep.ok, (name, rep)
+
+
+def test_public_api_names():
+    # every change to the public API shows here
+    assert sorted(pdem_si.__all__) == [
+        "AdmissibilityVerdict", "AmbiguityParams", "CatalogEntry", "ChainError", "ChainProblem",
+        "ConvergenceError", "CountingResult", "DeformedPolynomial", "DeformingFunction", "DegenerateClass",
+        "DomainError", "Grid", "Interval", "NoRealRoot", "NonPositiveError", "NotFound", "ParameterChain",
+        "ParameterError", "PdemError", "RangeError", "SingularPoint", "SingularPotential", "Spectrum",
+        "SuperpotentialClass", "TridiagonalOperator", "ZeroNorm", "admissibility_checks", "bound_state_count",
+        "catalog", "chain_residuals", "closed_energy", "core", "deforming_eval", "discretize_vonroos",
+        "eigenpairs", "eigenvectors", "excited_state_eval", "ground_state_closed", "lookup", "normalize",
+        "oracle", "ordering", "partner_potential", "polynomial_chain", "positivity_check", "quadrature",
+        "recover_initial_potential", "si_engine", "solve_chain", "sturm_count", "v_tilde_eval", "w_eval",
+        "wavefunctions",
+    ]

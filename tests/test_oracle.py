@@ -15,11 +15,9 @@ from pdem_si.core import (
 )
 from pdem_si.oracle import (
     TridiagonalOperator,
-    discretize_deformed,
     discretize_vonroos,
     eigenpairs,
     eigenvectors,
-    equivalence_check,
     quadrature,
     sturm_count,
 )
@@ -78,7 +76,7 @@ def test_sturm_count_monotone():
 def _box_operator(alpha, n_points):
     df = DeformingFunction("trig_sin2", {"alpha": alpha})
     grid = Grid(Interval(-math.pi / 2, math.pi / 2), n_points)
-    return discretize_deformed(df, lambda x: np.zeros_like(np.asarray(x)), grid)
+    return discretize_vonroos(df, oracle.DEFORMED, lambda x: np.zeros_like(np.asarray(x)), grid)
 
 
 def test_grid_convergence_second_order():
@@ -101,7 +99,7 @@ def test_undeformed_box_spectrum():
     # f == 1, V == 0 on (-pi/2, pi/2): plain infinite well, E_n = (n+1)^2
     df = DeformingFunction("trig_sin", {"alpha": 0.0})
     grid = Grid(Interval(-math.pi / 2, math.pi / 2), 2001)
-    spec = eigenpairs(discretize_deformed(df, lambda x: np.zeros_like(np.asarray(x)), grid), 3)
+    spec = eigenpairs(discretize_vonroos(df, oracle.DEFORMED, lambda x: np.zeros_like(np.asarray(x)), grid), 3)
     for n in range(3):
         exact = (n + 1) ** 2
         assert abs(spec.eigenvalues[n] - exact) / exact < 1e-4
@@ -126,7 +124,7 @@ def test_apply_includes_boundary_couplings():
     # which only holds if the stencil keeps its couplings to the boundary nodes
     df = DeformingFunction("trig_sin", {"alpha": 0.0})
     grid = Grid(Interval(0.0, 1.0), 101)
-    op = discretize_deformed(df, lambda x: np.zeros_like(np.asarray(x)), grid)
+    op = discretize_vonroos(df, oracle.DEFORMED, lambda x: np.zeros_like(np.asarray(x)), grid)
     psi = 2.0 + 3.0 * grid.nodes()
     assert np.max(np.abs(op.apply(psi))) < 1e-9
 
@@ -135,7 +133,7 @@ def test_harmonic_oscillator_constant_mass():
     # f == 1, V = x^2 (omega = 2 in the quarter-square convention): E_n = 2(n + 1/2)
     df = DeformingFunction("trig_sin", {"alpha": 0.0})
     grid = Grid(Interval(-12.0, 12.0), 4001)
-    op = discretize_deformed(df, lambda x: np.asarray(x) ** 2, grid)
+    op = discretize_vonroos(df, oracle.DEFORMED, lambda x: np.asarray(x) ** 2, grid)
     spec = eigenpairs(op, 3)
     for n in range(3):
         exact = 2.0 * (n + 0.5)
@@ -179,7 +177,7 @@ def test_vonroos_constant_mass_matches_deformed():
     grid = Grid(Interval(0.0, 2.0), 101)
     v = lambda x: np.sin(np.asarray(x))
     flat = DeformingFunction("trig_sin", {"alpha": 0.0})
-    a = discretize_deformed(flat, v, grid)
+    a = discretize_vonroos(flat, oracle.DEFORMED, v, grid)
     b = discretize_vonroos(flat, AmbiguityParams.preset("bdd"), v, grid)
     assert np.array_equal(a.diag, b.diag) and np.array_equal(a.off, b.off)
 
@@ -205,7 +203,7 @@ def test_deformed_operator_matches_reference_stencil(name):
     df, v_eff = entry.deforming(params), entry.v_eff(params)
     pair = [Grid(entry.equivalence_interval, n) for n in (verif._PAIR_POINTS, 2 * verif._PAIR_POINTS - 1)]
     for grid in [verif.oracle_grid(entry, params)] + pair + [verif.oracle_grid(entry, params, 16001)]:
-        op = discretize_deformed(df, v_eff, grid)
+        op = discretize_vonroos(df, oracle.DEFORMED, v_eff, grid)
         diag, off, left, right = _reference_deformed(df, v_eff, grid)
         assert np.array_equal(op.diag, diag) and np.array_equal(op.off, off)
         # the couplings multiply the same three factors, the left one in another order
@@ -270,26 +268,10 @@ def test_guards():
     grid = Grid(Interval(-math.pi / 2, math.pi / 2), 101)
     bad = DeformingFunction("trig_sin2", {"alpha": -1.5})
     with pytest.raises(NonPositiveError):
-        discretize_deformed(bad, lambda x: np.zeros_like(np.asarray(x)), grid)
+        discretize_vonroos(bad, oracle.DEFORMED, lambda x: np.zeros_like(np.asarray(x)), grid)
     flat = DeformingFunction("trig_sin", {"alpha": 0.0})
     with pytest.raises(SingularPotential):
-        discretize_deformed(flat, lambda x: np.full_like(np.asarray(x), 1e15), grid)
-
-
-def test_equivalence_check_constant_mass_exact():
-    flat = DeformingFunction("trig_sin", {"alpha": 0.0})
-    grid = Grid(Interval(-1.0, 1.0), 801)
-    dev = equivalence_check(flat, AmbiguityParams.preset("zk"), lambda x: np.cos(np.asarray(x)), grid)
-    assert dev < 1e-12
-
-
-@pytest.mark.parametrize("preset", PRESETS)
-def test_equivalence_check_test_family(preset):
-    df = DeformingFunction("trig_sin", {"alpha": 0.3})
-    amb = AmbiguityParams.preset(preset)
-    ctx_v = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    grid = Grid(Interval(-math.pi / 2, math.pi / 2), 4001)
-    assert equivalence_check(df, amb, ctx_v, grid) < 1e-6
+        discretize_vonroos(flat, oracle.DEFORMED, lambda x: np.full_like(np.asarray(x), 1e15), grid)
 
 
 def _equivalence_cases():
@@ -422,7 +404,7 @@ def test_vectors_reuse_the_cached_eigenvalues(monkeypatch):
     with_vectors = verif.deformed_spectrum(entry, params, 4, n_override=2001, want_vectors=True)
     assert len(calls) == 1
     assert with_vectors.eigenvalues is spec.eigenvalues
-    op = discretize_deformed(entry.deforming(params), entry.v_eff(params), verif.oracle_grid(entry, params, 2001))
+    op = discretize_vonroos(entry.deforming(params), oracle.DEFORMED, entry.v_eff(params), verif.oracle_grid(entry, params, 2001))
     assert np.array_equal(with_vectors.eigenvectors, eigenvectors(op, eigenpairs(op, 4).eigenvalues))
 
 
@@ -437,7 +419,7 @@ def test_equivalence_solves_only_the_levels_it_compares(monkeypatch):
     assert levels < 4
     for n in (verif._PAIR_POINTS, 2 * verif._PAIR_POINTS - 1):
         grid = Grid(entry.equivalence_interval, n)
-        deformed = discretize_deformed(entry.deforming(params), entry.v_eff(params), grid)
+        deformed = discretize_vonroos(entry.deforming(params), oracle.DEFORMED, entry.v_eff(params), grid)
         on_grid = [(op, k) for op, k in calls if op.grid == grid]
         assert len(on_grid) == 2  # deformed and von Roos
         assert all(k == levels for _, k in on_grid)
@@ -449,7 +431,7 @@ def test_eigenvectors_converge_on_fine_grid():
     entry = catalog.ENTRIES["box"]
     params = {"alpha": 0.5}
     grid = verif.oracle_grid(entry, params, 8001)
-    op = discretize_deformed(entry.deforming(params), entry.v_eff(params), grid)
+    op = discretize_vonroos(entry.deforming(params), oracle.DEFORMED, entry.v_eff(params), grid)
     vectors = eigenvectors(op, eigenpairs(op, 4).eigenvalues)
     x = grid.nodes()
     for n in range(4):
@@ -468,7 +450,7 @@ def test_eigenpairs_match_lapack(name):
     params = dict(entry.default_params)
     for n_points in (None, 16001):
         grid = verif.oracle_grid(entry, params, n_points)
-        op = discretize_deformed(entry.deforming(params), entry.v_eff(params), grid)
+        op = discretize_vonroos(entry.deforming(params), oracle.DEFORMED, entry.v_eff(params), grid)
         spec = eigenpairs(op, 4)
         ref, U = linalg.eigh_tridiagonal(op.diag, op.off, select="i", select_range=(0, 3), tol=1e-300)
         got = spec.eigenvalues
@@ -512,7 +494,7 @@ def test_eigenvalues_sit_in_certified_brackets(name):
     # whose ends count m - 1 and m eigenvalues below them
     entry = catalog.ENTRIES[name]
     params = dict(entry.default_params)
-    op = discretize_deformed(entry.deforming(params), entry.v_eff(params), verif.oracle_grid(entry, params))
+    op = discretize_vonroos(entry.deforming(params), oracle.DEFORMED, entry.v_eff(params), verif.oracle_grid(entry, params))
     got = eigenpairs(op, 4).eigenvalues
     for m, lam in enumerate(got, start=1):
         w = 1e-12 * max(1.0, abs(lam)) + 4.0 * math.ulp(lam)
@@ -550,7 +532,7 @@ def _reference_pivots(d, e2, t):
 def test_eigenvectors_match_reference_pivot_sweep(name, monkeypatch):
     entry = catalog.ENTRIES[name]
     params = dict(entry.default_params)
-    op = discretize_deformed(entry.deforming(params), entry.v_eff(params), verif.oracle_grid(entry, params))
+    op = discretize_vonroos(entry.deforming(params), oracle.DEFORMED, entry.v_eff(params), verif.oracle_grid(entry, params))
     eigvals = eigenpairs(op, 4).eigenvalues
     got = eigenvectors(op, eigvals)
     monkeypatch.setattr(oracle, "_pivots", _reference_pivots)

@@ -5,7 +5,7 @@ import pytest
 
 from pdem_si import catalog
 from pdem_si.core import AmbiguityParams, DeformingFunction, Grid, Interval, ParameterError
-from pdem_si.oracle import discretize_deformed, discretize_vonroos
+from pdem_si.oracle import DEFORMED, discretize_vonroos
 from pdem_si.ordering import recover_initial_potential, v_tilde_eval
 
 PRESETS = ("bdd", "bastard", "zk", "lk")
@@ -143,7 +143,7 @@ def test_ordering_equivalence_identity(preset):
     u = x / math.pi
     battery = [np.exp(-16.0 * u**2), np.sin(2 * x) * np.cos(math.pi * u) ** 2]
     op_vr = discretize_vonroos(df, amb, _zero, grid)
-    op_def = discretize_deformed(df, _zero, grid)
+    op_def = discretize_vonroos(df, DEFORMED, _zero, grid)
     for psi in battery:
         lhs = op_vr.apply(psi)
         rhs = op_def.apply(psi) + np.asarray(v_tilde_eval(df, amb, x[1:-1])) * psi[1:-1]

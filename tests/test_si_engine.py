@@ -201,14 +201,14 @@ def test_partner_potential_spectrum():
     prob = entry.chain_problem(p)
     chain = solve_chain(prob, 4)
     from pdem_si.core import Grid, Interval
-    from pdem_si.oracle import discretize_deformed, eigenpairs
+    from pdem_si.oracle import DEFORMED, discretize_vonroos, eigenpairs
 
     grid = Grid(Interval(-math.pi / 2, math.pi / 2), 4001)
 
     def v_partner(x):
         return np.array([partner_potential(prob, chain, float(t)) for t in np.atleast_1d(x)])
 
-    spec = eigenpairs(discretize_deformed(entry.deforming(p), v_partner, grid), 3)
+    spec = eigenpairs(discretize_vonroos(entry.deforming(p), DEFORMED, v_partner, grid), 3)
     for k in range(3):
         want = chain.energy(k + 1)
         assert abs(spec.eigenvalues[k] - want) / want < 1e-4

@@ -16,7 +16,6 @@ from pdem_si.wavefunctions import (
     _endpoint_probes,
     _exp_decay_certificate,
     _tail_test,
-    admissibility_check,
     admissibility_checks,
     excited_state_eval,
     normalize,
@@ -287,8 +286,7 @@ def test_polynomial_chain_guards():
 
 def test_admissibility_box_all_levels():
     entry = catalog.ENTRIES["box"]
-    for n in (0, 5, 10):
-        v = admissibility_check(entry, {"alpha": 0.5}, n)
+    for v in admissibility_checks(entry, {"alpha": 0.5}, (0, 5, 10)):
         assert v.admissible and v.square_integrable and v.hermiticity_ok
         # f(+-pi/2) = 1.5 finite: |psi|^2 f vanishes with |psi|^2 at both ends
         assert all(e > 0.0 for side in v.evidence["hermiticity"].values() for e in side["tail_exponents"])
@@ -296,8 +294,7 @@ def test_admissibility_box_all_levels():
 
 def test_admissibility_hyperbolic_pt():
     entry = catalog.ENTRIES["hyperbolic_poschl_teller"]
-    for n in range(4):
-        v = admissibility_check(entry, {"A": 1.0, "alpha": 0.5}, n)
+    for v in admissibility_checks(entry, {"A": 1.0, "alpha": 0.5}, range(4)):
         assert v.square_integrable
         assert not v.hermiticity_ok  # |psi|^2 f plateaus at a nonzero constant
         assert not v.admissible
@@ -325,7 +322,7 @@ def test_hyperbolic_pt_plateau_never_passes_hermiticity():
 def test_admissibility_coulomb_counting():
     entry = catalog.ENTRIES["coulomb"]
     p = {"e2": 1.0, "l": 0.0, "alpha": 0.1}
-    verdicts = [admissibility_check(entry, p, n).admissible for n in range(4)]
+    verdicts = [v.admissible for v in admissibility_checks(entry, p, range(4))]
     assert verdicts == [True, True, True, False]
 
 
@@ -335,16 +332,13 @@ def test_admissibility_morse_level_by_level(alpha):
     p = {"A": 1.0, "B": 1.0, "alpha": alpha}
     counting = entry.counting(p)
     assert counting.count == 1
-    assert admissibility_check(entry, p, 0).admissible
-    assert not admissibility_check(entry, p, 1).admissible
+    assert [v.admissible for v in admissibility_checks(entry, p, [0, 1])] == [True, False]
 
 
 def test_admissibility_eckart_regimes():
     entry = catalog.ENTRIES["eckart"]
-    assert admissibility_check(entry, {"A": 1.5, "B": 2.5, "alpha": -1.0}, 0).admissible
-    assert not admissibility_check(entry, {"A": 1.5, "B": 2.5, "alpha": -1.0}, 1).admissible
-    for n in range(4):
-        assert admissibility_check(entry, {"A": 1.5, "B": 2.5, "alpha": -2.0}, n).admissible
+    assert [v.admissible for v in admissibility_checks(entry, {"A": 1.5, "B": 2.5, "alpha": -1.0}, [0, 1])] == [True, False]
+    assert all(v.admissible for v in admissibility_checks(entry, {"A": 1.5, "B": 2.5, "alpha": -2.0}, range(4)))
 
 
 @pytest.mark.parametrize("name", ALL)
