@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -22,8 +22,7 @@ import numpy as np
 from . import verification as verif
 from .catalog import CatalogEntry, ENTRIES, EXCLUSIONS, lookup
 from .core import PRESET_EXPONENTS, AmbiguityParams, NotFound, PdemError, RangeError, ZeroNorm
-from .si_engine import solve_chain
-from .wavefunctions import admissibility_checks, normalized_state
+from .wavefunctions import _admissibility, _LevelTable, normalized_state
 
 _FMT = "%.17g"  # full round-trip decimal representation
 _MAX_POINTS = 1_000_001  # largest grid for --samples and PDEM_GRID_N
@@ -53,7 +52,7 @@ class SpectrumReport:
     grid_meta: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**vars(self), "levels": [dict(vars(row)) for row in self.levels]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpectrumReport":
@@ -129,10 +128,11 @@ def build_spectrum_report(
     if n_levels != "auto" and counting.kind == "finite" and k < wanted:
         print(f"note: {entry.name} supports {counting.count} bound state(s); clamping levels", file=sys.stderr)
 
-    chain = solve_chain(entry.chain_problem(params), max(k - 1, 5))
+    table = _LevelTable(entry, params)  # the levels the probes, the oracle cap and the Gram check share
+    chain = table.chain_to(max(k - 1, 5))
     oracle_vals = ()
     if with_oracle:
-        trusted = min(k, verif.trusted_levels(entry, params))
+        trusted = min(k, verif._trusted_levels(table))
         if trusted > 0:
             if n_override:  # one grid of that size, as given; its N - 2 interior nodes hold N - 2 levels
                 k_grid = min(trusted, n_override - 2)
@@ -143,7 +143,7 @@ def build_spectrum_report(
     # closed forms first: when they overflow, the request exits before any probe runs
     closed = [entry.printed_energy(params, n) for n in range(k)]
     rows = []
-    for n, (e_closed, verdict) in enumerate(zip(closed, admissibility_checks(entry, params, range(k)))):
+    for n, (e_closed, verdict) in enumerate(zip(closed, _admissibility(table, range(k)))):
         e_chain = chain.energy(n)
         e_orc = abs_err = rel_err = None
         if n < len(oracle_vals):
@@ -168,7 +168,7 @@ def build_spectrum_report(
     checks = {
         "si_residual_max": max(r1, r2),
         "equivalence_max_dev": verif.equivalence_deviation(entry, params, amb)["max_dev"],
-        "orthonormality_max_offdiag": verif.orthonormality_offdiag(entry, params),
+        "orthonormality_max_offdiag": verif._orthonormality_offdiag(table),
     }
     deformation = {kk: params[kk] for kk in entry.deformation_names}
     pot_params = {kk: vv for kk, vv in params.items() if kk not in entry.deformation_names}

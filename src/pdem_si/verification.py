@@ -16,7 +16,7 @@ from .ordering import recover_initial_potential, v_tilde_eval
 from .oracle import DEFORMED, Spectrum, TridiagonalOperator, _battery_deviation, discretize_vonroos, eigenpairs
 from .oracle import eigenvectors, quadrature, sturm_count
 from .si_engine import ParameterChain, chain_residuals, solve_chain, w_eval
-from .wavefunctions import _assemble, admissibility_checks, excited_state_eval, normalized_state
+from .wavefunctions import _admissibility, _LevelTable, _normalized_states
 
 _SPECTRUM_CACHE: dict = {}
 
@@ -134,9 +134,14 @@ def ground_ratio_spread(entry: CatalogEntry, params: dict) -> float:
     Points where the state has decayed below 1e-120 of its peak are skipped:
     both representations underflow there and the ratio becomes 0/0. NaN when
     no point is left."""
+    return _ground_ratio_spread(_LevelTable(entry, params))
+
+
+def _ground_ratio_spread(table: _LevelTable) -> float:
+    entry, params = table.entry, table.params
     a, b = residual_window(entry, params)
     xs = np.linspace(a, b, _WINDOW_NODES)
-    num = np.asarray(excited_state_eval(entry, params, 0, xs), dtype=float)
+    num = table[0].value(xs)
     closed = np.asarray(entry.ground_state_closed(params, xs), dtype=float)
     mask = np.abs(closed) > 1e-120 * np.max(np.abs(closed))
     if not np.any(mask):
@@ -148,7 +153,12 @@ def ground_ratio_spread(entry: CatalogEntry, params: dict) -> float:
 def a_minus_residual(entry: CatalogEntry, params: dict) -> float:
     """Max |A^- psi0| / max |psi0| with a fourth-order discrete derivative on
     the residual window, clamped to the equivalence interval."""
-    assembled = _assemble(entry, params, 0)
+    return _a_minus_residual(_LevelTable(entry, params))
+
+
+def _a_minus_residual(table: _LevelTable) -> float:
+    entry, params = table.entry, table.params
+    assembled = table[0]
     problem, chain = assembled.problem, assembled.chain
     lo, hi = residual_window(entry, params)
     edges = entry.equivalence_interval
@@ -173,12 +183,18 @@ def eigen_residual(entry: CatalogEntry, params: dict, n: int) -> float:
     (sec^2 or 1/x^2 endpoints) the second-order stencil cannot resolve the
     closed-form state and its local truncation error would swamp the norm.
     Boundary couplings are included, so no Dirichlet assumption is made."""
-    a, b = residual_window(entry, params)
-    grid = Grid(Interval(a, b), _FINE_POINTS)
-    op = _operator(entry, params, DEFORMED, grid)
-    assembled = _assemble(entry, params, n)
-    psi = np.asarray(assembled.value(grid.nodes()), dtype=float)
-    energy = assembled.chain.energy(n)
+    return _eigen_residual(_residual_operator(entry, params), _LevelTable(entry, params)[n])
+
+
+def _residual_operator(entry: CatalogEntry, params: dict) -> TridiagonalOperator:
+    """The deformed operator at _FINE_POINTS over the residual window, which
+    every level's eigen-residual applies."""
+    return _operator(entry, params, DEFORMED, Grid(Interval(*residual_window(entry, params)), _FINE_POINTS))
+
+
+def _eigen_residual(op: TridiagonalOperator, assembled) -> float:
+    psi = assembled.value(op.grid.nodes())
+    energy = assembled.chain.energy(assembled.n)
     resid = op.apply(psi) - energy * psi[1:-1]
     return float(np.linalg.norm(resid) / np.linalg.norm(psi[1:-1]))
 
@@ -186,8 +202,12 @@ def eigen_residual(entry: CatalogEntry, params: dict, n: int) -> float:
 def gram_matrix(entry: CatalogEntry, params: dict, levels: int) -> np.ndarray:
     """Simpson Gram matrix of the first ``levels`` normalized closed-form states
     on the oracle grid."""
-    grid = oracle_grid(entry, params)
-    states = [normalized_state(entry, params, n, grid) for n in range(levels)]
+    return _gram_matrix(_LevelTable(entry, params), levels)
+
+
+def _gram_matrix(table: _LevelTable, levels: int) -> np.ndarray:
+    grid = oracle_grid(table.entry, table.params)
+    states = _normalized_states(table, range(levels), grid)
     G = np.empty((levels, levels))
     for i in range(levels):
         for j in range(i, levels):
@@ -195,13 +215,14 @@ def gram_matrix(entry: CatalogEntry, params: dict, levels: int) -> np.ndarray:
     return G
 
 
-def _truncation_resolves(entry: CatalogEntry, params: dict, n: int, edges: Interval) -> bool:
+def _truncation_resolves(table: _LevelTable, n: int, edges: Interval) -> bool:
     """True when the closed-form state has actually decayed at the truncation
     edges, so its Dirichlet eigenvalue is trustworthy at the recipe tolerance."""
+    entry = table.entry
     if entry.domain.bounded:
         return True
-    assembled = _assemble(entry, params, n)
-    a, b = residual_window(entry, params)
+    assembled = table[n]
+    a, b = residual_window(entry, table.params)
     peak = float(np.max(assembled.log_abs(np.linspace(a, b, 257))))
     # |psi(edge)|^2 below ~3e-4 of the peak keeps the Dirichlet shift within the
     # per-entry tolerances; marginal tails sit decades above this line
@@ -220,9 +241,14 @@ def trusted_levels(entry: CatalogEntry, params: dict) -> int:
     """Lowest oracle levels trusted by both the oracle comparison and ``spectrum
     --oracle``: the bound states up to the recipe's level cap, less the top ones
     whose Dirichlet eigenvalues carry a truncation shift (tails not decayed)."""
+    return _trusted_levels(_LevelTable(entry, params))
+
+
+def _trusted_levels(table: _LevelTable) -> int:
+    entry, params = table.entry, table.params
     cap = entry.counting(params).levels(entry.oracle_recipe(params).level_cap)
     edges = oracle_grid(entry, params).interval
-    while cap > 0 and not _truncation_resolves(entry, params, cap - 1, edges):
+    while cap > 0 and not _truncation_resolves(table, cap - 1, edges):
         cap -= 1
     return cap
 
@@ -262,12 +288,17 @@ def oracle_energies(entry: CatalogEntry, params: dict, k: int) -> dict:
 def oracle_vs_chain(entry: CatalogEntry, params: dict) -> Optional[dict]:
     """Compare chain energies with the matrix oracle (``oracle_energies``) on
     the entry recipe over the trusted levels; None when no level is trusted."""
-    cap = trusted_levels(entry, params)
+    return _oracle_vs_chain(_LevelTable(entry, params))
+
+
+def _oracle_vs_chain(table: _LevelTable) -> Optional[dict]:
+    entry, params = table.entry, table.params
+    cap = _trusted_levels(table)
     if cap < 1:
         return None
     rel_tol = entry.oracle_recipe(params).rel_tol
     orc = oracle_energies(entry, params, cap)
-    chain = solve_chain(entry.chain_problem(params), cap - 1)
+    chain = table.chain_to(cap - 1)
     rel = [
         abs(orc["energies"][n] - chain.energy(n)) / max(1e-12, abs(chain.energy(n)))
         for n in range(cap)
@@ -355,13 +386,17 @@ def counting_vs_admissibility(entry: CatalogEntry, params: dict) -> dict:
     which is normalizable but not a new bound state. A finite count probes at
     most the first AUTO_LEVELS levels, and the first missing level n = count
     only when count <= AUTO_LEVELS; other rules probe levels 0..3."""
-    counting = entry.counting(params)
+    return _counting_vs_admissibility(_LevelTable(entry, params))
+
+
+def _counting_vs_admissibility(table: _LevelTable) -> dict:
+    counting = table.entry.counting(table.params)
     if counting.kind == "finite":
         probed = counting.count + 1 if counting.count <= AUTO_LEVELS else AUTO_LEVELS
     else:
         probed = 4
-    chain = solve_chain(entry.chain_problem(params), probed - 1)
-    verdicts = dict(enumerate(admissibility_checks(entry, params, range(probed))))
+    chain = table.chain_to(probed - 1)
+    verdicts = dict(enumerate(_admissibility(table, range(probed))))
 
     def exists(n: int, v) -> bool:
         if not v.admissible:
@@ -380,10 +415,14 @@ def counting_vs_admissibility(entry: CatalogEntry, params: dict) -> dict:
 
 def orthonormality_offdiag(entry: CatalogEntry, params: dict) -> Optional[float]:
     """Max off-diagonal Gram entry over the first min(4, count) admissible states."""
-    levels = entry.counting(params).levels(4)
+    return _orthonormality_offdiag(_LevelTable(entry, params))
+
+
+def _orthonormality_offdiag(table: _LevelTable) -> Optional[float]:
+    levels = table.entry.counting(table.params).levels(4)
     if levels < 1:
         return None
-    G = gram_matrix(entry, params, levels)
+    G = _gram_matrix(table, levels)
     off = G - np.diag(np.diag(G))
     return float(np.max(np.abs(off)))
 
@@ -445,26 +484,28 @@ def _battery(entry: CatalogEntry, params: dict, preset: str, tol: Optional[float
     else:
         yield Check("printed ordering term", vt < 1e-10, f"max dev = {vt:.2e}")
 
-    cva = counting_vs_admissibility(entry, params)
+    table = _LevelTable(entry, params)  # the levels every check below reads
+    cva = _counting_vs_admissibility(table)
     cnt = cva["counting"]
     verdicts = ", ".join(f"n={n}:{_verdict_tag(v)}" for n, v in sorted(cva["verdicts"].items()))
     yield Check("counting vs numeric admissibility", cva["ok"], f"counting = {cnt}; verdicts {verdicts}")
     if cnt.kind == "finite" and cnt.count > AUTO_LEVELS:
         yield Check(f"counting boundary n={cnt.count} not probed (only levels n < {AUTO_LEVELS})", None)
 
-    ratio = ground_ratio_spread(entry, params)
+    ratio = _ground_ratio_spread(table)
     yield Check("ground-state closed vs integral form", ratio < 1e-8, f"ratio spread = {ratio:.2e}")
 
     # 1e-7 here: slowly decaying states evaluated through a saturating chain
     # variable (coth) carry ~1e-9 relative noise that the discrete derivative
     # amplifies by 1/h; genuine sign or assembly errors sit many decades higher
-    am = a_minus_residual(entry, params)
+    am = _a_minus_residual(table)
     yield Check("lowering-operator annihilation", am < 1e-7, f"max residual = {am:.2e}")
 
     levels = cnt.levels(3)
-    chain = solve_chain(entry.chain_problem(params), max(levels - 1, 0))
+    chain = table.chain_to(max(levels - 1, 0))
+    op = _residual_operator(entry, params) if levels else None
     for n in range(levels):
-        er = eigen_residual(entry, params, n)
+        er = _eigen_residual(op, table[n])
         e_tol = 1e-5 * max(1.0, abs(chain.energy(n)))
         yield Check(f"eigen-residual n={n}", er < e_tol, f"{er:.2e} (tol {e_tol:.1e})")
 
@@ -486,7 +527,7 @@ def _battery(entry: CatalogEntry, params: dict, preset: str, tol: Optional[float
             f"{se['levels']} level(s), max rel dev = {se['max_rel_dev']:.2e}",
         )
 
-    ovc = oracle_vs_chain(entry, params)
+    ovc = _oracle_vs_chain(table)
     if ovc is None:
         yield Check("oracle energy comparison skipped (no resolvable levels)", None)
     else:

@@ -145,13 +145,14 @@ def _trim(c: np.ndarray) -> np.ndarray:
     return c[: nz[-1] + 1] if len(nz) else c[:1]
 
 
-# products and sums trim trailing zeros of inputs and result, as polymul and polyadd do
-def _mul(a, b) -> np.ndarray:
-    return _trim(np.convolve(_trim(np.asarray(a, dtype=float)), _trim(b)))
+# products and sums of trimmed inputs, trimmed as polymul and polyadd trim them
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _trim(np.convolve(a, b))
 
 
 def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = sorted((_trim(a), _trim(b)), key=len)
+    if len(a) > len(b):
+        a, b = b, a
     out = b.copy()
     out[: len(a)] += a
     return _trim(out)
@@ -160,30 +161,38 @@ def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _descend(sp: SuperpotentialClass, chain: ParameterChain, n: int):
     """Build P_n at chain offset 0 from the seed P_0 = 1 at offset n."""
     lam, mu = chain.lambda_seq, chain.mu_seq
+    orders = np.arange(1.0, n + 1.0)  # d/dy of the monomials y^1 .. y^n
+    if sp.class_id == "class1":
+        ab, bb, cb = sp.barred
+        kernel = _trim(np.array([cb, bb, ab], dtype=float))
+    elif sp.class_id == "class2":
+        ab, bb = sp.barred
+        kernel = _trim(np.array([0.0, 2.0 * ab, 2.0 * bb]))
+    else:
+        A = sp.consts[0]
+        cb, db = sp.barred[2], sp.barred[3]
+        kernel, shift = _trim(np.array([sp.consts[1], 0.0, A], dtype=float)), np.array([0.0, 1.0])
+        outer = _trim(np.array([db, cb], dtype=float))
     poly = np.array([1.0])
     cancels = []
     for m in range(n):
         j = n - m - 1  # producing subscript m+1 at chain offset j
-        dpoly = poly[:1] * 0 if len(poly) == 1 else np.arange(1, len(poly)) * poly[1:]
+        dpoly = poly[:1] * 0 if len(poly) == 1 else orders[: len(poly) - 1] * poly[1:]
         lam_sum = lam[n] + lam[j]
         mu_sum = mu[n] + mu[j]
         if sp.class_id == "class1":
-            ab, bb, cb = sp.barred
-            poly = _add(-_mul([cb, bb, ab], dpoly), _mul([mu_sum, lam_sum], poly))
+            poly = _add(-_mul(kernel, dpoly), _mul(_trim(np.array([mu_sum, lam_sum])), poly))
         elif sp.class_id == "class2":
-            ab, bb = sp.barred
-            poly = _add(_mul([0.0, 2.0 * ab, 2.0 * bb], dpoly), _mul([lam_sum - m * ab, mu_sum - m * bb], poly))
+            poly = _add(_mul(kernel, dpoly), _mul(_trim(np.array([lam_sum - m * ab, mu_sum - m * bb])), poly))
         else:
-            A, B = sp.consts[0], sp.consts[1]
-            cb, db = sp.barred[2], sp.barred[3]
-            t1 = -_mul([B, 0.0, A], dpoly)
-            t2 = m * A * _mul([0.0, 1.0], poly)
+            t1 = -_mul(kernel, dpoly)
+            t2 = _trim(m * A * _mul(shift, poly))
             bracket = _add(t1, t2)
             scale = max(np.max(np.abs(t1)), np.max(np.abs(t2)), 1e-300)
             top = bracket[m + 1] if len(bracket) > m + 1 else 0.0
             cancels.append((float(abs(top)), float(scale)))
-            bracket = bracket[: m + 1]  # the (m+1)-degree term vanishes identically
-            poly = _add(_mul([db, cb], bracket), _mul([mu_sum, lam_sum], poly))
+            bracket = _trim(bracket[: m + 1])  # the (m+1)-degree term vanishes identically
+            poly = _add(_mul(outer, bracket), _mul(_trim(np.array([mu_sum, lam_sum])), poly))
     return poly, tuple(cancels)
 
 
@@ -262,11 +271,13 @@ class _Assembled:
     F_ref: float
 
     def value(self, x):
-        pts = _Points(self.problem, x)
+        out = self.value_at(_Points(self.problem, x))
+        return float(out) if np.ndim(x) == 0 else out
+
+    def value_at(self, pts: _Points):
         f, (q, t, y) = pts.f, pts.parts
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = f**-0.5 * q ** (-0.5 * self.n) * P.polyval(t, self.poly) * np.exp(-(self.F(y) - self.F_ref))
-        return float(out) if np.ndim(x) == 0 else out
+            return f**-0.5 * q ** (-0.5 * self.n) * P.polyval(t, self.poly) * np.exp(-(self.F(y) - self.F_ref))
 
     def log_abs(self, x):
         """log |psi_n(x)|, safe for large arguments (used by the probes)."""
@@ -274,23 +285,66 @@ class _Assembled:
 
     def log_abs_at(self, pts: _Points):
         """log |psi_n| from this level's P_n and F and the shared parts of ``pts``."""
-        half_log_f, log_q, small, t_small, t_inv, log_t = pts.logs
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dF = self.F(pts.parts[2]) - self.F_ref
-            log_P = np.empty(small.shape)
-            log_P[small] = np.log(np.abs(P.polyval(t_small, self.poly)) + 1e-300)
-            log_P[~small] = (len(self.poly) - 1) * log_t + np.log(np.abs(P.polyval(t_inv, self.poly[::-1])) + 1e-300)
-            return half_log_f + -0.5 * self.n * log_q + log_P.reshape(pts.x.shape) - dF
+        return _log_abs_rows([self], pts)[0]
+
+
+def _log_abs_rows(rows: list, pts: _Points) -> list:
+    """log |psi_n| at ``pts`` for each assembled level in ``rows``. One Horner
+    pass evaluates every P_n at t and one every reversed P_n at 1/t, each row
+    padded with zeros to the longest; the padding is exact, so each row has the
+    bits of P.polyval on that level alone. F(phi) - F_ref and -n/2 log q stay
+    per level, added in the order one level adds them."""
+    half_log_f, log_q, small, t_small, t_inv, log_t = pts.logs
+    fwd, rev = np.zeros((2, max(len(a.poly) for a in rows), len(rows)))  # column i: level i
+    for i, a in enumerate(rows):
+        fwd[: len(a.poly), i], rev[: len(a.poly), i] = a.poly, a.poly[::-1]
+    degrees = np.array([[len(a.poly) - 1.0] for a in rows])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_P = np.empty((len(rows),) + small.shape)
+        log_P[:, small] = np.log(np.abs(P.polyval(t_small, fwd)) + 1e-300)
+        log_P[:, ~small] = degrees * log_t + np.log(np.abs(P.polyval(t_inv, rev)) + 1e-300)
+        y = pts.parts[2]
+        return [
+            half_log_f + -0.5 * a.n * log_q + row.reshape(pts.x.shape) - (a.F(y) - a.F_ref)
+            for a, row in zip(rows, log_P)
+        ]
+
+
+class _LevelTable:
+    """The levels of one request at one parameter point, shared by its checks:
+    the chain is solved once, to the deepest level asked for, and each level is
+    assembled on first use. ``solve_chain`` is sequential, so a level has the
+    same bits whatever the depth."""
+
+    def __init__(self, entry: CatalogEntry, params: dict):
+        self.entry, self.params = entry, params
+        self.problem = entry.chain_problem(params)
+        self.chain = None
+        self._levels: dict = {}
+
+    def chain_to(self, depth: int) -> ParameterChain:
+        """The chain, solved again only when ``depth`` is deeper than it reaches."""
+        if self.chain is None or self.chain.depth < depth:
+            self.chain = solve_chain(self.problem, depth)
+        return self.chain
+
+    def __getitem__(self, n: int) -> _Assembled:
+        if n not in self._levels:
+            chain, sp = self.chain_to(n), self.problem.sp
+            poly = _descend(sp, chain, n)[0]
+            F = _antideriv(sp, chain.lambda_seq[n], chain.mu_seq[n])
+            self._levels[n] = _Assembled(self.problem, chain, n, poly, F, float(F(sp.phi_val(self.entry.x_ref))))
+        return self._levels[n]
+
+    def levels(self, ns) -> list:
+        """The assembled levels ``ns``, the chain first solved to the deepest."""
+        if len(ns):
+            self.chain_to(max(ns))
+        return [self[n] for n in ns]
 
 
 def _assemble(entry: CatalogEntry, params: dict, n: int) -> _Assembled:
-    problem = entry.chain_problem(params)
-    chain = solve_chain(problem, n)
-    poly, _ = _descend(problem.sp, chain, n)
-    lam_n, mu_n = chain.lambda_seq[n], chain.mu_seq[n]
-    F = _antideriv(problem.sp, lam_n, mu_n)
-    y_ref = problem.sp.phi_val(entry.x_ref)
-    return _Assembled(problem, chain, n, np.asarray(poly, dtype=float), F, float(F(y_ref)))
+    return _LevelTable(entry, params)[n]
 
 
 def excited_state_eval(entry: CatalogEntry, params: dict, n: int, x):
@@ -317,9 +371,13 @@ def normalized_state(entry: CatalogEntry, params: dict, n: int, grid: Grid) -> n
     """The nth closed-form state on ``grid``, normalized. It is sampled strictly
     inside the truncation; the Dirichlet endpoints carry zeros (the base
     function phi may blow up exactly there)."""
-    x = grid.nodes()
-    psi = np.asarray(excited_state_eval(entry, params, n, x[1:-1]), dtype=float)
-    return normalize(np.concatenate([[0.0], psi, [0.0]]), grid)[1]
+    return _normalized_states(_LevelTable(entry, params), [n], grid)[0]
+
+
+def _normalized_states(table: _LevelTable, ns, grid: Grid) -> list:
+    """``normalized_state`` for each level in ``ns``, on one set of grid points."""
+    pts = _Points(table.problem, grid.nodes()[1:-1])
+    return [normalize(np.concatenate([[0.0], a.value_at(pts), [0.0]]), grid)[1] for a in table.levels(ns)]
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +459,23 @@ def admissibility_checks(entry: CatalogEntry, params: dict, levels) -> list:
     """Numeric verdicts for each level n in ``levels``, both read from log |psi_n|
     at each end's endpoint probes by one tail test: the tail exponents of
     |psi_n|^2 against -1 for square integrability, and of |psi_n|^2 f against 0
-    for the Hermiticity condition |psi_n|^2 f -> 0. The probe points and what
-    psi_n needs there apart from n are evaluated once, for all levels."""
-    problem = entry.chain_problem(params)
-    ends = {side: _endpoint_probes(entry, problem, side) for side in ("left", "right")}
+    for the Hermiticity condition |psi_n|^2 f -> 0. The chain is solved once,
+    and each end's probe points, what psi_n needs there apart from n, and
+    log |psi_n| of all levels are evaluated once."""
+    return _admissibility(_LevelTable(entry, params), list(levels))
+
+
+def _admissibility(table: _LevelTable, levels) -> list:
+    rows = table.levels(levels)
+    if not rows:
+        return []
+    ends = {side: _endpoint_probes(table.entry, table.problem, side) for side in ("left", "right")}
+    logs = {side: _log_abs_rows(rows, pts) for side, (pts, _) in ends.items()}
     verdicts = []
-    for n in levels:
-        assembled = _assemble(entry, params, n)
+    for i in range(len(rows)):
         square, herm = {}, {}
         for side, (pts, finite_end) in ends.items():
-            two_log_abs = (2.0 * assembled.log_abs_at(pts)).tolist()
+            two_log_abs = (2.0 * logs[side][i]).tolist()
             square[side] = _tail_test(two_log_abs, [0.0] * len(two_log_abs), -1.0, finite_end)
             herm[side] = _tail_test(two_log_abs, pts.log_f, 0.0, finite_end)
         tests = {"square": square, "hermiticity": herm}

@@ -4,21 +4,23 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from pdem_si import catalog, verification as verif
+from pdem_si import catalog, cli, verification as verif, wavefunctions
 from pdem_si.core import ChainError, DeformingFunction, Grid, Interval, PdemError, ZeroNorm
 from pdem_si.oracle import quadrature
 from pdem_si.si_engine import SuperpotentialClass, solve_chain
 from pdem_si.wavefunctions import (
-    _Assembled,
     _antideriv,
     _assemble,
     _descend,
     _endpoint_probes,
     _exp_decay_certificate,
+    _LevelTable,
+    _log_abs_rows,
     _tail_test,
     admissibility_checks,
     excited_state_eval,
     normalize,
+    normalized_state,
     polynomial_chain,
 )
 
@@ -139,9 +141,62 @@ def _descend_reference(sp, chain, n):
     return poly, tuple(cancels)
 
 
+def _trim_reference(c):
+    if c[-1] != 0:
+        return c
+    nz = np.nonzero(c)[0]
+    return c[: nz[-1] + 1] if len(nz) else c[:1]
+
+
+def _mul_reference(a, b):
+    return _trim_reference(np.convolve(_trim_reference(np.asarray(a, dtype=float)), _trim_reference(b)))
+
+
+def _add_reference(a, b):
+    a, b = sorted((_trim_reference(a), _trim_reference(b)), key=len)
+    out = b.copy()
+    out[: len(a)] += a
+    return _trim_reference(out)
+
+
+def _descend_convolve_reference(sp, chain, n):
+    # the np.convolve descent as it stood before the lean _descend: every
+    # product and sum trims its inputs, and the kernels are rebuilt from lists
+    lam, mu = chain.lambda_seq, chain.mu_seq
+    poly = np.array([1.0])
+    cancels = []
+    for m in range(n):
+        j = n - m - 1
+        dpoly = poly[:1] * 0 if len(poly) == 1 else np.arange(1, len(poly)) * poly[1:]
+        lam_sum = lam[n] + lam[j]
+        mu_sum = mu[n] + mu[j]
+        if sp.class_id == "class1":
+            ab, bb, cb = sp.barred
+            poly = _add_reference(-_mul_reference([cb, bb, ab], dpoly), _mul_reference([mu_sum, lam_sum], poly))
+        elif sp.class_id == "class2":
+            ab, bb = sp.barred
+            poly = _add_reference(
+                _mul_reference([0.0, 2.0 * ab, 2.0 * bb], dpoly),
+                _mul_reference([lam_sum - m * ab, mu_sum - m * bb], poly),
+            )
+        else:
+            A, B = sp.consts[0], sp.consts[1]
+            cb, db = sp.barred[2], sp.barred[3]
+            t1 = -_mul_reference([B, 0.0, A], dpoly)
+            t2 = m * A * _mul_reference([0.0, 1.0], poly)
+            bracket = _add_reference(t1, t2)
+            scale = max(np.max(np.abs(t1)), np.max(np.abs(t2)), 1e-300)
+            top = bracket[m + 1] if len(bracket) > m + 1 else 0.0
+            cancels.append((float(abs(top)), float(scale)))
+            bracket = bracket[: m + 1]
+            poly = _add_reference(_mul_reference([db, cb], bracket), _mul_reference([mu_sum, lam_sum], poly))
+    return poly, tuple(cancels)
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_descend_matches_numpy_polynomial_reference(name):
-    # same coefficients bit for bit, and the same class3 cancellation record
+    # same coefficients bit for bit, and the same class3 cancellation record;
+    # against the np.convolve descent it replaced, the same bytes, signed zeros included
     entry = catalog.ENTRIES[name]
     for params in [dict(entry.default_params), *_drawn_params(entry, 7, 40)]:
         problem = entry.chain_problem(params)
@@ -151,6 +206,8 @@ def test_descend_matches_numpy_polynomial_reference(name):
             want, want_cancels = _descend_reference(problem.sp, chain, n)
             assert np.array_equal(got, want) and got_cancels == want_cancels, (params, n)
             assert bool(got_cancels) == (problem.sp.class_id == "class3" and n > 0)
+            want, want_cancels = _descend_convolve_reference(problem.sp, chain, n)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes() and got_cancels == want_cancels
 
 
 def test_box_undeformed_gegenbauer():
@@ -582,24 +639,58 @@ def _end_points(entry, params):
     return [_endpoint_probes(entry, problem, side)[0].x for side in ("left", "right")]
 
 
+def _count_level_work(monkeypatch):
+    # the chain solves, descents and batched log |psi| evaluations made through wavefunctions
+    work = {"solve_chain": [], "_descend": [], "_log_abs_rows": []}
+    for attr, note in (
+        ("solve_chain", lambda problem, depth: depth),
+        ("_descend", lambda sp, chain, n: n),
+        ("_log_abs_rows", lambda rows, pts: (len(rows), pts.x)),
+    ):
+        original = getattr(wavefunctions, attr)
+
+        def counted(*args, attr=attr, note=note, original=original):
+            work[attr].append(note(*args))
+            return original(*args)
+
+        monkeypatch.setattr(wavefunctions, attr, counted)
+    return work
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_probe_evaluates_each_level_once(monkeypatch, name):
-    # each level combines its polynomial with the shared parts once per end,
-    # on that end's endpoint points; both tests at that end read the result
-    calls = []
-    log_abs_at = _Assembled.log_abs_at
-
-    def counted(self, pts):
-        calls.append(pts.x)
-        return log_abs_at(self, pts)
-
-    monkeypatch.setattr(_Assembled, "log_abs_at", counted)
+    # one batched call solves the chain once, to the deepest level, descends to
+    # each level once, and evaluates log |psi_n| of all levels once per end, on
+    # that end's endpoint points; both tests at that end read the result
     entry = catalog.ENTRIES[name]
     params = dict(entry.default_params)
-    admissibility_checks(entry, params, range(4))
+    k = _probed_levels(entry, params)
+    work = _count_level_work(monkeypatch)
+    admissibility_checks(entry, params, range(k))
+    assert work["solve_chain"] == [k - 1]
+    assert work["_descend"] == list(range(k))
     ends = _end_points(entry, params)
-    assert len(calls) == 2 * 4, [x.size for x in calls]
-    assert all(np.array_equal(x, ends[i % 2]) for i, x in enumerate(calls))
+    assert len(work["_log_abs_rows"]) == 2, [x.size for _, x in work["_log_abs_rows"]]
+    assert all(rows == k and np.array_equal(x, ends[i]) for i, (rows, x) in enumerate(work["_log_abs_rows"]))
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_spectrum_request_assembles_each_level_once(monkeypatch, name):
+    # spectrum --n-levels auto, with and without --oracle: the probes, the
+    # oracle's level cap and the Gram check read one level table, so the chain
+    # is solved once for them, each level is descended to once, and each end's
+    # probe points are evaluated once for all k levels
+    entry = catalog.ENTRIES[name]
+    params = dict(entry.default_params)
+    k = entry.counting(params).levels(verif.AUTO_LEVELS)
+    ends = _end_points(entry, params)
+    for with_oracle in (False, True):
+        work = _count_level_work(monkeypatch)
+        cli.build_spectrum_report(entry, params, "auto", with_oracle)
+        assert work["solve_chain"] == [max(k - 1, 5)]
+        assert len(work["_descend"]) == len(set(work["_descend"])) and set(range(k)) <= set(work["_descend"])
+        probes = [rows for rows, x in work["_log_abs_rows"] if any(np.array_equal(x, e) for e in ends)]
+        assert probes == ([k, k] if k else []), probes
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -733,3 +824,44 @@ def test_hermiticity_verdicts_match_plateau_reference():
     print(f"\nHermiticity verdict changes: {changes}")
     assert not differ, differ
     assert changes["noise"] == 1 and all(changes.values()), changes
+
+
+def _log_abs_reference(assembled, pts):
+    # log |psi_n| of one level as it was evaluated before the batched probe
+    half_log_f, log_q, small, t_small, t_inv, log_t = pts.logs
+    poly = assembled.poly
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dF = assembled.F(pts.parts[2]) - assembled.F_ref
+        log_P = np.empty(small.shape)
+        log_P[small] = np.log(np.abs(P.polyval(t_small, poly)) + 1e-300)
+        log_P[~small] = (len(poly) - 1) * log_t + np.log(np.abs(P.polyval(t_inv, poly[::-1])) + 1e-300)
+        return half_log_f + -0.5 * assembled.n * log_q + log_P.reshape(pts.x.shape) - dF
+
+
+@pytest.mark.parametrize(
+    "name, params", [(name, dict(catalog.ENTRIES[name].default_params)) for name in ALL] + [_NOISE_LEVEL[:2], _DEEP_PLATEAU]
+)
+def test_batched_log_abs_matches_per_level(name, params):
+    # the batched log |psi_n| of levels 0..15 at each end's endpoint probes has
+    # the bytes of each level evaluated alone, NaNs and signed zeros included
+    entry = catalog.ENTRIES[name]
+    table = _LevelTable(entry, params)
+    rows = table.levels(range(16))
+    for side in ("left", "right"):
+        pts = _endpoint_probes(entry, table.problem, side)[0]
+        for level, got in zip(rows, _log_abs_rows(rows, pts), strict=True):
+            for want in (_log_abs_reference(level, pts), level.log_abs_at(pts)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (side, level.n)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_gram_matrix_matches_per_level_states(name):
+    # the Gram matrix from one level table and one set of grid points has the
+    # bits of the one built from each level's normalized_state alone
+    entry = catalog.ENTRIES[name]
+    params = dict(entry.default_params)
+    grid = verif.oracle_grid(entry, params)
+    levels = entry.counting(params).levels(4) or 1
+    states = [normalized_state(entry, params, n, grid) for n in range(levels)]
+    want = np.array([[quadrature(a * b, grid) for b in states] for a in states])
+    assert verif.gram_matrix(entry, params, levels).tobytes() == want.tobytes()
