@@ -5,12 +5,32 @@ Sturm-count eigenvalues (``eigenpairs``), eigenvectors at given eigenvalues
 One midpoint (staggered) stencil, ``discretize_vonroos``, forms every operator,
 the deformed one as the ordering DEFORMED; the matrices are exactly symmetric,
 and boundary nodes carry Dirichlet conditions outside the matrix.
+
+The sweeps ``_count``, ``_count_slope`` and ``_pivots`` and their input arrays
+(``_sweep_arrays``) run in C, ``_sturm.c``, loaded with ctypes. The library is
+compiled on the first sweep, not at import, and cached in the package's
+__pycache__ under a key that hashes the source and the flags (written to a
+temporary name, then renamed; libraries of other keys are then deleted).
+Where it cannot be built, for want of a compiler or of a writable cache, the
+sweep arrays are lists, and the sweeps run the Python loops below, which are
+also the reference the C loops match bit for bit: they do the same operations
+in the same order. ``-ffp-contract=off`` forbids fused multiply-adds, which
+aarch64 compilers emit by default, and ``-fno-builtin`` keeps e2 the libm pow
+that Python's ``e**2`` calls, which gcc would fold into e*e (1 ulp off at
+about one value in a thousand).
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import errno
+import importlib.util
 import math
+import os
+import tempfile
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -104,19 +124,74 @@ def discretize_vonroos(df: DeformingFunction, amb: AmbiguityParams, v: Callable,
     return TridiagonalOperator(diag, edge[1:-1], grid, left_coupling=float(edge[0]), right_coupling=float(edge[-1]))
 
 
-def _sweep_lists(op: TridiagonalOperator) -> tuple:
-    # the diagonal and the squared off-diagonal as lists of Python floats, the
-    # form every scalar sweep loops over fastest
-    return op.diag.tolist(), [e**2 for e in map(float, op.off)]
+_KERNEL_SOURCE = Path(__file__).with_name("_sturm.c")
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC")
+_LIB = None  # the compiled sweeps (_kernel): None until the first sweep
+
+
+def _kernel():
+    """The compiled sweeps, built and loaded by the first call; False where they cannot be."""
+    global _LIB
+    if _LIB is None:
+        _LIB = False
+        with contextlib.suppress(OSError):  # no compiler, or a cache that cannot be written
+            # the hash of hash-based .pyc files: hashlib would load OpenSSL, 3.5 MB of resident memory
+            key = importlib.util.source_hash(_KERNEL_SOURCE.read_bytes() + " ".join(_KERNEL_FLAGS).encode()).hex()
+            _LIB = _open_kernel(_KERNEL_SOURCE.parent / "__pycache__", f"_sturm.{key}.so")
+    return _LIB
+
+
+def _open_kernel(cache: Path, name: str):
+    """The library ``name`` in ``cache``, compiled there first if missing; False
+    where the compiler fails, OSError where it is missing or the cache cannot
+    be written."""
+    import subprocess  # here, so that import pdem_si does not load it
+
+    path = cache / name
+    if not path.exists():  # compile under a temporary name, then rename: no reader sees a partial file
+        cache.mkdir(exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=cache) as tmp:
+            out = os.path.join(tmp, name)
+            cmd = ["cc", *_KERNEL_FLAGS, "-o", out, str(_KERNEL_SOURCE), "-lm"]
+            if subprocess.run(cmd, capture_output=True).returncode:
+                return False
+            os.replace(out, path)
+        for stale in cache.glob("_sturm.*.so"):  # built from an older source or other flags
+            if stale != path:
+                with contextlib.suppress(OSError):  # another process may have removed it first
+                    stale.unlink()
+    lib = ctypes.CDLL(str(path))
+    dp, vp, n, t = ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+    lib.sturm_count.argtypes, lib.sturm_count.restype = (dp, dp, n, t), n
+    lib.sturm_count_slope.argtypes, lib.sturm_count_slope.restype = (dp, dp, n, t, ctypes.POINTER(n)), t
+    lib.sturm_pivots.argtypes, lib.sturm_pivots.restype = (dp, dp, n, t, vp), None
+    lib.sweep_arrays.argtypes, lib.sweep_arrays.restype = (vp, vp, n, dp, dp), n
+    return lib
+
+
+def _sweep_arrays(op: TridiagonalOperator) -> tuple:
+    """The diagonal and the squared off-diagonal of ``op`` in the form the
+    sweeps read: buffers of the compiled kernel, or else lists of Python
+    floats, which the Python sweeps loop over fastest."""
+    lib = _kernel()
+    if not lib:
+        return op.diag.tolist(), [e**2 for e in map(float, op.off)]
+    diag, off = np.ascontiguousarray(op.diag, dtype=float), np.ascontiguousarray(op.off, dtype=float)
+    d, e2 = (ctypes.c_double * len(diag))(), (ctypes.c_double * len(off))()
+    if lib.sweep_arrays(diag.ctypes.data, off.ctypes.data, len(diag), d, e2):
+        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))  # as Python's e**2 does
+    return d, e2
 
 
 def sturm_count(op: TridiagonalOperator, t: float) -> int:
     """Number of eigenvalues of ``op`` strictly below t (LDL^T sign count)."""
-    return _count(*_sweep_lists(op), float(t))
+    return _count(*_sweep_arrays(op), float(t))
 
 
-def _count(d: list, e2: list, t: float) -> int:
+def _count(d, e2, t: float) -> int:
     # zero pivots are replaced by -pivmin before the sign test (ties count below)
+    if isinstance(d, ctypes.Array):
+        return _LIB.sturm_count(d, e2, len(d), t)
     pivmin = _PIVMIN
     q = d[0] - t
     if -pivmin < q < pivmin:
@@ -131,9 +206,13 @@ def _count(d: list, e2: list, t: float) -> int:
     return cnt
 
 
-def _count_slope(d: list, e2: list, t: float) -> tuple:
+def _count_slope(d, e2, t: float) -> tuple:
     """The count of ``_count`` and d/dt log|det(T - t)| = sum of q_i'/q_i over
     the pivots, with q_i' = -1 + (e_i^2/q_{i-1}) (q_{i-1}'/q_{i-1})."""
+    if isinstance(d, ctypes.Array):
+        cnt = ctypes.c_long()
+        slope = _LIB.sturm_count_slope(d, e2, len(d), t, ctypes.byref(cnt))
+        return cnt.value, slope
     pivmin = _PIVMIN
     q = d[0] - t
     if -pivmin < q < pivmin:
@@ -173,8 +252,12 @@ def quadrature(samples: np.ndarray, grid: Grid) -> float:
     return float(np.trapezoid(y, dx=h))
 
 
-def _pivots(d: list, e2: list, t: float) -> list:
+def _pivots(d, e2, t: float):
     # the pivots of _count's LDL^T sweep, zero pivots replaced by -pivmin
+    if isinstance(d, ctypes.Array):
+        out = np.empty(len(d))
+        _LIB.sturm_pivots(d, e2, len(d), t, out.ctypes.data)
+        return out
     pivmin = _PIVMIN
     q = d[0] - t
     if -pivmin < q < pivmin:
@@ -190,20 +273,21 @@ def _pivots(d: list, e2: list, t: float) -> list:
     return out
 
 
-def _twisted_vector(op: TridiagonalOperator, d: list, e2: list, lam: float) -> np.ndarray:
+def _twisted_vector(op: TridiagonalOperator, sweep: tuple, flipped: tuple, lam: float) -> np.ndarray:
     """Eigenvector of T at the eigenvalue lam from one twisted factorization
     (Dhillon & Parlett, Linear Algebra Appl. 387, 2004; LAPACK dlar1v).
 
     The forward pivots D+ of T - lam = L D+ L^T and the backward pivots D- of
     T - lam = U D- U^T give gamma_i = D+_i + D-_i - (d_i - lam), the reciprocal
     of the ith diagonal entry of (T - lam)^-1. Twisting at r = argmin |gamma|
-    gives z with z_r = 1 and (T - lam) z = gamma_r e_r. ``d``, ``e2`` are the
-    sweep lists of T = ``op`` (``_sweep_lists``), built once per operator."""
-    fwd = np.array(_pivots(d, e2, lam))
-    bwd = np.array(_pivots(d[::-1], e2[::-1], lam)[::-1])
+    gives z with z_r = 1 and (T - lam) z = gamma_r e_r. ``sweep`` and
+    ``flipped`` are the sweep arrays (``_sweep_arrays``) of T = ``op`` and of T
+    with its order reversed, built once per operator."""
+    fwd = np.asarray(_pivots(*sweep, lam))
+    bwd = np.asarray(_pivots(*flipped, lam))[::-1]
     r = int(np.argmin(np.abs(fwd + bwd - (op.diag - lam))))
     e = op.off
-    z = np.ones(len(d))
+    z = np.ones(op.n)
     z[:r] = np.cumprod(-e[:r][::-1] / fwd[:r][::-1])[::-1]
     z[r + 1 :] = np.cumprod(-e[r:] / bwd[r + 1 :])
     return z
@@ -295,7 +379,7 @@ def eigenpairs(op: TridiagonalOperator, k: int, guess=None) -> Spectrum:
     solve without guesses gives level j the same bits for every k > j."""
     if k < 1 or k > op.n:
         raise ParameterError(f"k must be in 1..{op.n}")
-    d, e2 = _sweep_lists(op)
+    d, e2 = _sweep_arrays(op)
     eigvals = np.array(_lowest_eigenvalues(d, e2, op.gershgorin(), k, () if guess is None else guess))
     # cached spectra are shared between callers, so no caller may edit them
     eigvals.setflags(write=False)
@@ -315,9 +399,9 @@ def eigenvectors(op: TridiagonalOperator, eigvals) -> np.ndarray:
     w = _simpson_weights(op.grid.n_points, op.grid.spacing)
     abs_op = TridiagonalOperator(np.abs(op.diag), np.abs(op.off), op.grid)
     rows = []
-    d, e2 = _sweep_lists(op)
+    sweep, flipped = _sweep_arrays(op), _sweep_arrays(TridiagonalOperator(op.diag[::-1], op.off[::-1], op.grid))
     for lam in np.asarray(eigvals, dtype=float).tolist():
-        v = _twisted_vector(op, d, e2, lam)
+        v = _twisted_vector(op, sweep, flipped, lam)
         v /= np.linalg.norm(v)
         resid = np.linalg.norm(op.apply_interior(v) - lam * v)
         floor = 64.0 * np.finfo(float).eps * np.linalg.norm(abs_op.apply_interior(np.abs(v)))

@@ -45,9 +45,10 @@ def deformed_spectrum(
     entry: CatalogEntry, params: dict, k: int, n_override: Optional[int] = None, want_vectors: bool = False
 ) -> Spectrum:
     grid = oracle_grid(entry, params, n_override)
-    spec = _cached_solve(entry, params, DEFORMED, grid, k)
+    op = _operator(entry, params, DEFORMED, grid) if want_vectors else None
+    spec = _cached_solve(entry, params, DEFORMED, grid, k, op=op)
     if want_vectors:  # vectors at the cached eigenvalues; only the eigenvalues are cached
-        spec = Spectrum(spec.eigenvalues, eigenvectors(_operator(entry, params, DEFORMED, grid), spec.eigenvalues))
+        spec = Spectrum(spec.eigenvalues, eigenvectors(op, spec.eigenvalues))
     return spec
 
 

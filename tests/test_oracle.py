@@ -1,4 +1,10 @@
+import ctypes
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,6 +414,16 @@ def test_vectors_reuse_the_cached_eigenvalues(monkeypatch):
     assert np.array_equal(with_vectors.eigenvectors, eigenvectors(op, eigenpairs(op, 4).eigenvalues))
 
 
+def test_vectors_on_a_cache_miss_build_one_operator(monkeypatch):
+    # the solve and the vectors share one discretization
+    builds = []
+    monkeypatch.setattr(verif, "discretize_vonroos", lambda *args: builds.append(args) or discretize_vonroos(*args))
+    monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
+    entry = catalog.ENTRIES["box"]
+    spec = verif.deformed_spectrum(entry, dict(entry.default_params), 4, n_override=2001, want_vectors=True)
+    assert len(builds) == 1 and spec.eigenvectors.shape == (4, 2001)
+
+
 def test_equivalence_solves_only_the_levels_it_compares(monkeypatch):
     # Morse binds one level below the continuum edge: neither operator is solved for 4
     calls = _count_solves(monkeypatch)
@@ -537,6 +553,142 @@ def test_eigenvectors_match_reference_pivot_sweep(name, monkeypatch):
     got = eigenvectors(op, eigvals)
     monkeypatch.setattr(oracle, "_pivots", _reference_pivots)
     assert np.array_equal(got, eigenvectors(op, eigvals))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
+def test_kernel_sweeps_match_python_sweeps(name):
+    # the compiled sweeps against the Python loops, which run on lists: counts,
+    # slopes and pivots bit for bit at seeded shifts, 1 and 1,000 ulps either
+    # side of the lowest levels, and at d[0], whose zero pivot becomes -pivmin
+    if not oracle._kernel():
+        pytest.skip("the sweep kernel cannot be built here")
+    entry = catalog.ENTRIES[name]
+    params = dict(entry.default_params)
+    rng = np.random.default_rng(11)
+    for n_points in (251, 1001, 4001):
+        grid = verif.oracle_grid(entry, params, n_points)
+        op = discretize_vonroos(entry.deforming(params), oracle.DEFORMED, entry.v_eff(params), grid)
+        d, e2 = oracle._sweep_arrays(op)
+        ref_d, ref_e2 = op.diag.tolist(), [e**2 for e in map(float, op.off)]
+        assert isinstance(d, ctypes.Array) and isinstance(e2, ctypes.Array)
+        assert _bits(d) == _bits(ref_d) and _bits(e2) == _bits(ref_e2)
+        lams = eigenpairs(op, 4).eigenvalues.tolist()
+        w = lams[3] - lams[0] + 1.0
+        shifts = rng.uniform(*op.gershgorin(), 8).tolist() + rng.uniform(lams[0] - w, lams[3] + w, 8).tolist()
+        shifts += [lam + k * math.ulp(lam) for lam in lams for k in (-1000, -1, 1, 1000)] + [ref_d[0]]
+        for t in shifts:
+            assert oracle._count(d, e2, t) == oracle._count(ref_d, ref_e2, t), (n_points, t)
+            (c, slope), (ref_c, ref_slope) = oracle._count_slope(d, e2, t), oracle._count_slope(ref_d, ref_e2, t)
+            assert c == ref_c and _bits(slope) == _bits(ref_slope), (n_points, t)
+            assert _bits(oracle._pivots(d, e2, t)) == _bits(oracle._pivots(ref_d, ref_e2, t)), (n_points, t)
+
+
+# a fresh interpreter: is the kernel unloaded after the import, is it loaded
+# after a solve, and the eigenvalue bits
+_SOLVE_SCRIPT = """
+from pdem_si import catalog, oracle, verification
+print(oracle.__file__)
+fresh = oracle._LIB is None
+entry = catalog.ENTRIES["morse"]
+spec = verification.deformed_spectrum(entry, dict(entry.default_params), 4, n_override=1001)
+print(fresh, bool(oracle._LIB), spec.eigenvalues.tobytes().hex())
+"""
+
+
+def _package_copy(tmp_path):
+    # the package without its __pycache__, so the kernel cache starts empty
+    root = tmp_path / "site"
+    shutil.copytree(Path(oracle.__file__).parent, root / "pdem_si", ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "tmp").mkdir()
+    return root
+
+
+def _start_solve(root, **env):
+    env = dict(os.environ, PYTHONPATH=str(root), TMPDIR=str(root.parent / "tmp"), **env)
+    return subprocess.Popen(
+        [sys.executable, "-W", "error", "-c", _SOLVE_SCRIPT], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    )
+
+
+def _solve_output(proc, root):
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0 and err == "", err
+    where, result = out.splitlines()
+    assert Path(where).is_relative_to(root)
+    return result
+
+
+def _cached_files(root):
+    # what the package's __pycache__ holds besides bytecode
+    return sorted(p.name for p in (root / "pdem_si" / "__pycache__").iterdir() if p.suffix != ".pyc")
+
+
+def _morse_bits(monkeypatch):
+    monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
+    entry = catalog.ENTRIES["morse"]
+    return verif.deformed_spectrum(entry, dict(entry.default_params), 4, n_override=1001).eigenvalues.tobytes().hex()
+
+
+def _compiler(tmp_path, script):
+    # PATH with a cc that runs ``script``, or with no cc at all where it is None
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    if script is None:
+        return str(bin_dir)
+    (bin_dir / "cc").write_text(f"#!/bin/sh\n{script}\n")
+    (bin_dir / "cc").chmod(0o755)
+    return f"{bin_dir}{os.pathsep}{os.environ['PATH']}"
+
+
+@pytest.mark.parametrize("case", ["failing compiler", "no compiler", "unwritable cache"])
+def test_python_sweeps_stand_in_where_the_kernel_cannot_be_built(tmp_path, monkeypatch, case):
+    # the same eigenvalue bits, with no exception, no warning (each would be an
+    # error under -W error) and nothing built; __pycache__ as a plain file
+    # cannot be written (even by root), and then cc is never run
+    root = _package_copy(tmp_path)
+    ran = tmp_path / "cc-ran"
+    path = _compiler(tmp_path, None if case == "no compiler" else f"touch {ran}; exit 1")
+    if case == "unwritable cache":
+        (root / "pdem_si" / "__pycache__").write_text("")
+    result = _solve_output(_start_solve(root, PATH=path), root)
+    assert result == f"True False {_morse_bits(monkeypatch)}"
+    assert ran.exists() == (case == "failing compiler")
+    if case != "unwritable cache":
+        assert _cached_files(root) == []
+    assert not list((tmp_path / "tmp").iterdir())
+
+
+def test_concurrent_first_builds_load_one_kernel(tmp_path, monkeypatch):
+    # two interpreters that start together on an empty cache both build and
+    # load the kernel, agree bit for bit, and leave one library behind
+    if not oracle._kernel():
+        pytest.skip("the sweep kernel cannot be built here")
+    root = _package_copy(tmp_path)
+    procs = [_start_solve(root), _start_solve(root)]
+    results = [_solve_output(proc, root) for proc in procs]
+    assert results == [f"True True {_morse_bits(monkeypatch)}"] * 2
+    built = _cached_files(root)
+    assert len(built) == 1 and built[0].startswith("_sturm.") and built[0].endswith(".so"), built
+    assert not list((tmp_path / "tmp").iterdir())
+
+
+def test_rebuild_deletes_the_stale_library(tmp_path, monkeypatch):
+    # an edited source builds a library under a new key and deletes the old one
+    if not oracle._kernel():
+        pytest.skip("the sweep kernel cannot be built here")
+    root = _package_copy(tmp_path)
+    expected = f"True True {_morse_bits(monkeypatch)}"
+    assert _solve_output(_start_solve(root), root) == expected
+    first = _cached_files(root)
+    with open(root / "pdem_si" / "_sturm.c", "a") as src:
+        src.write("/* edited */\n")
+    assert _solve_output(_start_solve(root), root) == expected
+    second = _cached_files(root)
+    assert len(first) == len(second) == 1 and first != second, (first, second)
 
 
 def _assert_certified(op, eigvals):
