@@ -311,6 +311,12 @@ class DeformingFunction:
             raise NonPositiveError(f"f(x) <= 0 encountered (min f = {np.min(bad)}, near index {idx})")
         return f
 
+    def _slopes(self, x: ArrayLike) -> tuple:
+        """(f', f'') at x, as numpy values; x is checked where f is evaluated."""
+        xa = np.asarray(x, dtype=float)
+        g1, g2 = self._g_funcs()[1:3]
+        return g1(xa), g2(xa)
+
     def f(self, x: ArrayLike) -> ArrayLike:
         """f at finite x (scalar or array), without the derivatives that
         ``deforming_eval`` also computes."""
@@ -321,9 +327,9 @@ class DeformingFunction:
 def deforming_eval(df: DeformingFunction, x: ArrayLike) -> DeformingValues:
     """Evaluate f, f', f'', g and M at finite x (scalar or array)."""
     f = df._f_checked(x)
-    xa = np.asarray(x, dtype=float)
-    g, g1, g2 = df._g_funcs()[:3]
-    vals = DeformingValues(f=f, f_prime=g1(xa), f_second=g2(xa), g=g(xa), M=1.0 / f**2)
+    f_prime, f_second = df._slopes(x)
+    g = df._g_funcs()[0](np.asarray(x, dtype=float))
+    vals = DeformingValues(f=f, f_prime=f_prime, f_second=f_second, g=g, M=1.0 / f**2)
     if np.ndim(x) == 0:
         return DeformingValues(*(float(v) for v in (vals.f, vals.f_prime, vals.f_second, vals.g, vals.M)))
     return vals

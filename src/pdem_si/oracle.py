@@ -2,9 +2,11 @@
 Sturm-count eigenvalues (``eigenpairs``), eigenvectors at given eigenvalues
 (``eigenvectors``, one twisted factorization each), Simpson quadrature.
 
-One midpoint (staggered) stencil, ``discretize_vonroos``, forms every operator,
-the deformed one as the ordering DEFORMED; the matrices are exactly symmetric,
-and boundary nodes carry Dirichlet conditions outside the matrix.
+One midpoint (staggered) stencil, ``_stencil``, forms every operator, the
+deformed one as the ordering DEFORMED; the matrices are exactly symmetric, and
+boundary nodes carry Dirichlet conditions outside the matrix.
+``discretize_vonroos`` builds one ordering with it; the verify battery's
+ordering pair builds two from one evaluation of f per grid.
 
 The sweeps ``_count``, ``_count_slope`` and ``_pivots`` and their input arrays
 (``_sweep_arrays``) run in C, ``_sturm.c``, loaded with ctypes. The library is
@@ -111,17 +113,26 @@ def discretize_vonroos(df: DeformingFunction, amb: AmbiguityParams, v: Callable,
     A = f^xi, B = f^eta, C = f^zeta (the mass powers of M = 1/f^2). Each edge
     couples its end nodes by -(A B C' + C B A')/(2 h^2), B at its midpoint; the
     outer two edges give the boundary couplings."""
+    return _stencil(df, (amb,), lambda x, f: (v(x),), grid)[0]
+
+
+def _stencil(df: DeformingFunction, orderings: tuple, v: Callable, grid: Grid) -> list:
+    """The operator of ``discretize_vonroos`` for each ordering in
+    ``orderings``, from one evaluation of f at the nodes and at the midpoints;
+    ``v(x, f)`` gives one potential per ordering at the interior nodes x, where f is the nodes' f."""
     x = grid.nodes()
     h = grid.spacing
-    f = np.asarray(df.f(x), dtype=float)
-    B = np.asarray(df.f(grid.midpoints()), dtype=float) ** amb.eta
-    V = np.asarray(v(x[1:-1]), dtype=float)
-    if np.any(~np.isfinite(V)) or np.any(np.abs(V) > _V_GUARD):
-        raise SingularPotential("potential exceeds overflow guard at an interior node")
-    A, C = f**amb.xi, f**amb.zeta
-    edge = -0.5 * (A[:-1] * B * C[1:] + C[:-1] * B * A[1:]) / h**2
-    diag = f[1:-1] ** (amb.xi + amb.zeta) * (B[1:] + B[:-1]) / h**2 + V
-    return TridiagonalOperator(diag, edge[1:-1], grid, left_coupling=float(edge[0]), right_coupling=float(edge[-1]))
+    f, f_mid = df.f(x), df.f(0.5 * (x[:-1] + x[1:]))
+    ops = []
+    for amb, V in zip(orderings, v(x[1:-1], f[1:-1])):
+        V = np.asarray(V, dtype=float)
+        if np.any(~np.isfinite(V)) or np.any(np.abs(V) > _V_GUARD):
+            raise SingularPotential("potential exceeds overflow guard at an interior node")
+        A, B, C = f**amb.xi, f_mid**amb.eta, f**amb.zeta
+        edge = -0.5 * (A[:-1] * B * C[1:] + C[:-1] * B * A[1:]) / h**2
+        diag = f[1:-1] ** (amb.xi + amb.zeta) * (B[1:] + B[:-1]) / h**2 + V
+        ops.append(TridiagonalOperator(diag, edge[1:-1], grid, float(edge[0]), float(edge[-1])))
+    return ops
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("_sturm.c")
@@ -161,10 +172,11 @@ def _open_kernel(cache: Path, name: str):
                 with contextlib.suppress(OSError):  # another process may have removed it first
                     stale.unlink()
     lib = ctypes.CDLL(str(path))
+    # the sweeps take the addresses of buffers the caller holds: converting arrays costs about 1 µs a call
     dp, vp, n, t = ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-    lib.sturm_count.argtypes, lib.sturm_count.restype = (dp, dp, n, t), n
-    lib.sturm_count_slope.argtypes, lib.sturm_count_slope.restype = (dp, dp, n, t, ctypes.POINTER(n)), t
-    lib.sturm_pivots.argtypes, lib.sturm_pivots.restype = (dp, dp, n, t, vp), None
+    lib.sturm_count.argtypes, lib.sturm_count.restype = (vp, vp, n, t), n
+    lib.sturm_count_slope.argtypes, lib.sturm_count_slope.restype = (vp, vp, n, t, ctypes.POINTER(n)), t
+    lib.sturm_pivots.argtypes, lib.sturm_pivots.restype = (vp, vp, n, t, vp), None
     lib.sweep_arrays.argtypes, lib.sweep_arrays.restype = (vp, vp, n, dp, dp), n
     return lib
 
@@ -183,6 +195,15 @@ def _sweep_arrays(op: TridiagonalOperator) -> tuple:
     return d, e2
 
 
+def _flipped(sweep: tuple) -> tuple:
+    """The sweep arrays of the operator with its order reversed, from ``sweep``,
+    those of the operator: e2 is squared entry by entry, so its reversal has
+    the bits of the reversed off-diagonal squared."""
+    if not isinstance(sweep[0], ctypes.Array):
+        return tuple(a[::-1] for a in sweep)
+    return tuple(type(a).from_buffer_copy(np.frombuffer(a)[::-1].copy()) for a in sweep)
+
+
 def sturm_count(op: TridiagonalOperator, t: float) -> int:
     """Number of eigenvalues of ``op`` strictly below t (LDL^T sign count)."""
     return _count(*_sweep_arrays(op), float(t))
@@ -191,7 +212,7 @@ def sturm_count(op: TridiagonalOperator, t: float) -> int:
 def _count(d, e2, t: float) -> int:
     # zero pivots are replaced by -pivmin before the sign test (ties count below)
     if isinstance(d, ctypes.Array):
-        return _LIB.sturm_count(d, e2, len(d), t)
+        return _LIB.sturm_count(ctypes.addressof(d), ctypes.addressof(e2), len(d), t)
     pivmin = _PIVMIN
     q = d[0] - t
     if -pivmin < q < pivmin:
@@ -211,7 +232,7 @@ def _count_slope(d, e2, t: float) -> tuple:
     the pivots, with q_i' = -1 + (e_i^2/q_{i-1}) (q_{i-1}'/q_{i-1})."""
     if isinstance(d, ctypes.Array):
         cnt = ctypes.c_long()
-        slope = _LIB.sturm_count_slope(d, e2, len(d), t, ctypes.byref(cnt))
+        slope = _LIB.sturm_count_slope(ctypes.addressof(d), ctypes.addressof(e2), len(d), t, ctypes.byref(cnt))
         return cnt.value, slope
     pivmin = _PIVMIN
     q = d[0] - t
@@ -242,21 +263,27 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
 def quadrature(samples: np.ndarray, grid: Grid) -> float:
     """Composite Simpson integral of samples over the grid (odd node counts);
     even counts fall back to the trapezoid rule with a recorded warning."""
-    y = np.asarray(samples, dtype=float)
-    if len(y) != grid.n_points:
+    return _quadratures([samples], grid)[0]
+
+
+def _quadratures(rows: list, grid: Grid) -> list:
+    """``quadrature`` of each sample row in ``rows``, the weights built once."""
+    ys = [np.asarray(samples, dtype=float) for samples in rows]
+    if any(len(y) != grid.n_points for y in ys):
         raise ParameterError("sample count does not match grid")
     h = grid.spacing
     if grid.n_points % 2 == 1:
-        return float(np.sum(_simpson_weights(grid.n_points, h) * y))
-    warnings.warn("even node count: falling back to trapezoid quadrature", stacklevel=2)
-    return float(np.trapezoid(y, dx=h))
+        w = _simpson_weights(grid.n_points, h)
+        return [float(np.sum(w * y)) for y in ys]
+    warnings.warn("even node count: falling back to trapezoid quadrature", stacklevel=3)
+    return [float(np.trapezoid(y, dx=h)) for y in ys]
 
 
 def _pivots(d, e2, t: float):
     # the pivots of _count's LDL^T sweep, zero pivots replaced by -pivmin
     if isinstance(d, ctypes.Array):
         out = np.empty(len(d))
-        _LIB.sturm_pivots(d, e2, len(d), t, out.ctypes.data)
+        _LIB.sturm_pivots(ctypes.addressof(d), ctypes.addressof(e2), len(d), t, out.ctypes.data)
         return out
     pivmin = _PIVMIN
     q = d[0] - t
@@ -282,7 +309,7 @@ def _twisted_vector(op: TridiagonalOperator, sweep: tuple, flipped: tuple, lam: 
     of the ith diagonal entry of (T - lam)^-1. Twisting at r = argmin |gamma|
     gives z with z_r = 1 and (T - lam) z = gamma_r e_r. ``sweep`` and
     ``flipped`` are the sweep arrays (``_sweep_arrays``) of T = ``op`` and of T
-    with its order reversed, built once per operator."""
+    with its order reversed (``_flipped``), built once per operator."""
     fwd = np.asarray(_pivots(*sweep, lam))
     bwd = np.asarray(_pivots(*flipped, lam))[::-1]
     r = int(np.argmin(np.abs(fwd + bwd - (op.diag - lam))))
@@ -399,7 +426,8 @@ def eigenvectors(op: TridiagonalOperator, eigvals) -> np.ndarray:
     w = _simpson_weights(op.grid.n_points, op.grid.spacing)
     abs_op = TridiagonalOperator(np.abs(op.diag), np.abs(op.off), op.grid)
     rows = []
-    sweep, flipped = _sweep_arrays(op), _sweep_arrays(TridiagonalOperator(op.diag[::-1], op.off[::-1], op.grid))
+    sweep = _sweep_arrays(op)
+    flipped = _flipped(sweep)
     for lam in np.asarray(eigvals, dtype=float).tolist():
         v = _twisted_vector(op, sweep, flipped, lam)
         v /= np.linalg.norm(v)

@@ -12,13 +12,22 @@ from typing import Callable
 
 import numpy as np
 
-from .core import AmbiguityParams, ArrayLike, DeformingFunction, deforming_eval
+from .core import AmbiguityParams, ArrayLike, DeformingFunction
 
 
 def v_tilde_eval(df: DeformingFunction, amb: AmbiguityParams, x: ArrayLike) -> ArrayLike:
     """Ordering term rho*f*f'' + sigma*f'^2 with analytic derivatives."""
-    v = deforming_eval(df, x)
-    return amb.rho * v.f * v.f_second + amb.sigma * v.f_prime**2
+    f = df._f_checked(x)
+    f_prime, f_second = df._slopes(x)
+    if np.ndim(x) == 0:  # Python floats, as deforming_eval gives: f'**2 is then libm pow, an array's a multiply
+        f, f_prime, f_second = float(f), float(f_prime), float(f_second)
+    return _v_tilde(amb, f, f_prime, f_second)
+
+
+def _v_tilde(amb: AmbiguityParams, f: ArrayLike, f_prime: ArrayLike, f_second: ArrayLike) -> ArrayLike:
+    """V~ from f, f' and f'' already evaluated; at DEFORMED it is 0 where they
+    are finite and NaN where not, which the stencil's potential guard rejects."""
+    return amb.rho * f * f_second + amb.sigma * f_prime**2
 
 
 def recover_initial_potential(df: DeformingFunction, amb: AmbiguityParams, v_eff: Callable, x: ArrayLike) -> ArrayLike:

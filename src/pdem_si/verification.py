@@ -12,11 +12,11 @@ import numpy as np
 
 from .catalog import CatalogEntry
 from .core import AmbiguityParams, Grid, Interval, positivity_check
-from .ordering import recover_initial_potential, v_tilde_eval
-from .oracle import DEFORMED, Spectrum, TridiagonalOperator, _battery_deviation, discretize_vonroos, eigenpairs
-from .oracle import eigenvectors, quadrature, sturm_count
+from .ordering import _v_tilde, recover_initial_potential, v_tilde_eval
+from .oracle import DEFORMED, Spectrum, TridiagonalOperator, _battery_deviation, _quadratures, _stencil
+from .oracle import discretize_vonroos, eigenpairs, eigenvectors, sturm_count
 from .si_engine import ParameterChain, chain_residuals, solve_chain, w_eval
-from .wavefunctions import _admissibility, _LevelTable, _normalized_states
+from .wavefunctions import _admissibility, _LevelTable, _normalized_states, _Points
 
 _SPECTRUM_CACHE: dict = {}
 
@@ -166,9 +166,9 @@ def _a_minus_residual(table: _LevelTable) -> float:
     grid = Grid(Interval(max(edges.x1, lo), min(edges.x2, hi)), _FINE_POINTS)
     x = grid.nodes()
     h = grid.spacing
-    psi = np.asarray(assembled.value(x), dtype=float)
-    f = np.asarray(problem.df.f(x), dtype=float)
-    s = np.sqrt(f)
+    pts = _Points(problem, x)
+    psi = assembled.value_at(pts)
+    s = np.sqrt(pts.f)
     sp = s * psi
     j = slice(2, -2)
     dsp = (-sp[4:] + 8.0 * sp[3:-1] - 8.0 * sp[1:-3] + sp[:-4]) / (12.0 * h)
@@ -184,7 +184,8 @@ def eigen_residual(entry: CatalogEntry, params: dict, n: int) -> float:
     (sec^2 or 1/x^2 endpoints) the second-order stencil cannot resolve the
     closed-form state and its local truncation error would swamp the norm.
     Boundary couplings are included, so no Dirichlet assumption is made."""
-    return _eigen_residual(_residual_operator(entry, params), _LevelTable(entry, params)[n])
+    op, table = _residual_operator(entry, params), _LevelTable(entry, params)
+    return _eigen_residual(op, table[n], _Points(table.problem, op.grid.nodes()))
 
 
 def _residual_operator(entry: CatalogEntry, params: dict) -> TridiagonalOperator:
@@ -193,8 +194,9 @@ def _residual_operator(entry: CatalogEntry, params: dict) -> TridiagonalOperator
     return _operator(entry, params, DEFORMED, Grid(Interval(*residual_window(entry, params)), _FINE_POINTS))
 
 
-def _eigen_residual(op: TridiagonalOperator, assembled) -> float:
-    psi = assembled.value(op.grid.nodes())
+def _eigen_residual(op: TridiagonalOperator, assembled, pts: _Points) -> float:
+    """``eigen_residual`` of one level at ``pts``, the nodes of ``op``, which every level shares."""
+    psi = assembled.value_at(pts)
     energy = assembled.chain.energy(assembled.n)
     resid = op.apply(psi) - energy * psi[1:-1]
     return float(np.linalg.norm(resid) / np.linalg.norm(psi[1:-1]))
@@ -209,10 +211,10 @@ def gram_matrix(entry: CatalogEntry, params: dict, levels: int) -> np.ndarray:
 def _gram_matrix(table: _LevelTable, levels: int) -> np.ndarray:
     grid = oracle_grid(table.entry, table.params)
     states = _normalized_states(table, range(levels), grid)
+    pairs = [(i, j) for i in range(levels) for j in range(i, levels)]
     G = np.empty((levels, levels))
-    for i in range(levels):
-        for j in range(i, levels):
-            G[i, j] = G[j, i] = quadrature(states[i] * states[j], grid)
+    for (i, j), value in zip(pairs, _quadratures([states[i] * states[j] for i, j in pairs], grid)):
+        G[i, j] = G[j, i] = value
     return G
 
 
@@ -321,9 +323,18 @@ def _oracle_vs_chain(table: _LevelTable) -> Optional[dict]:
 def _pair_operators(entry: CatalogEntry, params: dict, amb: AmbiguityParams) -> list:
     """(ordered, deformed) operators on each grid of the equivalence pair, at
     _PAIR_POINTS and 2 _PAIR_POINTS - 1 points, so h halves: both ordering
-    checks read them, and one battery builds them once."""
+    checks read them, and one battery builds them once. Each is ``_operator``'s,
+    bit for bit, but on each grid f, V_eff and the f' and f'' of V~ are
+    evaluated once for both orderings."""
+    df, v_eff = entry.deforming(params), entry.v_eff(params)
+    orderings = (amb, DEFORMED)
+
+    def potentials(x, f):  # recover_initial_potential of each ordering, with f at x from the nodes
+        v, slopes = np.asarray(v_eff(x)), df._slopes(x)
+        return [v - _v_tilde(ordering, f, *slopes) for ordering in orderings]
+
     grids = (Grid(entry.equivalence_interval, n) for n in (_PAIR_POINTS, 2 * _PAIR_POINTS - 1))
-    return [(_operator(entry, params, amb, grid), _operator(entry, params, DEFORMED, grid)) for grid in grids]
+    return [tuple(_stencil(df, orderings, potentials, grid)) for grid in grids]
 
 
 def spectral_equivalence(entry: CatalogEntry, params: dict, amb: AmbiguityParams) -> Optional[dict]:
@@ -504,9 +515,11 @@ def _battery(entry: CatalogEntry, params: dict, preset: str, tol: Optional[float
 
     levels = cnt.levels(3)
     chain = table.chain_to(max(levels - 1, 0))
-    op = _residual_operator(entry, params) if levels else None
+    if levels:
+        op = _residual_operator(entry, params)
+        pts = _Points(table.problem, op.grid.nodes())
     for n in range(levels):
-        er = _eigen_residual(op, table[n])
+        er = _eigen_residual(op, table[n], pts)
         e_tol = 1e-5 * max(1.0, abs(chain.energy(n)))
         yield Check(f"eigen-residual n={n}", er < e_tol, f"{er:.2e} (tol {e_tol:.1e})")
 

@@ -228,6 +228,11 @@ class _Points:
         return self.problem.df.f(self.x)
 
     @cached_property
+    def f_inv_sqrt(self):
+        """f^(-1/2), the factor every level's value carries."""
+        return self.f**-0.5
+
+    @cached_property
     def parts(self):
         """(q, t, y): the class prefactor is q^(-n/2), the deformed polynomial
         is evaluated at t, and y is the base function phi(x)."""
@@ -275,9 +280,9 @@ class _Assembled:
         return float(out) if np.ndim(x) == 0 else out
 
     def value_at(self, pts: _Points):
-        f, (q, t, y) = pts.f, pts.parts
+        f_inv_sqrt, (q, t, y) = pts.f_inv_sqrt, pts.parts
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return f**-0.5 * q ** (-0.5 * self.n) * P.polyval(t, self.poly) * np.exp(-(self.F(y) - self.F_ref))
+            return f_inv_sqrt * q ** (-0.5 * self.n) * P.polyval(t, self.poly) * np.exp(-(self.F(y) - self.F_ref))
 
     def log_abs(self, x):
         """log |psi_n(x)|, safe for large arguments (used by the probes)."""

@@ -17,7 +17,9 @@ from pdem_si.core import (
     Grid,
     Interval,
     NonPositiveError,
+    PdemError,
     SingularPotential,
+    deforming_eval,
 )
 from pdem_si.oracle import (
     TridiagonalOperator,
@@ -27,7 +29,7 @@ from pdem_si.oracle import (
     quadrature,
     sturm_count,
 )
-from pdem_si.ordering import recover_initial_potential, v_tilde_eval
+from pdem_si.ordering import recover_initial_potential
 from pdem_si.wavefunctions import excited_state_eval, normalize
 
 PRESETS = ("bdd", "bastard", "zk", "lk")
@@ -216,16 +218,92 @@ def test_deformed_operator_matches_reference_stencil(name):
         assert abs(op.left_coupling - left) <= 2.0 * math.ulp(left) and op.right_coupling == right
 
 
+def _pin_points(entry):
+    # the defaults and two seeded draws, each default scaled by e^U, U in [-0.3, 0.3]
+    yield dict(entry.default_params)
+    rng = np.random.default_rng(sum(map(ord, entry.name)))
+    drawn = 0
+    for _ in range(100):
+        params = {k: v * math.exp(rng.uniform(-0.3, 0.3)) for k, v in entry.default_params.items()}
+        try:
+            entry.validate(params)
+        except PdemError:
+            continue
+        yield params
+        drawn += 1
+        if drawn == 2:
+            return
+    raise AssertionError(f"no valid draw for {entry.name}")
+
+
+def _reference_vonroos(df, amb, v_eff, grid):
+    # the stencil and the recovered potential as each ordering once built them
+    # alone: f at the nodes, f at grid.midpoints(), V~ from deforming_eval
+    x = grid.nodes()
+    h = grid.spacing
+    f = np.asarray(df.f(x), dtype=float)
+    B = np.asarray(df.f(grid.midpoints()), dtype=float) ** amb.eta
+    v = deforming_eval(df, x[1:-1])
+    V = np.asarray(v_eff(x[1:-1])) - (amb.rho * v.f * v.f_second + amb.sigma * v.f_prime**2)
+    A, C = f**amb.xi, f**amb.zeta
+    edge = -0.5 * (A[:-1] * B * C[1:] + C[:-1] * B * A[1:]) / h**2
+    diag = f[1:-1] ** (amb.xi + amb.zeta) * (B[1:] + B[:-1]) / h**2 + V
+    return diag, edge[1:-1], edge[0], edge[-1]
+
+
+@pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
+def test_pair_operators_match_per_ordering_builds(name):
+    # f, V_eff, f' and f'' evaluated once per pair grid for both orderings give
+    # the bits of building each ordering alone, and so does discretize_vonroos
+    entry = catalog.ENTRIES[name]
+    for params in _pin_points(entry):
+        df, v_eff = entry.deforming(params), entry.v_eff(params)
+        for preset in PRESETS:
+            amb = AmbiguityParams.preset(preset)
+            pair = verif._pair_operators(entry, params, amb)
+            assert [ops[0].grid for ops in pair] == [
+                Grid(entry.equivalence_interval, n) for n in (verif._PAIR_POINTS, 2 * verif._PAIR_POINTS - 1)
+            ]
+            for ops in pair:
+                for ordering, op in zip((amb, oracle.DEFORMED), ops):
+                    want = _reference_vonroos(df, ordering, v_eff, op.grid)
+                    alone = verif._operator(entry, params, ordering, op.grid)
+                    for got in (op, alone):
+                        assert op.grid == got.grid
+                        got_parts = (got.diag, got.off, got.left_coupling, got.right_coupling)
+                        assert [_bits(a) for a in got_parts] == [_bits(b) for b in want], (params, preset, ordering)
+
+
+@pytest.mark.parametrize("kernel", (True, False), ids=("kernel", "lists"))
+def test_flipped_sweep_arrays_match_the_reversed_operator(kernel, monkeypatch):
+    # reversing the sweep arrays gives those of the reversed operator, bit for bit
+    if not kernel:
+        monkeypatch.setattr(oracle, "_LIB", False)
+    elif not oracle._kernel():
+        pytest.skip("the sweep kernel cannot be built here")
+    for name in sorted(catalog.ENTRIES):
+        entry = catalog.ENTRIES[name]
+        params = dict(entry.default_params)
+        for n_points in (3, 4, 1001, 16001):
+            grid = verif.oracle_grid(entry, params, n_points)
+            op = discretize_vonroos(entry.deforming(params), oracle.DEFORMED, entry.v_eff(params), grid)
+            got = oracle._flipped(oracle._sweep_arrays(op))
+            want = oracle._sweep_arrays(TridiagonalOperator(op.diag[::-1], op.off[::-1], grid))
+            assert [type(a) for a in got] == [type(a) for a in want]
+            assert isinstance(got[0], ctypes.Array) == kernel
+            assert [_bits(a) for a in got] == [_bits(a) for a in want], (name, n_points)
+
+
 def test_equivalence_deviation_builds_two_operators(monkeypatch):
     # two on each grid of the pair
     built = []
 
-    def counted(*args, real=discretize_vonroos):
-        built.append((args[1], args[3].n_points))
-        return real(*args)
+    def counted(df, orderings, v, grid, real=oracle._stencil):
+        built.extend((ordering, grid.n_points) for ordering in orderings)
+        return real(df, orderings, v, grid)
 
-    monkeypatch.setattr(verif, "discretize_vonroos", counted)
-    monkeypatch.setattr(oracle, "discretize_vonroos", counted)
+    monkeypatch.setattr(verif, "_stencil", counted)
+    monkeypatch.setattr(oracle, "_stencil", counted)
     entry = catalog.ENTRIES["scarf_i"]
     amb = AmbiguityParams.preset("bdd")
     verif.equivalence_deviation(entry, dict(entry.default_params), amb)
@@ -237,11 +315,12 @@ def test_battery_builds_each_ordering_operator_once(monkeypatch):
     # both ordering checks of one battery read the same four operators
     built = []
 
-    def counted(*args, real=discretize_vonroos):
-        built.append((args[1], args[3]))
-        return real(*args)
+    def counted(df, orderings, v, grid, real=oracle._stencil):
+        built.extend((ordering, grid) for ordering in orderings)
+        return real(df, orderings, v, grid)
 
-    monkeypatch.setattr(verif, "discretize_vonroos", counted)
+    monkeypatch.setattr(verif, "_stencil", counted)
+    monkeypatch.setattr(oracle, "_stencil", counted)
     monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
     entry = catalog.ENTRIES["morse"]
     for _ in verif.verify_entry(entry, dict(entry.default_params)):
@@ -314,10 +393,10 @@ def test_spectral_equivalence_pair_is_second_order(name):
 
 def test_spectral_equivalence_keeps_its_power(monkeypatch):
     # V~ off by 1e-4 in the von Roos potential must read above the 1e-6 tolerance
-    def perturbed(df, amb, v_eff, x):
-        return np.asarray(v_eff(x), dtype=float) - (1.0 + 1e-4) * v_tilde_eval(df, amb, x)
+    def perturbed(amb, *derivatives, real=verif._v_tilde):
+        return (1.0 + 1e-4) * real(amb, *derivatives)
 
-    monkeypatch.setattr(verif, "recover_initial_potential", perturbed)
+    monkeypatch.setattr(verif, "_v_tilde", perturbed)
     monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
     for name in sorted(catalog.ENTRIES):
         entry = catalog.ENTRIES[name]
@@ -336,10 +415,10 @@ _SINGLE_GRID_POWER = {
 
 def test_ordering_identity_keeps_its_power(monkeypatch):
     # the error V~ eps does not depend on h, so the Richardson value keeps it
-    def perturbed(df, amb, v_eff, x):
-        return np.asarray(v_eff(x), dtype=float) - (1.0 + 1e-4) * v_tilde_eval(df, amb, x)
+    def perturbed(amb, *derivatives, real=verif._v_tilde):
+        return (1.0 + 1e-4) * real(amb, *derivatives)
 
-    monkeypatch.setattr(verif, "recover_initial_potential", perturbed)
+    monkeypatch.setattr(verif, "_v_tilde", perturbed)
     amb = AmbiguityParams.preset("bastard")
     for name, single_grid in _SINGLE_GRID_POWER.items():
         entry = catalog.ENTRIES[name]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pdem_si import catalog
-from pdem_si.core import AmbiguityParams, DeformingFunction, Grid, Interval, ParameterError
+from pdem_si.core import AmbiguityParams, DeformingFunction, Grid, Interval, ParameterError, deforming_eval
 from pdem_si.oracle import DEFORMED, discretize_vonroos
 from pdem_si.ordering import recover_initial_potential, v_tilde_eval
 
@@ -38,6 +38,27 @@ def test_vtilde_shifted_oscillator_origin():
         amb = AmbiguityParams.preset(preset)
         got = v_tilde_eval(df, amb, 0.0)
         assert abs(got - (2 * amb.rho * alpha + 4 * amb.sigma * beta**2)) < 1e-15
+
+
+def _reference_v_tilde(df, amb, x):
+    # V~ as read from deforming_eval, which also evaluates g and M
+    v = deforming_eval(df, x)
+    return amb.rho * v.f * v.f_second + amb.sigma * v.f_prime**2
+
+
+@pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
+def test_v_tilde_matches_deforming_eval_reference(name):
+    # bit for bit on arrays, and on scalars, which keep Python-float arithmetic:
+    # Python's f'**2 is libm pow and numpy's a multiply, 1 ulp apart at times
+    entry = catalog.ENTRIES[name]
+    df = entry.deforming(dict(entry.default_params))
+    xs = np.linspace(*_window(entry), 2001)
+    for amb in [AmbiguityParams.preset(p) for p in PRESETS] + [DEFORMED]:
+        assert v_tilde_eval(df, amb, xs).tobytes() == _reference_v_tilde(df, amb, xs).tobytes()
+        scalars = xs[::10].tolist()
+        got = [v_tilde_eval(df, amb, x) for x in scalars]
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array([_reference_v_tilde(df, amb, x) for x in scalars]).tobytes()
 
 
 def test_recover_initial_identity_and_roundtrip():
