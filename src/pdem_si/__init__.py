@@ -53,6 +53,7 @@ from .oracle import (
 from .wavefunctions import (
     AdmissibilityVerdict,
     DeformedPolynomial,
+    LevelTable,
     admissibility_checks,
     excited_state_eval,
     normalize,

@@ -22,7 +22,7 @@ import numpy as np
 from . import verification as verif
 from .catalog import CatalogEntry, ENTRIES, EXCLUSIONS, lookup
 from .core import PRESET_EXPONENTS, AmbiguityParams, NotFound, PdemError, RangeError, ZeroNorm
-from .wavefunctions import _admissibility, _LevelTable, normalized_state
+from .wavefunctions import LevelTable, admissibility_checks, normalized_states
 
 _FMT = "%.17g"  # full round-trip decimal representation
 _MAX_POINTS = 1_000_001  # largest grid for --samples and PDEM_GRID_N
@@ -128,11 +128,11 @@ def build_spectrum_report(
     if n_levels != "auto" and counting.kind == "finite" and k < wanted:
         print(f"note: {entry.name} supports {counting.count} bound state(s); clamping levels", file=sys.stderr)
 
-    table = _LevelTable(entry, params)  # the levels the probes, the oracle cap and the Gram check share
-    chain = table.chain_to(max(k - 1, 5))
+    req = verif.Request(entry, params)  # the levels and operators every check below reads
+    chain = req.chain_to(max(k - 1, 5))
     oracle_vals = ()
     if with_oracle:
-        trusted = min(k, verif._trusted_levels(table))
+        trusted = min(k, verif.trusted_levels(req))
         if trusted > 0:
             if n_override:  # one grid of that size, as given; its N - 2 interior nodes hold N - 2 levels
                 k_grid = min(trusted, n_override - 2)
@@ -143,7 +143,7 @@ def build_spectrum_report(
     # closed forms first: when they overflow, the request exits before any probe runs
     closed = [entry.printed_energy(params, n) for n in range(k)]
     rows = []
-    for n, (e_closed, verdict) in enumerate(zip(closed, _admissibility(table, range(k)))):
+    for n, (e_closed, verdict) in enumerate(zip(closed, admissibility_checks(req, range(k)))):
         e_chain = chain.energy(n)
         e_orc = abs_err = rel_err = None
         if n < len(oracle_vals):
@@ -167,8 +167,8 @@ def build_spectrum_report(
     r1, r2, _ = verif.chain_residual_max(entry, params)
     checks = {
         "si_residual_max": max(r1, r2),
-        "equivalence_max_dev": verif.equivalence_deviation(entry, params, amb)["max_dev"],
-        "orthonormality_max_offdiag": verif._orthonormality_offdiag(table),
+        "equivalence_max_dev": verif.equivalence_deviation(req, amb)["max_dev"],
+        "orthonormality_max_offdiag": verif.orthonormality_offdiag(req),
     }
     deformation = {kk: params[kk] for kk in entry.deformation_names}
     pot_params = {kk: vv for kk, vv in params.items() if kk not in entry.deformation_names}
@@ -241,7 +241,7 @@ def _cmd_wavefunction(ns) -> int:
         raise RangeError(f"{entry.name}: no level {ns.n} for these parameters (counting = {counting})")
     grid = verif.oracle_grid(entry, params, ns.samples if ns.samples % 2 == 1 else ns.samples + 1)
     x = grid.nodes()
-    psi = normalized_state(entry, params, ns.n, grid)
+    psi = normalized_states(LevelTable(entry, params), [ns.n], grid)[0]
     vals_f = np.asarray(entry.deforming(params).f(x[1:-1]), dtype=float)
     v = np.asarray(entry.v_eff(params)(x[1:-1]), dtype=float)
     lines = ["x,psi,f,v_eff"]

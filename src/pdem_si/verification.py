@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -16,7 +17,7 @@ from .ordering import _v_tilde, recover_initial_potential, v_tilde_eval
 from .oracle import DEFORMED, Spectrum, TridiagonalOperator, _battery_deviation, _quadratures, _stencil
 from .oracle import discretize_vonroos, eigenpairs, eigenvectors, sturm_count
 from .si_engine import ParameterChain, chain_residuals, solve_chain, w_eval
-from .wavefunctions import _admissibility, _LevelTable, _normalized_states, _Points
+from .wavefunctions import LevelTable, _Points, admissibility_checks, normalized_states
 
 _SPECTRUM_CACHE: dict = {}
 
@@ -128,17 +129,47 @@ def vtilde_agreement(entry: CatalogEntry, params: dict, amb: AmbiguityParams) ->
     return float(np.max(np.abs(np.asarray(printed) - v_tilde_eval(entry.deforming(params), amb, xs))))
 
 
-def ground_ratio_spread(entry: CatalogEntry, params: dict) -> float:
+class Request(LevelTable):
+    """One request at one parameter point: the level table every check reads,
+    and the operators its checks share, each built on first use."""
+
+    def __init__(self, entry: CatalogEntry, params: dict):
+        super().__init__(entry, params)
+        self._pairs: dict = {}
+
+    def pair(self, amb: AmbiguityParams) -> list:
+        """(ordered, deformed) operators on each grid of the equivalence pair, at
+        _PAIR_POINTS and 2 _PAIR_POINTS - 1 points, so h halves: both ordering
+        checks read them, built once per ordering. Each is ``_operator``'s, bit
+        for bit, but on each grid f, V_eff and the f' and f'' of V~ are
+        evaluated once for both orderings."""
+        if amb not in self._pairs:
+            df, v_eff = self.entry.deforming(self.params), self.entry.v_eff(self.params)
+            orderings = (amb, DEFORMED)
+
+            def potentials(x, f):  # recover_initial_potential of each ordering, with f at x from the nodes
+                v, slopes = np.asarray(v_eff(x)), df._slopes(x)
+                return [v - _v_tilde(ordering, f, *slopes) for ordering in orderings]
+
+            grids = (Grid(self.entry.equivalence_interval, n) for n in (_PAIR_POINTS, 2 * _PAIR_POINTS - 1))
+            self._pairs[amb] = [tuple(_stencil(df, orderings, potentials, grid)) for grid in grids]
+        return self._pairs[amb]
+
+    @cached_property
+    def residual_operator(self) -> tuple:
+        """The deformed operator at _FINE_POINTS over the residual window and its
+        nodes as shared points, which every level's eigen-residual applies."""
+        grid = Grid(Interval(*residual_window(self.entry, self.params)), _FINE_POINTS)
+        return _operator(self.entry, self.params, DEFORMED, grid), _Points(self.problem, grid.nodes())
+
+
+def ground_ratio_spread(table: LevelTable) -> float:
     """Relative spread of the assembled (integral-form) ground state over the
     printed one.
 
     Points where the state has decayed below 1e-120 of its peak are skipped:
     both representations underflow there and the ratio becomes 0/0. NaN when
     no point is left."""
-    return _ground_ratio_spread(_LevelTable(entry, params))
-
-
-def _ground_ratio_spread(table: _LevelTable) -> float:
     entry, params = table.entry, table.params
     a, b = residual_window(entry, params)
     xs = np.linspace(a, b, _WINDOW_NODES)
@@ -151,13 +182,9 @@ def _ground_ratio_spread(table: _LevelTable) -> float:
     return float((np.max(ratio) - np.min(ratio)) / np.abs(np.mean(ratio)))
 
 
-def a_minus_residual(entry: CatalogEntry, params: dict) -> float:
+def a_minus_residual(table: LevelTable) -> float:
     """Max |A^- psi0| / max |psi0| with a fourth-order discrete derivative on
     the residual window, clamped to the equivalence interval."""
-    return _a_minus_residual(_LevelTable(entry, params))
-
-
-def _a_minus_residual(table: _LevelTable) -> float:
     entry, params = table.entry, table.params
     assembled = table[0]
     problem, chain = assembled.problem, assembled.chain
@@ -177,40 +204,25 @@ def _a_minus_residual(table: _LevelTable) -> float:
     return float(np.max(np.abs(resid)) / np.max(np.abs(psi)))
 
 
-def eigen_residual(entry: CatalogEntry, params: dict, n: int) -> float:
+def eigen_residual(req: Request, n: int) -> float:
     """||H psi_n - E_n psi_n||_2 / ||psi_n||_2 at _FINE_POINTS over the interior window.
 
     The window keeps the sampled action meaningful: right at a singular wall
     (sec^2 or 1/x^2 endpoints) the second-order stencil cannot resolve the
     closed-form state and its local truncation error would swamp the norm.
     Boundary couplings are included, so no Dirichlet assumption is made."""
-    op, table = _residual_operator(entry, params), _LevelTable(entry, params)
-    return _eigen_residual(op, table[n], _Points(table.problem, op.grid.nodes()))
-
-
-def _residual_operator(entry: CatalogEntry, params: dict) -> TridiagonalOperator:
-    """The deformed operator at _FINE_POINTS over the residual window, which
-    every level's eigen-residual applies."""
-    return _operator(entry, params, DEFORMED, Grid(Interval(*residual_window(entry, params)), _FINE_POINTS))
-
-
-def _eigen_residual(op: TridiagonalOperator, assembled, pts: _Points) -> float:
-    """``eigen_residual`` of one level at ``pts``, the nodes of ``op``, which every level shares."""
+    (op, pts), assembled = req.residual_operator, req[n]
     psi = assembled.value_at(pts)
-    energy = assembled.chain.energy(assembled.n)
+    energy = assembled.chain.energy(n)
     resid = op.apply(psi) - energy * psi[1:-1]
     return float(np.linalg.norm(resid) / np.linalg.norm(psi[1:-1]))
 
 
-def gram_matrix(entry: CatalogEntry, params: dict, levels: int) -> np.ndarray:
+def gram_matrix(table: LevelTable, levels: int) -> np.ndarray:
     """Simpson Gram matrix of the first ``levels`` normalized closed-form states
     on the oracle grid."""
-    return _gram_matrix(_LevelTable(entry, params), levels)
-
-
-def _gram_matrix(table: _LevelTable, levels: int) -> np.ndarray:
     grid = oracle_grid(table.entry, table.params)
-    states = _normalized_states(table, range(levels), grid)
+    states = normalized_states(table, range(levels), grid)
     pairs = [(i, j) for i in range(levels) for j in range(i, levels)]
     G = np.empty((levels, levels))
     for (i, j), value in zip(pairs, _quadratures([states[i] * states[j] for i, j in pairs], grid)):
@@ -218,7 +230,7 @@ def _gram_matrix(table: _LevelTable, levels: int) -> np.ndarray:
     return G
 
 
-def _truncation_resolves(table: _LevelTable, n: int, edges: Interval) -> bool:
+def _truncation_resolves(table: LevelTable, n: int, edges: Interval) -> bool:
     """True when the closed-form state has actually decayed at the truncation
     edges, so its Dirichlet eigenvalue is trustworthy at the recipe tolerance."""
     entry = table.entry
@@ -240,14 +252,10 @@ def _truncation_resolves(table: _LevelTable, n: int, edges: Interval) -> bool:
     return True
 
 
-def trusted_levels(entry: CatalogEntry, params: dict) -> int:
+def trusted_levels(table: LevelTable) -> int:
     """Lowest oracle levels trusted by both the oracle comparison and ``spectrum
     --oracle``: the bound states up to the recipe's level cap, less the top ones
     whose Dirichlet eigenvalues carry a truncation shift (tails not decayed)."""
-    return _trusted_levels(_LevelTable(entry, params))
-
-
-def _trusted_levels(table: _LevelTable) -> int:
     entry, params = table.entry, table.params
     cap = entry.counting(params).levels(entry.oracle_recipe(params).level_cap)
     edges = oracle_grid(entry, params).interval
@@ -288,15 +296,11 @@ def oracle_energies(entry: CatalogEntry, params: dict, k: int) -> dict:
     return {"energies": energies, "order_ratio": ratio.tolist(), "reported": reported, "grids": grids}
 
 
-def oracle_vs_chain(entry: CatalogEntry, params: dict) -> Optional[dict]:
+def oracle_comparison(table: LevelTable) -> Optional[dict]:
     """Compare chain energies with the matrix oracle (``oracle_energies``) on
     the entry recipe over the trusted levels; None when no level is trusted."""
-    return _oracle_vs_chain(_LevelTable(entry, params))
-
-
-def _oracle_vs_chain(table: _LevelTable) -> Optional[dict]:
     entry, params = table.entry, table.params
-    cap = _trusted_levels(table)
+    cap = trusted_levels(table)
     if cap < 1:
         return None
     rel_tol = entry.oracle_recipe(params).rel_tol
@@ -320,24 +324,14 @@ def _oracle_vs_chain(table: _LevelTable) -> Optional[dict]:
     }
 
 
-def _pair_operators(entry: CatalogEntry, params: dict, amb: AmbiguityParams) -> list:
-    """(ordered, deformed) operators on each grid of the equivalence pair, at
-    _PAIR_POINTS and 2 _PAIR_POINTS - 1 points, so h halves: both ordering
-    checks read them, and one battery builds them once. Each is ``_operator``'s,
-    bit for bit, but on each grid f, V_eff and the f' and f'' of V~ are
-    evaluated once for both orderings."""
-    df, v_eff = entry.deforming(params), entry.v_eff(params)
-    orderings = (amb, DEFORMED)
-
-    def potentials(x, f):  # recover_initial_potential of each ordering, with f at x from the nodes
-        v, slopes = np.asarray(v_eff(x)), df._slopes(x)
-        return [v - _v_tilde(ordering, f, *slopes) for ordering in orderings]
-
-    grids = (Grid(entry.equivalence_interval, n) for n in (_PAIR_POINTS, 2 * _PAIR_POINTS - 1))
-    return [tuple(_stencil(df, orderings, potentials, grid)) for grid in grids]
+def oracle_vs_chain(entry: CatalogEntry, params: dict) -> Optional[dict]:
+    """``oracle_comparison`` on a fresh level table. The benchmark workloads
+    (benchmarks/workloads.py) call the check by this name and signature, and
+    they change only with the benchmark (ROADMAP item 1)."""
+    return oracle_comparison(LevelTable(entry, params))
 
 
-def spectral_equivalence(entry: CatalogEntry, params: dict, amb: AmbiguityParams) -> Optional[dict]:
+def spectral_equivalence(req: Request, amb: AmbiguityParams) -> Optional[dict]:
     """Von Roos spectrum on the recovered V vs deformed spectrum on V_eff, as a
     Richardson pair: D = E_vonRoos - E_deformed per level on the equivalence
     interval at h and h/2, reported as (4 D(h/2) - D(h))/3 where the order ratio
@@ -349,10 +343,7 @@ def spectral_equivalence(entry: CatalogEntry, params: dict, amb: AmbiguityParams
     paper's equivalence puts within the discretization error of its own; the
     oracle certifies them as guesses, so the result is the same whether the
     deformed levels were cached or not."""
-    return _spectral_equivalence(entry, params, amb, _pair_operators(entry, params, amb))
-
-
-def _spectral_equivalence(entry: CatalogEntry, params: dict, amb: AmbiguityParams, pair: list) -> Optional[dict]:
+    entry, params, pair = req.entry, req.params, req.pair(amb)
     edge = entry.continuum_edge(params)
     nlev = 4
     if math.isfinite(edge):
@@ -371,7 +362,7 @@ def _spectral_equivalence(entry: CatalogEntry, params: dict, amb: AmbiguityParam
             "order_ratio": ratio.tolist(), "reported": reported}
 
 
-def equivalence_deviation(entry: CatalogEntry, params: dict, amb: AmbiguityParams) -> dict:
+def equivalence_deviation(req: Request, amb: AmbiguityParams) -> dict:
     """Pointwise ordering-identity deviation between the two operators that
     ``spectral_equivalence`` solves, the ordered one on the recovered V and the
     deformed one on V_eff, on its two grids: with D the ordered minus the
@@ -380,16 +371,12 @@ def equivalence_deviation(entry: CatalogEntry, params: dict, amb: AmbiguityParam
     coarse i). Relative to the action scale (the largest fine deformed action):
     where the deformation grows steeply the raw operator values do too, so
     only the ratio is grid-size invariant."""
-    return _equivalence_deviation(_pair_operators(entry, params, amb))
-
-
-def _equivalence_deviation(pair: list) -> dict:
-    (d_h, _), (d_h2, scale) = (_battery_deviation(*ops) for ops in pair)
+    (d_h, _), (d_h2, scale) = (_battery_deviation(*ops) for ops in req.pair(amb))
     dev = float(np.max(np.abs(4.0 * d_h2[:, 1::2] - d_h)[:, 2:-2]) / 3.0)
     return {"max_dev": dev, "action_scale": scale, "rel_dev": dev / max(scale, 1e-300)}
 
 
-def counting_vs_admissibility(entry: CatalogEntry, params: dict) -> dict:
+def counting_vs_admissibility(table: LevelTable) -> dict:
     """Check the printed counting rule against the numeric verdicts.
 
     A level exists numerically when its wavefunction is admissible AND its
@@ -398,17 +385,13 @@ def counting_vs_admissibility(entry: CatalogEntry, params: dict) -> dict:
     which is normalizable but not a new bound state. A finite count probes at
     most the first AUTO_LEVELS levels, and the first missing level n = count
     only when count <= AUTO_LEVELS; other rules probe levels 0..3."""
-    return _counting_vs_admissibility(_LevelTable(entry, params))
-
-
-def _counting_vs_admissibility(table: _LevelTable) -> dict:
     counting = table.entry.counting(table.params)
     if counting.kind == "finite":
         probed = counting.count + 1 if counting.count <= AUTO_LEVELS else AUTO_LEVELS
     else:
         probed = 4
     chain = table.chain_to(probed - 1)
-    verdicts = dict(enumerate(_admissibility(table, range(probed))))
+    verdicts = dict(enumerate(admissibility_checks(table, range(probed))))
 
     def exists(n: int, v) -> bool:
         if not v.admissible:
@@ -425,16 +408,12 @@ def _counting_vs_admissibility(table: _LevelTable) -> dict:
     return {"counting": counting, "verdicts": verdicts, "ok": ok}
 
 
-def orthonormality_offdiag(entry: CatalogEntry, params: dict) -> Optional[float]:
+def orthonormality_offdiag(table: LevelTable) -> Optional[float]:
     """Max off-diagonal Gram entry over the first min(4, count) admissible states."""
-    return _orthonormality_offdiag(_LevelTable(entry, params))
-
-
-def _orthonormality_offdiag(table: _LevelTable) -> Optional[float]:
     levels = table.entry.counting(table.params).levels(4)
     if levels < 1:
         return None
-    G = _gram_matrix(table, levels)
+    G = gram_matrix(table, levels)
     off = G - np.diag(np.diag(G))
     return float(np.max(np.abs(off)))
 
@@ -496,42 +475,38 @@ def _battery(entry: CatalogEntry, params: dict, preset: str, tol: Optional[float
     else:
         yield Check("printed ordering term", vt < 1e-10, f"max dev = {vt:.2e}")
 
-    table = _LevelTable(entry, params)  # the levels every check below reads
-    cva = _counting_vs_admissibility(table)
+    req = Request(entry, params)  # the levels and operators every check below reads
+    cva = counting_vs_admissibility(req)
     cnt = cva["counting"]
     verdicts = ", ".join(f"n={n}:{_verdict_tag(v)}" for n, v in sorted(cva["verdicts"].items()))
     yield Check("counting vs numeric admissibility", cva["ok"], f"counting = {cnt}; verdicts {verdicts}")
     if cnt.kind == "finite" and cnt.count > AUTO_LEVELS:
         yield Check(f"counting boundary n={cnt.count} not probed (only levels n < {AUTO_LEVELS})", None)
 
-    ratio = _ground_ratio_spread(table)
+    ratio = ground_ratio_spread(req)
     yield Check("ground-state closed vs integral form", ratio < 1e-8, f"ratio spread = {ratio:.2e}")
 
     # 1e-7 here: slowly decaying states evaluated through a saturating chain
     # variable (coth) carry ~1e-9 relative noise that the discrete derivative
     # amplifies by 1/h; genuine sign or assembly errors sit many decades higher
-    am = _a_minus_residual(table)
+    am = a_minus_residual(req)
     yield Check("lowering-operator annihilation", am < 1e-7, f"max residual = {am:.2e}")
 
     levels = cnt.levels(3)
-    chain = table.chain_to(max(levels - 1, 0))
-    if levels:
-        op = _residual_operator(entry, params)
-        pts = _Points(table.problem, op.grid.nodes())
+    chain = req.chain_to(max(levels - 1, 0))
     for n in range(levels):
-        er = _eigen_residual(op, table[n], pts)
+        er = eigen_residual(req, n)
         e_tol = 1e-5 * max(1.0, abs(chain.energy(n)))
         yield Check(f"eigen-residual n={n}", er < e_tol, f"{er:.2e} (tol {e_tol:.1e})")
 
-    pair = _pair_operators(entry, params, amb)
-    dev = _equivalence_deviation(pair)
+    dev = equivalence_deviation(req, amb)
     yield Check(
         "ordering-identity operator check",
         dev["rel_dev"] < 1e-5,
         f"max dev = {dev['max_dev']:.2e} ({dev['rel_dev']:.2e} of action scale)",
     )
 
-    se = _spectral_equivalence(entry, params, amb, pair)
+    se = spectral_equivalence(req, amb)
     if se is None:
         yield Check("no levels below the continuum edge for the spectral comparison", None)
     else:
@@ -541,7 +516,7 @@ def _battery(entry: CatalogEntry, params: dict, preset: str, tol: Optional[float
             f"{se['levels']} level(s), max rel dev = {se['max_rel_dev']:.2e}",
         )
 
-    ovc = _oracle_vs_chain(table)
+    ovc = oracle_comparison(req)
     if ovc is None:
         yield Check("oracle energy comparison skipped (no resolvable levels)", None)
     else:

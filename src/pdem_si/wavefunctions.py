@@ -315,7 +315,7 @@ def _log_abs_rows(rows: list, pts: _Points) -> list:
         ]
 
 
-class _LevelTable:
+class LevelTable:
     """The levels of one request at one parameter point, shared by its checks:
     the chain is solved once, to the deepest level asked for, and each level is
     assembled on first use. ``solve_chain`` is sequential, so a level has the
@@ -343,19 +343,16 @@ class _LevelTable:
 
     def levels(self, ns) -> list:
         """The assembled levels ``ns``, the chain first solved to the deepest."""
-        if len(ns):
+        ns = list(ns)
+        if ns:
             self.chain_to(max(ns))
         return [self[n] for n in ns]
-
-
-def _assemble(entry: CatalogEntry, params: dict, n: int) -> _Assembled:
-    return _LevelTable(entry, params)[n]
 
 
 def excited_state_eval(entry: CatalogEntry, params: dict, n: int, x):
     """Unnormalized nth bound-state wavefunction; n = 0 is the ground state
     f^{-1/2} exp(-int W/f) via the class antiderivative."""
-    return _assemble(entry, params, n).value(x)
+    return LevelTable(entry, params)[n].value(x)
 
 
 def normalize(samples: np.ndarray, grid: Grid):
@@ -372,15 +369,11 @@ def normalize(samples: np.ndarray, grid: Grid):
     return const, const * samples
 
 
-def normalized_state(entry: CatalogEntry, params: dict, n: int, grid: Grid) -> np.ndarray:
-    """The nth closed-form state on ``grid``, normalized. It is sampled strictly
-    inside the truncation; the Dirichlet endpoints carry zeros (the base
-    function phi may blow up exactly there)."""
-    return _normalized_states(_LevelTable(entry, params), [n], grid)[0]
-
-
-def _normalized_states(table: _LevelTable, ns, grid: Grid) -> list:
-    """``normalized_state`` for each level in ``ns``, on one set of grid points."""
+def normalized_states(table: LevelTable, ns, grid: Grid) -> list:
+    """The closed-form states ``ns`` of ``table`` on ``grid``, each normalized.
+    They are sampled strictly inside the truncation, on one set of points; the
+    Dirichlet endpoints carry zeros (the base function phi may blow up exactly
+    there)."""
     pts = _Points(table.problem, grid.nodes()[1:-1])
     return [normalize(np.concatenate([[0.0], a.value_at(pts), [0.0]]), grid)[1] for a in table.levels(ns)]
 
@@ -460,17 +453,13 @@ def _tail_test(two_log_abs: list, log_f: list, bound: float, finite_end: bool):
     return cert, {**ev, **cert_ev, "exp_decay_certificate": cert}
 
 
-def admissibility_checks(entry: CatalogEntry, params: dict, levels) -> list:
-    """Numeric verdicts for each level n in ``levels``, both read from log |psi_n|
-    at each end's endpoint probes by one tail test: the tail exponents of
-    |psi_n|^2 against -1 for square integrability, and of |psi_n|^2 f against 0
-    for the Hermiticity condition |psi_n|^2 f -> 0. The chain is solved once,
-    and each end's probe points, what psi_n needs there apart from n, and
-    log |psi_n| of all levels are evaluated once."""
-    return _admissibility(_LevelTable(entry, params), list(levels))
-
-
-def _admissibility(table: _LevelTable, levels) -> list:
+def admissibility_checks(table: LevelTable, levels) -> list:
+    """Numeric verdicts for each level n in ``levels`` of ``table``, both read
+    from log |psi_n| at each end's endpoint probes by one tail test: the tail
+    exponents of |psi_n|^2 against -1 for square integrability, and of
+    |psi_n|^2 f against 0 for the Hermiticity condition |psi_n|^2 f -> 0. Each
+    end's probe points, what psi_n needs there apart from n, and log |psi_n| of
+    all levels are evaluated once."""
     rows = table.levels(levels)
     if not rows:
         return []

@@ -11,7 +11,7 @@ from pdem_si import catalog, verification as verif
 from pdem_si.catalog import bound_state_count, closed_energy, lookup, _morse_alpha_max
 from pdem_si.cli import SpectrumReport, build_spectrum_report, main
 from pdem_si.core import AmbiguityParams
-from pdem_si.wavefunctions import admissibility_checks, polynomial_chain
+from pdem_si.wavefunctions import LevelTable, admissibility_checks, polynomial_chain
 
 
 def _report(num, text):
@@ -52,7 +52,7 @@ def test_criterion_03_hyperbolic_pt_no_bound_states():
     entry = lookup("hyperbolic_poschl_teller")
     params = {"A": 1.0, "alpha": 0.5}
     assert bound_state_count(entry, params).kind == "zero"
-    for n, verdict in enumerate(admissibility_checks(entry, params, range(4))):
+    for n, verdict in enumerate(admissibility_checks(LevelTable(entry, params), range(4))):
         assert verdict.square_integrable, n
         assert not verdict.hermiticity_ok, n
         for side in verdict.evidence["hermiticity"].values():
@@ -66,7 +66,7 @@ def test_criterion_04_coulomb_counting_and_values():
     params = {"e2": 1.0, "l": 0.0, "alpha": 0.1}
     counting = bound_state_count(entry, params)
     assert counting.kind == "finite" and counting.count == 3
-    verdicts = [v.admissible for v in admissibility_checks(entry, params, range(4))]
+    verdicts = [v.admissible for v in admissibility_checks(LevelTable(entry, params), range(4))]
     assert verdicts == [True, True, True, False]
     assert closed_energy(entry, params, 0) == -0.2025
     assert abs(closed_energy(entry, params, 2) - (-2.7778e-4)) < 1e-8
@@ -85,7 +85,7 @@ def test_criterion_05_morse_counting():
         params = {"A": 1.0, "B": 1.0, "alpha": alpha}
         counting = bound_state_count(entry, params)
         assert counting.kind == "finite" and counting.count == 1
-        assert [v.admissible for v in admissibility_checks(entry, params, [0, 1])] == [True, False]
+        assert [v.admissible for v in admissibility_checks(LevelTable(entry, params), [0, 1])] == [True, False]
         spec = verif.deformed_spectrum(entry, params, 1)
         closed = closed_energy(entry, params, 0)
         rel = abs(spec.eigenvalues[0] - closed) / abs(closed)
@@ -105,7 +105,7 @@ def test_criterion_06_eckart_regime_switch():
     fin_params = {"A": 1.5, "B": 2.5, "alpha": -1.0}
     counting = bound_state_count(entry, fin_params)
     assert counting.kind == "finite" and counting.count == 1
-    assert not admissibility_checks(entry, fin_params, [1])[0].admissible
+    assert not admissibility_checks(LevelTable(entry, fin_params), [1])[0].admissible
     _report(6, "eckart: alpha = -2 infinite (4 levels vs oracle < 1e-3); alpha = -1 finite(1), n = 1 inadmissible")
 
 
@@ -130,15 +130,15 @@ def test_criterion_08_ordering_identity():
     for name, params in (("box", {"alpha": 0.5}), ("morse", {"A": 1.0, "B": 1.0, "alpha": 0.5})):
         entry = lookup(name)
         for preset in ("bdd", "zk"):
-            res = verif.spectral_equivalence(entry, params, AmbiguityParams.preset(preset))
+            res = verif.spectral_equivalence(verif.Request(entry, params), AmbiguityParams.preset(preset))
             assert res["max_rel_dev"] < 1e-6, (name, preset, res)
     _report(8, "ordered vs deformed spectra < 1e-6 (box, morse)")
 
 
 def test_criterion_09_wavefunction_suite():
     for name, entry in catalog.ENTRIES.items():
-        assert verif.a_minus_residual(entry, dict(entry.default_params)) < 1e-8, name
-        assert verif.ground_ratio_spread(entry, dict(entry.default_params)) < 1e-8, name
+        assert verif.a_minus_residual(LevelTable(entry, dict(entry.default_params))) < 1e-8, name
+        assert verif.ground_ratio_spread(LevelTable(entry, dict(entry.default_params))) < 1e-8, name
     battery = [
         ("box", {"alpha": 0.5}),
         ("trig_poschl_teller", {"A": 2.0, "alpha": 0.3}),
@@ -150,10 +150,10 @@ def test_criterion_09_wavefunction_suite():
         counting = entry.counting(params)
         levels = 3 if counting.kind == "infinite" else min(3, counting.count)
         for n in range(levels):
-            er = verif.eigen_residual(entry, params, n)
+            er = verif.eigen_residual(verif.Request(entry, params), n)
             assert er < 1e-5, (name, n, er)
         gram_levels = min(4, 4 if counting.kind == "infinite" else counting.count)
-        G = verif.gram_matrix(entry, params, gram_levels)
+        G = verif.gram_matrix(LevelTable(entry, params), gram_levels)
         assert np.max(np.abs(G - np.eye(gram_levels))) < 1e-6, name
     _report(9, "A^- psi_0 < 1e-8 and numeric/closed ratio < 1e-8 (all entries); eigen-residual < 1e-5 and Gram within 1e-6")
 

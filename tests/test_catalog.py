@@ -12,6 +12,7 @@ from pdem_si.catalog import (
     lookup,
 )
 from pdem_si.core import AmbiguityParams, DomainError, NotFound, RangeError
+from pdem_si.wavefunctions import LevelTable
 
 ALL = sorted(catalog.ENTRIES)
 
@@ -225,7 +226,7 @@ def test_finite_counting_agrees_with_numeric_probe():
         p = dict(entry.default_params)
         if entry.counting(p).kind != "finite":
             continue
-        res = verif.counting_vs_admissibility(entry, p)
+        res = verif.counting_vs_admissibility(LevelTable(entry, p))
         assert res["ok"], (name, res)
 
 

@@ -1,10 +1,12 @@
+import ast
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 import pdem_si
-from pdem_si import catalog
+from pdem_si import catalog, verification, wavefunctions
 from pdem_si.core import (
     AmbiguityParams,
     DeformingFunction,
@@ -168,12 +170,39 @@ def test_public_api_names():
     assert sorted(pdem_si.__all__) == [
         "AdmissibilityVerdict", "AmbiguityParams", "CatalogEntry", "ChainError", "ChainProblem",
         "ConvergenceError", "CountingResult", "DeformedPolynomial", "DeformingFunction", "DegenerateClass",
-        "DomainError", "Grid", "Interval", "NoRealRoot", "NonPositiveError", "NotFound", "ParameterChain",
-        "ParameterError", "PdemError", "RangeError", "SingularPoint", "SingularPotential", "Spectrum",
-        "SuperpotentialClass", "TridiagonalOperator", "ZeroNorm", "admissibility_checks", "bound_state_count",
+        "DomainError", "Grid", "Interval", "LevelTable", "NoRealRoot", "NonPositiveError", "NotFound",
+        "ParameterChain", "ParameterError", "PdemError", "RangeError", "SingularPoint", "SingularPotential",
+        "Spectrum", "SuperpotentialClass", "TridiagonalOperator", "ZeroNorm", "admissibility_checks", "bound_state_count",
         "catalog", "chain_residuals", "closed_energy", "core", "deforming_eval", "discretize_vonroos",
         "eigenpairs", "eigenvectors", "excited_state_eval", "ground_state_closed", "lookup", "normalize",
         "oracle", "ordering", "partner_potential", "polynomial_chain", "positivity_check", "quadrature",
         "recover_initial_potential", "si_engine", "solve_chain", "sturm_count", "v_tilde_eval", "w_eval",
         "wavefunctions",
     ]
+
+
+def _forwards(module) -> list:
+    # public module-level functions whose whole body, past an optional docstring,
+    # is one return of a call to a private function or to another function of the module
+    tree = ast.parse(inspect.getsource(module))
+    defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    own = {node.name for node in defs}
+    found = []
+    for node in defs:
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        if node.name.startswith("_") or len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        call = body[0].value
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+            if call.func.id.startswith("_") or call.func.id in own:
+                found.append(f"{module.__name__.rsplit('.', 1)[1]}.{node.name}")
+    return found
+
+
+def test_no_public_function_forwards_to_a_twin():
+    # each check is one function under its public name, taking the level table
+    # or request of its parameter point. The one forwarder left is
+    # oracle_vs_chain(entry, params): benchmarks/workloads.py calls the oracle
+    # check by that name and signature, and that reader changes only together
+    # with the benchmark (ROADMAP item 1)
+    assert _forwards(verification) + _forwards(wavefunctions) == ["verification.oracle_vs_chain"]

@@ -30,7 +30,7 @@ from pdem_si.oracle import (
     sturm_count,
 )
 from pdem_si.ordering import recover_initial_potential
-from pdem_si.wavefunctions import excited_state_eval, normalize
+from pdem_si.wavefunctions import AdmissibilityVerdict, excited_state_eval, normalize
 
 PRESETS = ("bdd", "bastard", "zk", "lk")
 
@@ -260,7 +260,7 @@ def test_pair_operators_match_per_ordering_builds(name):
         df, v_eff = entry.deforming(params), entry.v_eff(params)
         for preset in PRESETS:
             amb = AmbiguityParams.preset(preset)
-            pair = verif._pair_operators(entry, params, amb)
+            pair = verif.Request(entry, params).pair(amb)
             assert [ops[0].grid for ops in pair] == [
                 Grid(entry.equivalence_interval, n) for n in (verif._PAIR_POINTS, 2 * verif._PAIR_POINTS - 1)
             ]
@@ -272,6 +272,55 @@ def test_pair_operators_match_per_ordering_builds(name):
                         assert op.grid == got.grid
                         got_parts = (got.diag, got.off, got.left_coupling, got.right_coupling)
                         assert [_bits(a) for a in got_parts] == [_bits(b) for b in want], (params, preset, ordering)
+
+
+# the battery's checks that read its one shared Request
+_REQUEST_CHECKS = (
+    "counting_vs_admissibility", "ground_ratio_spread", "a_minus_residual", "eigen_residual",
+    "equivalence_deviation", "spectral_equivalence", "oracle_comparison",
+)
+
+
+def _same_bits(a, b):
+    # equal bit for bit, floats and arrays by their bytes (so NaN payloads and
+    # signed zeros count), recursing into dicts, lists, tuples and verdicts
+    if isinstance(a, AdmissibilityVerdict):
+        a, b = vars(a), vars(b)
+    if isinstance(a, dict):
+        return type(b) is dict and list(a) == list(b) and all(_same_bits(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same_bits, a, b))
+    if isinstance(a, (float, np.floating, np.ndarray)):
+        return type(a) is type(b) and np.shape(a) == np.shape(b) and _bits(a) == _bits(b)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
+def test_battery_checks_match_a_fresh_request(name, monkeypatch):
+    # every value the verify battery reports from its one shared Request has the
+    # bits of the same check run alone on a fresh Request from a cold spectrum
+    # cache: the request's lazily built levels and operators do not depend on
+    # the order in which the checks read them
+    entry = catalog.ENTRIES[name]
+    calls = []
+    for check in _REQUEST_CHECKS:
+
+        def recorded(req, *args, real=getattr(verif, check)):
+            value = real(req, *args)
+            calls.append((real, req, args, value))
+            return value
+
+        monkeypatch.setattr(verif, check, recorded)
+    for params in _pin_points(entry):
+        calls.clear()
+        monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
+        for _ in verif.verify_entry(entry, params):
+            pass
+        assert {real.__name__ for real, *_ in calls} >= set(_REQUEST_CHECKS) - {"eigen_residual"}
+        assert len({id(req) for _, req, _, _ in calls}) == 1 and type(calls[0][1]) is verif.Request
+        for real, _, args, value in calls:
+            monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
+            assert _same_bits(real(verif.Request(entry, params), *args), value), (params, real.__name__, args)
 
 
 @pytest.mark.parametrize("kernel", (True, False), ids=("kernel", "lists"))
@@ -306,7 +355,7 @@ def test_equivalence_deviation_builds_two_operators(monkeypatch):
     monkeypatch.setattr(oracle, "_stencil", counted)
     entry = catalog.ENTRIES["scarf_i"]
     amb = AmbiguityParams.preset("bdd")
-    verif.equivalence_deviation(entry, dict(entry.default_params), amb)
+    verif.equivalence_deviation(verif.Request(entry, dict(entry.default_params)), amb)
     pair = (verif._PAIR_POINTS, 2 * verif._PAIR_POINTS - 1)
     assert built == [(ordering, n) for n in pair for ordering in (amb, oracle.DEFORMED)]
 
@@ -346,7 +395,7 @@ def test_equivalence_deviation_pairs_nodes_at_the_same_x(name):
     at = np.rint((x[0][2:-2] - x[1][0]) / (x[1][1] - x[1][0])).astype(int)
     assert np.allclose(x[1][at], x[0][2:-2], rtol=0.0, atol=1e-9)
     want = np.max(np.abs(4.0 * d_h2[:, at] - d_h[:, 2:-2])) / 3.0 / scale
-    assert verif.equivalence_deviation(entry, params, amb)["rel_dev"] == pytest.approx(want, rel=1e-12)
+    assert verif.equivalence_deviation(verif.Request(entry, params), amb)["rel_dev"] == pytest.approx(want, rel=1e-12)
 
 
 def test_guards():
@@ -374,7 +423,7 @@ def test_spectral_equivalence_all_presets(name, params):
     # ordered form on the recovered V vs deformed form on V_eff, same grid
     entry = catalog.ENTRIES[name]
     for preset in PRESETS:
-        res = verif.spectral_equivalence(entry, params, AmbiguityParams.preset(preset))
+        res = verif.spectral_equivalence(verif.Request(entry, params), AmbiguityParams.preset(preset))
         assert res is not None, (name, preset)
         assert res["max_rel_dev"] < 1e-6, (name, preset, res)
 
@@ -385,7 +434,7 @@ def test_spectral_equivalence_pair_is_second_order(name):
     entry = catalog.ENTRIES[name]
     params = dict(entry.default_params)
     for preset in PRESETS:
-        res = verif.spectral_equivalence(entry, params, AmbiguityParams.preset(preset))
+        res = verif.spectral_equivalence(verif.Request(entry, params), AmbiguityParams.preset(preset))
         assert all(3.0 <= r <= 5.0 for r in res["order_ratio"]), (name, preset, res)
         assert res["reported"] == ["richardson"] * res["levels"]
         assert len(res["d_h"]) == len(res["d_h2"]) == res["levels"]
@@ -400,7 +449,7 @@ def test_spectral_equivalence_keeps_its_power(monkeypatch):
     monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
     for name in sorted(catalog.ENTRIES):
         entry = catalog.ENTRIES[name]
-        res = verif.spectral_equivalence(entry, dict(entry.default_params), AmbiguityParams.preset("bastard"))
+        res = verif.spectral_equivalence(verif.Request(entry, dict(entry.default_params)), AmbiguityParams.preset("bastard"))
         assert res["max_rel_dev"] > 1e-6, (name, res)
 
 
@@ -422,7 +471,7 @@ def test_ordering_identity_keeps_its_power(monkeypatch):
     amb = AmbiguityParams.preset("bastard")
     for name, single_grid in _SINGLE_GRID_POWER.items():
         entry = catalog.ENTRIES[name]
-        rel = verif.equivalence_deviation(entry, dict(entry.default_params), amb)["rel_dev"]
+        rel = verif.equivalence_deviation(verif.Request(entry, dict(entry.default_params)), amb)["rel_dev"]
         assert rel >= single_grid / 2.0, (name, rel)
         if name in ("morse", "hyperbolic_poschl_teller"):
             assert rel > 1e-5, (name, rel)  # the verify tolerance
@@ -510,7 +559,7 @@ def test_equivalence_solves_only_the_levels_it_compares(monkeypatch):
     params = dict(entry.default_params)
     for _ in verif.verify_entry(entry, params):
         pass
-    levels = verif.spectral_equivalence(entry, params, AmbiguityParams.preset("bdd"))["levels"]
+    levels = verif.spectral_equivalence(verif.Request(entry, params), AmbiguityParams.preset("bdd"))["levels"]
     assert levels < 4
     for n in (verif._PAIR_POINTS, 2 * verif._PAIR_POINTS - 1):
         grid = Grid(entry.equivalence_interval, n)
@@ -817,11 +866,11 @@ def test_vonroos_spectrum_does_not_depend_on_the_cache(name, monkeypatch):
     params = dict(entry.default_params)
     amb = AmbiguityParams.preset("bdd")
     monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
-    cold = verif.spectral_equivalence(entry, params, amb)
+    cold = verif.spectral_equivalence(verif.Request(entry, params), amb)
     monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
     fine = Grid(entry.equivalence_interval, 2 * verif._PAIR_POINTS - 1)
     verif._cached_solve(entry, params, oracle.DEFORMED, fine, cold["levels"])
-    warm = verif.spectral_equivalence(entry, params, amb)
+    warm = verif.spectral_equivalence(verif.Request(entry, params), amb)
     assert warm["d_h"] == cold["d_h"] and warm["d_h2"] == cold["d_h2"]
 
 

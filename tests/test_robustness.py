@@ -12,7 +12,7 @@ import pytest
 import pdem_si
 from pdem_si import catalog, verification as verif
 from pdem_si.si_engine import solve_chain
-from pdem_si.wavefunctions import admissibility_checks
+from pdem_si.wavefunctions import LevelTable, admissibility_checks
 
 
 def test_coulomb_degenerate_chain_repeat():
@@ -24,8 +24,8 @@ def test_coulomb_degenerate_chain_repeat():
     assert counting.kind == "finite" and counting.count == 2
     chain = solve_chain(entry.chain_problem(p), 2)
     assert abs(chain.energy(2) - chain.energy(1)) < 1e-15
-    assert admissibility_checks(entry, p, [2])[0].admissible  # genuinely normalizable
-    res = verif.counting_vs_admissibility(entry, p)
+    assert admissibility_checks(LevelTable(entry, p), [2])[0].admissible  # genuinely normalizable
+    res = verif.counting_vs_admissibility(LevelTable(entry, p))
     assert res["ok"]
 
 
@@ -34,20 +34,20 @@ def test_eckart_slow_decay_certificate():
     # at (2, 5, 0.8) level 0's exponent is already -1.65 at x = 16
     entry = catalog.ENTRIES["eckart"]
     p = {"A": 2.0, "B": 5.0, "alpha": 0.8}
-    v0, v1 = admissibility_checks(entry, p, [0, 1])
+    v0, v1 = admissibility_checks(LevelTable(entry, p), [0, 1])
     assert v0.square_integrable and v0.admissible
     right = v0.evidence["square"]["right"]
     assert right["tail_exponents"][-1] < -1.0 or right["exp_decay_certificate"]
     assert not v1.square_integrable
-    assert verif.counting_vs_admissibility(entry, p)["ok"]
+    assert verif.counting_vs_admissibility(LevelTable(entry, p))["ok"]
     # at (2, 8, -0.3) level 1's exponent is still -0.45 at x = 16: only the
     # endpoint log-slope certificate can carry it
     p = {"A": 2.0, "B": 8.0, "alpha": -0.3}
-    v1 = admissibility_checks(entry, p, [1])[0]
+    v1 = admissibility_checks(LevelTable(entry, p), [1])[0]
     right = v1.evidence["square"]["right"]
     assert -1.0 < right["tail_exponents"][-1] < 0.0 and right["exp_decay_certificate"]
     assert v1.square_integrable and v1.admissible
-    assert verif.counting_vs_admissibility(entry, p)["ok"]
+    assert verif.counting_vs_admissibility(LevelTable(entry, p))["ok"]
 
 
 @pytest.mark.parametrize("params", ["e2=0.669,l=1,alpha=0.3102", "e2=0.9218,l=0,alpha=0.1002"])

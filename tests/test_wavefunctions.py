@@ -10,17 +10,16 @@ from pdem_si.oracle import quadrature
 from pdem_si.si_engine import SuperpotentialClass, solve_chain
 from pdem_si.wavefunctions import (
     _antideriv,
-    _assemble,
     _descend,
     _endpoint_probes,
     _exp_decay_certificate,
-    _LevelTable,
     _log_abs_rows,
     _tail_test,
+    LevelTable,
     admissibility_checks,
     excited_state_eval,
     normalize,
-    normalized_state,
+    normalized_states,
     polynomial_chain,
 )
 
@@ -31,13 +30,13 @@ ALL = sorted(catalog.ENTRIES)
 def test_ground_state_matches_printed_form(name):
     # numeric (closed-antiderivative) and printed ground states agree up to a constant
     entry = catalog.ENTRIES[name]
-    assert verif.ground_ratio_spread(entry, dict(entry.default_params)) < 1e-8
+    assert verif.ground_ratio_spread(LevelTable(entry, dict(entry.default_params))) < 1e-8
 
 
 def test_eckart_both_printed_branches():
     entry = catalog.ENTRIES["eckart"]
-    assert verif.ground_ratio_spread(entry, {"A": 1.5, "B": 2.5, "alpha": -1.0}) < 1e-8
-    assert verif.ground_ratio_spread(entry, {"A": 1.5, "B": 2.5, "alpha": -2.0}) < 1e-8
+    assert verif.ground_ratio_spread(LevelTable(entry, {"A": 1.5, "B": 2.5, "alpha": -1.0})) < 1e-8
+    assert verif.ground_ratio_spread(LevelTable(entry, {"A": 1.5, "B": 2.5, "alpha": -2.0})) < 1e-8
 
 
 def test_undeformed_gaussian_limit():
@@ -246,7 +245,7 @@ def test_prefactor_consistency(name):
     # value() and log_abs() each assemble the prefactors; they must agree,
     # the q^(-n/2) class prefactor of the excited states included
     for n in range(4):
-        assembled = _assemble(entry, params, n)
+        assembled = LevelTable(entry, params)[n]
         g0 = np.asarray(assembled.value(xs))
         e0 = np.exp(np.asarray(assembled.log_abs(xs)))
         assert np.max(np.abs(e0 - np.abs(g0))) <= 1e-12 * np.max(np.abs(g0)), n
@@ -343,7 +342,7 @@ def test_polynomial_chain_guards():
 
 def test_admissibility_box_all_levels():
     entry = catalog.ENTRIES["box"]
-    for v in admissibility_checks(entry, {"alpha": 0.5}, (0, 5, 10)):
+    for v in admissibility_checks(LevelTable(entry, {"alpha": 0.5}), (0, 5, 10)):
         assert v.admissible and v.square_integrable and v.hermiticity_ok
         # f(+-pi/2) = 1.5 finite: |psi|^2 f vanishes with |psi|^2 at both ends
         assert all(e > 0.0 for side in v.evidence["hermiticity"].values() for e in side["tail_exponents"])
@@ -351,7 +350,7 @@ def test_admissibility_box_all_levels():
 
 def test_admissibility_hyperbolic_pt():
     entry = catalog.ENTRIES["hyperbolic_poschl_teller"]
-    for v in admissibility_checks(entry, {"A": 1.0, "alpha": 0.5}, range(4)):
+    for v in admissibility_checks(LevelTable(entry, {"A": 1.0, "alpha": 0.5}), range(4)):
         assert v.square_integrable
         assert not v.hermiticity_ok  # |psi|^2 f plateaus at a nonzero constant
         assert not v.admissible
@@ -368,7 +367,7 @@ def test_hyperbolic_pt_plateau_never_passes_hermiticity():
         params = {"A": math.exp(rng.uniform(-3.0, 3.0)), "alpha": rng.uniform(0.01, 0.99)}
         ends = [_endpoint_probes(entry, entry.chain_problem(params), side) for side in ("left", "right")]
         for n in range(6):
-            assembled = _assemble(entry, params, n)
+            assembled = LevelTable(entry, params)[n]
             for pts, finite_end in ends:
                 ok, ev = _tail_test((2.0 * assembled.log_abs_at(pts)).tolist(), pts.log_f, 0.0, finite_end)
                 if ok:
@@ -379,7 +378,7 @@ def test_hyperbolic_pt_plateau_never_passes_hermiticity():
 def test_admissibility_coulomb_counting():
     entry = catalog.ENTRIES["coulomb"]
     p = {"e2": 1.0, "l": 0.0, "alpha": 0.1}
-    verdicts = [v.admissible for v in admissibility_checks(entry, p, range(4))]
+    verdicts = [v.admissible for v in admissibility_checks(LevelTable(entry, p), range(4))]
     assert verdicts == [True, True, True, False]
 
 
@@ -389,19 +388,19 @@ def test_admissibility_morse_level_by_level(alpha):
     p = {"A": 1.0, "B": 1.0, "alpha": alpha}
     counting = entry.counting(p)
     assert counting.count == 1
-    assert [v.admissible for v in admissibility_checks(entry, p, [0, 1])] == [True, False]
+    assert [v.admissible for v in admissibility_checks(LevelTable(entry, p), [0, 1])] == [True, False]
 
 
 def test_admissibility_eckart_regimes():
     entry = catalog.ENTRIES["eckart"]
-    assert [v.admissible for v in admissibility_checks(entry, {"A": 1.5, "B": 2.5, "alpha": -1.0}, [0, 1])] == [True, False]
-    assert all(v.admissible for v in admissibility_checks(entry, {"A": 1.5, "B": 2.5, "alpha": -2.0}, range(4)))
+    assert [v.admissible for v in admissibility_checks(LevelTable(entry, {"A": 1.5, "B": 2.5, "alpha": -1.0}), [0, 1])] == [True, False]
+    assert all(v.admissible for v in admissibility_checks(LevelTable(entry, {"A": 1.5, "B": 2.5, "alpha": -2.0}), range(4)))
 
 
 @pytest.mark.parametrize("name", ALL)
 def test_lowering_operator_annihilates_ground_state(name):
     entry = catalog.ENTRIES[name]
-    assert verif.a_minus_residual(entry, dict(entry.default_params)) < 1e-8
+    assert verif.a_minus_residual(LevelTable(entry, dict(entry.default_params))) < 1e-8
 
 
 @pytest.mark.parametrize(
@@ -419,7 +418,7 @@ def test_eigen_residual_first_levels(name, params):
     counting = entry.counting(p)
     levels = 3 if counting.kind == "infinite" else min(3, counting.count)
     for n in range(levels):
-        assert verif.eigen_residual(entry, p, n) < 1e-5, (name, n)
+        assert verif.eigen_residual(verif.Request(entry, p), n) < 1e-5, (name, n)
 
 
 # coulomb is reported, not asserted: its marginal power-law tails put the
@@ -442,7 +441,7 @@ def test_orthonormality_gram(name):
     p = dict(entry.default_params)
     counting = entry.counting(p)
     levels = min(4, 4 if counting.kind == "infinite" else counting.count)
-    G = verif.gram_matrix(entry, p, levels)
+    G = verif.gram_matrix(LevelTable(entry, p), levels)
     assert np.max(np.abs(G - np.eye(levels))) < 1e-6, name
 
 
@@ -626,10 +625,10 @@ def test_batched_probe_matches_per_panel_reference(name):
     cases = [dict(entry.default_params), *_PROBE_REGIMES.get(name, []), *_drawn_params(entry, 7, 2)]
     for params in cases:
         levels = _probed_levels(entry, params)
-        batched = admissibility_checks(entry, params, range(levels))
+        batched = admissibility_checks(LevelTable(entry, params), range(levels))
         assert len(batched) == levels
         for n, verdict in enumerate(batched):
-            alone = admissibility_checks(entry, params, [n])[0]
+            alone = admissibility_checks(LevelTable(entry, params), [n])[0]
             got, want = ((v.square_integrable, v.hermiticity_ok, v.evidence) for v in (verdict, alone))
             assert _same(got, want), (params, n, got, want)
 
@@ -666,7 +665,7 @@ def test_probe_evaluates_each_level_once(monkeypatch, name):
     params = dict(entry.default_params)
     k = _probed_levels(entry, params)
     work = _count_level_work(monkeypatch)
-    admissibility_checks(entry, params, range(k))
+    admissibility_checks(LevelTable(entry, params), range(k))
     assert work["solve_chain"] == [k - 1]
     assert work["_descend"] == list(range(k))
     ends = _end_points(entry, params)
@@ -710,7 +709,7 @@ def test_probe_evaluates_f_on_panel_nodes_once(monkeypatch, name):
     ends = _end_points(entry, params)
     for k in (1, _probed_levels(entry, params)):
         calls.clear()
-        admissibility_checks(entry, params, range(k))
+        admissibility_checks(LevelTable(entry, params), range(k))
         for x in ends:
             assert sum(c.shape == x.shape and np.array_equal(c, x) for c in calls) == 1, (k, [c.size for c in calls])
 
@@ -739,9 +738,9 @@ def test_probe_verdicts_match_panel_reference():
     levels = slow = 0
     differ = []
     for entry, params in cases:
-        for n, verdict in enumerate(admissibility_checks(entry, params, range(_probed_levels(entry, params)))):
+        for n, verdict in enumerate(admissibility_checks(LevelTable(entry, params), range(_probed_levels(entry, params)))):
             levels += 1
-            want, sides = _square_integrable_reference(_assemble(entry, params, n), entry)
+            want, sides = _square_integrable_reference(LevelTable(entry, params)[n], entry)
             if verdict.square_integrable == want:
                 continue
             square = verdict.evidence["square"]
@@ -805,8 +804,8 @@ def test_hermiticity_verdicts_match_plateau_reference():
         problem = entry.chain_problem(params)
         ends = [_endpoint_probes(entry, problem, side)[0] for side in ("left", "right")]
         counting = entry.counting(params)
-        for n, verdict in enumerate(admissibility_checks(entry, params, range(_probed_levels(entry, params)))):
-            assembled = _assemble(entry, params, n)
+        for n, verdict in enumerate(admissibility_checks(LevelTable(entry, params), range(_probed_levels(entry, params)))):
+            assembled = LevelTable(entry, params)[n]
             want = all(_hermiticity_endpoint_reference(pts, assembled.log_abs_at(pts)) for pts in ends)
             if verdict.hermiticity_ok == want:
                 continue
@@ -845,7 +844,7 @@ def test_batched_log_abs_matches_per_level(name, params):
     # the batched log |psi_n| of levels 0..15 at each end's endpoint probes has
     # the bytes of each level evaluated alone, NaNs and signed zeros included
     entry = catalog.ENTRIES[name]
-    table = _LevelTable(entry, params)
+    table = LevelTable(entry, params)
     rows = table.levels(range(16))
     for side in ("left", "right"):
         pts = _endpoint_probes(entry, table.problem, side)[0]
@@ -862,6 +861,6 @@ def test_gram_matrix_matches_per_level_states(name):
     params = dict(entry.default_params)
     grid = verif.oracle_grid(entry, params)
     levels = entry.counting(params).levels(4) or 1
-    states = [normalized_state(entry, params, n, grid) for n in range(levels)]
+    states = [normalized_states(LevelTable(entry, params), [n], grid)[0] for n in range(levels)]
     want = np.array([[quadrature(a * b, grid) for b in states] for a in states])
-    assert verif.gram_matrix(entry, params, levels).tobytes() == want.tobytes()
+    assert verif.gram_matrix(LevelTable(entry, params), levels).tobytes() == want.tobytes()
