@@ -70,8 +70,7 @@ class CatalogEntry:
     ``v_tilde_closed(params, rho, sigma, x)`` (None when nothing is printed).
 
     Unset recipes follow from the domain: a bounded domain is its own oracle
-    recipe at 4001 points and its own equivalence interval. ``probe_bound`` is
-    read at infinite ends.
+    recipe at 4001 points and its own equivalence interval.
     """
 
     name: str
@@ -94,7 +93,6 @@ class CatalogEntry:
     oracle_recipe: Optional[Callable] = None
     equivalence_interval: Optional[Interval] = None
     continuum_edge: Callable = lambda p: math.inf
-    probe_bound: float = math.nan
     energy_discrepancy: Optional[str] = None
 
     def __post_init__(self):
@@ -316,7 +314,6 @@ def _make_hyp_pt() -> CatalogEntry:
         oracle_recipe=lambda p: OracleRecipe(-6.0, 6.0, 4001),
         equivalence_interval=Interval(-3.5, 3.5),
         continuum_edge=lambda p: 0.0,
-        probe_bound=120.0,
     )
 
 
@@ -399,7 +396,6 @@ def _make_shifted() -> CatalogEntry:
         v_tilde_closed=vtilde,
         oracle_recipe=lambda p: OracleRecipe(-25.0, 25.0, 4001),
         equivalence_interval=Interval(-12.0, 12.0),
-        probe_bound=2.0**40,
     )
 
 
@@ -456,7 +452,6 @@ def _make_osc3d() -> CatalogEntry:
         + 2.0 * r * p["alpha"],
         oracle_recipe=lambda p: OracleRecipe(1e-4, 64.0, 8001),
         equivalence_interval=Interval(1e-4, 24.0),
-        probe_bound=2.0**40,
     )
 
 
@@ -529,7 +524,6 @@ def _make_coulomb() -> CatalogEntry:
         oracle_recipe=lambda p: OracleRecipe(1e-3, 512.0, 8001, rel_tol=5e-3, level_cap=2),
         equivalence_interval=Interval(1e-3, 30.0),
         continuum_edge=lambda p: 0.0,
-        probe_bound=2.0**40,
     )
 
 
@@ -632,7 +626,6 @@ def _make_morse() -> CatalogEntry:
         oracle_recipe=recipe,
         equivalence_interval=Interval(-6.0, 20.0),
         continuum_edge=lambda p: 0.0,
-        probe_bound=240.0,
     )
 
 
@@ -727,8 +720,6 @@ def _make_eckart() -> CatalogEntry:
         oracle_recipe=recipe,
         equivalence_interval=Interval(1e-4, 8.0),
         continuum_edge=lambda p: -2.0 * p["B"],
-        # coth x rounds to 1.0 beyond ~18, where the chain variable degenerates
-        probe_bound=16.0,
     )
 
 

@@ -140,7 +140,7 @@ def build_spectrum_report(
             else:
                 oracle_vals = verif.oracle_energies(entry, params, trusted)["energies"]
 
-    # closed forms first: when they overflow, the request exits before any probe runs
+    # closed forms first: when they overflow, the request exits before any verdict is read
     closed = [entry.printed_energy(params, n) for n in range(k)]
     rows = []
     for n, (e_closed, verdict) in enumerate(zip(closed, admissibility_checks(req, range(k)))):

@@ -198,10 +198,11 @@ def a_minus_residual(table: LevelTable) -> float:
     s = np.sqrt(pts.f)
     sp = s * psi
     j = slice(2, -2)
-    dsp = (-sp[4:] + 8.0 * sp[3:-1] - 8.0 * sp[1:-3] + sp[:-4]) / (12.0 * h)
     w = w_eval(problem.sp, chain.lambda_seq[0], chain.mu_seq[0], x[j])
-    resid = s[j] * dsp + np.asarray(w.W) * psi[j]
-    return float(np.max(np.abs(resid)) / np.max(np.abs(psi)))
+    with np.errstate(invalid="ignore"):  # an underflowed state reads NaN, a FAIL
+        dsp = (-sp[4:] + 8.0 * sp[3:-1] - 8.0 * sp[1:-3] + sp[:-4]) / (12.0 * h)
+        resid = s[j] * dsp + np.asarray(w.W) * psi[j]
+        return float(np.max(np.abs(resid)) / np.max(np.abs(psi)))
 
 
 def eigen_residual(req: Request, n: int) -> float:
@@ -214,8 +215,9 @@ def eigen_residual(req: Request, n: int) -> float:
     (op, pts), assembled = req.residual_operator, req[n]
     psi = assembled.value_at(pts)
     energy = assembled.chain.energy(n)
-    resid = op.apply(psi) - energy * psi[1:-1]
-    return float(np.linalg.norm(resid) / np.linalg.norm(psi[1:-1]))
+    with np.errstate(invalid="ignore"):  # an underflowed state reads NaN, a FAIL
+        resid = op.apply(psi) - energy * psi[1:-1]
+        return float(np.linalg.norm(resid) / np.linalg.norm(psi[1:-1]))
 
 
 def gram_matrix(table: LevelTable, levels: int) -> np.ndarray:

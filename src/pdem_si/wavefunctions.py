@@ -1,7 +1,8 @@
 """Bound-state wavefunctions: closed-form ground states, polynomial excited
 states via the descending parameter chain, quadrature normalization, and the
 two admissibility conditions (square integrability and the boundary condition
-|psi|^2 f -> 0 required for Hermiticity of the deformed momentum).
+|psi|^2 f -> 0 required for Hermiticity of the deformed momentum), both read
+in closed form from the exponents of psi_n at the ends of the domain.
 
 The integral of W/f is carried out in the polynomial variable with closed
 antiderivatives (log / arctan / rational forms depending on the class and the
@@ -26,9 +27,9 @@ from .core import (
     ZeroNorm,
 )
 from .oracle import quadrature
-from .si_engine import ChainProblem, ParameterChain, SuperpotentialClass, solve_chain
+from .si_engine import _PHI_BLOWUP, ChainProblem, ParameterChain, SuperpotentialClass, solve_chain
 
-_ROUNDING = 64.0 * np.finfo(float).eps  # relative rounding floor of a tail increment
+_ROUNDING = 64.0 * np.finfo(float).eps  # relative rounding floor of a sum of terms
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +219,7 @@ def polynomial_chain(entry: CatalogEntry, params: dict, n: int) -> DeformedPolyn
 class _Points:
     """f, the base function phi and the class variables at fixed points x. Each
     part is evaluated on first use, in the order one level needs them, so errors
-    and warnings surface where one level's probe met them; then it serves all levels."""
+    and warnings surface where one level meets them; then it serves all levels."""
 
     def __init__(self, problem: ChainProblem, x):
         self.problem, self.x = problem, np.asarray(x, dtype=float)
@@ -249,22 +250,6 @@ class _Points:
                 q, t = 1.0, y
         return q, t, y
 
-    @cached_property
-    def logs(self):
-        """(-log(f)/2, log q, |t| <= 1, t there, and 1/t and log |t| elsewhere):
-        log |P(t)| is read through 1/t where |t| > 1, so it stays finite."""
-        f, (q, t, _) = self.f, self.parts
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = np.atleast_1d(t)
-            small = np.abs(t) <= 1.0
-            big = t[~small]
-            return -0.5 * np.log(f), np.log(q), small, t[small], 1.0 / big, np.log(np.abs(big))
-
-    @cached_property
-    def log_f(self) -> list:
-        """log f as floats, for the tail test."""
-        return (-2.0 * self.logs[0]).tolist()
-
 
 @dataclass(frozen=True)
 class _Assembled:
@@ -285,34 +270,24 @@ class _Assembled:
             return f_inv_sqrt * q ** (-0.5 * self.n) * P.polyval(t, self.poly) * np.exp(-(self.F(y) - self.F_ref))
 
     def log_abs(self, x):
-        """log |psi_n(x)|, safe for large arguments (used by the probes)."""
+        """log |psi_n(x)|, safe for large arguments (used by the truncation test)."""
         return self.log_abs_at(_Points(self.problem, x))
 
     def log_abs_at(self, pts: _Points):
-        """log |psi_n| from this level's P_n and F and the shared parts of ``pts``."""
-        return _log_abs_rows([self], pts)[0]
-
-
-def _log_abs_rows(rows: list, pts: _Points) -> list:
-    """log |psi_n| at ``pts`` for each assembled level in ``rows``. One Horner
-    pass evaluates every P_n at t and one every reversed P_n at 1/t, each row
-    padded with zeros to the longest; the padding is exact, so each row has the
-    bits of P.polyval on that level alone. F(phi) - F_ref and -n/2 log q stay
-    per level, added in the order one level adds them."""
-    half_log_f, log_q, small, t_small, t_inv, log_t = pts.logs
-    fwd, rev = np.zeros((2, max(len(a.poly) for a in rows), len(rows)))  # column i: level i
-    for i, a in enumerate(rows):
-        fwd[: len(a.poly), i], rev[: len(a.poly), i] = a.poly, a.poly[::-1]
-    degrees = np.array([[len(a.poly) - 1.0] for a in rows])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_P = np.empty((len(rows),) + small.shape)
-        log_P[:, small] = np.log(np.abs(P.polyval(t_small, fwd)) + 1e-300)
-        log_P[:, ~small] = degrees * log_t + np.log(np.abs(P.polyval(t_inv, rev)) + 1e-300)
-        y = pts.parts[2]
-        return [
-            half_log_f + -0.5 * a.n * log_q + row.reshape(pts.x.shape) - (a.F(y) - a.F_ref)
-            for a, row in zip(rows, log_P)
-        ]
+        """log |psi_n| at ``pts``. P_n is read through 1/t where |t| > 1, so the
+        value stays finite for large arguments."""
+        f, (q, t, y) = pts.f, pts.parts
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dF = self.F(y) - self.F_ref
+            t = np.atleast_1d(t)
+            small = np.abs(t) <= 1.0
+            big = t[~small]
+            log_P = np.empty(small.shape)
+            log_P[small] = np.log(np.abs(P.polyval(t[small], self.poly)) + 1e-300)
+            log_P[~small] = (len(self.poly) - 1) * np.log(np.abs(big)) + np.log(
+                np.abs(P.polyval(1.0 / big, self.poly[::-1])) + 1e-300
+            )
+            return -0.5 * np.log(f) + -0.5 * self.n * np.log(q) + log_P.reshape(pts.x.shape) - dF
 
 
 class LevelTable:
@@ -393,87 +368,103 @@ class AdmissibilityVerdict:
         return self.square_integrable and self.hermiticity_ok
 
 
-def _endpoint_probes(entry: CatalogEntry, problem: ChainProblem, side: str):
-    """(points, whether the end is finite) of one side's endpoint probes: offsets
-    from a finite end halve, distances towards an infinite end double."""
-    dom = entry.domain
-    if side == "left":
-        end, sign = dom.x1, +1.0
-    else:
-        end, sign = dom.x2, -1.0
-    if math.isfinite(end):
-        scale = dom.length if dom.bounded else 1.0
-        s0 = 0.1 * scale
-        return _Points(problem, end + sign * s0 * 2.0 ** -np.arange(0, 21)), True
-    kmax = int(math.floor(math.log2(entry.probe_bound))) if entry.probe_bound > 1 else 0
-    return _Points(problem, (2.0 ** np.arange(0, kmax + 1)) * (-sign)), False
+def _is_zero(terms) -> bool:
+    """Whether a sum is zero to _ROUNDING over the magnitudes of its terms."""
+    return abs(sum(terms)) <= _ROUNDING * sum(abs(v) for v in terms)
 
 
-def _exp_decay_certificate(u):
-    """Endpoint log-slope test on the finite u = log |psi|^2 towards an infinite
-    end: |psi|^2 falling ever faster along the doubling distances certifies
-    exponential decay (always integrable) whose rate is still too slow to push
-    the last power-law slope below -1. It reads the last five values of u."""
-    if len(u) < 4:
-        return False, {}
-    diffs = [b - a for a, b in zip(u[-5:-1], u[-4:])]
-    ok = diffs[-1] <= -0.1 and diffs[-1] < diffs[-2] - 0.02 and diffs[-2] < diffs[-3] - 0.02
-    return ok, {"log_slope_diffs": diffs}
+def _local(c, y0: float, sign: float) -> tuple:
+    """(k, a) with c(y) ~ a s^k as s -> 0+, for the ascending coefficients c
+    and y = y0 + sign s, or y = sign / s where y0 is infinite. A root at y0 is
+    a value that is zero to _ROUNDING over its terms."""
+    c = list(_trim(np.asarray(c, dtype=float)))
+    if math.isinf(y0):
+        return 1 - len(c), c[-1] * sign ** (len(c) - 1)
+    k = 0
+    while len(c) > 1 and _is_zero([v * y0**i for i, v in enumerate(c)]):
+        for i in range(len(c) - 2, -1, -1):  # divide by y - y0
+            c[i] += y0 * c[i + 1]
+        c, k = c[1:], k + 1
+    return k, float(P.polyval(y0, c)) * sign**k
 
 
-def _tail_test(two_log_abs: list, log_f: list, bound: float, finite_end: bool):
-    """One end's verdict on u = 2 log |psi| + log f at its endpoint probes: log f
-    = 0 and bound -1 for square integrability, log f and bound 0 for the
-    Hermiticity condition |psi|^2 f -> 0. The tail exponents are the slopes of u
-    per doubling of the offset from a finite end (or of the distance towards an
-    infinite end) over the last three finite values; u ~ p log s passes when both
-    are > bound as s -> 0, or both < bound as s -> inf. An increment within the
-    rounding of u's terms reads as 0, so an exact plateau never passes. A tail
-    that underflows to -inf passes; otherwise an infinite end may still pass on
-    the exponential-decay certificate."""
-    tail = []  # (u, the scale of its terms) at the last five finite values
-    for a, b in zip(reversed(two_log_abs), reversed(log_f)):
-        if math.isfinite(a + b):
-            tail.insert(0, (a + b, max(1.0, abs(a), abs(b))))
-            if len(tail) == 5:
-                break
-    sign, last = (-1.0 if finite_end else 1.0), tail[-3:]
-    p = [
-        sign * (v1 - v0) / math.log(2.0) if abs(v1 - v0) > _ROUNDING * max(s0, s1) else 0.0
-        for (v0, s0), (v1, s1) in zip(last, last[1:])
-    ]
-    ev = {"tail_exponents": p}
-    if two_log_abs[-1] + log_f[-1] == -math.inf:
-        return True, {**ev, "underflow": True}
-    if len(p) == 2 and all(e > bound if finite_end else e < bound for e in p):
-        return True, ev
-    if finite_end:
-        return False, ev
-    cert, cert_ev = _exp_decay_certificate([v for v, _ in tail])
-    return cert, {**ev, **cert_ev, "exp_decay_certificate": cert}
+def _end_verdict(sp: SuperpotentialClass, chain: ParameterChain, n: int, y0: float, sign: float) -> tuple:
+    """(square integrable, Hermiticity) at one end, and its evidence. With s the
+    offset from y0 = lim phi (1/|y| at infinity), |psi_n|^2 f = q^-n P_n(t)^2
+    e^(-2F) ~ s^h: the Hermiticity condition holds iff h > 0, and
+    |psi_n|^2 dx ~ s^(h - ord(f phi')) ds (one more s^-2 at infinity) is
+    integrable iff that exponent is > -1. F' = N/Q gives F ~ r log s at a simple
+    pole; a higher pole gives an exponential factor whose sign decides both."""
+    lam, mu = chain.lambda_seq, chain.mu_seq
+
+    def order(c, at=y0):
+        return _local(c, at, sign)[0]
+
+    if sp.class_id == "class1":  # q = 1, t = y, f phi' = Q, the descent's kernel
+        ab, bb, cb = sp.barred
+        num, den = (mu[n], lam[n]), (cb, bb, ab)
+        q_order, f_phi_order, t0, t_order, kernel = 0, order(den), y0, 1, den
+    elif sp.class_id == "class2":  # q = t = y^-2, f phi' = Q / y
+        ab, bb = sp.barred
+        num, den, kernel = (mu[n], 0.0, lam[n]), (0.0, bb, 0.0, ab), (0.0, ab, bb)
+        y_order = order((0.0, 1.0))
+        q_order, f_phi_order = -2 * y_order, order((bb, 0.0, ab))
+        t0 = (math.inf if y_order > 0 else 0.0) if y_order else y0**-2.0
+        t_order = 2 * abs(y_order) or 1
+    else:  # q = A y^2 + B, the kernel; t = y, f phi' = (cb y + db) q^(1/2), Q = (cb y + db) q
+        A, B = sp.consts[0], sp.consts[1]
+        cb, db = sp.barred[2], sp.barred[3]
+        kernel = (B, 0.0, A)
+        num, den = (mu[n], lam[n]), np.convolve((db, cb), kernel)
+        q_order, t0, t_order = order(kernel), y0, 1
+        f_phi_order = order((db, cb)) + 0.5 * q_order
+    # P_n(t) ~ u^k in the local variable u of t: k = -n at infinity and 0 off
+    # the descent's kernel. At a root of the kernel each descent step multiplies
+    # the leading local coefficient by a factor linear in k; a factor that is
+    # zero to _ROUNDING over its terms raises k by one
+    k = -n if math.isinf(t0) else 0
+    on_kernel = not math.isinf(t0) and order(kernel, t0) > 0
+    for m in range(n if on_kernel else 0):
+        j = n - m - 1
+        if sp.class_id == "class1":  # from -Q P' + (mu_sum + lam_sum t) P
+            terms = [mu[n], mu[j], lam[n] * t0, lam[j] * t0, -k * bb, -2.0 * k * ab * t0]
+        elif sp.class_id == "class2":  # from K P' + (lam_sum - m ab + (mu_sum - m bb) t) P, K = 2 t (ab + bb t)
+            terms = [lam[n], lam[j], -m * ab, mu[n] * t0, mu[j] * t0, -m * bb * t0, 2.0 * k * ab, 4.0 * k * bb * t0]
+        else:  # from (db + cb t)(-q P' + m A t P) + (mu_sum + lam_sum t) P
+            w = (m - 2 * k) * A * t0
+            terms = [mu[n], mu[j], lam[n] * t0, lam[j] * t0, w * db, w * t0 * cb]
+        k += _is_zero(terms)
+    (kn, an), (kd, ad) = _local(num, y0, sign), _local(den, y0, sign)
+    infinite = math.isinf(y0)
+    pole = kd - kn + (2 if infinite else 0)  # dF/ds ~ r s^-pole
+    r = an / ad * (-sign if infinite else sign)
+    if pole >= 2:
+        decays = r < 0.0
+        return decays, decays, {"y_star": y0, "exp_decay": decays}
+    terms = {"q": -n * q_order, "P": 2 * t_order * k, "F": -2.0 * r if pole == 1 else 0.0}
+    h = float(sum(terms.values()))
+    square = h - f_phi_order - (2.0 if infinite else 0.0)
+    return square > -1.0, h > 0.0, {"y_star": y0, "herm_exponent": h, "square_exponent": square, "terms": terms}
 
 
 def admissibility_checks(table: LevelTable, levels) -> list:
-    """Numeric verdicts for each level n in ``levels`` of ``table``, both read
-    from log |psi_n| at each end's endpoint probes by one tail test: the tail
-    exponents of |psi_n|^2 against -1 for square integrability, and of
-    |psi_n|^2 f against 0 for the Hermiticity condition |psi_n|^2 f -> 0. Each
-    end's probe points, what psi_n needs there apart from n, and log |psi_n| of
-    all levels are evaluated once."""
-    rows = table.levels(levels)
-    if not rows:
+    """Verdicts for each level n in ``levels`` of ``table``, read in closed form
+    from the exponents of |psi_n|^2 f and |psi_n|^2 dx at each end (see
+    ``_end_verdict``): only the chain, solved once to the deepest level, and
+    the class constants enter. At each end y* = lim phi(x), infinite past the
+    blow-up guard, and the sign of y - y* (of y at infinity) is read inside."""
+    levels = list(levels)
+    if not levels:
         return []
-    ends = {side: _endpoint_probes(table.entry, table.problem, side) for side in ("left", "right")}
-    logs = {side: _log_abs_rows(rows, pts) for side, (pts, _) in ends.items()}
+    entry, sp, chain = table.entry, table.problem.sp, table.chain_to(max(levels))
+    y_ref, ends = float(sp.phi_val(entry.x_ref)), []
+    for side, x in (("left", entry.domain.x1), ("right", entry.domain.x2)):
+        y0 = float(sp.phi_val(x))
+        y0 = math.copysign(math.inf, y0) if abs(y0) > _PHI_BLOWUP else y0
+        ends.append((side, y0, math.copysign(1.0, y0 if math.isinf(y0) else y_ref - y0)))
     verdicts = []
-    for i in range(len(rows)):
-        square, herm = {}, {}
-        for side, (pts, finite_end) in ends.items():
-            two_log_abs = (2.0 * logs[side][i]).tolist()
-            square[side] = _tail_test(two_log_abs, [0.0] * len(two_log_abs), -1.0, finite_end)
-            herm[side] = _tail_test(two_log_abs, pts.log_f, 0.0, finite_end)
-        tests = {"square": square, "hermiticity": herm}
-        evidence = {name: {side: ev for side, (_, ev) in checks.items()} for name, checks in tests.items()}
-        sq_ok, herm_ok = (all(ok for ok, _ in checks.values()) for checks in tests.values())
-        verdicts.append(AdmissibilityVerdict(sq_ok, herm_ok, evidence))
+    for n in levels:
+        sides = {side: _end_verdict(sp, chain, n, y0, sign) for side, y0, sign in ends}
+        square, herm = (all(v[i] for v in sides.values()) for i in (0, 1))
+        verdicts.append(AdmissibilityVerdict(square, herm, {side: v[2] for side, v in sides.items()}))
     return verdicts

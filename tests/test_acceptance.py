@@ -55,10 +55,10 @@ def test_criterion_03_hyperbolic_pt_no_bound_states():
     for n, verdict in enumerate(admissibility_checks(LevelTable(entry, params), range(4))):
         assert verdict.square_integrable, n
         assert not verdict.hermiticity_ok, n
-        for side in verdict.evidence["hermiticity"].values():
-            # |psi|^2 f levels off to a constant at both ends: a plateau
-            assert side["tail_exponents"] == [0.0, 0.0], (n, side)
-    _report(3, "hyperbolic PT: |psi|^2 f plateau detected, hermiticity fails for n = 0..3, count zero")
+        for side in verdict.evidence.values():
+            # |psi|^2 f levels off to a constant at both ends: its exponent is exactly 0
+            assert side["herm_exponent"] == 0.0, (n, side)
+    _report(3, "hyperbolic PT: |psi|^2 f exponent 0 at both ends, hermiticity fails for n = 0..3, count zero")
 
 
 def test_criterion_04_coulomb_counting_and_values():

@@ -12,7 +12,8 @@ from pdem_si.catalog import (
     lookup,
 )
 from pdem_si.core import AmbiguityParams, DomainError, NotFound, RangeError
-from pdem_si.wavefunctions import LevelTable
+from pdem_si.wavefunctions import LevelTable, admissibility_checks
+from test_wavefunctions import _NOISE_LEVEL, _counting_boundaries, _reference_cases
 
 ALL = sorted(catalog.ENTRIES)
 
@@ -219,15 +220,54 @@ def test_hyperbolic_pt_energy_alternate_form():
             assert abs(got - alt) < 1e-12 * max(1.0, abs(alt))
 
 
+# the points of the ROADMAP's known false FAILs, each a FAIL of the probe that
+# the endpoint exponents replaced or of the oracle
+_FALSE_FAIL_POINTS = [
+    ("oscillator_3d", {"omega": 1.0, "l": 1.0, "alpha": 1.0}),
+    ("coulomb", {"e2": 0.95, "l": 0.0, "alpha": 0.1}),
+    ("eckart", {"A": 2.1222, "B": 6.2799, "alpha": -0.9425}),
+    ("coulomb", {"e2": 1e6, "l": 0.0, "alpha": 0.1}),
+    ("morse", {"A": 1.6712, "B": 1.0, "alpha": 0.5}),
+    ("morse", {"A": 2.5, "B": 1.0, "alpha": 1.0447907068586062}),
+    ("morse", {"A": 1.0, "B": 1.0, "alpha": 2.6639999999999997}),
+]
+
+
 def test_finite_counting_agrees_with_numeric_probe():
-    # the first numerically inadmissible index is exactly n_max + 1
+    # each probed level is admissible and new exactly when the counting rule
+    # counts it: at the reference cases of test_wavefunctions.py, both sides of
+    # every counting boundary at 1e-9 and 1e-3 from the defaults, the noise
+    # level's point and the known false-FAIL points
+    points = list(_reference_cases())
     for name in ALL:
         entry = catalog.ENTRIES[name]
-        p = dict(entry.default_params)
-        if entry.counting(p).kind != "finite":
-            continue
-        res = verif.counting_vs_admissibility(LevelTable(entry, p))
-        assert res["ok"], (name, res)
+        for rel in (1e-9, 1e-3):
+            points += [(entry, p) for p in _counting_boundaries(entry, dict(entry.default_params), rel=rel)]
+    points += [(catalog.ENTRIES[name], p) for name, p in [_NOISE_LEVEL[:2], *_FALSE_FAIL_POINTS]]
+    failed = [(e.name, p) for e, p in points if not verif.counting_vs_admissibility(LevelTable(e, p))["ok"]]
+    assert not failed, (len(points), failed)
+
+
+@pytest.mark.parametrize(
+    "name,ends",
+    [
+        ("box", (-math.inf, math.inf)),
+        ("trig_poschl_teller", (-math.inf, math.inf)),
+        ("hyperbolic_poschl_teller", (-1.0, 1.0)),
+        ("shifted_oscillator", (-math.inf, math.inf)),
+        ("oscillator_3d", (math.inf, 0.0)),
+        ("coulomb", (math.inf, 0.0)),
+        ("morse", (math.inf, 0.0)),
+        ("eckart", (math.inf, 1.0)),
+        ("scarf_i", (-1.0, 1.0)),
+        ("rosen_morse_i", (math.inf, -math.inf)),
+    ],
+)
+def test_admissibility_reads_the_domain_ends(name, ends):
+    # y* = lim phi(x) at the left and right end of the domain, as the verdicts read it
+    entry = catalog.ENTRIES[name]
+    evidence = admissibility_checks(LevelTable(entry, dict(entry.default_params)), [0])[0].evidence
+    assert (evidence["left"]["y_star"], evidence["right"]["y_star"]) == ends
 
 
 def test_oracle_recipes_sane():

@@ -30,22 +30,27 @@ def test_coulomb_degenerate_chain_repeat():
 
 
 def test_eckart_slow_decay_certificate():
-    # a slow exponential tail is integrable whatever its last power-law slope:
-    # at (2, 5, 0.8) level 0's exponent is already -1.65 at x = 16
+    # a slow exponential tail in x is a power of s = y - 1 at y* = coth(inf) = 1:
+    # |psi_n|^2 dx ~ s^p ds with p = 2 (lam_n + mu_n)/(2 + alpha) - 1, integrable
+    # iff p > -1, however slowly the tail decays in x
     entry = catalog.ENTRIES["eckart"]
+
+    def right_exponent(p, n):
+        chain = solve_chain(entry.chain_problem(p), n)
+        return 2.0 * (chain.lambda_seq[n] + chain.mu_seq[n]) / (2.0 + p["alpha"]) - 1.0
+
     p = {"A": 2.0, "B": 5.0, "alpha": 0.8}
     v0, v1 = admissibility_checks(LevelTable(entry, p), [0, 1])
-    assert v0.square_integrable and v0.admissible
-    right = v0.evidence["square"]["right"]
-    assert right["tail_exponents"][-1] < -1.0 or right["exp_decay_certificate"]
-    assert not v1.square_integrable
+    assert v0.square_integrable and v0.admissible and not v1.square_integrable
+    for n, v in enumerate((v0, v1)):
+        right = v.evidence["right"]
+        assert right["y_star"] == 1.0 and right["square_exponent"] == pytest.approx(right_exponent(p, n), rel=1e-12)
     assert verif.counting_vs_admissibility(LevelTable(entry, p))["ok"]
-    # at (2, 8, -0.3) level 1's exponent is still -0.45 at x = 16: only the
-    # endpoint log-slope certificate can carry it
+    # at (2, 8, -0.3) level 1's tail exponent in x was still -0.45 at x = 16;
+    # its exponent in s is above -1
     p = {"A": 2.0, "B": 8.0, "alpha": -0.3}
     v1 = admissibility_checks(LevelTable(entry, p), [1])[0]
-    right = v1.evidence["square"]["right"]
-    assert -1.0 < right["tail_exponents"][-1] < 0.0 and right["exp_decay_certificate"]
+    assert -1.0 < v1.evidence["right"]["square_exponent"] == pytest.approx(right_exponent(p, 1), rel=1e-12)
     assert v1.square_integrable and v1.admissible
     assert verif.counting_vs_admissibility(LevelTable(entry, p))["ok"]
 
@@ -53,7 +58,7 @@ def test_eckart_slow_decay_certificate():
 @pytest.mark.parametrize("params", ["e2=0.669,l=1,alpha=0.3102", "e2=0.9218,l=0,alpha=0.1002"])
 def test_coulomb_slow_power_tail_counts(params, capsys):
     # |psi|^2 ~ x^-1.08 and x^-1.07 far out: integrable, though no finite panel
-    # sum converges visibly; the tail exponent must agree with the counting rule
+    # sum converges visibly; the endpoint exponent must agree with the counting rule
     from pdem_si.cli import main
 
     assert main(["verify", "--potential", "coulomb", "--params", params]) == 0
@@ -224,6 +229,8 @@ def test_verify_huge_finite_count_finishes():
     assert "  [note] counting boundary n=3162 not probed (only levels n < 16)\n" in res.stdout
     # every sampled ground-state value underflows: a FAIL, not a ValueError
     assert "  [FAIL] ground-state closed vs integral form: ratio spread = nan\n" in res.stdout
+    # the NaN residuals are FAILs, without raw numpy warnings on stderr
+    assert res.stderr == ""
 
 
 @pytest.mark.parametrize(
