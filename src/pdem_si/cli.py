@@ -98,7 +98,7 @@ def _check_flag(flag: str, value: int, lo: int, hi: float = math.inf) -> None:
 
 
 def _parse_params(entry: CatalogEntry, raw: Optional[str]) -> dict:
-    params = dict(entry.default_params)
+    given = {}
     if raw:
         for item in raw.split(","):
             if not item.strip():
@@ -106,11 +106,14 @@ def _parse_params(entry: CatalogEntry, raw: Optional[str]) -> dict:
             if "=" not in item:
                 raise RangeError(f"malformed parameter {item!r}; expected name=value")
             key, val = item.split("=", 1)
+            key = key.strip()
+            if key in given:
+                raise RangeError(f"parameter {key!r} is given more than once")
             try:
-                params[key.strip()] = float(val)
+                given[key] = float(val)
             except ValueError as exc:
-                raise RangeError(f"parameter {key.strip()!r}: {val!r} is not a number") from exc
-    return params
+                raise RangeError(f"parameter {key!r}: {val!r} is not a number") from exc
+    return {**entry.default_params, **given}
 
 
 def build_spectrum_report(

@@ -368,16 +368,20 @@ class AdmissibilityVerdict:
         return self.square_integrable and self.hermiticity_ok
 
 
-def _is_zero(terms) -> bool:
-    """Whether a sum is zero to _ROUNDING over the magnitudes of its terms."""
+def _is_zero(terms):
+    """Whether a sum is zero to _ROUNDING over the magnitudes of its terms, each
+    sum taken left to right; terms that are arrays give one answer per element."""
     return abs(sum(terms)) <= _ROUNDING * sum(abs(v) for v in terms)
 
 
 def _local(c, y0: float, sign: float) -> tuple:
     """(k, a) with c(y) ~ a s^k as s -> 0+, for the ascending coefficients c
     and y = y0 + sign s, or y = sign / s where y0 is infinite. A root at y0 is
-    a value that is zero to _ROUNDING over its terms."""
-    c = list(_trim(np.asarray(c, dtype=float)))
+    a value that is zero to _ROUNDING over its terms. Python floats throughout:
+    trimmed as _trim trims, and a is P.polyval's Horner sum."""
+    c = [float(v) for v in c]
+    while len(c) > 1 and c[-1] == 0.0:
+        c.pop()
     if math.isinf(y0):
         return 1 - len(c), c[-1] * sign ** (len(c) - 1)
     k = 0
@@ -385,86 +389,124 @@ def _local(c, y0: float, sign: float) -> tuple:
         for i in range(len(c) - 2, -1, -1):  # divide by y - y0
             c[i] += y0 * c[i + 1]
         c, k = c[1:], k + 1
-    return k, float(P.polyval(y0, c)) * sign**k
+    a = c[-1] + y0 * 0
+    for v in reversed(c[:-1]):
+        a = v + a * y0
+    return k, a * sign**k
 
 
-def _end_verdict(sp: SuperpotentialClass, chain: ParameterChain, n: int, y0: float, sign: float) -> tuple:
-    """(square integrable, Hermiticity) at one end, and its evidence. With s the
-    offset from y0 = lim phi (1/|y| at infinity), |psi_n|^2 f = q^-n P_n(t)^2
-    e^(-2F) ~ s^h: the Hermiticity condition holds iff h > 0, and
-    |psi_n|^2 dx ~ s^(h - ord(f phi')) ds (one more s^-2 at infinity) is
-    integrable iff that exponent is > -1. F' = N/Q gives F ~ r log s at a simple
-    pole; a higher pole gives an exponential factor whose sign decides both."""
-    lam, mu = chain.lambda_seq, chain.mu_seq
+def _descent_orders(factor: Callable, levels) -> dict:
+    """P_n's order k at a finite root of the descent's kernel, for each n in
+    ``levels``. Descent step m of level n, producing subscript m+1 at chain
+    offset j = n - m - 1, multiplies the leading local coefficient by the sum
+    of the terms ``factor(n, m, j, k)``, linear in k; a factor that is zero to
+    _ROUNDING over its terms raises k by one. Every step of every level is tested in one
+    pass with k = 0; a row with a zero factor is tested again past it, with
+    its k one higher."""
+    orders = dict.fromkeys(levels, 0)
+    ns = np.array(sorted(n for n in orders if n > 0), dtype=int)
+    if not ns.size:
+        return orders
+    m = np.arange(ns[-1])
+    k, start, rows = np.zeros(len(ns), dtype=int), np.zeros(len(ns), dtype=int), np.arange(len(ns))
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats would
+        while rows.size:
+            n = ns[rows, None]
+            zero = _is_zero(factor(n, m, np.maximum(n - m - 1, 0), k[rows, None]))
+            zero &= (m >= start[rows, None]) & (m < n)
+            hit = zero.any(axis=1)
+            rows = rows[hit]
+            k[rows] += 1
+            start[rows] = zero.argmax(axis=1)[hit] + 1
+    orders.update(zip(ns.tolist(), k.tolist()))
+    return orders
+
+
+def _end_verdicts(sp: SuperpotentialClass, barred: tuple, chain: ParameterChain, levels, y0: float, sign: float) -> list:
+    """(square integrable, Hermiticity, evidence) of each level n in ``levels``
+    at one end. With s the offset from y0 = lim phi (1/|y| at infinity),
+    |psi_n|^2 f = q^-n P_n(t)^2 e^(-2F) ~ s^h: the Hermiticity condition holds
+    iff h > 0, and |psi_n|^2 dx ~ s^(h - ord(f phi')) ds (one more s^-2 at
+    infinity) is integrable iff that exponent is > -1. F' = N/Q gives
+    F ~ r log s at a simple pole; a higher pole gives an exponential factor
+    whose sign decides both. The orders of q, t and f phi' and the residue's
+    denominator are read once; per level come N's local term and P_n's order."""
+    lam, mu = np.asarray(chain.lambda_seq), np.asarray(chain.mu_seq)
 
     def order(c, at=y0):
         return _local(c, at, sign)[0]
 
     if sp.class_id == "class1":  # q = 1, t = y, f phi' = Q, the descent's kernel
-        ab, bb, cb = sp.barred
-        num, den = (mu[n], lam[n]), (cb, bb, ab)
-        q_order, f_phi_order, t0, t_order, kernel = 0, order(den), y0, 1, den
+        ab, bb, cb = barred
+        den = kernel = (cb, bb, ab)
+        q_order, f_phi_order, t0, t_order = 0, order(den), y0, 1
+
+        def factor(n, m, j, k):  # from -Q P' + (mu_sum + lam_sum t) P
+            return [mu[n], mu[j], lam[n] * t0, lam[j] * t0, -k * bb, -2.0 * k * ab * t0]
+
     elif sp.class_id == "class2":  # q = t = y^-2, f phi' = Q / y
-        ab, bb = sp.barred
-        num, den, kernel = (mu[n], 0.0, lam[n]), (0.0, bb, 0.0, ab), (0.0, ab, bb)
+        ab, bb = barred
+        den, kernel = (0.0, bb, 0.0, ab), (0.0, ab, bb)
         y_order = order((0.0, 1.0))
         q_order, f_phi_order = -2 * y_order, order((bb, 0.0, ab))
         t0 = (math.inf if y_order > 0 else 0.0) if y_order else y0**-2.0
         t_order = 2 * abs(y_order) or 1
+
+        def factor(n, m, j, k):  # from K P' + (lam_sum - m ab + (mu_sum - m bb) t) P, K = 2 t (ab + bb t)
+            return [lam[n], lam[j], -m * ab, mu[n] * t0, mu[j] * t0, -m * bb * t0, 2.0 * k * ab, 4.0 * k * bb * t0]
+
     else:  # q = A y^2 + B, the kernel; t = y, f phi' = (cb y + db) q^(1/2), Q = (cb y + db) q
         A, B = sp.consts[0], sp.consts[1]
-        cb, db = sp.barred[2], sp.barred[3]
+        cb, db = barred[2], barred[3]
         kernel = (B, 0.0, A)
-        num, den = (mu[n], lam[n]), np.convolve((db, cb), kernel)
+        den = np.convolve((db, cb), kernel)
         q_order, t0, t_order = order(kernel), y0, 1
         f_phi_order = order((db, cb)) + 0.5 * q_order
-    # P_n(t) ~ u^k in the local variable u of t: k = -n at infinity and 0 off
-    # the descent's kernel. At a root of the kernel each descent step multiplies
-    # the leading local coefficient by a factor linear in k; a factor that is
-    # zero to _ROUNDING over its terms raises k by one
-    k = -n if math.isinf(t0) else 0
-    on_kernel = not math.isinf(t0) and order(kernel, t0) > 0
-    for m in range(n if on_kernel else 0):
-        j = n - m - 1
-        if sp.class_id == "class1":  # from -Q P' + (mu_sum + lam_sum t) P
-            terms = [mu[n], mu[j], lam[n] * t0, lam[j] * t0, -k * bb, -2.0 * k * ab * t0]
-        elif sp.class_id == "class2":  # from K P' + (lam_sum - m ab + (mu_sum - m bb) t) P, K = 2 t (ab + bb t)
-            terms = [lam[n], lam[j], -m * ab, mu[n] * t0, mu[j] * t0, -m * bb * t0, 2.0 * k * ab, 4.0 * k * bb * t0]
-        else:  # from (db + cb t)(-q P' + m A t P) + (mu_sum + lam_sum t) P
+
+        def factor(n, m, j, k):  # from (db + cb t)(-q P' + m A t P) + (mu_sum + lam_sum t) P
             w = (m - 2 * k) * A * t0
-            terms = [mu[n], mu[j], lam[n] * t0, lam[j] * t0, w * db, w * t0 * cb]
-        k += _is_zero(terms)
-    (kn, an), (kd, ad) = _local(num, y0, sign), _local(den, y0, sign)
+            return [mu[n], mu[j], lam[n] * t0, lam[j] * t0, w * db, w * t0 * cb]
+
+    # P_n(t) ~ u^k in the local variable u of t: k = -n at infinity, from the
+    # descent at a root of its kernel, and 0 elsewhere
+    on_kernel = not math.isinf(t0) and order(kernel, t0) > 0
+    p_orders = _descent_orders(factor, levels) if on_kernel else {}
+    kd, ad = _local(den, y0, sign)
     infinite = math.isinf(y0)
-    pole = kd - kn + (2 if infinite else 0)  # dF/ds ~ r s^-pole
-    r = an / ad * (-sign if infinite else sign)
-    if pole >= 2:
-        decays = r < 0.0
-        return decays, decays, {"y_star": y0, "exp_decay": decays}
-    terms = {"q": -n * q_order, "P": 2 * t_order * k, "F": -2.0 * r if pole == 1 else 0.0}
-    h = float(sum(terms.values()))
-    square = h - f_phi_order - (2.0 if infinite else 0.0)
-    return square > -1.0, h > 0.0, {"y_star": y0, "herm_exponent": h, "square_exponent": square, "terms": terms}
+    out = []
+    for n in levels:
+        kn, an = _local((mu[n], 0.0, lam[n]) if sp.class_id == "class2" else (mu[n], lam[n]), y0, sign)
+        pole = kd - kn + (2 if infinite else 0)  # dF/ds ~ r s^-pole
+        r = an / ad * (-sign if infinite else sign)
+        if pole >= 2:
+            decays = r < 0.0
+            out.append((decays, decays, {"y_star": y0, "exp_decay": decays}))
+            continue
+        k = -n if math.isinf(t0) else p_orders.get(n, 0)
+        terms = {"q": -n * q_order, "P": 2 * t_order * k, "F": -2.0 * r if pole == 1 else 0.0}
+        h = float(sum(terms.values()))
+        square = h - f_phi_order - (2.0 if infinite else 0.0)
+        out.append((square > -1.0, h > 0.0, {"y_star": y0, "herm_exponent": h, "square_exponent": square, "terms": terms}))
+    return out
 
 
 def admissibility_checks(table: LevelTable, levels) -> list:
     """Verdicts for each level n in ``levels`` of ``table``, read in closed form
     from the exponents of |psi_n|^2 f and |psi_n|^2 dx at each end (see
-    ``_end_verdict``): only the chain, solved once to the deepest level, and
+    ``_end_verdicts``): only the chain, solved once to the deepest level, and
     the class constants enter. At each end y* = lim phi(x), infinite past the
     blow-up guard, and the sign of y - y* (of y at infinity) is read inside."""
     levels = list(levels)
     if not levels:
         return []
     entry, sp, chain = table.entry, table.problem.sp, table.chain_to(max(levels))
-    y_ref, ends = float(sp.phi_val(entry.x_ref)), []
-    for side, x in (("left", entry.domain.x1), ("right", entry.domain.x2)):
+    barred, y_ref, ends = sp.barred, float(sp.phi_val(entry.x_ref)), []
+    for x in (entry.domain.x1, entry.domain.x2):
         y0 = float(sp.phi_val(x))
         y0 = math.copysign(math.inf, y0) if abs(y0) > _PHI_BLOWUP else y0
-        ends.append((side, y0, math.copysign(1.0, y0 if math.isinf(y0) else y_ref - y0)))
-    verdicts = []
-    for n in levels:
-        sides = {side: _end_verdict(sp, chain, n, y0, sign) for side, y0, sign in ends}
-        square, herm = (all(v[i] for v in sides.values()) for i in (0, 1))
-        verdicts.append(AdmissibilityVerdict(square, herm, {side: v[2] for side, v in sides.items()}))
-    return verdicts
+        sign = math.copysign(1.0, y0 if math.isinf(y0) else y_ref - y0)
+        ends.append(_end_verdicts(sp, barred, chain, levels, y0, sign))
+    return [
+        AdmissibilityVerdict(left[0] and right[0], left[1] and right[1], {"left": left[2], "right": right[2]})
+        for left, right in zip(*ends)
+    ]

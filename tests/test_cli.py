@@ -91,6 +91,25 @@ def test_bad_param_syntax_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--potential", "box"],
+        ["verify", "--potential", "box"],
+        ["wavefunction", "--potential", "box", "--n", "0", "--out", "unwritten.csv"],
+        ["sweep", "--potential", "box", "--param", "alpha", "--from", "0.1", "--to", "0.5", "--steps", "2"],
+    ],
+)
+def test_repeated_param_exit_2(capsys, tmp_path, monkeypatch, argv):
+    # a name given twice in --params is an error, not a silent last-one-wins,
+    # wherever --params is read
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--params", "alpha=0.5, alpha=0.6")
+    assert (code, out) == (2, "")
+    assert "'alpha'" in err and "more than once" in err
+    assert not (tmp_path / "unwritten.csv").exists()
+
+
 def test_verify_hyperbolic_pt(capsys):
     code, out, _ = run(
         capsys, "verify", "--potential", "hyperbolic_poschl_teller", "--params", "A=1,alpha=0.5"

@@ -7,7 +7,7 @@ from numpy.polynomial import polynomial as P
 from pdem_si import catalog, cli, verification as verif, wavefunctions
 from pdem_si.core import ChainError, DeformingFunction, Grid, Interval, PdemError, ZeroNorm
 from pdem_si.oracle import quadrature
-from pdem_si.si_engine import SuperpotentialClass, solve_chain
+from pdem_si.si_engine import _PHI_BLOWUP, SuperpotentialClass, solve_chain
 from pdem_si.wavefunctions import (
     _antideriv,
     _descend,
@@ -816,6 +816,184 @@ def test_hermiticity_verdicts_match_plateau_reference():
                 differ.append((entry.name, params, n, want, verdict.evidence))
     print(f"\nHermiticity verdicts that differ from the plateau reference: {changed}")
     assert not differ, differ
+
+
+# the verdicts as they were read before the per-end pass: every order, the
+# residue and the descent's step factors again for each level at each end,
+# one scalar zero test per step
+def _is_zero_reference(terms):
+    return abs(sum(terms)) <= wavefunctions._ROUNDING * sum(abs(v) for v in terms)
+
+
+def _local_reference(c, y0, sign):
+    c = list(wavefunctions._trim(np.asarray(c, dtype=float)))
+    if math.isinf(y0):
+        return 1 - len(c), c[-1] * sign ** (len(c) - 1)
+    k = 0
+    while len(c) > 1 and _is_zero_reference([v * y0**i for i, v in enumerate(c)]):
+        for i in range(len(c) - 2, -1, -1):
+            c[i] += y0 * c[i + 1]
+        c, k = c[1:], k + 1
+    return k, float(P.polyval(y0, c)) * sign**k
+
+
+def _end_verdict_reference(sp, chain, n, y0, sign):
+    lam, mu = chain.lambda_seq, chain.mu_seq
+
+    def order(c, at=y0):
+        return _local_reference(c, at, sign)[0]
+
+    if sp.class_id == "class1":
+        ab, bb, cb = sp.barred
+        num, den = (mu[n], lam[n]), (cb, bb, ab)
+        q_order, f_phi_order, t0, t_order, kernel = 0, order(den), y0, 1, den
+    elif sp.class_id == "class2":
+        ab, bb = sp.barred
+        num, den, kernel = (mu[n], 0.0, lam[n]), (0.0, bb, 0.0, ab), (0.0, ab, bb)
+        y_order = order((0.0, 1.0))
+        q_order, f_phi_order = -2 * y_order, order((bb, 0.0, ab))
+        t0 = (math.inf if y_order > 0 else 0.0) if y_order else y0**-2.0
+        t_order = 2 * abs(y_order) or 1
+    else:
+        A, B = sp.consts[0], sp.consts[1]
+        cb, db = sp.barred[2], sp.barred[3]
+        kernel = (B, 0.0, A)
+        num, den = (mu[n], lam[n]), np.convolve((db, cb), kernel)
+        q_order, t0, t_order = order(kernel), y0, 1
+        f_phi_order = order((db, cb)) + 0.5 * q_order
+    k = -n if math.isinf(t0) else 0
+    on_kernel = not math.isinf(t0) and order(kernel, t0) > 0
+    for m in range(n if on_kernel else 0):
+        j = n - m - 1
+        if sp.class_id == "class1":
+            terms = [mu[n], mu[j], lam[n] * t0, lam[j] * t0, -k * bb, -2.0 * k * ab * t0]
+        elif sp.class_id == "class2":
+            terms = [lam[n], lam[j], -m * ab, mu[n] * t0, mu[j] * t0, -m * bb * t0, 2.0 * k * ab, 4.0 * k * bb * t0]
+        else:
+            w = (m - 2 * k) * A * t0
+            terms = [mu[n], mu[j], lam[n] * t0, lam[j] * t0, w * db, w * t0 * cb]
+        k += _is_zero_reference(terms)
+    (kn, an), (kd, ad) = _local_reference(num, y0, sign), _local_reference(den, y0, sign)
+    infinite = math.isinf(y0)
+    pole = kd - kn + (2 if infinite else 0)
+    r = an / ad * (-sign if infinite else sign)
+    if pole >= 2:
+        decays = r < 0.0
+        return decays, decays, {"y_star": y0, "exp_decay": decays}
+    terms = {"q": -n * q_order, "P": 2 * t_order * k, "F": -2.0 * r if pole == 1 else 0.0}
+    h = float(sum(terms.values()))
+    square = h - f_phi_order - (2.0 if infinite else 0.0)
+    return square > -1.0, h > 0.0, {"y_star": y0, "herm_exponent": h, "square_exponent": square, "terms": terms}
+
+
+def _plain(x):
+    # the reference's numpy scalars as the Python values they equal
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    return x.item() if isinstance(x, np.generic) else x
+
+
+def _admissibility_reference(entry, params, levels):
+    table = LevelTable(entry, params)
+    sp, chain = table.problem.sp, table.chain_to(max(levels))
+    y_ref, ends = float(sp.phi_val(entry.x_ref)), []
+    for side, x in (("left", entry.domain.x1), ("right", entry.domain.x2)):
+        y0 = float(sp.phi_val(x))
+        y0 = math.copysign(math.inf, y0) if abs(y0) > _PHI_BLOWUP else y0
+        ends.append((side, y0, math.copysign(1.0, y0 if math.isinf(y0) else y_ref - y0)))
+    out = []
+    for n in levels:
+        sides = {side: _end_verdict_reference(sp, chain, n, y0, sign) for side, y0, sign in ends}
+        out.append((all(v[0] for v in sides.values()), all(v[1] for v in sides.values()), _plain({s: v[2] for s, v in sides.items()})))
+    return out
+
+
+# the Coulomb degenerate repeat: P_2 and P_4 vanish at y* = 0 through a zero
+# step factor of the descent
+_DEGENERATE_REPEAT = ("coulomb", {"e2": 1.0, "l": 1.0, "alpha": 0.1})
+
+
+def test_admissibility_matches_per_level_reference():
+    # the per-end pass and the vectorised descent orders give every verdict and
+    # every evidence value of the per-level reference, NaNs included: 16 levels
+    # at the reference cases, the noise level's point, the deep plateau and the
+    # degenerate repeat, and 64 levels at the Scarf I and 3D oscillator defaults
+    extra = [_NOISE_LEVEL[:2], _DEEP_PLATEAU, _DEGENERATE_REPEAT]
+    cases = [(entry, params, 16) for entry, params in _reference_cases()]
+    cases += [(catalog.ENTRIES[name], params, 16) for name, params in extra]
+    cases += [(catalog.ENTRIES[name], dict(catalog.ENTRIES[name].default_params), 64) for name in ("scarf_i", "oscillator_3d")]
+    for entry, params, levels in cases:
+        got = [(v.square_integrable, v.hermiticity_ok, v.evidence) for v in admissibility_checks(LevelTable(entry, params), range(levels))]
+        assert _same(got, _admissibility_reference(entry, params, range(levels))), (entry.name, params)
+    entry, params = catalog.ENTRIES[_DEGENERATE_REPEAT[0]], _DEGENERATE_REPEAT[1]
+    verdicts = admissibility_checks(LevelTable(entry, params), range(16))
+    assert [n for n, v in enumerate(verdicts) if v.evidence["right"]["terms"]["P"]] == [2, 4]
+    print(f"\n{len(cases)} points: verdicts and evidence equal to the per-level reference")
+
+
+def test_descent_orders_match_a_sequential_loop():
+    # small integer step factors vanish often, several times in one row and
+    # also, after k rises, at steps before the last zero: each row's order is
+    # that of testing its steps one by one, k rising after each zero factor
+    def sequential(factor, n):
+        k = 0
+        for m in range(n):
+            k += bool(wavefunctions._is_zero(factor(n, m, n - m - 1, k)))
+        return k
+
+    rng = np.random.default_rng(0)
+    for a, b, c, d, e in rng.integers(-3, 4, size=(300, 5)):
+
+        def factor(n, m, j, k, a=a, b=b, c=c, d=d, e=e):
+            return [1.0 * a * m, 1.0 * b * k, 1.0 * c * j + d * n, 1.0 * e]
+
+        levels = [0, 3, 1, 11, 3, 7]
+        assert wavefunctions._descent_orders(factor, levels) == {n: sequential(factor, n) for n in levels}, (a, b, c, d, e)
+
+
+def test_admissibility_evidence_is_plain():
+    # every evidence value is a plain bool, int or float, ready for JSON: the
+    # descent order P is an int and the residue term F a float, also where a
+    # descent factor vanishes or y* is infinite
+    def values(ev):
+        for v in ev.values():
+            yield from values(v) if isinstance(v, dict) else [v]
+
+    cases = [(catalog.ENTRIES[name], dict(catalog.ENTRIES[name].default_params)) for name in ALL]
+    cases.append((catalog.ENTRIES[_DEGENERATE_REPEAT[0]], _DEGENERATE_REPEAT[1]))
+    for entry, params in cases:
+        for v in admissibility_checks(LevelTable(entry, params), range(16)):
+            assert type(v.square_integrable) is bool and type(v.hermiticity_ok) is bool
+            assert all(type(x) in (bool, int, float) for x in values(v.evidence)), (entry.name, v.evidence)
+            for side in v.evidence.values():
+                if "terms" in side:
+                    assert (type(side["terms"]["P"]), type(side["terms"]["F"])) == (int, float)
+
+
+def test_admissibility_work_is_per_end_plus_linear(monkeypatch):
+    # the orders that do not depend on the level are read once per end, and the
+    # descent orders of all levels in one pass, so each level adds the same
+    # work: one order and one zero test per end, for its residue
+    entry = catalog.ENTRIES["scarf_i"]
+    params = dict(entry.default_params)
+    work = {"_local": 0, "_is_zero": 0}
+    for attr in work:
+        original = getattr(wavefunctions, attr)
+
+        def counted(*args, attr=attr, original=original):
+            work[attr] += 1
+            return original(*args)
+
+        monkeypatch.setattr(wavefunctions, attr, counted)
+    counts = {}
+    for levels in (2, 16, 64):
+        work.update(dict.fromkeys(work, 0))
+        admissibility_checks(LevelTable(entry, params), range(levels))
+        counts[levels] = dict(work)
+    for attr in work:
+        assert counts[16][attr] - counts[2][attr] == 2 * 14, counts
+        assert counts[64][attr] - counts[16][attr] == 2 * 48, counts
+    assert counts[2]["_local"] == 2 * (4 + 2), counts
 
 
 def _log_abs_reference(assembled, pts):
