@@ -306,9 +306,10 @@ class DeformingFunction:
             raise DomainError(f"x={x} is not finite")
         f = self._f_unchecked(xa)
         if np.any(f <= 0.0) or np.any(~np.isfinite(f)):
-            bad = np.asarray(f)
-            idx = int(np.argmin(bad)) if bad.ndim else 0
-            raise NonPositiveError(f"f(x) <= 0 encountered (min f = {np.min(bad)}, near index {idx})")
+            bad, i = np.ravel(f), int(np.argmax(~np.isfinite(f)))
+            if not np.isfinite(bad[i]):  # an overflow or a NaN: name it and its x, not the smallest f
+                raise NonPositiveError(f"f(x) = {bad[i]} is not finite at x = {np.ravel(xa)[i]}")
+            raise NonPositiveError(f"f(x) <= 0 encountered (min f = {np.min(bad)}, near index {int(np.argmin(bad))})")
         return f
 
     def _slopes(self, x: ArrayLike) -> tuple:

@@ -13,9 +13,9 @@ import numpy as np
 
 from .catalog import CatalogEntry
 from .core import AmbiguityParams, Grid, Interval, positivity_check
-from .ordering import _v_tilde, recover_initial_potential, v_tilde_eval
+from .ordering import _v_tilde, v_tilde_eval
 from .oracle import DEFORMED, Spectrum, TridiagonalOperator, _battery_deviation, _quadratures, _stencil
-from .oracle import discretize_vonroos, eigenpairs, eigenvectors, sturm_count
+from .oracle import eigenpairs, eigenvectors, sturm_count
 from .si_engine import ParameterChain, chain_residuals, solve_chain, w_eval
 from .wavefunctions import LevelTable, _Points, admissibility_checks, normalized_states
 
@@ -53,11 +53,20 @@ def deformed_spectrum(
     return spec
 
 
-def _operator(entry: CatalogEntry, params: dict, amb: AmbiguityParams, grid: Grid) -> TridiagonalOperator:
-    """The operator of ordering ``amb`` on the initial potential recovered from
-    V_eff; at DEFORMED, where V~ vanishes, that is the deformed operator on V_eff."""
+def _operators(entry: CatalogEntry, params: dict, orderings: tuple, grid: Grid) -> list:
+    """The operator of each ordering on the initial potential V_eff - V~, f read
+    once at the nodes; at DEFORMED, where V~ vanishes, the deformed operator on V_eff."""
     df, v_eff = entry.deforming(params), entry.v_eff(params)
-    return discretize_vonroos(df, amb, lambda x: recover_initial_potential(df, amb, v_eff, x), grid)
+
+    def potentials(x, f):
+        v, slopes = np.asarray(v_eff(x)), df._slopes(x)
+        return [v - _v_tilde(ordering, f, *slopes) for ordering in orderings]
+
+    return _stencil(df, orderings, potentials, grid)
+
+
+def _operator(entry: CatalogEntry, params: dict, amb: AmbiguityParams, grid: Grid) -> TridiagonalOperator:
+    return _operators(entry, params, (amb,), grid)[0]
 
 
 def _cached_solve(entry: CatalogEntry, params: dict, amb: AmbiguityParams, grid: Grid, k: int, op=None, guess=None):
@@ -140,19 +149,11 @@ class Request(LevelTable):
     def pair(self, amb: AmbiguityParams) -> list:
         """(ordered, deformed) operators on each grid of the equivalence pair, at
         _PAIR_POINTS and 2 _PAIR_POINTS - 1 points, so h halves: both ordering
-        checks read them, built once per ordering. Each is ``_operator``'s, bit
-        for bit, but on each grid f, V_eff and the f' and f'' of V~ are
-        evaluated once for both orderings."""
+        checks read them, built once per ordering, both from one evaluation of
+        f, V_eff and the f' and f'' of V~ per grid."""
         if amb not in self._pairs:
-            df, v_eff = self.entry.deforming(self.params), self.entry.v_eff(self.params)
-            orderings = (amb, DEFORMED)
-
-            def potentials(x, f):  # recover_initial_potential of each ordering, with f at x from the nodes
-                v, slopes = np.asarray(v_eff(x)), df._slopes(x)
-                return [v - _v_tilde(ordering, f, *slopes) for ordering in orderings]
-
             grids = (Grid(self.entry.equivalence_interval, n) for n in (_PAIR_POINTS, 2 * _PAIR_POINTS - 1))
-            self._pairs[amb] = [tuple(_stencil(df, orderings, potentials, grid)) for grid in grids]
+            self._pairs[amb] = [tuple(_operators(self.entry, self.params, (amb, DEFORMED), grid)) for grid in grids]
         return self._pairs[amb]
 
     @cached_property
@@ -191,8 +192,7 @@ def a_minus_residual(table: LevelTable) -> float:
     lo, hi = residual_window(entry, params)
     edges = entry.equivalence_interval
     grid = Grid(Interval(max(edges.x1, lo), min(edges.x2, hi)), _FINE_POINTS)
-    x = grid.nodes()
-    h = grid.spacing
+    x, h = grid.nodes(), grid.spacing
     pts = _Points(problem, x)
     psi = assembled.value_at(pts)
     s = np.sqrt(pts.f)

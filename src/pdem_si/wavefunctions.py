@@ -11,8 +11,9 @@ discriminant), so wavefunction values never rely on numerical integration.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -369,9 +370,9 @@ class AdmissibilityVerdict:
 
 
 def _is_zero(terms):
-    """Whether a sum is zero to _ROUNDING over the magnitudes of its terms, each
-    sum taken left to right; terms that are arrays give one answer per element."""
-    return abs(sum(terms)) <= _ROUNDING * sum(abs(v) for v in terms)
+    """Whether a sum is zero to _ROUNDING over the magnitudes of its terms, both
+    sums reduced left to right; terms that are arrays give one answer per element."""
+    return abs(reduce(operator.add, terms)) <= _ROUNDING * reduce(operator.add, map(abs, terms))
 
 
 def _local(c, y0: float, sign: float) -> tuple:
@@ -389,9 +390,7 @@ def _local(c, y0: float, sign: float) -> tuple:
         for i in range(len(c) - 2, -1, -1):  # divide by y - y0
             c[i] += y0 * c[i + 1]
         c, k = c[1:], k + 1
-    a = c[-1] + y0 * 0
-    for v in reversed(c[:-1]):
-        a = v + a * y0
+    a = reduce(lambda a, v: v + a * y0, reversed(c[:-1]), c[-1] + y0 * 0)  # Horner
     return k, a * sign**k
 
 

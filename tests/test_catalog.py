@@ -13,7 +13,7 @@ from pdem_si.catalog import (
 )
 from pdem_si.core import AmbiguityParams, DomainError, NotFound, RangeError
 from pdem_si.wavefunctions import LevelTable, admissibility_checks
-from test_wavefunctions import _NOISE_LEVEL, _counting_boundaries, _reference_cases
+from test_wavefunctions import _DEEP_PLATEAU, _NOISE_LEVEL, _counting_boundaries, _probed_levels, _reference_cases
 
 ALL = sorted(catalog.ENTRIES)
 
@@ -233,19 +233,41 @@ _FALSE_FAIL_POINTS = [
 ]
 
 
-def test_finite_counting_agrees_with_numeric_probe():
-    # each probed level is admissible and new exactly when the counting rule
-    # counts it: at the reference cases of test_wavefunctions.py, both sides of
-    # every counting boundary at 1e-9 and 1e-3 from the defaults, the noise
-    # level's point and the known false-FAIL points
+def _agrees_with_counting(table, n, verdict):
+    # level n exists (admissible, and above the level before it, as in the
+    # counting check) exactly when the counting rule counts it
+    counting = table.entry.counting(table.params)
+    counted = counting.kind == "infinite" or (counting.kind == "finite" and n < counting.count)
+    chain = table.chain_to(n)
+    new = n == 0 or chain.energy(n) > chain.energy(n - 1) + 1e-12 * max(1.0, abs(chain.energy(n - 1)))
+    return (verdict.admissible and new) == counted
+
+
+def test_counting_agrees_with_admissibility():
+    # the counting rule is the reference of every admissibility verdict: at the
+    # reference cases of test_wavefunctions.py, both sides of every counting
+    # boundary at 1e-9 and 1e-3 from the defaults, the noise level's point, the
+    # deep plateau and the known false-FAIL points, the counting check passes,
+    # and every level that spectrum --n-levels auto reads (and a finite count's
+    # first missing level) is admissible and new exactly when the rule counts
+    # it: 16 levels of an infinite count, where the check reads 4
     points = list(_reference_cases())
     for name in ALL:
         entry = catalog.ENTRIES[name]
         for rel in (1e-9, 1e-3):
             points += [(entry, p) for p in _counting_boundaries(entry, dict(entry.default_params), rel=rel)]
-    points += [(catalog.ENTRIES[name], p) for name, p in [_NOISE_LEVEL[:2], *_FALSE_FAIL_POINTS]]
-    failed = [(e.name, p) for e, p in points if not verif.counting_vs_admissibility(LevelTable(e, p))["ok"]]
-    assert not failed, (len(points), failed)
+    points += [(catalog.ENTRIES[name], p) for name, p in [_NOISE_LEVEL[:2], _DEEP_PLATEAU, *_FALSE_FAIL_POINTS]]
+    failed, differ, levels = [], [], 0
+    for entry, params in points:
+        table = LevelTable(entry, params)
+        if not verif.counting_vs_admissibility(table)["ok"]:
+            failed.append((entry.name, params))
+        for n, verdict in enumerate(admissibility_checks(table, range(_probed_levels(entry, params)))):
+            levels += 1
+            if not _agrees_with_counting(table, n, verdict):
+                differ.append((entry.name, params, n, verdict.evidence))
+    print(f"\n{len(points)} points, {levels} levels: each agrees with the counting rule")
+    assert not failed and not differ, (failed, differ)
 
 
 @pytest.mark.parametrize(

@@ -108,6 +108,20 @@ def test_deforming_domain_and_positivity_errors():
         DeformingFunction("no_such_family", {})
 
 
+def test_overflowed_f_names_its_value_and_x():
+    # Morse f overflows to inf far to the left: the error names that value and
+    # its x, not the smallest f of the call; a non-positive f keeps its message
+    entry = catalog.ENTRIES["morse"]
+    df = entry.deforming(dict(entry.default_params))
+    for x in (np.array([-800.0, 0.0, 5.0]), np.array([0.0, 5.0, -800.0]), -800.0):
+        with np.errstate(over="ignore"), pytest.raises(NonPositiveError) as err:
+            df.f(x)
+        assert str(err.value) == "f(x) = inf is not finite at x = -800.0"
+    with pytest.raises(NonPositiveError) as err:
+        DeformingFunction("trig_sin2", {"alpha": -1.5}).f(np.array([0.0, math.pi / 2]))
+    assert str(err.value) == "f(x) <= 0 encountered (min f = -0.5, near index 1)"
+
+
 def test_mass_relation_machine_precision():
     for name, entry in catalog.ENTRIES.items():
         df = entry.deforming(dict(entry.default_params))

@@ -251,6 +251,7 @@ def _reference_vonroos(df, amb, v_eff, grid):
     return diag, edge[1:-1], edge[0], edge[-1]
 
 
+@pytest.mark.bitpin
 @pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
 def test_pair_operators_match_per_ordering_builds(name):
     # f, V_eff, f' and f'' evaluated once per pair grid for both orderings give
@@ -295,6 +296,7 @@ def _same_bits(a, b):
     return type(a) is type(b) and a == b
 
 
+@pytest.mark.bitpin
 @pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
 def test_battery_checks_match_a_fresh_request(name, monkeypatch):
     # every value the verify battery reports from its one shared Request has the
@@ -323,6 +325,7 @@ def test_battery_checks_match_a_fresh_request(name, monkeypatch):
             assert _same_bits(real(verif.Request(entry, params), *args), value), (params, real.__name__, args)
 
 
+@pytest.mark.bitpin
 @pytest.mark.parametrize("kernel", (True, False), ids=("kernel", "lists"))
 def test_flipped_sweep_arrays_match_the_reversed_operator(kernel, monkeypatch):
     # reversing the sweep arrays gives those of the reversed operator, bit for bit
@@ -545,7 +548,7 @@ def test_vectors_reuse_the_cached_eigenvalues(monkeypatch):
 def test_vectors_on_a_cache_miss_build_one_operator(monkeypatch):
     # the solve and the vectors share one discretization
     builds = []
-    monkeypatch.setattr(verif, "discretize_vonroos", lambda *args: builds.append(args) or discretize_vonroos(*args))
+    monkeypatch.setattr(verif, "_stencil", lambda *args: builds.append(args) or oracle._stencil(*args))
     monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
     entry = catalog.ENTRIES["box"]
     spec = verif.deformed_spectrum(entry, dict(entry.default_params), 4, n_override=2001, want_vectors=True)

@@ -46,6 +46,7 @@ def _reference_v_tilde(df, amb, x):
     return amb.rho * v.f * v.f_second + amb.sigma * v.f_prime**2
 
 
+@pytest.mark.bitpin
 @pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
 def test_v_tilde_matches_deforming_eval_reference(name):
     # bit for bit on arrays, and on scalars, which keep Python-float arithmetic:
