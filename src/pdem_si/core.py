@@ -55,7 +55,7 @@ class ChainError(PdemError):
 
 
 class ZeroNorm(PdemError):
-    """Wavefunction norm integral vanishes."""
+    """A wavefunction norm or Gram integral cannot be computed."""
 
 
 class ConvergenceError(PdemError):

@@ -263,20 +263,14 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
 def quadrature(samples: np.ndarray, grid: Grid) -> float:
     """Composite Simpson integral of samples over the grid (odd node counts);
     even counts fall back to the trapezoid rule with a recorded warning."""
-    return _quadratures([samples], grid)[0]
-
-
-def _quadratures(rows: list, grid: Grid) -> list:
-    """``quadrature`` of each sample row in ``rows``, the weights built once."""
-    ys = [np.asarray(samples, dtype=float) for samples in rows]
-    if any(len(y) != grid.n_points for y in ys):
+    y = np.asarray(samples, dtype=float)
+    if len(y) != grid.n_points:
         raise ParameterError("sample count does not match grid")
     h = grid.spacing
     if grid.n_points % 2 == 1:
-        w = _simpson_weights(grid.n_points, h)
-        return [float(np.sum(w * y)) for y in ys]
-    warnings.warn("even node count: falling back to trapezoid quadrature", stacklevel=3)
-    return [float(np.trapezoid(y, dx=h)) for y in ys]
+        return float(np.sum(_simpson_weights(grid.n_points, h) * y))
+    warnings.warn("even node count: falling back to trapezoid quadrature", stacklevel=2)
+    return float(np.trapezoid(y, dx=h))
 
 
 def _pivots(d, e2, t: float):

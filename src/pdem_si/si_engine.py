@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -180,7 +181,7 @@ class ParameterChain:
     def depth(self) -> int:
         return len(self.lambda_seq) - 1
 
-    @property
+    @cached_property
     def energies(self) -> tuple:
         out, tot = [], 0.0
         for e in self.eps_seq:

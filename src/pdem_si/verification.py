@@ -12,16 +12,16 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .catalog import CatalogEntry
-from .core import AmbiguityParams, Grid, Interval, positivity_check
+from .core import AmbiguityParams, Grid, Interval, ZeroNorm, positivity_check
 from .ordering import _v_tilde, v_tilde_eval
-from .oracle import DEFORMED, Spectrum, TridiagonalOperator, _battery_deviation, _quadratures, _stencil
+from .oracle import DEFORMED, Spectrum, TridiagonalOperator, _battery_deviation, _stencil
 from .oracle import eigenpairs, eigenvectors, sturm_count
 from .si_engine import ParameterChain, chain_residuals, solve_chain, w_eval
-from .wavefunctions import LevelTable, _Points, admissibility_checks, normalized_states
+from .wavefunctions import LevelTable, _Points, admissibility_checks
 
 _SPECTRUM_CACHE: dict = {}
 
-# levels listed by ``spectrum --n-levels auto`` and probed by the counting check
+# levels listed by ``spectrum --n-levels auto`` and read by the counting check
 AUTO_LEVELS = 16
 # chain levels checked against the matching conditions and the published E_n
 _CHAIN_DEPTH = 5
@@ -31,6 +31,11 @@ _WINDOW_NODES = 101
 _FINE_POINTS = 8001
 # both ordering checks run on the equivalence interval at _PAIR_POINTS and 2 _PAIR_POINTS - 1 points, so h halves
 _PAIR_POINTS = 501
+# the Gram's double-exponential rule: t in [-_DE_T, _DE_T] at step 1/s for s in
+# _DE_STEPS, in turn, until its error bar is at most _GRAM_TOL
+_DE_T = 6
+_DE_STEPS = (32, 64, 128, 256)
+_GRAM_TOL = 1e-9
 
 
 def _params_key(params: dict) -> tuple:
@@ -220,16 +225,58 @@ def eigen_residual(req: Request, n: int) -> float:
         return float(np.linalg.norm(resid) / np.linalg.norm(psi[1:-1]))
 
 
+def _de_rule(dom: Interval, steps: int) -> tuple:
+    """Nodes and weights of the double-exponential rule over ``dom`` at step
+    h = 1/steps, t in [-_DE_T, _DE_T]: tanh-sinh on a finite domain, exp-sinh
+    on the half-line (x1, inf) and sinh-sinh on the line (Takahasi and Mori,
+    1974). The even nodes are the rule at step 2h."""
+    t = np.arange(-_DE_T * steps, _DE_T * steps + 1) / steps
+    u, du = 0.5 * np.pi * np.sinh(t), 0.5 * np.pi * np.cosh(t) / steps
+    if dom.bounded:
+        half = 0.5 * dom.length
+        return dom.x1 + half + half * np.tanh(u), half * du / np.cosh(u) ** 2
+    if math.isfinite(dom.x1):
+        return dom.x1 + np.exp(u), du * np.exp(u)
+    return np.sinh(u), du * np.cosh(u)
+
+
+def _normalized_gram(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    G = (rows * w) @ rows.T
+    d = 1.0 / np.sqrt(np.diag(G))
+    return G * d[:, None] * d[None, :]
+
+
 def gram_matrix(table: LevelTable, levels: int) -> np.ndarray:
-    """Simpson Gram matrix of the first ``levels`` normalized closed-form states
-    on the oracle grid."""
-    grid = oracle_grid(table.entry, table.params)
-    states = normalized_states(table, range(levels), grid)
-    pairs = [(i, j) for i in range(levels) for j in range(i, levels)]
-    G = np.empty((levels, levels))
-    for (i, j), value in zip(pairs, _quadratures([states[i] * states[j] for i, j in pairs], grid)):
-        G[i, j] = G[j, i] = value
-    return G
+    """Gram matrix of the first ``levels`` closed-form states over the whole
+    domain by the ``_de_rule``, normalized by its diagonal. Nodes where x or
+    phi(x) rounds onto its value at an end, or where f or phi is not finite,
+    are dropped: no state can be evaluated there. Each state is read as
+    sign exp(log |psi| - its peak), so nothing overflows. The error bar is the
+    change from the rule's even nodes alone; the step halves from 1/32 until
+    the bar is at most _GRAM_TOL, and ZeroNorm is raised past 1/256."""
+    dom, problem = table.entry.domain, table.problem
+    states, y_ends = table.levels(range(levels)), problem.sp.phi_val(np.array([dom.x1, dom.x2]))
+    for steps in _DE_STEPS:
+        x, w = _de_rule(dom, steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, y = problem.df._f_unchecked(x), problem.sp.phi_val(x)
+        inside = (x > dom.x1) & (x < dom.x2) & ~np.isin(y, y_ends)
+        node = np.flatnonzero(inside & np.isfinite(f) & np.isfinite(y))
+        pts = _Points(problem, x[node])
+        rows = []
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for state in states:
+                sign, log = state.sign_log_at(pts)
+                rows.append(sign * np.exp(log - np.max(log)))
+            rows, w, even = np.array(rows), w[node], node % 2 == 0
+            G = _normalized_gram(rows, w)
+            bar = float(np.max(np.abs(G - _normalized_gram(rows[:, even], 2.0 * w[even]))))
+        if bar <= _GRAM_TOL:
+            return G
+    raise ZeroNorm(
+        f"the Gram matrix of {levels} states misses its error bound {_GRAM_TOL:g} at step 1/{steps}"
+        f" (error bar {bar:.2e})"
+    )
 
 
 def _truncation_resolves(table: LevelTable, n: int, edges: Interval) -> bool:
@@ -384,14 +431,16 @@ def counting_vs_admissibility(table: LevelTable) -> dict:
     A level exists numerically when its wavefunction is admissible AND its
     chain energy lies strictly above the previous level: past the rule's
     cutoff the chain can reproduce an earlier state at a repeated energy,
-    which is normalizable but not a new bound state. A finite count probes at
-    most the first AUTO_LEVELS levels, and the first missing level n = count
-    only when count <= AUTO_LEVELS; other rules probe levels 0..3."""
+    which is normalizable but not a new bound state. The check reads the
+    levels ``spectrum --n-levels auto`` lists: an infinite count the first
+    AUTO_LEVELS levels, and a finite count at most as many, with the first
+    missing level n = count only when count <= AUTO_LEVELS; a zero count
+    probes levels 0..3."""
     counting = table.entry.counting(table.params)
     if counting.kind == "finite":
         probed = counting.count + 1 if counting.count <= AUTO_LEVELS else AUTO_LEVELS
     else:
-        probed = 4
+        probed = AUTO_LEVELS if counting.kind == "infinite" else 4
     chain = table.chain_to(probed - 1)
     verdicts = dict(enumerate(admissibility_checks(table, range(probed))))
 
@@ -411,10 +460,11 @@ def counting_vs_admissibility(table: LevelTable) -> dict:
 
 
 def orthonormality_offdiag(table: LevelTable) -> Optional[float]:
-    """Max off-diagonal Gram entry over the first min(4, count) admissible states."""
+    """Max off-diagonal Gram entry over the first min(4, count) admissible
+    states; 0.0 for one state, whose 1 x 1 Gram has no off-diagonal."""
     levels = table.entry.counting(table.params).levels(4)
-    if levels < 1:
-        return None
+    if levels < 2:
+        return None if levels < 1 else 0.0
     G = gram_matrix(table, levels)
     off = G - np.diag(np.diag(G))
     return float(np.max(np.abs(off)))

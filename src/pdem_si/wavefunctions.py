@@ -275,20 +275,27 @@ class _Assembled:
         return self.log_abs_at(_Points(self.problem, x))
 
     def log_abs_at(self, pts: _Points):
-        """log |psi_n| at ``pts``. P_n is read through 1/t where |t| > 1, so the
-        value stays finite for large arguments."""
+        """log |psi_n| at ``pts`` (see ``sign_log_at``)."""
+        return self.sign_log_at(pts)[1]
+
+    def sign_log_at(self, pts: _Points) -> tuple:
+        """(sign psi_n, log |psi_n|) at ``pts`` in one pass. Every factor but
+        P_n(t) is positive, so the sign is P_n's. P_n is read through 1/t where
+        |t| > 1, so the log stays finite for large arguments."""
         f, (q, t, y) = pts.f, pts.parts
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dF = self.F(y) - self.F_ref
             t = np.atleast_1d(t)
             small = np.abs(t) <= 1.0
             big = t[~small]
-            log_P = np.empty(small.shape)
-            log_P[small] = np.log(np.abs(P.polyval(t[small], self.poly)) + 1e-300)
-            log_P[~small] = (len(self.poly) - 1) * np.log(np.abs(big)) + np.log(
-                np.abs(P.polyval(1.0 / big, self.poly[::-1])) + 1e-300
-            )
-            return -0.5 * np.log(f) + -0.5 * self.n * np.log(q) + log_P.reshape(pts.x.shape) - dF
+            degree = len(self.poly) - 1
+            p_small, p_big = P.polyval(t[small], self.poly), P.polyval(1.0 / big, self.poly[::-1])
+            sign, log_P = np.empty(small.shape), np.empty(small.shape)
+            sign[small], sign[~small] = np.sign(p_small), np.sign(p_big) * np.sign(big) ** degree
+            log_P[small] = np.log(np.abs(p_small) + 1e-300)
+            log_P[~small] = degree * np.log(np.abs(big)) + np.log(np.abs(p_big) + 1e-300)
+            log = -0.5 * np.log(f) + -0.5 * self.n * np.log(q) + log_P.reshape(pts.x.shape) - dF
+            return sign.reshape(pts.x.shape), log
 
 
 class LevelTable:

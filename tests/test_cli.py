@@ -7,7 +7,7 @@ from pdem_si.cli import SpectrumReport, build_spectrum_report, main
 from pdem_si.catalog import ENTRIES, lookup
 from pdem_si.core import Grid, Interval, RangeError
 from pdem_si.oracle import quadrature
-from pdem_si.verification import deformed_spectrum, oracle_vs_chain, verify_entry
+from pdem_si.verification import AUTO_LEVELS, deformed_spectrum, oracle_vs_chain, verify_entry
 
 
 def run(capsys, *argv):
@@ -118,6 +118,24 @@ def test_verify_hyperbolic_pt(capsys):
     assert "counting = zero" in out
     assert "n=0:inadm[herm]" in out  # hermiticity is the failing condition
     assert "all checks passed" in out
+
+
+def test_verify_counting_line_lists_auto_levels(capsys):
+    # an infinite count: the counting check reads the levels spectrum --n-levels auto lists
+    code, out, _ = run(capsys, "verify", "--potential", "box")
+    assert code == 0
+    line = next(row for row in out.splitlines() if "counting vs numeric admissibility" in row)
+    want = ", ".join(f"n={n}:adm" for n in range(AUTO_LEVELS))
+    assert AUTO_LEVELS == 16 and line.endswith(f"counting = infinite; verdicts {want}")
+
+
+def test_unresolved_gram_exits_2(capsys, monkeypatch):
+    # Coulomb e2=1e6 meets the Gram's error bound at step 1/128 only; capped at
+    # 1/32, spectrum exits 2 with a message that names the Gram
+    monkeypatch.setattr("pdem_si.verification._DE_STEPS", (32,))
+    code, out, err = run(capsys, "spectrum", "--potential", "coulomb", "--params", "e2=1e6,l=0,alpha=0.1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the Gram matrix of 4 states misses its error bound 1e-09 at step 1/32 (error bar ")
 
 
 def test_verify_without_levels_below_the_edge(capsys):

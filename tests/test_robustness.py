@@ -1,6 +1,7 @@
 """Off-default parameter regimes that once fooled the numeric probes, and
 inputs that once failed to finish or to exit cleanly."""
 import itertools
+import json
 import os
 import pathlib
 import subprocess
@@ -278,10 +279,16 @@ def test_flag_limits_exit_2(argv, flag, tmp_path):
 
 @pytest.mark.parametrize("cmd", ["spectrum", "wavefunction"])
 def test_unnormalizable_state_exits_2(cmd, tmp_path):
-    # log|psi_0| spans 4.4e5 on the oracle grid: no double holds the state
+    # log|psi_0| spans 4.4e5 on the oracle grid: no double holds the sampled
+    # state, so wavefunction exits 2. spectrum's Gram reads each state in log
+    # form over the whole domain, and its answer is checked
     out = tmp_path / "wf.csv"
     argv = (cmd, "--potential", "coulomb", "--params", "e2=1e6,l=0,alpha=0.1")
     res = _cli(*argv, *(("--out", str(out)) if cmd == "wavefunction" else ()))
+    if cmd == "spectrum":
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["checks"]["orthonormality_max_offdiag"] < 1e-6
+        return
     assert res.returncode == 2, res.stderr
     assert res.stderr == "error: peak |psi| = inf cannot be normalized\n"
     assert not out.exists()

@@ -16,7 +16,6 @@ from pdem_si.wavefunctions import (
     admissibility_checks,
     excited_state_eval,
     normalize,
-    normalized_states,
     polynomial_chain,
 )
 
@@ -210,8 +209,6 @@ def test_normalize():
         psi = np.asarray(excited_state_eval(entry, {"alpha": 0.5}, n, grid.nodes()[1:-1]))
         psi = np.concatenate([[0.0], psi, [0.0]])
         _, normed = normalize(psi, grid)
-        from pdem_si.oracle import quadrature
-
         assert abs(quadrature(normed**2, grid) - 1.0) < 1e-8
 
     with pytest.raises(ZeroNorm):
@@ -364,8 +361,6 @@ def test_eigen_residual_first_levels(name, params):
         assert verif.eigen_residual(verif.Request(entry, p), n) < 1e-5, (name, n)
 
 
-# coulomb is reported, not asserted: its marginal power-law tails put the
-# 1e-6 quadrature accuracy out of reach of any floating-point truncation
 @pytest.mark.parametrize(
     "name",
     [
@@ -373,6 +368,7 @@ def test_eigen_residual_first_levels(name, params):
         "trig_poschl_teller",
         "shifted_oscillator",
         "oscillator_3d",
+        "coulomb",
         "morse",
         "eckart",
         "scarf_i",
@@ -805,15 +801,55 @@ def test_batched_log_abs_matches_per_level(name, params):
     assert big_t == (table.problem.sp.phi not in ("sin", "tanh")), table.problem.sp
 
 
+def _gram_points(name):
+    # (params, levels, step count) of each Gram the two tests below read: the
+    # defaults and the _PROBE_REGIMES points, with the counted levels (up to 4)
+    # and the step at which the Gram's error bar first meets its bound. The
+    # Coulomb point e2=1e6 needs 1/128; everywhere else 1/32 suffices
+    entry = catalog.ENTRIES[name]
+    for params in [dict(entry.default_params), *_PROBE_REGIMES.get(name, [])]:
+        levels = entry.counting(params).levels(4)
+        if levels:
+            yield params, levels, 128 if params.get("e2") == 1e6 else 32
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_gram_is_the_identity_to_rounding(name):
+    # the Gram of the counted levels is within 1e-12 of the identity at the
+    # defaults and the regimes of test_robustness.py. Coulomb e2=1e6, l=0,
+    # alpha=0.1 reads 4.4e-10 at step 1/128 and 2.3e-10 at 1/256, so its error
+    # is not the rule's: it gets 1e-9
+    for params, levels, steps in _gram_points(name):
+        G = verif.gram_matrix(LevelTable(catalog.ENTRIES[name], params), levels)
+        bound = 1e-12 if steps == 32 else 1e-9
+        assert np.max(np.abs(G - np.eye(levels))) <= bound, (params, G)
+
+
 @pytest.mark.bitpin
 @pytest.mark.parametrize("name", ALL)
-def test_gram_matrix_matches_per_level_states(name):
-    # the Gram matrix from one level table and one set of grid points has the
-    # bits of the one built from each level's normalized_state alone
+def test_gram_matrix_matches_per_level_states(name, monkeypatch):
+    # the Gram from one level table and one set of points has the bytes of the
+    # one built from rows each read by sign_log_at on a fresh table, at the
+    # step where the error bar meets its bound (hyperbolic Poschl-Teller has no
+    # counted level: its level 0 alone)
     entry = catalog.ENTRIES[name]
-    params = dict(entry.default_params)
-    grid = verif.oracle_grid(entry, params)
-    levels = entry.counting(params).levels(4) or 1
-    states = [normalized_states(LevelTable(entry, params), [n], grid)[0] for n in range(levels)]
-    want = np.array([[quadrature(a * b, grid) for b in states] for a in states])
-    assert verif.gram_matrix(LevelTable(entry, params), levels).tobytes() == want.tobytes()
+    dom = entry.domain
+    for params, levels, steps in list(_gram_points(name)) or [(dict(entry.default_params), 1, 32)]:
+        x, w = verif._de_rule(dom, steps)
+        rows = []
+        for n in range(levels):
+            table = LevelTable(entry, params)
+            sp, df = table.problem.sp, table.problem.df
+            with np.errstate(over="ignore", invalid="ignore"):
+                f, y = df._f_unchecked(x), sp.phi_val(x)
+            ends = sp.phi_val(np.array([dom.x1, dom.x2]))
+            node = (x > dom.x1) & (x < dom.x2) & (y != ends[0]) & (y != ends[1]) & np.isfinite(f) & np.isfinite(y)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                sign, log = table[n].sign_log_at(_Points(table.problem, x[node]))
+            rows.append(sign * np.exp(log - np.max(log)))
+        rows = np.array(rows)
+        want = (rows * w[node]) @ rows.T
+        d = 1.0 / np.sqrt(np.diag(want))
+        want = want * d[:, None] * d[None, :]
+        monkeypatch.setattr(verif, "_DE_STEPS", (steps,))
+        assert verif.gram_matrix(LevelTable(entry, params), levels).tobytes() == want.tobytes(), params
