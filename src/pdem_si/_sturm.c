@@ -1,6 +1,6 @@
-/* The Sturm sweeps of oracle.py (_count, _count_slope, _pivots) and their
-   input arrays. Each loop does the Python loop's arithmetic in the same order,
-   so the two agree bit for bit; oracle.py compiles this file with
+/* The Sturm sweeps of oracle.py (_count, _count_slope, _slopes, _pivots)
+   and their input arrays. Each loop does the Python loop's arithmetic in the
+   same order, so the two agree bit for bit; oracle.py compiles this file with
    -ffp-contract=off (no fused multiply-adds) and -fno-builtin (pow stays the
    libm call that Python's e**2 makes). */
 #include <math.h>
@@ -36,6 +36,28 @@ double sturm_count_slope(const double *d, const double *e2, long n, double t, lo
     }
     *cnt = c;
     return slope;
+}
+
+/* sturm_count_slope at the m <= 8 shifts t in one pass: the lanes' division
+   chains are independent, so one lane's divisions run while another's wait,
+   and each lane does the single sweep's operations in the same order */
+void sturm_slopes(const double *d, const double *e2, long n, const double *t, long m, long *cnt, double *slope)
+{
+    double q[8], p[8];
+    for (long i = 0; i < m; i++) {
+        q[i] = pivot(d[0] - t[i]);
+        p[i] = -1.0 / q[i];
+        slope[i] = p[i];
+        cnt[i] = q[i] < 0.0;
+    }
+    for (long j = 1; j < n; j++)
+        for (long i = 0; i < m; i++) {
+            double r = e2[j - 1] / q[i];
+            q[i] = pivot((d[j] - t[i]) - r);
+            cnt[i] += q[i] < 0.0;
+            p[i] = (r * p[i] - 1.0) / q[i];
+            slope[i] += p[i];
+        }
 }
 
 void sturm_pivots(const double *d, const double *e2, long n, double t, double *out)

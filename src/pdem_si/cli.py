@@ -384,7 +384,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[ns.cmd](ns)
+        code = _COMMANDS[ns.cmd](ns)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe: stdout goes to devnull, so that the flush at exit prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (RangeError, NotFound, ZeroNorm) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

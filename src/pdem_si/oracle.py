@@ -8,7 +8,8 @@ boundary nodes carry Dirichlet conditions outside the matrix.
 ``discretize_vonroos`` builds one ordering with it; the verify battery's
 ordering pair builds two from one evaluation of f per grid.
 
-The sweeps ``_count``, ``_count_slope`` and ``_pivots`` and their input arrays
+The sweeps ``_count``, ``_count_slope``, ``_slopes`` (``_count_slope`` at up
+to 8 shifts in one pass) and ``_pivots`` and their input arrays
 (``_sweep_arrays``) run in C, ``_sturm.c``, loaded with ctypes. The library is
 compiled on the first sweep, not at import, and cached in the package's
 __pycache__ under a key that hashes the source and the flags (written to a
@@ -176,6 +177,7 @@ def _open_kernel(cache: Path, name: str):
     dp, vp, n, t = ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     lib.sturm_count.argtypes, lib.sturm_count.restype = (vp, vp, n, t), n
     lib.sturm_count_slope.argtypes, lib.sturm_count_slope.restype = (vp, vp, n, t, ctypes.POINTER(n)), t
+    lib.sturm_slopes.argtypes, lib.sturm_slopes.restype = (vp, vp, n, dp, n, ctypes.POINTER(n), dp), None
     lib.sturm_pivots.argtypes, lib.sturm_pivots.restype = (vp, vp, n, t, vp), None
     lib.sweep_arrays.argtypes, lib.sweep_arrays.restype = (vp, vp, n, dp, dp), n
     return lib
@@ -253,6 +255,21 @@ def _count_slope(d, e2, t: float) -> tuple:
     return cnt, slope
 
 
+def _slopes(d, e2, shifts: list) -> list:
+    """(count, slope) of ``_count_slope`` at each shift, the compiled kernel
+    taking up to 8 shifts in one pass over the arrays."""
+    if not isinstance(d, ctypes.Array):
+        return [_count_slope(d, e2, t) for t in shifts]
+    out = []
+    for i in range(0, len(shifts), 8):
+        t = shifts[i : i + 8]
+        m = len(t)
+        cnt, slope = (ctypes.c_long * m)(), (ctypes.c_double * m)()
+        _LIB.sturm_slopes(ctypes.addressof(d), ctypes.addressof(e2), len(d), (ctypes.c_double * m)(*t), m, cnt, slope)
+        out += zip(cnt, slope)
+    return out
+
+
 def _simpson_weights(n: int, h: float) -> np.ndarray:
     w = np.ones(n)
     w[1:-1:2] = 4.0
@@ -324,17 +341,26 @@ def _lowest_eigenvalues(d: list, e2: list, gershgorin: tuple, k: int, guess) -> 
     bracket at that relative width, and a wrong one costs only its two counts.
     Unless the guesses have already bounded the top level, the upper bound
     gallops up from the Gershgorin lower bound instead of starting at the
-    Gershgorin upper bound. A level bisects at the midpoint until it is isolated
+    Gershgorin upper bound.
+
+    Phase A: each level in turn bisects at the midpoint until it is isolated
     (count(lo) = m - 1, count(hi) = m) and its bracket is within _NEWTON_WIDTH
-    relative; then it takes Newton steps on log|det(T - t)| (Li & Zeng, SIAM J.
-    Sci. Comput. 15, 1994). Each step is pushed past the predicted root by a
-    quarter of the stop width, doubled for every step that lands on the same
-    side as the one before, so the bracket closes from both sides even where
-    rounding in d_i - t freezes the slope. A step that leaves the bracket or
-    has a non-finite slope becomes a bisection step: a plain count once the
-    bracket is within _COUNT_WIDTH relative, where the slope has nothing left
-    to say, else a slope sweep at the midpoint. A level that has spent
-    _NEWTON_SWEEPS slope sweeps finishes by bisection."""
+    relative. Phase B: the open levels take Newton steps on log|det(T - t)|
+    (Li & Zeng, SIAM J. Sci. Comput. 15, 1994) in lockstep, each round sweeping
+    the next shift of every open level in one pass (``_slopes``). An isolated
+    level's bracket overlaps no other, so its shifts tighten only its own
+    bracket and every level gets the shifts, and the bits, it would get if it
+    finished before the next level started.
+
+    Each Newton step is pushed past the predicted root by a quarter of the
+    stop width, doubled for every step that lands on the same side as the one
+    before, so the bracket closes from both sides even where rounding in
+    d_i - t freezes the slope. A step that leaves the bracket or has a
+    non-finite slope becomes a bisection step: a plain count once the bracket
+    is within _COUNT_WIDTH relative, where the slope has nothing left to say
+    (in a fused pass its slope is read and dropped), else a slope sweep at the
+    midpoint. A level that has spent _NEWTON_SWEEPS slope sweeps finishes by
+    bisection."""
     glo, ghi = gershgorin
     lo, hi = [glo] * k, [ghi] * k
     clo, chi = [0] * k, [len(d)] * k
@@ -361,32 +387,46 @@ def _lowest_eigenvalues(d: list, e2: list, gershgorin: tuple, k: int, guess) -> 
         tighten(glo + step, _count(d, e2, glo + step))
         step *= 2.0
 
-    for j in range(k):
-        t = slope = None
-        sweeps, reach, above = 0, 0.25, None
+    for j in range(k):  # phase A
         while True:
             a, b = lo[j], hi[j]
             scale = max(1.0, abs(a), abs(b))
-            if b - a <= 1e-12 * scale:
+            if b - a <= 1e-12 * scale or clo[j] == j and chi[j] == j + 1 and b - a <= _NEWTON_WIDTH * scale:
                 break
             x = 0.5 * (a + b)
-            if clo[j] != j or chi[j] != j + 1 or b - a > _NEWTON_WIDTH * scale or sweeps == _NEWTON_SWEEPS:
-                tighten(x, _count(d, e2, x))
+            tighten(x, _count(d, e2, x))
+
+    # phase B: [t, slope, slope sweeps, reach, above] of each level still open, isolated by now
+    newton = {j: [None, None, 0, 0.25, None] for j in range(k)}
+    while newton:
+        shifts = []  # (level, shift, whether the slope is read)
+        for j, (t, slope, sweeps, reach, _) in list(newton.items()):
+            a, b = lo[j], hi[j]
+            scale = max(1.0, abs(a), abs(b))
+            if b - a <= 1e-12 * scale:
+                del newton[j]
                 continue
-            if slope is not None and math.isfinite(slope) and slope != 0.0:
+            x, sloped = 0.5 * (a + b), sweeps < _NEWTON_SWEEPS
+            if sloped and slope is not None and math.isfinite(slope) and slope != 0.0:
                 x = t - 1.0 / slope
                 x += math.copysign(reach * 1e-12 * max(1.0, abs(x)), x - t)
                 if not a < x < b:
-                    x = 0.5 * (a + b)
-                    if b - a <= _COUNT_WIDTH * scale:
-                        tighten(x, _count(d, e2, x))
-                        continue
-            t = x
-            c, slope = _count_slope(d, e2, t)
-            reach = 2.0 * reach if (c > j) == above else 0.25
-            above = c > j
-            tighten(t, c)
-            sweeps += 1
+                    x, sloped = 0.5 * (a + b), b - a > _COUNT_WIDTH * scale
+            shifts.append((j, x, sloped))
+        if len(shifts) == 1:
+            j, x, sloped = shifts[0]
+            swept = [_count_slope(d, e2, x) if sloped else (_count(d, e2, x), None)]
+        else:
+            swept = _slopes(d, e2, [x for _, x, _ in shifts])
+        for (j, x, sloped), (c, slope) in zip(shifts, swept):
+            # x lies inside level j's bracket, which no other open bracket overlaps
+            if c > j:
+                hi[j], chi[j] = x, c
+            else:
+                lo[j], clo[j] = x, c
+            if sloped:
+                _, _, sweeps, reach, above = newton[j]
+                newton[j] = [x, slope, sweeps + 1, 2.0 * reach if (c > j) == above else 0.25, c > j]
     return [0.5 * (a + b) for a, b in zip(lo, hi)]
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdem_si
 from pdem_si.cli import SpectrumReport, build_spectrum_report, main
 from pdem_si.catalog import ENTRIES, lookup
 from pdem_si.core import Grid, Interval, RangeError
@@ -14,6 +19,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_reader_that_closes_the_pipe_early_gets_a_quiet_exit():
+    # as under `pdem-si verify --potential all | head -1`: exit 1, no traceback
+    src = str(Path(pdem_si.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PDEM_GRID_N", None)
+    argv = [sys.executable, "-m", "pdem_si.cli", "verify", "--potential", "all"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env) as proc:
+        assert proc.stdout.readline().startswith("verifying ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 1 and err == "", err
 
 
 def test_catalog_listing(capsys):

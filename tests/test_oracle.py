@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import math
 import os
 import shutil
@@ -654,13 +655,12 @@ def test_eigenvalues_sit_in_certified_brackets(name):
 
 def test_sweeps_per_level_bounded(monkeypatch):
     # counts plus slope sweeps; bisecting each level separately from the
-    # Gershgorin bounds takes about 62 per level on this operator
-    sweeps = []
-    for name in ("_count", "_count_slope"):
-        sweep = getattr(oracle, name)
-        monkeypatch.setattr(oracle, name, lambda d, e2, t, sweep=sweep: sweeps.append(t) or sweep(d, e2, t))
+    # Gershgorin bounds takes about 62 per level on this operator; every
+    # shift of a fused pass counts
+    shifts = _record_sweeps(monkeypatch)
     spec = eigenpairs(_box_operator(0.5, 4001), 4)
-    assert len(sweeps) <= 24 * 4, len(sweeps)
+    n_shifts = len(shifts["_count"]) + len(shifts["_count_slope"])
+    assert n_shifts <= 24 * 4, n_shifts
     assert np.allclose(spec.eigenvalues, [1.5 * (n + 1) ** 2 for n in range(4)], rtol=1e-4)
 
 
@@ -694,7 +694,9 @@ def _bits(x):
 def test_kernel_sweeps_match_python_sweeps(name):
     # the compiled sweeps against the Python loops, which run on lists: counts,
     # slopes and pivots bit for bit at seeded shifts, 1 and 1,000 ulps either
-    # side of the lowest levels, and at d[0], whose zero pivot becomes -pivmin
+    # side of the lowest levels, and at d[0], whose zero pivot becomes -pivmin;
+    # the fused sweep in every lane of passes of 1 to 8 shifts, and over all
+    # the shifts at once, which it takes 8 at a time
     if not oracle._kernel():
         pytest.skip("the sweep kernel cannot be built here")
     entry = catalog.ENTRIES[name]
@@ -711,11 +713,47 @@ def test_kernel_sweeps_match_python_sweeps(name):
         w = lams[3] - lams[0] + 1.0
         shifts = rng.uniform(*op.gershgorin(), 8).tolist() + rng.uniform(lams[0] - w, lams[3] + w, 8).tolist()
         shifts += [lam + k * math.ulp(lam) for lam in lams for k in (-1000, -1, 1, 1000)] + [ref_d[0]]
+        refs = []
         for t in shifts:
             assert oracle._count(d, e2, t) == oracle._count(ref_d, ref_e2, t), (n_points, t)
             (c, slope), (ref_c, ref_slope) = oracle._count_slope(d, e2, t), oracle._count_slope(ref_d, ref_e2, t)
             assert c == ref_c and _bits(slope) == _bits(ref_slope), (n_points, t)
             assert _bits(oracle._pivots(d, e2, t)) == _bits(oracle._pivots(ref_d, ref_e2, t)), (n_points, t)
+            refs.append((ref_c, _bits(ref_slope)))
+        for m in (*range(1, 9), len(shifts)):
+            fused = [out for i in range(0, len(shifts), m) for out in oracle._slopes(d, e2, shifts[i : i + m])]
+            assert [(c, _bits(slope)) for c, slope in fused] == refs, (n_points, m)
+
+
+# sha256 of the eigenvalue bytes of eigenpairs(op, k) at the defaults, for
+# N = 1001, 4001 and k = 1, 4 in that order, as the solver gave them when
+# each level finished its Newton steps before the next level started (x86-64)
+_EIGENVALUE_DIGESTS = {
+    "box": "568d09f738a36486e13a81048ad19a94765563fdce6ce8afdde504fe077df7f3",
+    "coulomb": "43f1c331c01ac56d7ee836e1252a7daf93af44b6110dbd20554d53bb01094b15",
+    "eckart": "c9b0dde0d4b0326a479bcba5c27bc761a683065064bf81be65d3149ee8e2c9c3",
+    "hyperbolic_poschl_teller": "4f8e256ca77b59fbb5cfd7ad7aaa2115aa149d0883b3cda504d3f7affc84d8a5",
+    "morse": "138a9772c791c8bb7a1248c55fad3ef41e92f5d5bb1cb07a9e82ecbfe0310080",
+    "oscillator_3d": "822f1f67d28bc98f044f1978f9c0df7ee30b2bb6df724144ef637dc6e2935caf",
+    "rosen_morse_i": "e86e41a266478e9aa881c1cab6d4ce361e9d5fa1956ba5741b6e4eca91957cf1",
+    "scarf_i": "162325c9b6106c93c805a5816e8d3ce0723edec6c3ad34a3e3a26e5f83fa11c5",
+    "shifted_oscillator": "00a87533f7987b3fdd2c1d534ae3a15b589ceab2c8a057018edfff71d864ffa0",
+    "trig_poschl_teller": "7760fb783a906dea078f83ecc2116cad010c98175af2d3f7da1edc41fe7fdf66",
+}
+
+
+@pytest.mark.bitpin
+@pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
+def test_eigenvalue_bits_are_pinned(name):
+    entry = catalog.ENTRIES[name]
+    params = dict(entry.default_params)
+    digest = hashlib.sha256()
+    for n_points in (1001, 4001):
+        grid = verif.oracle_grid(entry, params, n_points)
+        op = discretize_vonroos(entry.deforming(params), oracle.DEFORMED, entry.v_eff(params), grid)
+        for k in (1, 4):
+            digest.update(eigenpairs(op, k).eigenvalues.tobytes())
+    assert digest.hexdigest() == _EIGENVALUE_DIGESTS[name]
 
 
 # a fresh interpreter: is the kernel unloaded after the import, is it loaded
@@ -878,10 +916,27 @@ def test_vonroos_spectrum_does_not_depend_on_the_cache(name, monkeypatch):
 
 
 def _record_sweeps(monkeypatch):
-    shifts = {"_count": [], "_count_slope": []}
-    for name, seen in shifts.items():
-        sweep = getattr(oracle, name)
-        monkeypatch.setattr(oracle, name, lambda d, e2, t, sweep=sweep, seen=seen: seen.append((t, len(d))) or sweep(d, e2, t))
+    # (shift, N) of every sweep; a shift of a fused pass (``_slopes``) counts
+    # as a slope sweep, and "passes" holds one N per pass over the matrix
+    shifts = {"_count": [], "_count_slope": [], "passes": []}
+    for name in ("_count", "_count_slope"):
+        sweep, seen = getattr(oracle, name), shifts[name]
+
+        def single(d, e2, t, sweep=sweep, seen=seen):
+            seen.append((t, len(d)))
+            shifts["passes"].append(len(d))
+            return sweep(d, e2, t)
+
+        monkeypatch.setattr(oracle, name, single)
+    fused = oracle._slopes
+
+    def slopes(d, e2, ts):
+        if isinstance(d, ctypes.Array):  # else _slopes runs the recorded _count_slope once per shift
+            shifts["_count_slope"].extend((t, len(d)) for t in ts)
+            shifts["passes"].extend([len(d)] * -(-len(ts) // 8))
+        return fused(d, e2, ts)
+
+    monkeypatch.setattr(oracle, "_slopes", slopes)
     monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
     return shifts
 
@@ -894,23 +949,25 @@ def test_sweep_shifts_are_floats(monkeypatch):
         for _ in verif.verify_entry(entry, dict(entry.default_params)):
             pass
     assert shifts["_count"] and shifts["_count_slope"]
-    assert all(type(t) is float for seen in shifts.values() for t, _ in seen)
+    assert all(type(t) is float for name in ("_count", "_count_slope") for t, _ in shifts[name])
 
 
 def test_solver_work_in_verify_all(monkeypatch):
     # the deterministic sweep counters of ``verify --potential all``; a slope
-    # sweep costs about 1.8 counts at N = 16001
+    # sweep is weighted 1.8 counts, though in C it costs 1.10-1.15 counts at
+    # N = 2001-16001, both bound by the same chain of divisions
     shifts = _record_sweeps(monkeypatch)
     for name in sorted(catalog.ENTRIES):
         entry = catalog.ENTRIES[name]
         for _ in verif.verify_entry(entry, dict(entry.default_params)):
             pass
-    counts, slopes = shifts["_count"], shifts["_count_slope"]
+    counts, slopes, passes = shifts["_count"], shifts["_count_slope"], shifts["passes"]
     slope_steps = sum(n for _, n in slopes)
     steps = sum(n for _, n in counts) + 1.8 * slope_steps
     print(
         f"\nsolver work: {len(counts)} counts, {len(slopes)} slope sweeps of {slope_steps} pivot steps,"
-        f" {steps:.4g} weighted pivot steps"
+        f" {steps:.4g} weighted pivot steps, {len(passes)} passes over the matrix"
     )
     assert steps <= 2.0e6, steps
     assert slope_steps <= 0.75e6, slope_steps
+    assert len(passes) <= 1200, len(passes)  # 1,674 when each level finished alone
