@@ -1,4 +1,4 @@
-/* The Sturm sweeps of oracle.py (_count, _count_slope, _slopes, _pivots)
+/* The Sturm sweeps of oracle.py (_count, _count_slope, _lanes, _twisted)
    and their input arrays. Each loop does the Python loop's arithmetic in the
    same order, so the two agree bit for bit; oracle.py compiles this file with
    -ffp-contract=off (no fused multiply-adds) and -fno-builtin (pow stays the
@@ -38,33 +38,52 @@ double sturm_count_slope(const double *d, const double *e2, long n, double t, lo
     return slope;
 }
 
-/* sturm_count_slope at the m <= 8 shifts t in one pass: the lanes' division
-   chains are independent, so one lane's divisions run while another's wait,
-   and each lane does the single sweep's operations in the same order */
-void sturm_slopes(const double *d, const double *e2, long n, const double *t, long m, long *cnt, double *slope)
+/* sturm_count_slope at the first ms and sturm_count at the other m - ms of
+   the m <= 8 shifts t, in one pass: the lanes' division chains are
+   independent, so one lane's divisions run while another's wait, and each
+   lane does its single sweep's operations in the same order; slope is
+   written for the first ms lanes only */
+void sturm_lanes(const double *d, const double *e2, long n, const double *t, long m, long ms, long *cnt, double *slope)
 {
-    double q[8], p[8];
+    double q[8], p[8], s[8];
+    long c[8];
     for (long i = 0; i < m; i++) {
         q[i] = pivot(d[0] - t[i]);
-        p[i] = -1.0 / q[i];
-        slope[i] = p[i];
-        cnt[i] = q[i] < 0.0;
+        c[i] = q[i] < 0.0;
     }
-    for (long j = 1; j < n; j++)
-        for (long i = 0; i < m; i++) {
+    for (long i = 0; i < ms; i++)
+        s[i] = p[i] = -1.0 / q[i];
+    for (long j = 1; j < n; j++) {
+        for (long i = 0; i < ms; i++) {
             double r = e2[j - 1] / q[i];
             q[i] = pivot((d[j] - t[i]) - r);
-            cnt[i] += q[i] < 0.0;
+            c[i] += q[i] < 0.0;
             p[i] = (r * p[i] - 1.0) / q[i];
-            slope[i] += p[i];
+            s[i] += p[i];
         }
+        for (long i = ms; i < m; i++) {
+            q[i] = pivot((d[j] - t[i]) - e2[j - 1] / q[i]);
+            c[i] += q[i] < 0.0;
+        }
+    }
+    for (long i = 0; i < m; i++)
+        cnt[i] = c[i];
+    for (long i = 0; i < ms; i++)
+        slope[i] = s[i];
 }
 
-void sturm_pivots(const double *d, const double *e2, long n, double t, double *out)
+/* the pivots of sturm_count's sweep at t, from the top into fwd and from the
+   bottom into bwd: bwd[j] = pivot((d[j] - t) - e2[j] / bwd[j + 1]), the
+   sweep of the reversed arrays read from the end, so the two independent
+   recurrences share one loop */
+void sturm_twisted(const double *d, const double *e2, long n, double t, double *fwd, double *bwd)
 {
-    out[0] = pivot(d[0] - t);
-    for (long j = 1; j < n; j++)
-        out[j] = pivot((d[j] - t) - e2[j - 1] / out[j - 1]);
+    fwd[0] = pivot(d[0] - t);
+    bwd[n - 1] = pivot(d[n - 1] - t);
+    for (long j = 1, k = n - 2; j < n; j++, k--) {
+        fwd[j] = pivot((d[j] - t) - e2[j - 1] / fwd[j - 1]);
+        bwd[k] = pivot((d[k] - t) - e2[k] / bwd[k + 1]);
+    }
 }
 
 /* d = diag and e2 = off**2 for n diagonal entries, squared as Python's float

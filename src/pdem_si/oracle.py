@@ -8,8 +8,9 @@ boundary nodes carry Dirichlet conditions outside the matrix.
 ``discretize_vonroos`` builds one ordering with it; the verify battery's
 ordering pair builds two from one evaluation of f per grid.
 
-The sweeps ``_count``, ``_count_slope``, ``_slopes`` (``_count_slope`` at up
-to 8 shifts in one pass) and ``_pivots`` and their input arrays
+The sweeps ``_count``, ``_count_slope``, ``_lanes`` (up to 8 shifts in one
+pass, each a ``_count_slope`` or a ``_count``) and ``_twisted`` (the forward
+and the backward ``_pivots`` in one pass) and their input arrays
 (``_sweep_arrays``) run in C, ``_sturm.c``, loaded with ctypes. The library is
 compiled on the first sweep, not at import, and cached in the package's
 __pycache__ under a key that hashes the source and the flags (written to a
@@ -177,8 +178,8 @@ def _open_kernel(cache: Path, name: str):
     dp, vp, n, t = ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     lib.sturm_count.argtypes, lib.sturm_count.restype = (vp, vp, n, t), n
     lib.sturm_count_slope.argtypes, lib.sturm_count_slope.restype = (vp, vp, n, t, ctypes.POINTER(n)), t
-    lib.sturm_slopes.argtypes, lib.sturm_slopes.restype = (vp, vp, n, dp, n, ctypes.POINTER(n), dp), None
-    lib.sturm_pivots.argtypes, lib.sturm_pivots.restype = (vp, vp, n, t, vp), None
+    lib.sturm_lanes.argtypes, lib.sturm_lanes.restype = (vp, vp, n, vp, n, n, vp, vp), None
+    lib.sturm_twisted.argtypes, lib.sturm_twisted.restype = (vp, vp, n, t, vp, vp), None
     lib.sweep_arrays.argtypes, lib.sweep_arrays.restype = (vp, vp, n, dp, dp), n
     return lib
 
@@ -195,15 +196,6 @@ def _sweep_arrays(op: TridiagonalOperator) -> tuple:
     if lib.sweep_arrays(diag.ctypes.data, off.ctypes.data, len(diag), d, e2):
         raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))  # as Python's e**2 does
     return d, e2
-
-
-def _flipped(sweep: tuple) -> tuple:
-    """The sweep arrays of the operator with its order reversed, from ``sweep``,
-    those of the operator: e2 is squared entry by entry, so its reversal has
-    the bits of the reversed off-diagonal squared."""
-    if not isinstance(sweep[0], ctypes.Array):
-        return tuple(a[::-1] for a in sweep)
-    return tuple(type(a).from_buffer_copy(np.frombuffer(a)[::-1].copy()) for a in sweep)
 
 
 def sturm_count(op: TridiagonalOperator, t: float) -> int:
@@ -255,19 +247,29 @@ def _count_slope(d, e2, t: float) -> tuple:
     return cnt, slope
 
 
-def _slopes(d, e2, shifts: list) -> list:
-    """(count, slope) of ``_count_slope`` at each shift, the compiled kernel
-    taking up to 8 shifts in one pass over the arrays."""
-    if not isinstance(d, ctypes.Array):
-        return [_count_slope(d, e2, t) for t in shifts]
-    out = []
+def _lanes(d, e2, shifts: list, ms: int) -> tuple:
+    """The counts of ``_count`` at ``shifts`` and the slopes of ``_count_slope``
+    at the first ``ms`` of them. The compiled kernel sweeps two or more
+    shifts in passes of up to 8 lanes, the slope lanes and the count lanes of
+    a pass together; a single shift, or list arrays, run one sweep per shift."""
+    counts, slopes, addr = [], [], ctypes.addressof
+    if len(shifts) == 1 or not isinstance(d, ctypes.Array):
+        for i, t in enumerate(shifts):
+            if i < ms:
+                c, slope = _count_slope(d, e2, t)
+                slopes.append(slope)
+            else:
+                c = _count(d, e2, t)
+            counts.append(c)
+        return counts, slopes
     for i in range(0, len(shifts), 8):
-        t = shifts[i : i + 8]
-        m = len(t)
-        cnt, slope = (ctypes.c_long * m)(), (ctypes.c_double * m)()
-        _LIB.sturm_slopes(ctypes.addressof(d), ctypes.addressof(e2), len(d), (ctypes.c_double * m)(*t), m, cnt, slope)
-        out += zip(cnt, slope)
-    return out
+        m = min(8, len(shifts) - i)
+        s = min(max(ms - i, 0), m)
+        t, cnt, slope = (ctypes.c_double * m)(*shifts[i : i + m]), (ctypes.c_long * m)(), (ctypes.c_double * s)()
+        _LIB.sturm_lanes(addr(d), addr(e2), len(d), addr(t), m, s, addr(cnt), addr(slope))
+        counts += cnt[:]
+        slopes += slope[:]
+    return counts, slopes
 
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:
@@ -290,12 +292,8 @@ def quadrature(samples: np.ndarray, grid: Grid) -> float:
     return float(np.trapezoid(y, dx=h))
 
 
-def _pivots(d, e2, t: float):
+def _pivots(d: list, e2: list, t: float) -> list:
     # the pivots of _count's LDL^T sweep, zero pivots replaced by -pivmin
-    if isinstance(d, ctypes.Array):
-        out = np.empty(len(d))
-        _LIB.sturm_pivots(ctypes.addressof(d), ctypes.addressof(e2), len(d), t, out.ctypes.data)
-        return out
     pivmin = _PIVMIN
     q = d[0] - t
     if -pivmin < q < pivmin:
@@ -311,18 +309,27 @@ def _pivots(d, e2, t: float):
     return out
 
 
-def _twisted_vector(op: TridiagonalOperator, sweep: tuple, flipped: tuple, lam: float) -> np.ndarray:
+def _twisted(d, e2, t: float) -> tuple:
+    """The forward pivots of ``_pivots`` at t and the backward ones, ``_pivots``
+    of the reversed arrays put back in the order of d; the compiled kernel
+    runs the two recurrences in one loop."""
+    if not isinstance(d, ctypes.Array):
+        return np.array(_pivots(d, e2, t)), np.array(_pivots(d[::-1], e2[::-1], t)[::-1])
+    fwd, bwd = np.empty(len(d)), np.empty(len(d))
+    _LIB.sturm_twisted(ctypes.addressof(d), ctypes.addressof(e2), len(d), t, fwd.ctypes.data, bwd.ctypes.data)
+    return fwd, bwd
+
+
+def _twisted_vector(op: TridiagonalOperator, d, e2, lam: float) -> np.ndarray:
     """Eigenvector of T at the eigenvalue lam from one twisted factorization
     (Dhillon & Parlett, Linear Algebra Appl. 387, 2004; LAPACK dlar1v).
 
     The forward pivots D+ of T - lam = L D+ L^T and the backward pivots D- of
     T - lam = U D- U^T give gamma_i = D+_i + D-_i - (d_i - lam), the reciprocal
     of the ith diagonal entry of (T - lam)^-1. Twisting at r = argmin |gamma|
-    gives z with z_r = 1 and (T - lam) z = gamma_r e_r. ``sweep`` and
-    ``flipped`` are the sweep arrays (``_sweep_arrays``) of T = ``op`` and of T
-    with its order reversed (``_flipped``), built once per operator."""
-    fwd = np.asarray(_pivots(*sweep, lam))
-    bwd = np.asarray(_pivots(*flipped, lam))[::-1]
+    gives z with z_r = 1 and (T - lam) z = gamma_r e_r. ``d`` and ``e2`` are
+    the sweep arrays (``_sweep_arrays``) of T = ``op``, built once per operator."""
+    fwd, bwd = _twisted(d, e2, lam)
     r = int(np.argmin(np.abs(fwd + bwd - (op.diag - lam))))
     e = op.off
     z = np.ones(op.n)
@@ -337,30 +344,31 @@ def _lowest_eigenvalues(d: list, e2: list, gershgorin: tuple, k: int, guess) -> 
 
     All k brackets are kept at once, and every count tightens each bracket that
     contains its shift (as LAPACK's dlaebz does). Each finite guess g first
-    counts at g -+ _GUESS_WIDTH max(1, |g|); a good guess certifies its level's
-    bracket at that relative width, and a wrong one costs only its two counts.
-    Unless the guesses have already bounded the top level, the upper bound
-    gallops up from the Gershgorin lower bound instead of starting at the
-    Gershgorin upper bound.
+    counts at g -+ _GUESS_WIDTH max(1, |g|), 8 to a pass; a good guess
+    certifies its level's bracket at that relative width, and a wrong one costs
+    only its two counts. Unless the guesses have already bounded the top
+    level, the upper bound gallops up from the Gershgorin lower bound instead
+    of starting at the Gershgorin upper bound, 4 doublings per pass, applied in
+    order up to the first that bounds the top level.
 
-    Phase A: each level in turn bisects at the midpoint until it is isolated
+    Then the open levels step in rounds, and one call (``_lanes``) sweeps the
+    shifts of a round in one pass. A level bisects at its bracket's midpoint,
+    shared with the levels of the same bracket, until it is isolated
     (count(lo) = m - 1, count(hi) = m) and its bracket is within _NEWTON_WIDTH
-    relative. Phase B: the open levels take Newton steps on log|det(T - t)|
-    (Li & Zeng, SIAM J. Sci. Comput. 15, 1994) in lockstep, each round sweeping
-    the next shift of every open level in one pass (``_slopes``). An isolated
-    level's bracket overlaps no other, so its shifts tighten only its own
-    bracket and every level gets the shifts, and the bits, it would get if it
-    finished before the next level started.
+    relative. From then on it takes Newton steps on log|det(T - t)| (Li & Zeng,
+    SIAM J. Sci. Comput. 15, 1994). Two brackets either coincide or do not
+    overlap, so a shift tightens only the brackets of the levels that chose
+    it, and every level gets the shifts, and the bits, it would get if each
+    level bisected in turn and then all finished.
 
     Each Newton step is pushed past the predicted root by a quarter of the
     stop width, doubled for every step that lands on the same side as the one
     before, so the bracket closes from both sides even where rounding in
     d_i - t freezes the slope. A step that leaves the bracket or has a
     non-finite slope becomes a bisection step: a plain count once the bracket
-    is within _COUNT_WIDTH relative, where the slope has nothing left to say
-    (in a fused pass its slope is read and dropped), else a slope sweep at the
-    midpoint. A level that has spent _NEWTON_SWEEPS slope sweeps finishes by
-    bisection."""
+    is within _COUNT_WIDTH relative, where the slope has nothing left to say,
+    else a slope sweep at the midpoint. A level that has spent _NEWTON_SWEEPS
+    slope sweeps finishes by bisection."""
     glo, ghi = gershgorin
     lo, hi = [glo] * k, [ghi] * k
     clo, chi = [0] * k, [len(d)] * k
@@ -373,60 +381,67 @@ def _lowest_eigenvalues(d: list, e2: list, gershgorin: tuple, k: int, guess) -> 
                 else:
                     lo[j], clo[j] = t, c
 
+    shifts = []
     for g in guess:
         g = float(g)
-        if not math.isfinite(g):
-            continue
-        w = _GUESS_WIDTH * max(1.0, abs(g))
-        for t in (g - w, g + w):
-            if any(a < t < b for a, b in zip(lo, hi)):
-                tighten(t, _count(d, e2, t))
+        if math.isfinite(g):
+            w = _GUESS_WIDTH * max(1.0, abs(g))
+            shifts += [t for t in (g - w, g + w) if glo < t < ghi]
+    for t, c in zip(shifts, _lanes(d, e2, shifts, 0)[0]):
+        tighten(t, c)
 
     step = max(1.0, abs(glo))
     while hi[-1] == ghi and glo + step < ghi:
-        tighten(glo + step, _count(d, e2, glo + step))
-        step *= 2.0
-
-    for j in range(k):  # phase A
-        while True:
-            a, b = lo[j], hi[j]
-            scale = max(1.0, abs(a), abs(b))
-            if b - a <= 1e-12 * scale or clo[j] == j and chi[j] == j + 1 and b - a <= _NEWTON_WIDTH * scale:
+        shifts = []
+        while len(shifts) < 4 and glo + step < ghi:
+            shifts.append(glo + step)
+            step *= 2.0
+        for t, c in zip(shifts, _lanes(d, e2, shifts, 0)[0]):
+            if hi[-1] != ghi:
                 break
-            x = 0.5 * (a + b)
-            tighten(x, _count(d, e2, x))
+            tighten(t, c)
 
-    # phase B: [t, slope, slope sweeps, reach, above] of each level still open, isolated by now
-    newton = {j: [None, None, 0, 0.25, None] for j in range(k)}
-    while newton:
-        shifts = []  # (level, shift, whether the slope is read)
-        for j, (t, slope, sweeps, reach, _) in list(newton.items()):
+    newton = [None] * k  # [t, slope, slope sweeps, reach, above] of each level taking Newton steps
+    levels = range(k)
+    while True:
+        sloped, counted, still = {}, {}, []  # shift -> level, and the levels still open
+        for j in levels:
             a, b = lo[j], hi[j]
             scale = max(1.0, abs(a), abs(b))
             if b - a <= 1e-12 * scale:
-                del newton[j]
                 continue
-            x, sloped = 0.5 * (a + b), sweeps < _NEWTON_SWEEPS
-            if sloped and slope is not None and math.isfinite(slope) and slope != 0.0:
-                x = t - 1.0 / slope
-                x += math.copysign(reach * 1e-12 * max(1.0, abs(x)), x - t)
-                if not a < x < b:
-                    x, sloped = 0.5 * (a + b), b - a > _COUNT_WIDTH * scale
-            shifts.append((j, x, sloped))
-        if len(shifts) == 1:
-            j, x, sloped = shifts[0]
-            swept = [_count_slope(d, e2, x) if sloped else (_count(d, e2, x), None)]
-        else:
-            swept = _slopes(d, e2, [x for _, x, _ in shifts])
-        for (j, x, sloped), (c, slope) in zip(shifts, swept):
-            # x lies inside level j's bracket, which no other open bracket overlaps
-            if c > j:
-                hi[j], chi[j] = x, c
+            still.append(j)
+            x = 0.5 * (a + b)
+            state = newton[j]
+            if state is None:
+                if clo[j] != j or chi[j] != j + 1 or b - a > _NEWTON_WIDTH * scale:
+                    counted[x] = j
+                    continue
+                state = newton[j] = [None, None, 0, 0.25, None]
+            t, slope, sweeps, reach, _ = state
+            if sweeps >= _NEWTON_SWEEPS:
+                counted[x] = j
+            elif slope is None or not math.isfinite(slope) or slope == 0.0:
+                sloped[x] = j
             else:
-                lo[j], clo[j] = x, c
-            if sloped:
-                _, _, sweeps, reach, above = newton[j]
-                newton[j] = [x, slope, sweeps + 1, 2.0 * reach if (c > j) == above else 0.25, c > j]
+                y = t - 1.0 / slope
+                y += math.copysign(reach * 1e-12 * max(1.0, abs(y)), y - t)
+                if a < y < b:
+                    sloped[y] = j
+                elif b - a > _COUNT_WIDTH * scale:
+                    sloped[x] = j
+                else:
+                    counted[x] = j
+        if not still:
+            break
+        levels = still
+        shifts = [*sloped, *counted]
+        counts, slopes = _lanes(d, e2, shifts, len(sloped))
+        for t, c in zip(shifts, counts):
+            tighten(t, c)
+        for (t, j), c, slope in zip(sloped.items(), counts, slopes):
+            sweeps, reach, above = newton[j][2:]
+            newton[j] = [t, slope, sweeps + 1, 2.0 * reach if (c > j) == above else 0.25, c > j]
     return [0.5 * (a + b) for a, b in zip(lo, hi)]
 
 
@@ -460,10 +475,9 @@ def eigenvectors(op: TridiagonalOperator, eigvals) -> np.ndarray:
     w = _simpson_weights(op.grid.n_points, op.grid.spacing)
     abs_op = TridiagonalOperator(np.abs(op.diag), np.abs(op.off), op.grid)
     rows = []
-    sweep = _sweep_arrays(op)
-    flipped = _flipped(sweep)
+    d, e2 = _sweep_arrays(op)
     for lam in np.asarray(eigvals, dtype=float).tolist():
-        v = _twisted_vector(op, sweep, flipped, lam)
+        v = _twisted_vector(op, d, e2, lam)
         v /= np.linalg.norm(v)
         resid = np.linalg.norm(op.apply_interior(v) - lam * v)
         floor = 64.0 * np.finfo(float).eps * np.linalg.norm(abs_op.apply_interior(np.abs(v)))

@@ -326,27 +326,6 @@ def test_battery_checks_match_a_fresh_request(name, monkeypatch):
             assert _same_bits(real(verif.Request(entry, params), *args), value), (params, real.__name__, args)
 
 
-@pytest.mark.bitpin
-@pytest.mark.parametrize("kernel", (True, False), ids=("kernel", "lists"))
-def test_flipped_sweep_arrays_match_the_reversed_operator(kernel, monkeypatch):
-    # reversing the sweep arrays gives those of the reversed operator, bit for bit
-    if not kernel:
-        monkeypatch.setattr(oracle, "_LIB", False)
-    elif not oracle._kernel():
-        pytest.skip("the sweep kernel cannot be built here")
-    for name in sorted(catalog.ENTRIES):
-        entry = catalog.ENTRIES[name]
-        params = dict(entry.default_params)
-        for n_points in (3, 4, 1001, 16001):
-            grid = verif.oracle_grid(entry, params, n_points)
-            op = discretize_vonroos(entry.deforming(params), oracle.DEFORMED, entry.v_eff(params), grid)
-            got = oracle._flipped(oracle._sweep_arrays(op))
-            want = oracle._sweep_arrays(TridiagonalOperator(op.diag[::-1], op.off[::-1], grid))
-            assert [type(a) for a in got] == [type(a) for a in want]
-            assert isinstance(got[0], ctypes.Array) == kernel
-            assert [_bits(a) for a in got] == [_bits(a) for a in want], (name, n_points)
-
-
 def test_equivalence_deviation_builds_two_operators(monkeypatch):
     # two on each grid of the pair
     built = []
@@ -677,11 +656,14 @@ def _reference_pivots(d, e2, t):
 
 @pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
 def test_eigenvectors_match_reference_pivot_sweep(name, monkeypatch):
+    # the vectors as the solver builds them, against those built on the list
+    # sweep arrays, where both pivot sweeps are the reference sweep
     entry = catalog.ENTRIES[name]
     params = dict(entry.default_params)
     op = discretize_vonroos(entry.deforming(params), oracle.DEFORMED, entry.v_eff(params), verif.oracle_grid(entry, params))
     eigvals = eigenpairs(op, 4).eigenvalues
     got = eigenvectors(op, eigvals)
+    monkeypatch.setattr(oracle, "_sweep_arrays", lambda op: (op.diag.tolist(), [e**2 for e in map(float, op.off)]))
     monkeypatch.setattr(oracle, "_pivots", _reference_pivots)
     assert np.array_equal(got, eigenvectors(op, eigvals))
 
@@ -692,11 +674,13 @@ def _bits(x):
 
 @pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
 def test_kernel_sweeps_match_python_sweeps(name):
-    # the compiled sweeps against the Python loops, which run on lists: counts,
-    # slopes and pivots bit for bit at seeded shifts, 1 and 1,000 ulps either
-    # side of the lowest levels, and at d[0], whose zero pivot becomes -pivmin;
-    # the fused sweep in every lane of passes of 1 to 8 shifts, and over all
-    # the shifts at once, which it takes 8 at a time
+    # the compiled sweeps against the Python loops, which run on lists: counts
+    # and slopes bit for bit at seeded shifts, 1 and 1,000 ulps either side of
+    # the lowest levels, and at d[0], whose zero pivot becomes -pivmin; the
+    # fused sweep in every lane of passes of 1 to 8 shifts at every split
+    # between slope and count lanes, and over all the shifts at once, which it
+    # takes 8 at a time; both pivot arrays of the twisted sweep, against the
+    # pivots of the operator and of the operator with its order reversed
     if not oracle._kernel():
         pytest.skip("the sweep kernel cannot be built here")
     entry = catalog.ENTRIES[name]
@@ -713,16 +697,26 @@ def test_kernel_sweeps_match_python_sweeps(name):
         w = lams[3] - lams[0] + 1.0
         shifts = rng.uniform(*op.gershgorin(), 8).tolist() + rng.uniform(lams[0] - w, lams[3] + w, 8).tolist()
         shifts += [lam + k * math.ulp(lam) for lam in lams for k in (-1000, -1, 1, 1000)] + [ref_d[0]]
-        refs = []
+        rev_d, rev_e2 = op.diag[::-1].tolist(), [e**2 for e in map(float, op.off[::-1])]
+        counts, slopes = [], []
         for t in shifts:
-            assert oracle._count(d, e2, t) == oracle._count(ref_d, ref_e2, t), (n_points, t)
+            counts.append(oracle._count(ref_d, ref_e2, t))
+            assert oracle._count(d, e2, t) == counts[-1], (n_points, t)
             (c, slope), (ref_c, ref_slope) = oracle._count_slope(d, e2, t), oracle._count_slope(ref_d, ref_e2, t)
-            assert c == ref_c and _bits(slope) == _bits(ref_slope), (n_points, t)
-            assert _bits(oracle._pivots(d, e2, t)) == _bits(oracle._pivots(ref_d, ref_e2, t)), (n_points, t)
-            refs.append((ref_c, _bits(ref_slope)))
+            assert c == ref_c == counts[-1] and _bits(slope) == _bits(ref_slope), (n_points, t)
+            slopes.append(_bits(ref_slope))
+            fwd, bwd = oracle._pivots(ref_d, ref_e2, t), oracle._pivots(rev_d, rev_e2, t)[::-1]
+            for got in (oracle._twisted(d, e2, t), oracle._twisted(ref_d, ref_e2, t)):
+                assert [_bits(a) for a in got] == [_bits(fwd), _bits(bwd)], (n_points, t)
         for m in (*range(1, 9), len(shifts)):
-            fused = [out for i in range(0, len(shifts), m) for out in oracle._slopes(d, e2, shifts[i : i + m])]
-            assert [(c, _bits(slope)) for c, slope in fused] == refs, (n_points, m)
+            for ms in range(m + 1):
+                got_counts, got_slopes = [], []
+                for i in range(0, len(shifts), m):
+                    c, slope = oracle._lanes(d, e2, shifts[i : i + m], ms)
+                    got_counts += c
+                    got_slopes += map(_bits, slope)
+                assert got_counts == counts, (n_points, m, ms)
+                assert got_slopes == [slopes[i] for i in range(len(shifts)) if i % m < ms], (n_points, m, ms)
 
 
 # sha256 of the eigenvalue bytes of eigenpairs(op, k) at the defaults, for
@@ -916,8 +910,9 @@ def test_vonroos_spectrum_does_not_depend_on_the_cache(name, monkeypatch):
 
 
 def _record_sweeps(monkeypatch):
-    # (shift, N) of every sweep; a shift of a fused pass (``_slopes``) counts
-    # as a slope sweep, and "passes" holds one N per pass over the matrix
+    # (shift, N) of every sweep; a count lane of a fused pass (``_lanes``)
+    # counts as a count and a slope lane as a slope sweep, and "passes" holds
+    # one N per pass over the matrix, of up to 8 lanes
     shifts = {"_count": [], "_count_slope": [], "passes": []}
     for name in ("_count", "_count_slope"):
         sweep, seen = getattr(oracle, name), shifts[name]
@@ -928,15 +923,16 @@ def _record_sweeps(monkeypatch):
             return sweep(d, e2, t)
 
         monkeypatch.setattr(oracle, name, single)
-    fused = oracle._slopes
+    fused = oracle._lanes
 
-    def slopes(d, e2, ts):
-        if isinstance(d, ctypes.Array):  # else _slopes runs the recorded _count_slope once per shift
-            shifts["_count_slope"].extend((t, len(d)) for t in ts)
+    def lanes(d, e2, ts, ms):
+        if isinstance(d, ctypes.Array) and len(ts) > 1:  # else _lanes runs the recorded single sweeps
+            shifts["_count_slope"].extend((t, len(d)) for t in ts[:ms])
+            shifts["_count"].extend((t, len(d)) for t in ts[ms:])
             shifts["passes"].extend([len(d)] * -(-len(ts) // 8))
-        return fused(d, e2, ts)
+        return fused(d, e2, ts, ms)
 
-    monkeypatch.setattr(oracle, "_slopes", slopes)
+    monkeypatch.setattr(oracle, "_lanes", lanes)
     monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
     return shifts
 
@@ -970,4 +966,4 @@ def test_solver_work_in_verify_all(monkeypatch):
     )
     assert steps <= 2.0e6, steps
     assert slope_steps <= 0.75e6, slope_steps
-    assert len(passes) <= 1200, len(passes)  # 1,674 when each level finished alone
+    assert len(passes) <= 800, len(passes)  # 1,674 when each level finished alone, 1,130 when only Newton steps were fused
