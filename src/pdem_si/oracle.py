@@ -11,17 +11,18 @@ ordering pair builds two from one evaluation of f per grid.
 The sweeps ``_count``, ``_count_slope``, ``_lanes`` (up to 8 shifts in one
 pass, each a ``_count_slope`` or a ``_count``) and ``_twisted`` (the forward
 and the backward ``_pivots`` in one pass) and their input arrays
-(``_sweep_arrays``) run in C, ``_sturm.c``, loaded with ctypes. The library is
-compiled on the first sweep, not at import, and cached in the package's
-__pycache__ under a key that hashes the source and the flags (written to a
-temporary name, then renamed; libraries of other keys are then deleted).
-Where it cannot be built, for want of a compiler or of a writable cache, the
-sweep arrays are lists, and the sweeps run the Python loops below, which are
-also the reference the C loops match bit for bit: they do the same operations
-in the same order. ``-ffp-contract=off`` forbids fused multiply-adds, which
-aarch64 compilers emit by default, and ``-fno-builtin`` keeps e2 the libm pow
-that Python's ``e**2`` calls, which gcc would fold into e*e (1 ulp off at
-about one value in a thousand).
+(``_sweep_arrays``, built once per operator and kept on it as
+``TridiagonalOperator.sweep_arrays``) run in C, ``_sturm.c``, loaded with
+ctypes. The library is compiled on the first sweep, not at import, and
+cached in the package's __pycache__ under a key that hashes the source and
+the flags (written to a temporary name, then renamed; libraries of other keys
+are then deleted). Where it cannot be built, for want of a compiler or of a
+writable cache, the sweep arrays are lists, and the sweeps run the Python
+loops below, which are also the reference the C loops match bit for bit: they
+do the same operations in the same order. ``-ffp-contract=off`` forbids fused
+multiply-adds, which aarch64 compilers emit by default, and ``-fno-builtin``
+keeps e2 the libm pow that Python's ``e**2`` calls, which gcc would fold into
+e*e (1 ulp off at about one value in a thousand).
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -78,6 +80,12 @@ class TridiagonalOperator:
     @property
     def n(self) -> int:
         return len(self.diag)
+
+    @cached_property
+    def sweep_arrays(self) -> tuple:
+        """(d, e2) of ``_sweep_arrays``, built on first use and kept: every
+        solve, count and eigenvector of this operator sweeps the same two."""
+        return _sweep_arrays(self)
 
     def apply_interior(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
@@ -200,7 +208,7 @@ def _sweep_arrays(op: TridiagonalOperator) -> tuple:
 
 def sturm_count(op: TridiagonalOperator, t: float) -> int:
     """Number of eigenvalues of ``op`` strictly below t (LDL^T sign count)."""
-    return _count(*_sweep_arrays(op), float(t))
+    return _count(*op.sweep_arrays, float(t))
 
 
 def _count(d, e2, t: float) -> int:
@@ -328,7 +336,7 @@ def _twisted_vector(op: TridiagonalOperator, d, e2, lam: float) -> np.ndarray:
     T - lam = U D- U^T give gamma_i = D+_i + D-_i - (d_i - lam), the reciprocal
     of the ith diagonal entry of (T - lam)^-1. Twisting at r = argmin |gamma|
     gives z with z_r = 1 and (T - lam) z = gamma_r e_r. ``d`` and ``e2`` are
-    the sweep arrays (``_sweep_arrays``) of T = ``op``, built once per operator."""
+    the sweep arrays of T = ``op`` (``TridiagonalOperator.sweep_arrays``)."""
     fwd, bwd = _twisted(d, e2, lam)
     r = int(np.argmin(np.abs(fwd + bwd - (op.diag - lam))))
     e = op.off
@@ -455,7 +463,7 @@ def eigenpairs(op: TridiagonalOperator, k: int, guess=None) -> Spectrum:
     solve without guesses gives level j the same bits for every k > j."""
     if k < 1 or k > op.n:
         raise ParameterError(f"k must be in 1..{op.n}")
-    d, e2 = _sweep_arrays(op)
+    d, e2 = op.sweep_arrays
     eigvals = np.array(_lowest_eigenvalues(d, e2, op.gershgorin(), k, () if guess is None else guess))
     # cached spectra are shared between callers, so no caller may edit them
     eigvals.setflags(write=False)
@@ -473,15 +481,17 @@ def eigenvectors(op: TridiagonalOperator, eigvals) -> np.ndarray:
     term is the rounding floor of T v, which the first falls below on fine
     grids where ||T|| ~ f/h^2 is large."""
     w = _simpson_weights(op.grid.n_points, op.grid.spacing)
-    abs_op = TridiagonalOperator(np.abs(op.diag), np.abs(op.off), op.grid)
     rows = []
-    d, e2 = _sweep_arrays(op)
+    d, e2 = op.sweep_arrays
     for lam in np.asarray(eigvals, dtype=float).tolist():
         v = _twisted_vector(op, d, e2, lam)
         v /= np.linalg.norm(v)
         resid = np.linalg.norm(op.apply_interior(v) - lam * v)
-        floor = 64.0 * np.finfo(float).eps * np.linalg.norm(abs_op.apply_interior(np.abs(v)))
-        if not resid < max(1e-8 * max(1.0, abs(lam)), floor):
+        bound = 1e-8 * max(1.0, abs(lam))
+        if not resid < bound:  # the rounding floor, built only for a vector that misses the first term
+            abs_op = TridiagonalOperator(np.abs(op.diag), np.abs(op.off), op.grid)
+            bound = max(bound, 64.0 * np.finfo(float).eps * np.linalg.norm(abs_op.apply_interior(np.abs(v))))
+        if not resid < bound:
             raise ConvergenceError(f"twisted vector at lambda={lam} misses the residual bound (residual {resid})")
         full = np.concatenate([[0.0], v, [0.0]])
         imax = int(np.argmax(np.abs(full)))

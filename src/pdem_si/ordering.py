@@ -25,8 +25,8 @@ def v_tilde_eval(df: DeformingFunction, amb: AmbiguityParams, x: ArrayLike) -> A
 
 
 def _v_tilde(amb: AmbiguityParams, f: ArrayLike, f_prime: ArrayLike, f_second: ArrayLike) -> ArrayLike:
-    """V~ from f, f' and f'' already evaluated; at DEFORMED it is 0 where they
-    are finite and NaN where not, which the stencil's potential guard rejects."""
+    """V~ from f, f' and f'' already evaluated; at DEFORMED it is +0.0 where they are
+    finite and NaN where not, and ``verification._operators`` takes V_eff itself there."""
     return amb.rho * f * f_second + amb.sigma * f_prime**2
 
 

@@ -51,21 +51,25 @@ def deformed_spectrum(
     entry: CatalogEntry, params: dict, k: int, n_override: Optional[int] = None, want_vectors: bool = False
 ) -> Spectrum:
     grid = oracle_grid(entry, params, n_override)
-    op = _operator(entry, params, DEFORMED, grid) if want_vectors else None
-    spec = _cached_solve(entry, params, DEFORMED, grid, k, op=op)
-    if want_vectors:  # vectors at the cached eigenvalues; only the eigenvalues are cached
+    cached = _cached_solve(entry, params, DEFORMED, grid, k)
+    spec, op = cached
+    if want_vectors:  # vectors at the cached eigenvalues, on the solve's operator while it is kept
+        cached[1] = None  # the vectors are its last reader
+        op = op or _operator(entry, params, DEFORMED, grid)
         spec = Spectrum(spec.eigenvalues, eigenvectors(op, spec.eigenvalues))
     return spec
 
 
 def _operators(entry: CatalogEntry, params: dict, orderings: tuple, grid: Grid) -> list:
     """The operator of each ordering on the initial potential V_eff - V~, f read
-    once at the nodes; at DEFORMED, where V~ vanishes, the deformed operator on V_eff."""
+    once at the nodes; at DEFORMED, where V~ vanishes, the deformed operator on
+    V_eff itself, so f' and f'' are evaluated only for another ordering."""
     df, v_eff = entry.deforming(params), entry.v_eff(params)
 
     def potentials(x, f):
-        v, slopes = np.asarray(v_eff(x)), df._slopes(x)
-        return [v - _v_tilde(ordering, f, *slopes) for ordering in orderings]
+        v = np.asarray(v_eff(x))
+        slopes = df._slopes(x) if any(ordering != DEFORMED for ordering in orderings) else ()
+        return [v if ordering == DEFORMED else v - _v_tilde(ordering, f, *slopes) for ordering in orderings]
 
     return _stencil(df, orderings, potentials, grid)
 
@@ -75,12 +79,19 @@ def _operator(entry: CatalogEntry, params: dict, amb: AmbiguityParams, grid: Gri
 
 
 def _cached_solve(entry: CatalogEntry, params: dict, amb: AmbiguityParams, grid: Grid, k: int, op=None, guess=None):
-    """One eigenvalue solve per (operator, grid, k), shared by every request; ``op`` is it if already built.
+    """One eigenvalue solve per (operator, grid, k), shared by every request, as the cache
+    entry [spectrum, operator]; ``op`` is the operator if already built. Only the latest
+    solve keeps its operator, until an eigenvector request takes it, so the cache holds
+    at most one and ``clear()`` drops it.
     ``guess`` goes to ``eigenpairs`` and must follow from the key alone."""
     key = (entry.name, _params_key(params), amb, grid, k)
     if key not in _SPECTRUM_CACHE:
+        op = op or _operator(entry, params, amb, grid)
         # guess goes positionally: benchmarks/tracer.py notes eigenpairs calls as (op, k, flag)
-        _SPECTRUM_CACHE[key] = eigenpairs(op or _operator(entry, params, amb, grid), k, guess)
+        spec = eigenpairs(op, k, guess)
+        if _SPECTRUM_CACHE:
+            next(reversed(_SPECTRUM_CACHE.values()))[1] = None
+        _SPECTRUM_CACHE[key] = [spec, op]
     return _SPECTRUM_CACHE[key]
 
 
@@ -402,8 +413,8 @@ def spectral_equivalence(req: Request, amb: AmbiguityParams) -> Optional[dict]:
     d = []
     for ordered, deformed_op in pair:
         grid = ordered.grid
-        deformed = _cached_solve(entry, params, DEFORMED, grid, nlev, deformed_op).eigenvalues
-        d.append(_cached_solve(entry, params, amb, grid, nlev, ordered, guess=deformed.tolist()).eigenvalues - deformed)
+        deformed = _cached_solve(entry, params, DEFORMED, grid, nlev, deformed_op)[0].eigenvalues
+        d.append(_cached_solve(entry, params, amb, grid, nlev, ordered, guess=deformed.tolist())[0].eigenvalues - deformed)
     d_h, d_h2 = d
     dev, ratio, reported = _richardson(d_h, d_h2, d_h, d_h2)
     rel = np.abs(dev) / np.maximum(1e-12, np.abs(deformed))  # deformed: the fine grid's levels

@@ -1,16 +1,18 @@
 import ctypes
+import gc
 import hashlib
 import math
 import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pdem_si import catalog, oracle, verification as verif
+from pdem_si import catalog, cli, oracle, verification as verif
 from pdem_si.core import (
     AmbiguityParams,
     ConvergenceError,
@@ -535,6 +537,109 @@ def test_vectors_on_a_cache_miss_build_one_operator(monkeypatch):
     assert len(builds) == 1 and spec.eigenvectors.shape == (4, 2001)
 
 
+def _count_builds(monkeypatch):
+    # the grids of every operator build (one per ordering) and of every sweep-array build
+    builds = {"stencil": [], "sweep_arrays": []}
+
+    def stencil(df, orderings, v, grid, real=oracle._stencil):
+        builds["stencil"] += [grid] * len(orderings)
+        return real(df, orderings, v, grid)
+
+    def sweep_arrays(op, real=oracle._sweep_arrays):
+        builds["sweep_arrays"].append(op.grid)
+        return real(op)
+
+    monkeypatch.setattr(verif, "_stencil", stencil)
+    monkeypatch.setattr(oracle, "_sweep_arrays", sweep_arrays)
+    monkeypatch.setattr(verif, "_SPECTRUM_CACHE", {})
+    return builds
+
+
+def test_vectors_after_spectrum_oracle_reuse_its_operator(monkeypatch, capsys):
+    # spectrum --oracle on one grid, then the vectors of that grid: one
+    # operator and one pair of sweep arrays between them, and the vectors
+    # release the operator they took
+    builds = _count_builds(monkeypatch)
+    entry = catalog.ENTRIES["box"]
+    params = dict(entry.default_params)
+    monkeypatch.setenv("PDEM_GRID_N", "2001")
+    assert cli.main(["spectrum", "--potential", "box", "--n-levels", "4", "--oracle"]) == 0
+    capsys.readouterr()
+    spec = verif.deformed_spectrum(entry, params, 4, n_override=2001, want_vectors=True)
+    grid = verif.oracle_grid(entry, params, 2001)
+    assert spec.eigenvectors.shape == (4, 2001)
+    assert builds["stencil"].count(grid) == 1
+    assert builds["sweep_arrays"] == [grid]
+    assert all(op is None for _, op in verif._SPECTRUM_CACHE.values())
+
+
+def test_cleared_cache_drops_the_kept_operator(monkeypatch):
+    # clear() is the benchmark's reset before each pass: it frees the kept
+    # operator, and the vectors of the grid just solved solve and build again
+    builds = _count_builds(monkeypatch)
+    entry = catalog.ENTRIES["box"]
+    params = dict(entry.default_params)
+    verif.deformed_spectrum(entry, params, 4, n_override=2001)
+    [(_, op)] = verif._SPECTRUM_CACHE.values()
+    kept = weakref.ref(op)
+    del op
+    verif._SPECTRUM_CACHE.clear()
+    gc.collect()
+    assert kept() is None
+    spec = verif.deformed_spectrum(entry, params, 4, n_override=2001, want_vectors=True)
+    assert len(builds["stencil"]) == len(builds["sweep_arrays"]) == 2
+    assert spec.eigenvectors.shape == (4, 2001)
+
+
+def test_cache_keeps_only_the_latest_operator(monkeypatch):
+    # after solves on two grids only the second holds its operator; the
+    # vectors of the first build theirs again
+    builds = _count_builds(monkeypatch)
+    entry = catalog.ENTRIES["box"]
+    params = dict(entry.default_params)
+    for n in (1001, 2001):
+        verif.deformed_spectrum(entry, params, 4, n_override=n)
+    assert len(verif._SPECTRUM_CACHE) == 2
+    kept = [(key[3].n_points, op) for key, (_, op) in verif._SPECTRUM_CACHE.items()]
+    assert kept[0] == (1001, None) and kept[1][0] == 2001 and kept[1][1] is not None
+    verif.deformed_spectrum(entry, params, 4, n_override=1001, want_vectors=True)
+    assert [grid.n_points for grid in builds["stencil"]] == [1001, 2001, 1001]
+    assert [key[3].n_points for key, (_, op) in verif._SPECTRUM_CACHE.items() if op is not None] == [2001]
+
+
+@pytest.mark.bitpin
+@pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
+def test_vectors_on_the_kept_operator_match_a_fresh_operator(name, monkeypatch):
+    # the eigenvalues and vectors read from the solve's kept operator and its
+    # sweep arrays have the bits of a fresh discretize_vonroos operator's
+    builds = _count_builds(monkeypatch)
+    entry = catalog.ENTRIES[name]
+    params = dict(entry.default_params)
+    verif.deformed_spectrum(entry, params, 4)
+    spec = verif.deformed_spectrum(entry, params, 4, want_vectors=True)
+    assert len(builds["stencil"]) == len(builds["sweep_arrays"]) == 1
+    op = discretize_vonroos(entry.deforming(params), oracle.DEFORMED, entry.v_eff(params), verif.oracle_grid(entry, params))
+    eigvals = eigenpairs(op, 4).eigenvalues
+    assert _bits(spec.eigenvalues) == _bits(eigvals)
+    assert _bits(spec.eigenvectors) == _bits(eigenvectors(op, eigvals))
+
+
+def test_deformed_operators_skip_the_slopes(monkeypatch):
+    # V~ vanishes at DEFORMED, so a DEFORMED-only build never evaluates f' and
+    # f''; the ordering pair still evaluates them once per grid
+    calls = []
+    real = DeformingFunction._slopes
+    monkeypatch.setattr(DeformingFunction, "_slopes", lambda df, x: calls.append(len(x)) or real(df, x))
+    for name in sorted(catalog.ENTRIES):
+        entry = catalog.ENTRIES[name]
+        params = dict(entry.default_params)
+        calls.clear()
+        verif._operators(entry, params, (oracle.DEFORMED,), verif.oracle_grid(entry, params))
+        assert calls == [], name
+        verif.Request(entry, params).pair(AmbiguityParams.preset("bdd"))
+        assert calls == [verif._PAIR_POINTS - 2, 2 * verif._PAIR_POINTS - 3], name
+
+
 def test_equivalence_solves_only_the_levels_it_compares(monkeypatch):
     # Morse binds one level below the continuum edge: neither operator is solved for 4
     calls = _count_solves(monkeypatch)
@@ -660,12 +765,26 @@ def test_eigenvectors_match_reference_pivot_sweep(name, monkeypatch):
     # sweep arrays, where both pivot sweeps are the reference sweep
     entry = catalog.ENTRIES[name]
     params = dict(entry.default_params)
-    op = discretize_vonroos(entry.deforming(params), oracle.DEFORMED, entry.v_eff(params), verif.oracle_grid(entry, params))
+    df, v_eff, grid = entry.deforming(params), entry.v_eff(params), verif.oracle_grid(entry, params)
+    op = discretize_vonroos(df, oracle.DEFORMED, v_eff, grid)
     eigvals = eigenpairs(op, 4).eigenvalues
     got = eigenvectors(op, eigvals)
-    monkeypatch.setattr(oracle, "_sweep_arrays", lambda op: (op.diag.tolist(), [e**2 for e in map(float, op.off)]))
-    monkeypatch.setattr(oracle, "_pivots", _reference_pivots)
-    assert np.array_equal(got, eigenvectors(op, eigvals))
+    # on a fresh operator, since op keeps the sweep arrays it has built;
+    # both pivot sweeps of each vector run on lists
+    sweeps = []
+
+    def lists(op):
+        sweeps.append("lists")
+        return op.diag.tolist(), [e**2 for e in map(float, op.off)]
+
+    def pivots(d, e2, t):
+        sweeps.append("pivots")
+        return _reference_pivots(d, e2, t)
+
+    monkeypatch.setattr(oracle, "_sweep_arrays", lists)
+    monkeypatch.setattr(oracle, "_pivots", pivots)
+    assert np.array_equal(got, eigenvectors(discretize_vonroos(df, oracle.DEFORMED, v_eff, grid), eigvals))
+    assert sweeps == ["lists"] + ["pivots"] * (2 * len(eigvals))
 
 
 def _bits(x):
