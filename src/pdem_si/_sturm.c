@@ -1,15 +1,34 @@
-/* The Sturm sweeps of oracle.py (_count, _count_slope, _lanes, _twisted)
-   and their input arrays. Each loop does the Python loop's arithmetic in the
-   same order, so the two agree bit for bit; oracle.py compiles this file with
-   -ffp-contract=off (no fused multiply-adds) and -fno-builtin (pow stays the
-   libm call that Python's e**2 makes). */
+/* The Sturm sweeps of oracle.py (_count, _count_slope, _lanes), the twisted
+   eigenvectors of _twisted_vector (sturm_vectors), and their input arrays.
+   Each loop does the arithmetic of the Python code that runs on list arrays
+   where this file cannot be built, in the same order, so the two agree bit
+   for bit and the Python code is the reference; oracle.py compiles this
+   file with -ffp-contract=off (no fused multiply-adds) and -fno-builtin (pow
+   stays the libm call that Python's e**2 makes). sturm_lanes and
+   sturm_vectors run two shifts in the lanes of one vector of two doubles
+   (GCC/clang vector extensions: SSE2 on x86-64, NEON on aarch64); IEEE
+   division, subtraction and comparison give each lane the bits of the
+   scalar operation. */
 #include <math.h>
 #include <string.h>
 
 #define PIVMIN 1e-290
 
+typedef double v2d __attribute__((vector_size(16)));
+typedef long long v2l __attribute__((vector_size(16)));
+
 /* a zero pivot becomes -pivmin, so that it counts below */
 static double pivot(double q) { return -PIVMIN < q && q < PIVMIN ? -PIVMIN : q; }
+
+/* pivot in both lanes; the rare replacement is a predicted branch, which
+   keeps the blend off the division chain */
+static v2d pivot2(v2d q)
+{
+    v2l tiny = (-PIVMIN < q) & (q < PIVMIN);
+    if (__builtin_expect((tiny[0] | tiny[1]) != 0, 0))
+        q = (v2d)(((v2l)q & ~tiny) | ((v2l)(v2d){-PIVMIN, -PIVMIN} & tiny));
+    return q;
+}
 
 long sturm_count(const double *d, const double *e2, long n, double t)
 {
@@ -39,50 +58,89 @@ double sturm_count_slope(const double *d, const double *e2, long n, double t, lo
 }
 
 /* sturm_count_slope at the first ms and sturm_count at the other m - ms of
-   the m <= 8 shifts t, in one pass: the lanes' division chains are
-   independent, so one lane's divisions run while another's wait, and each
-   lane does its single sweep's operations in the same order; slope is
-   written for the first ms lanes only */
+   the m <= 8 shifts t, in one pass: shifts 2i and 2i + 1 share vector i, an
+   odd m pairs the last shift with a copy of itself, and the vectors that hold
+   a slope shift carry the slope in both lanes (a count lane's count is the
+   same either way). The vectors' division chains are independent, so one
+   vector's divisions run while another's wait; slope is written for the
+   first ms shifts only */
 void sturm_lanes(const double *d, const double *e2, long n, const double *t, long m, long ms, long *cnt, double *slope)
 {
-    double q[8], p[8], s[8];
-    long c[8];
-    for (long i = 0; i < m; i++) {
-        q[i] = pivot(d[0] - t[i]);
-        c[i] = q[i] < 0.0;
+    long nv = (m + 1) / 2, vs = (ms + 1) / 2;
+    v2d tv[4], q[4], p[4], s[4];
+    v2l c[4];
+    for (long i = 0; i < nv; i++) {
+        tv[i] = (v2d){t[2 * i], t[2 * i + 1 < m ? 2 * i + 1 : 2 * i]};
+        q[i] = pivot2(d[0] - tv[i]);
+        c[i] = -(q[i] < 0.0);
     }
-    for (long i = 0; i < ms; i++)
+    for (long i = 0; i < vs; i++)
         s[i] = p[i] = -1.0 / q[i];
     for (long j = 1; j < n; j++) {
-        for (long i = 0; i < ms; i++) {
-            double r = e2[j - 1] / q[i];
-            q[i] = pivot((d[j] - t[i]) - r);
-            c[i] += q[i] < 0.0;
+        double dj = d[j], ej = e2[j - 1];
+        for (long i = 0; i < vs; i++) {
+            v2d r = ej / q[i];
+            q[i] = pivot2((dj - tv[i]) - r);
+            c[i] -= q[i] < 0.0;
             p[i] = (r * p[i] - 1.0) / q[i];
             s[i] += p[i];
         }
-        for (long i = ms; i < m; i++) {
-            q[i] = pivot((d[j] - t[i]) - e2[j - 1] / q[i]);
-            c[i] += q[i] < 0.0;
+        for (long i = vs; i < nv; i++) {
+            q[i] = pivot2((dj - tv[i]) - ej / q[i]);
+            c[i] -= q[i] < 0.0;
         }
     }
     for (long i = 0; i < m; i++)
-        cnt[i] = c[i];
+        cnt[i] = c[i / 2][i % 2];
     for (long i = 0; i < ms; i++)
-        slope[i] = s[i];
+        slope[i] = s[i / 2][i % 2];
 }
 
-/* the pivots of sturm_count's sweep at t, from the top into fwd and from the
-   bottom into bwd: bwd[j] = pivot((d[j] - t) - e2[j] / bwd[j + 1]), the
-   sweep of the reversed arrays read from the end, so the two independent
-   recurrences share one loop */
-void sturm_twisted(const double *d, const double *e2, long n, double t, double *fwd, double *bwd)
+/* the twisted vector from the forward pivots z and the backward pivots b at
+   t, in place of the forward pivots: the first argmin r of |(z + b) - (d -
+   t)| (or the first NaN, as np.argmin finds it), z_r = 1, and the products
+   of -off/z and -off/b outward from r, multiplied in np.cumprod's order */
+static void twist(const double *d, const double *off, long n, double t, double *z, const double *b)
 {
-    fwd[0] = pivot(d[0] - t);
-    bwd[n - 1] = pivot(d[n - 1] - t);
-    for (long j = 1, k = n - 2; j < n; j++, k--) {
-        fwd[j] = pivot((d[j] - t) - e2[j - 1] / fwd[j - 1]);
-        bwd[k] = pivot((d[k] - t) - e2[k] / bwd[k + 1]);
+    long r = 0;
+    double best = fabs((z[0] + b[0]) - (d[0] - t));
+    for (long j = 1; j < n && best == best; j++) {
+        double g = fabs((z[j] + b[j]) - (d[j] - t));
+        if (g < best || g != g) {
+            best = g;
+            r = j;
+        }
+    }
+    double x = 1.0;
+    for (long j = r - 1; j >= 0; j--)
+        z[j] = x = x * (-off[j] / z[j]);
+    z[r] = x = 1.0;
+    for (long j = r + 1; j < n; j++)
+        z[j] = x = x * (-off[j - 1] / b[j]);
+}
+
+/* the k twisted vectors at the eigenvalues lam into the rows of z (row i at
+   z + i ld), two eigenvalues at a time: the vectors f and g carry the
+   forward pivots of _pivots at both eigenvalues, and the backward ones,
+   bwd[j] = pivot((d[j] - t) - e2[j] / bwd[j + 1]), the sweep of the reversed
+   arrays read from the end, so the four recurrences share one loop. The
+   forward pivots go to the rows of z, the backward ones to the two rows of
+   bwd (2 n doubles); an odd k pairs the last eigenvalue with itself */
+void sturm_vectors(const double *d, const double *e2, const double *off, long n, const double *lam, long k, double *z, long ld, double *bwd)
+{
+    for (long a = 0; a < k; a += 2) {
+        long b = a + 1 < k ? a + 1 : a;
+        double *za = z + a * ld, *zb = z + b * ld, *ba = bwd, *bb = bwd + n;
+        v2d t = {lam[a], lam[b]}, f = pivot2(d[0] - t), g = pivot2(d[n - 1] - t);
+        za[0] = f[0], zb[0] = f[1], ba[n - 1] = g[0], bb[n - 1] = g[1];
+        for (long j = 1, i = n - 2; j < n; j++, i--) {
+            f = pivot2((d[j] - t) - e2[j - 1] / f);
+            g = pivot2((d[i] - t) - e2[i] / g);
+            za[j] = f[0], zb[j] = f[1], ba[i] = g[0], bb[i] = g[1];
+        }
+        twist(d, off, n, lam[a], za, ba);
+        if (b != a)
+            twist(d, off, n, lam[b], zb, bb);
     }
 }
 

@@ -9,16 +9,18 @@ boundary nodes carry Dirichlet conditions outside the matrix.
 ordering pair builds two from one evaluation of f per grid.
 
 The sweeps ``_count``, ``_count_slope``, ``_lanes`` (up to 8 shifts in one
-pass, each a ``_count_slope`` or a ``_count``) and ``_twisted`` (the forward
-and the backward ``_pivots`` in one pass) and their input arrays
-(``_sweep_arrays``, built once per operator and kept on it as
-``TridiagonalOperator.sweep_arrays``) run in C, ``_sturm.c``, loaded with
-ctypes. The library is compiled on the first sweep, not at import, and
-cached in the package's __pycache__ under a key that hashes the source and
-the flags (written to a temporary name, then renamed; libraries of other keys
-are then deleted). Where it cannot be built, for want of a compiler or of a
-writable cache, the sweep arrays are lists, and the sweeps run the Python
-loops below, which are also the reference the C loops match bit for bit: they
+pass, each a ``_count_slope`` or a ``_count``, two shifts to a vector
+register), the twisted vectors of ``_twisted_rows`` (every vector of a
+request in one call, the forward and backward pivots of two eigenvalues in
+one pass) and their input arrays (``_sweep_arrays``, built once per operator
+and kept on it as ``TridiagonalOperator.sweep_arrays``) run in C,
+``_sturm.c``, loaded with ctypes. The library is compiled on the first
+sweep, not at import, and cached in the package's __pycache__ under a key
+that hashes the source and the flags (written to a temporary name, then
+renamed; libraries of other keys are then deleted). Where it cannot be
+built, for want of a compiler or of a writable cache, the sweep arrays are
+lists, and the sweeps run the Python loops below (``_twisted_vector`` for the
+vectors), which are also the reference the C loops match bit for bit: they
 do the same operations in the same order. ``-ffp-contract=off`` forbids fused
 multiply-adds, which aarch64 compilers emit by default, and ``-fno-builtin``
 keeps e2 the libm pow that Python's ``e**2`` calls, which gcc would fold into
@@ -187,7 +189,7 @@ def _open_kernel(cache: Path, name: str):
     lib.sturm_count.argtypes, lib.sturm_count.restype = (vp, vp, n, t), n
     lib.sturm_count_slope.argtypes, lib.sturm_count_slope.restype = (vp, vp, n, t, ctypes.POINTER(n)), t
     lib.sturm_lanes.argtypes, lib.sturm_lanes.restype = (vp, vp, n, vp, n, n, vp, vp), None
-    lib.sturm_twisted.argtypes, lib.sturm_twisted.restype = (vp, vp, n, t, vp, vp), None
+    lib.sturm_vectors.argtypes, lib.sturm_vectors.restype = (vp, vp, vp, n, vp, n, vp, n, vp), None
     lib.sweep_arrays.argtypes, lib.sweep_arrays.restype = (vp, vp, n, dp, dp), n
     return lib
 
@@ -317,17 +319,6 @@ def _pivots(d: list, e2: list, t: float) -> list:
     return out
 
 
-def _twisted(d, e2, t: float) -> tuple:
-    """The forward pivots of ``_pivots`` at t and the backward ones, ``_pivots``
-    of the reversed arrays put back in the order of d; the compiled kernel
-    runs the two recurrences in one loop."""
-    if not isinstance(d, ctypes.Array):
-        return np.array(_pivots(d, e2, t)), np.array(_pivots(d[::-1], e2[::-1], t)[::-1])
-    fwd, bwd = np.empty(len(d)), np.empty(len(d))
-    _LIB.sturm_twisted(ctypes.addressof(d), ctypes.addressof(e2), len(d), t, fwd.ctypes.data, bwd.ctypes.data)
-    return fwd, bwd
-
-
 def _twisted_vector(op: TridiagonalOperator, d, e2, lam: float) -> np.ndarray:
     """Eigenvector of T at the eigenvalue lam from one twisted factorization
     (Dhillon & Parlett, Linear Algebra Appl. 387, 2004; LAPACK dlar1v).
@@ -336,8 +327,10 @@ def _twisted_vector(op: TridiagonalOperator, d, e2, lam: float) -> np.ndarray:
     T - lam = U D- U^T give gamma_i = D+_i + D-_i - (d_i - lam), the reciprocal
     of the ith diagonal entry of (T - lam)^-1. Twisting at r = argmin |gamma|
     gives z with z_r = 1 and (T - lam) z = gamma_r e_r. ``d`` and ``e2`` are
-    the sweep arrays of T = ``op`` (``TridiagonalOperator.sweep_arrays``)."""
-    fwd, bwd = _twisted(d, e2, lam)
+    the list sweep arrays of T = ``op``; D- is ``_pivots`` of the reversed
+    arrays, put back in the order of d. This is the reference that the
+    compiled ``sturm_vectors`` matches bit for bit."""
+    fwd, bwd = np.array(_pivots(d, e2, lam)), np.array(_pivots(d[::-1], e2[::-1], lam)[::-1])
     r = int(np.argmin(np.abs(fwd + bwd - (op.diag - lam))))
     e = op.off
     z = np.ones(op.n)
@@ -470,10 +463,27 @@ def eigenpairs(op: TridiagonalOperator, k: int, guess=None) -> Spectrum:
     return Spectrum(eigenvalues=eigvals, eigenvectors=None)
 
 
+def _twisted_rows(op: TridiagonalOperator, lams: list) -> np.ndarray:
+    """One row per eigenvalue in ``lams`` over the full grid: zero at both ends
+    and the twisted vector of ``_twisted_vector`` between them. The compiled
+    kernel builds every row in one call (``sturm_vectors``), two eigenvalues
+    per pass over the matrix."""
+    d, e2 = op.sweep_arrays
+    z = np.zeros((len(lams), op.n + 2))
+    if not isinstance(d, ctypes.Array):
+        for row, lam in zip(z, lams):
+            row[1:-1] = _twisted_vector(op, d, e2, lam)
+        return z
+    off, lam, bwd = np.ascontiguousarray(op.off, dtype=float), np.array(lams, dtype=float), np.empty(2 * op.n)
+    args = (off.ctypes.data, op.n, lam.ctypes.data, len(lams), z[:, 1:].ctypes.data, op.n + 2, bwd.ctypes.data)
+    _LIB.sturm_vectors(ctypes.addressof(d), ctypes.addressof(e2), *args)
+    return z
+
+
 def eigenvectors(op: TridiagonalOperator, eigvals) -> np.ndarray:
     """Read-only rows of eigenvectors of ``op`` at the eigenvalues ``eigvals``
     (as ``eigenpairs`` gives them), each from one twisted factorization at its
-    eigenvalue (``_twisted_vector``), Simpson-normalized on the full grid with
+    eigenvalue (``_twisted_rows``), Simpson-normalized on the full grid with
     zero boundary values and the largest component positive.
 
     A vector is accepted if ||T v - lambda v|| < max(1e-8 max(1, |lambda|),
@@ -481,10 +491,10 @@ def eigenvectors(op: TridiagonalOperator, eigvals) -> np.ndarray:
     term is the rounding floor of T v, which the first falls below on fine
     grids where ||T|| ~ f/h^2 is large."""
     w = _simpson_weights(op.grid.n_points, op.grid.spacing)
-    rows = []
-    d, e2 = op.sweep_arrays
-    for lam in np.asarray(eigvals, dtype=float).tolist():
-        v = _twisted_vector(op, d, e2, lam)
+    lams = np.asarray(eigvals, dtype=float).tolist()
+    vectors = _twisted_rows(op, lams)
+    for full, lam in zip(vectors, lams):
+        v = full[1:-1]
         v /= np.linalg.norm(v)
         resid = np.linalg.norm(op.apply_interior(v) - lam * v)
         bound = 1e-8 * max(1.0, abs(lam))
@@ -493,13 +503,9 @@ def eigenvectors(op: TridiagonalOperator, eigvals) -> np.ndarray:
             bound = max(bound, 64.0 * np.finfo(float).eps * np.linalg.norm(abs_op.apply_interior(np.abs(v))))
         if not resid < bound:
             raise ConvergenceError(f"twisted vector at lambda={lam} misses the residual bound (residual {resid})")
-        full = np.concatenate([[0.0], v, [0.0]])
-        imax = int(np.argmax(np.abs(full)))
-        if full[imax] < 0.0:
-            full = -full
+        if full[np.argmax(np.abs(full))] < 0.0:
+            np.negative(full, out=full)
         full /= np.sqrt(np.sum(w * full * full))
-        rows.append(full)
-    vectors = np.array(rows)
     vectors.setflags(write=False)
     return vectors
 

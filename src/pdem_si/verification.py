@@ -264,9 +264,13 @@ def gram_matrix(table: LevelTable, levels: int) -> np.ndarray:
     are dropped: no state can be evaluated there. Each state is read as
     sign exp(log |psi| - its peak), so nothing overflows. The error bar is the
     change from the rule's even nodes alone; the step halves from 1/32 until
-    the bar is at most _GRAM_TOL, and ZeroNorm is raised past 1/256."""
+    the bar is at most _GRAM_TOL, or, from the second step on, until
+    bar(h)^2 / bar(2h) is: the usual double-exponential predictor of the
+    error at step h, whose correct digits roughly double with each halving.
+    ZeroNorm is raised past 1/256."""
     dom, problem = table.entry.domain, table.problem
     states, y_ends = table.levels(range(levels)), problem.sp.phi_val(np.array([dom.x1, dom.x2]))
+    prev = 0.0  # the bar at step 2h: none before the second step
     for steps in _DE_STEPS:
         x, w = _de_rule(dom, steps)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -282,8 +286,9 @@ def gram_matrix(table: LevelTable, levels: int) -> np.ndarray:
             rows, w, even = np.array(rows), w[node], node % 2 == 0
             G = _normalized_gram(rows, w)
             bar = float(np.max(np.abs(G - _normalized_gram(rows[:, even], 2.0 * w[even]))))
-        if bar <= _GRAM_TOL:
+        if bar <= _GRAM_TOL or bar * bar <= _GRAM_TOL * prev:
             return G
+        prev = bar
     raise ZeroNorm(
         f"the Gram matrix of {levels} states misses its error bound {_GRAM_TOL:g} at step 1/{steps}"
         f" (error bar {bar:.2e})"
@@ -375,7 +380,7 @@ def oracle_comparison(table: LevelTable) -> Optional[dict]:
         "rel_err": rel,
         "max_rel_err": max(rel),
         "tol": rel_tol,
-        "ok": max(rel) < rel_tol,
+        "ok": bool(max(rel) < rel_tol),
         "oracle": [float(v) for v in orc["energies"]],
         "chain": [chain.energy(n) for n in range(cap)],
         "order_ratio": orc["order_ratio"],
@@ -489,6 +494,10 @@ class Check:
     name: str
     ok: Optional[bool]
     detail: str = ""
+
+    def __post_init__(self):
+        if self.ok is not None:  # a numpy.bool is not False, and json cannot encode it
+            object.__setattr__(self, "ok", bool(self.ok))
 
     def __str__(self) -> str:
         tag = "note" if self.ok is None else ("ok" if self.ok else "FAIL")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,11 +9,13 @@ import numpy as np
 import pytest
 
 import pdem_si
+from pdem_si import verification as verif
 from pdem_si.cli import SpectrumReport, build_spectrum_report, main
 from pdem_si.catalog import ENTRIES, lookup
 from pdem_si.core import Grid, Interval, RangeError
 from pdem_si.oracle import quadrature
 from pdem_si.verification import AUTO_LEVELS, deformed_spectrum, oracle_vs_chain, verify_entry
+from pdem_si.wavefunctions import LevelTable
 
 
 def run(capsys, *argv):
@@ -401,6 +404,30 @@ def test_verify_entry_records_are_the_report(capsys):
     notes = [c for c in checks if c.ok is None]
     assert len(notes) == 2 and all(str(c).startswith("  [note] ") for c in notes)
     assert [c.name for c in checks if c.ok is not None and not c.ok] == ["oracle vs chain energies"]
+
+
+def test_check_records_hold_python_bools():
+    # the oracle comparison at coulomb e2 = 0.95 FAILs on numpy floats; its
+    # record must read ok is False, and every record must encode as JSON
+    entry = lookup("coulomb")
+    checks = list(verify_entry(entry, dict(entry.default_params, e2=0.95)))
+    assert all(c.ok is None or type(c.ok) is bool for c in checks)
+    assert [c.name for c in checks if c.ok is False] == ["oracle vs chain energies"]
+    for c in checks:
+        json.dumps(dataclasses.asdict(c))
+
+
+def test_gram_near_a_zero_of_f_takes_the_predicted_step(capsys):
+    # min f = 1 - beta^2/alpha = 0.0079: the Gram's error bar reads 0.98,
+    # 0.14, 6.8e-4 and 7.3e-9 at steps 1/32 to 1/256, above 1e-9 at every
+    # step, while the predictor bar(h)^2/bar(2h) reads 7.8e-14 at 1/256
+    params = dict(omega=1.2037875251976424, b=-0.8434678080890761, alpha=0.13070324888753673, beta=0.3601011261829825)
+    argv = ",".join(f"{k}={v!r}" for k, v in params.items())
+    code, out, err = run(capsys, "spectrum", "--potential", "shifted_oscillator", "--params", argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["checks"]["orthonormality_max_offdiag"] <= 1e-12
+    G = verif.gram_matrix(LevelTable(lookup("shifted_oscillator"), params), 4)
+    assert np.max(np.abs(G - np.eye(4))) <= 1e-12
 
 
 def test_verify_entry_validates_on_call():

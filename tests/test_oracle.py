@@ -698,8 +698,9 @@ def test_eigenpairs_match_lapack(name):
 def test_vector_that_misses_the_residual_bound_raises(monkeypatch):
     # a NaN residual must fail the acceptance test as well as a large one
     op = _box_operator(0.5, 401)
-    for bad in (np.ones, lambda n: np.full(n, np.nan)):
-        monkeypatch.setattr(oracle, "_twisted_vector", lambda op, d, e2, lam, bad=bad: bad(op.n))
+    for bad in (np.ones, lambda shape: np.full(shape, np.nan)):
+        rows = lambda op, lams, bad=bad: np.pad(bad((len(lams), op.n)), ((0, 0), (1, 1)))
+        monkeypatch.setattr(oracle, "_twisted_rows", rows)
         with pytest.raises(ConvergenceError):
             eigenvectors(op, eigenpairs(op, 2).eigenvalues)
 
@@ -798,8 +799,7 @@ def test_kernel_sweeps_match_python_sweeps(name):
     # the lowest levels, and at d[0], whose zero pivot becomes -pivmin; the
     # fused sweep in every lane of passes of 1 to 8 shifts at every split
     # between slope and count lanes, and over all the shifts at once, which it
-    # takes 8 at a time; both pivot arrays of the twisted sweep, against the
-    # pivots of the operator and of the operator with its order reversed
+    # takes 8 at a time
     if not oracle._kernel():
         pytest.skip("the sweep kernel cannot be built here")
     entry = catalog.ENTRIES[name]
@@ -816,7 +816,6 @@ def test_kernel_sweeps_match_python_sweeps(name):
         w = lams[3] - lams[0] + 1.0
         shifts = rng.uniform(*op.gershgorin(), 8).tolist() + rng.uniform(lams[0] - w, lams[3] + w, 8).tolist()
         shifts += [lam + k * math.ulp(lam) for lam in lams for k in (-1000, -1, 1, 1000)] + [ref_d[0]]
-        rev_d, rev_e2 = op.diag[::-1].tolist(), [e**2 for e in map(float, op.off[::-1])]
         counts, slopes = [], []
         for t in shifts:
             counts.append(oracle._count(ref_d, ref_e2, t))
@@ -824,9 +823,6 @@ def test_kernel_sweeps_match_python_sweeps(name):
             (c, slope), (ref_c, ref_slope) = oracle._count_slope(d, e2, t), oracle._count_slope(ref_d, ref_e2, t)
             assert c == ref_c == counts[-1] and _bits(slope) == _bits(ref_slope), (n_points, t)
             slopes.append(_bits(ref_slope))
-            fwd, bwd = oracle._pivots(ref_d, ref_e2, t), oracle._pivots(rev_d, rev_e2, t)[::-1]
-            for got in (oracle._twisted(d, e2, t), oracle._twisted(ref_d, ref_e2, t)):
-                assert [_bits(a) for a in got] == [_bits(fwd), _bits(bwd)], (n_points, t)
         for m in (*range(1, 9), len(shifts)):
             for ms in range(m + 1):
                 got_counts, got_slopes = [], []
@@ -836,6 +832,47 @@ def test_kernel_sweeps_match_python_sweeps(name):
                     got_slopes += map(_bits, slope)
                 assert got_counts == counts, (n_points, m, ms)
                 assert got_slopes == [slopes[i] for i in range(len(shifts)) if i % m < ms], (n_points, m, ms)
+
+
+def test_kernel_lanes_replace_a_zero_pivot_inside_the_sweep():
+    # at t = 0 the second pivot of d = [1, 1, 1, 1], e2 = [1, 1, 1] is 1 - 1/1 =
+    # 0, and becomes -pivmin; every pass of 1 to 8 shifts, with t = 0 at every
+    # subset of the lanes and the other lanes away from a zero pivot, at every
+    # split between slope and count lanes, against the Python sweeps
+    if not oracle._kernel():
+        pytest.skip("the sweep kernel cannot be built here")
+    ref_d, ref_e2 = [1.0] * 4, [1.0] * 3
+    d, e2 = (ctypes.c_double * 4)(*ref_d), (ctypes.c_double * 3)(*ref_e2)
+    assert oracle._pivots(ref_d, ref_e2, 0.0)[1] == -oracle._PIVMIN
+    away = [0.5, -0.25, 2.0, 0.125, -3.0, 1.5, 0.75, -0.5]
+    for m in range(1, 9):
+        for zeros in range(1 << m):
+            shifts = [0.0 if zeros >> i & 1 else away[i] for i in range(m)]
+            counts = [oracle._count(ref_d, ref_e2, t) for t in shifts]
+            slopes = [_bits(oracle._count_slope(ref_d, ref_e2, t)[1]) for t in shifts]
+            for ms in range(m + 1):
+                c, slope = oracle._lanes(d, e2, shifts, ms)
+                assert c == counts and list(map(_bits, slope)) == slopes[:ms], (shifts, ms)
+
+
+@pytest.mark.bitpin
+@pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
+def test_kernel_vectors_match_the_list_vectors(name):
+    # the rows of sturm_vectors against _twisted_vector on the list sweep
+    # arrays, bit for bit, for k = 1 to 6 eigenvalues: an odd k pairs the last
+    # eigenvalue with itself
+    if not oracle._kernel():
+        pytest.skip("the sweep kernel cannot be built here")
+    entry = catalog.ENTRIES[name]
+    params = dict(entry.default_params)
+    op = discretize_vonroos(entry.deforming(params), oracle.DEFORMED, entry.v_eff(params), verif.oracle_grid(entry, params))
+    lams = eigenpairs(op, 6).eigenvalues.tolist()
+    ref_d, ref_e2 = op.diag.tolist(), [e**2 for e in map(float, op.off)]
+    refs = [_bits(oracle._twisted_vector(op, ref_d, ref_e2, lam)) for lam in lams]
+    for k in range(1, 7):
+        rows = oracle._twisted_rows(op, lams[:k])
+        assert rows.shape == (k, op.n + 2) and not rows[:, [0, -1]].any(), k
+        assert [_bits(row[1:-1]) for row in rows] == refs[:k], k
 
 
 # sha256 of the eigenvalue bytes of eigenpairs(op, k) at the defaults, for
