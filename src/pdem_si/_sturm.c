@@ -1,27 +1,21 @@
-/* The Sturm sweeps of oracle.py (_count, _count_slope, _lanes), the twisted
-   eigenvectors of _twisted_vector (sturm_vectors), and their input arrays.
-   Each loop does the arithmetic of the Python code that runs on list arrays
-   where this file cannot be built, in the same order, so the two agree bit
-   for bit and the Python code is the reference; oracle.py compiles this
-   file with -ffp-contract=off (no fused multiply-adds) and -fno-builtin (pow
-   stays the libm call that Python's e**2 makes). sturm_lanes and
-   sturm_vectors run two shifts in the lanes of one vector of two doubles
-   (GCC/clang vector extensions: SSE2 on x86-64, NEON on aarch64); IEEE
-   division, subtraction and comparison give each lane the bits of the
-   scalar operation. */
+/* The Sturm sweeps of oracle.py (sturm_lanes runs _count, _count_slope and
+   _lanes), the twisted eigenvectors of _twisted_rows (sturm_vectors) and
+   their input arrays (sweep_arrays), each with the arithmetic of the Python
+   code that runs where this file cannot be built, in the same order, so the
+   two agree bit for bit; oracle.py compiles it with -ffp-contract=off (no
+   fused multiply-adds) and -fno-builtin (pow stays the libm call of
+   Python's e**2). Both sweeps run two shifts in the lanes of a vector of two
+   doubles (GCC/clang vector extensions: SSE2 on x86-64, NEON on aarch64);
+   IEEE division, subtraction and comparison give each lane the scalar bits. */
 #include <math.h>
 #include <string.h>
 
 #define PIVMIN 1e-290
-
 typedef double v2d __attribute__((vector_size(16)));
 typedef long long v2l __attribute__((vector_size(16)));
 
-/* a zero pivot becomes -pivmin, so that it counts below */
-static double pivot(double q) { return -PIVMIN < q && q < PIVMIN ? -PIVMIN : q; }
-
-/* pivot in both lanes; the rare replacement is a predicted branch, which
-   keeps the blend off the division chain */
+/* a zero pivot becomes -pivmin, so that it counts below; the rare replacement
+   is a predicted branch, which keeps the blend off the division chain */
 static v2d pivot2(v2d q)
 {
     v2l tiny = (-PIVMIN < q) & (q < PIVMIN);
@@ -30,70 +24,57 @@ static v2d pivot2(v2d q)
     return q;
 }
 
-long sturm_count(const double *d, const double *e2, long n, double t)
+/* the pass of sturm_lanes in nv vectors, the first vs of them slope vectors,
+   inlined and unrolled at constant nv and vs: with run-time trip counts the
+   vectors live in memory, and each chain pays a store and a reload per step */
+static inline __attribute__((always_inline)) void lanes(const double *d, const double *e2, long n, const double *t, long m, long ms, long *cnt, double *slope, int nv, int vs)
 {
-    double q = pivot(d[0] - t);
-    long cnt = q < 0.0;
-    for (long j = 1; j < n; j++) {
-        q = pivot((d[j] - t) - e2[j - 1] / q);
-        cnt += q < 0.0;
-    }
-    return cnt;
-}
-
-/* returns the slope d/dt log|det(T - t)|; the count goes to *cnt */
-double sturm_count_slope(const double *d, const double *e2, long n, double t, long *cnt)
-{
-    double q = pivot(d[0] - t), p = -1.0 / q, slope = p;
-    long c = q < 0.0;
-    for (long j = 1; j < n; j++) {
-        double r = e2[j - 1] / q;
-        q = pivot((d[j] - t) - r);
-        c += q < 0.0;
-        p = (r * p - 1.0) / q;
-        slope += p;
-    }
-    *cnt = c;
-    return slope;
-}
-
-/* sturm_count_slope at the first ms and sturm_count at the other m - ms of
-   the m <= 8 shifts t, in one pass: shifts 2i and 2i + 1 share vector i, an
-   odd m pairs the last shift with a copy of itself, and the vectors that hold
-   a slope shift carry the slope in both lanes (a count lane's count is the
-   same either way). The vectors' division chains are independent, so one
-   vector's divisions run while another's wait; slope is written for the
-   first ms shifts only */
-void sturm_lanes(const double *d, const double *e2, long n, const double *t, long m, long ms, long *cnt, double *slope)
-{
-    long nv = (m + 1) / 2, vs = (ms + 1) / 2;
     v2d tv[4], q[4], p[4], s[4];
     v2l c[4];
-    for (long i = 0; i < nv; i++) {
+    for (int i = 0; i < nv; i++) {
         tv[i] = (v2d){t[2 * i], t[2 * i + 1 < m ? 2 * i + 1 : 2 * i]};
         q[i] = pivot2(d[0] - tv[i]);
         c[i] = -(q[i] < 0.0);
-    }
-    for (long i = 0; i < vs; i++)
         s[i] = p[i] = -1.0 / q[i];
+    }
     for (long j = 1; j < n; j++) {
         double dj = d[j], ej = e2[j - 1];
-        for (long i = 0; i < vs; i++) {
+#pragma GCC unroll 4
+        for (int i = 0; i < vs; i++) {
             v2d r = ej / q[i];
             q[i] = pivot2((dj - tv[i]) - r);
             c[i] -= q[i] < 0.0;
             p[i] = (r * p[i] - 1.0) / q[i];
             s[i] += p[i];
         }
-        for (long i = vs; i < nv; i++) {
+#pragma GCC unroll 4
+        for (int i = vs; i < nv; i++) {
             q[i] = pivot2((dj - tv[i]) - ej / q[i]);
             c[i] -= q[i] < 0.0;
         }
     }
-    for (long i = 0; i < m; i++)
-        cnt[i] = c[i / 2][i % 2];
-    for (long i = 0; i < ms; i++)
-        slope[i] = s[i / 2][i % 2];
+    for (int i = 0; i < nv; i++)
+        for (int l = 0; l < 2 && 2 * i + l < m; l++)
+            cnt[2 * i + l] = c[i][l];
+    for (int i = 0; i < vs; i++)
+        for (int l = 0; l < 2 && 2 * i + l < ms; l++)
+            slope[2 * i + l] = s[i][l];
+}
+
+/* the counts of _count at the m <= 8 shifts t and the slopes of _count_slope
+   at the first ms of them, in one pass: shifts 2i and 2i + 1 share vector i,
+   an odd m pairs the last shift with a copy of itself, and a vector with a
+   slope shift carries the slope in both lanes (a count is the same either
+   way). The vectors' division chains are independent, so one vector's
+   divisions run while another's wait; the switch over the 14 shapes
+   (vectors, slope vectors) gives each pass constant trip counts */
+void sturm_lanes(const double *d, const double *e2, long n, const double *t, long m, long ms, long *cnt, double *slope)
+{
+#define SHAPE(nv, vs) case 8 * nv + vs: lanes(d, e2, n, t, m, ms, cnt, slope, nv, vs); break;
+    switch (8 * ((m + 1) / 2) + (ms + 1) / 2) {
+        SHAPE(1, 0) SHAPE(1, 1) SHAPE(2, 0) SHAPE(2, 1) SHAPE(2, 2) SHAPE(3, 0) SHAPE(3, 1)
+        SHAPE(3, 2) SHAPE(3, 3) SHAPE(4, 0) SHAPE(4, 1) SHAPE(4, 2) SHAPE(4, 3) SHAPE(4, 4)
+    }
 }
 
 /* the twisted vector from the forward pivots z and the backward pivots b at

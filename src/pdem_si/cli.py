@@ -21,7 +21,7 @@ import numpy as np
 
 from . import verification as verif
 from .catalog import CatalogEntry, ENTRIES, EXCLUSIONS, lookup
-from .core import PRESET_EXPONENTS, AmbiguityParams, NotFound, PdemError, RangeError, ZeroNorm
+from .core import PRESET_EXPONENTS, AmbiguityParams, NotFound, PdemError, RangeError, SingularPotential, ZeroNorm
 from .wavefunctions import LevelTable, admissibility_checks, normalized_states
 
 _FMT = "%.17g"  # full round-trip decimal representation
@@ -391,7 +391,7 @@ def main(argv=None) -> int:
         # the reader closed the pipe: stdout goes to devnull, so that the flush at exit prints nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (RangeError, NotFound, ZeroNorm) as exc:
+    except (RangeError, NotFound, ZeroNorm, SingularPotential) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

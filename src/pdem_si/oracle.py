@@ -8,12 +8,13 @@ boundary nodes carry Dirichlet conditions outside the matrix.
 ``discretize_vonroos`` builds one ordering with it; the verify battery's
 ordering pair builds two from one evaluation of f per grid.
 
-The sweeps ``_count``, ``_count_slope``, ``_lanes`` (up to 8 shifts in one
-pass, each a ``_count_slope`` or a ``_count``, two shifts to a vector
-register), the twisted vectors of ``_twisted_rows`` (every vector of a
-request in one call, the forward and backward pivots of two eigenvalues in
-one pass) and their input arrays (``_sweep_arrays``, built once per operator
-and kept on it as ``TridiagonalOperator.sweep_arrays``) run in C,
+The sweeps ``_count``, ``_count_slope`` and ``_lanes`` (up to 8 shifts in
+one pass, each a ``_count_slope`` or a ``_count``, two shifts to a vector
+register; the first two are passes of one shift) run in one C loop,
+``sturm_lanes``. It, the twisted vectors of ``_twisted_rows`` (every vector
+of a request in one call, the forward and backward pivots of two eigenvalues
+in one pass) and their input arrays (``_sweep_arrays``, built once per
+operator and kept on it as ``TridiagonalOperator.sweep_arrays``) are in
 ``_sturm.c``, loaded with ctypes. The library is compiled on the first
 sweep, not at import, and cached in the package's __pycache__ under a key
 that hashes the source and the flags (written to a temporary name, then
@@ -185,9 +186,7 @@ def _open_kernel(cache: Path, name: str):
                     stale.unlink()
     lib = ctypes.CDLL(str(path))
     # the sweeps take the addresses of buffers the caller holds: converting arrays costs about 1 µs a call
-    dp, vp, n, t = ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-    lib.sturm_count.argtypes, lib.sturm_count.restype = (vp, vp, n, t), n
-    lib.sturm_count_slope.argtypes, lib.sturm_count_slope.restype = (vp, vp, n, t, ctypes.POINTER(n)), t
+    dp, vp, n = ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, ctypes.c_long
     lib.sturm_lanes.argtypes, lib.sturm_lanes.restype = (vp, vp, n, vp, n, n, vp, vp), None
     lib.sturm_vectors.argtypes, lib.sturm_vectors.restype = (vp, vp, vp, n, vp, n, vp, n, vp), None
     lib.sweep_arrays.argtypes, lib.sweep_arrays.restype = (vp, vp, n, dp, dp), n
@@ -215,8 +214,10 @@ def sturm_count(op: TridiagonalOperator, t: float) -> int:
 
 def _count(d, e2, t: float) -> int:
     # zero pivots are replaced by -pivmin before the sign test (ties count below)
-    if isinstance(d, ctypes.Array):
-        return _LIB.sturm_count(ctypes.addressof(d), ctypes.addressof(e2), len(d), t)
+    if isinstance(d, ctypes.Array):  # a one-lane pass of the compiled sweep
+        cnt, t, ref = ctypes.c_long(), ctypes.c_double(t), ctypes.byref
+        _LIB.sturm_lanes(ctypes.addressof(d), ctypes.addressof(e2), len(d), ref(t), 1, 0, ref(cnt), None)
+        return cnt.value
     pivmin = _PIVMIN
     q = d[0] - t
     if -pivmin < q < pivmin:
@@ -235,9 +236,9 @@ def _count_slope(d, e2, t: float) -> tuple:
     """The count of ``_count`` and d/dt log|det(T - t)| = sum of q_i'/q_i over
     the pivots, with q_i' = -1 + (e_i^2/q_{i-1}) (q_{i-1}'/q_{i-1})."""
     if isinstance(d, ctypes.Array):
-        cnt = ctypes.c_long()
-        slope = _LIB.sturm_count_slope(ctypes.addressof(d), ctypes.addressof(e2), len(d), t, ctypes.byref(cnt))
-        return cnt.value, slope
+        cnt, slope, t, ref = ctypes.c_long(), ctypes.c_double(), ctypes.c_double(t), ctypes.byref
+        _LIB.sturm_lanes(ctypes.addressof(d), ctypes.addressof(e2), len(d), ref(t), 1, 1, ref(cnt), ref(slope))
+        return cnt.value, slope.value
     pivmin = _PIVMIN
     q = d[0] - t
     if -pivmin < q < pivmin:
@@ -261,7 +262,9 @@ def _lanes(d, e2, shifts: list, ms: int) -> tuple:
     """The counts of ``_count`` at ``shifts`` and the slopes of ``_count_slope``
     at the first ``ms`` of them. The compiled kernel sweeps two or more
     shifts in passes of up to 8 lanes, the slope lanes and the count lanes of
-    a pass together; a single shift, or list arrays, run one sweep per shift."""
+    a pass together; a single shift runs ``_count`` or ``_count_slope`` (a
+    pass of one lane), where the sweep counters see it, and list arrays run
+    the Python sweep of each shift."""
     counts, slopes, addr = [], [], ctypes.addressof
     if len(shifts) == 1 or not isinstance(d, ctypes.Array):
         for i, t in enumerate(shifts):

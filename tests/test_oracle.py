@@ -794,12 +794,13 @@ def _bits(x):
 
 @pytest.mark.parametrize("name", sorted(catalog.ENTRIES))
 def test_kernel_sweeps_match_python_sweeps(name):
-    # the compiled sweeps against the Python loops, which run on lists: counts
+    # the compiled sweep against the Python loops, which run on lists: counts
     # and slopes bit for bit at seeded shifts, 1 and 1,000 ulps either side of
-    # the lowest levels, and at d[0], whose zero pivot becomes -pivmin; the
-    # fused sweep in every lane of passes of 1 to 8 shifts at every split
-    # between slope and count lanes, and over all the shifts at once, which it
-    # takes 8 at a time
+    # the lowest levels, and at d[0], whose zero pivot becomes -pivmin, first
+    # in passes of one lane (_count and _count_slope on kernel arrays), then
+    # in every lane of passes of 1 to 8 shifts at every split between slope
+    # and count lanes, and over all the shifts at once, which it takes 8 at a
+    # time
     if not oracle._kernel():
         pytest.skip("the sweep kernel cannot be built here")
     entry = catalog.ENTRIES[name]
@@ -1104,10 +1105,32 @@ def test_sweep_shifts_are_floats(monkeypatch):
     assert all(type(t) is float for name in ("_count", "_count_slope") for t, _ in shifts[name])
 
 
+def test_single_shift_rounds_run_the_recorded_sweeps(monkeypatch):
+    # a k = 1 solve on kernel arrays runs its single-shift rounds through
+    # oracle._count and oracle._count_slope, which _record_sweeps and the
+    # benchmark tracer count: a kernel call past them would pass the work
+    # gates with counts that read low
+    if not oracle._kernel():
+        pytest.skip("the sweep kernel cannot be built here")
+    op = _box_operator(0.5, 2001)
+    want = eigenpairs(op, 1).eigenvalues
+    seen = {"_count": 0, "_count_slope": 0}
+    for name in seen:
+
+        def counted(d, e2, t, sweep=getattr(oracle, name), name=name):
+            assert isinstance(d, ctypes.Array)
+            seen[name] += 1
+            return sweep(d, e2, t)
+
+        monkeypatch.setattr(oracle, name, counted)
+    assert np.array_equal(eigenpairs(op, 1).eigenvalues, want)
+    assert seen["_count"] > 0 and seen["_count_slope"] > 0, seen
+
+
 def test_solver_work_in_verify_all(monkeypatch):
     # the deterministic sweep counters of ``verify --potential all``; a slope
-    # sweep is weighted 1.8 counts, though in C it costs 1.10-1.15 counts at
-    # N = 2001-16001, both bound by the same chain of divisions
+    # sweep is weighted 1.8 counts, though in C a slope lane costs 1.16-1.19
+    # count lanes at N = 2001-16001, both bound by the same chain of divisions
     shifts = _record_sweeps(monkeypatch)
     for name in sorted(catalog.ENTRIES):
         entry = catalog.ENTRIES[name]

@@ -249,6 +249,23 @@ def test_overflow_exit_2(argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--potential", "oscillator_3d", "--params", "omega=1e6"),
+        ("spectrum", "--potential", "morse", "--params", "B=1e7"),
+        ("spectrum", "--potential", "trig_poschl_teller", "--params", "A=1e7"),
+        ("verify", "--potential", "morse", "--params", "B=1e7"),
+    ],
+)
+def test_potential_past_the_operator_guard_exits_2(argv):
+    # valid parameters whose potential passes the oracle's overflow guard: a
+    # numeric overflow (exit 2), not a verification failure (exit 1)
+    res = _cli(*argv)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == "error: potential exceeds overflow guard at an interior node\n"
+
+
+@pytest.mark.parametrize(
     "argv,flag",
     [
         (("spectrum", "--potential", "box", "--n-levels", "0"), "--n-levels"),
