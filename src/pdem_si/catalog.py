@@ -69,6 +69,9 @@ class CatalogEntry:
     ``printed_energy(params, n)``, ``ground_state_closed(params, x)`` or
     ``v_tilde_closed(params, rho, sigma, x)`` (None when nothing is printed).
 
+    ``validity`` holds one ``(text, predicate(params))`` pair per condition of
+    the parameter region; ``range_text`` and the range errors print its texts.
+
     Unset recipes follow from the domain: a bounded domain is its own oracle
     recipe at 4001 points and its own equivalence interval.
     """
@@ -77,8 +80,7 @@ class CatalogEntry:
     domain: Interval
     deformation_names: tuple
     default_params: dict
-    range_text: str
-    _validate: Callable
+    validity: tuple
     deforming: Callable
     v_eff: Callable
     v_coeffs: Callable
@@ -116,6 +118,12 @@ class CatalogEntry:
             return 0.5 * (x1 + x2)
         return x1 + 1.0 if math.isfinite(x1) else 0.0
 
+    @property
+    def range_text(self) -> str:
+        names = self.deformation_names
+        nonzero = f"{names[0]} != 0" if len(names) == 1 else f"{', '.join(names)} not both 0"
+        return ", ".join([*(text for text, _ in self.validity), nonzero])
+
     def validate(self, params: dict) -> None:
         unknown = set(params) - set(self.param_names)
         if unknown:
@@ -128,7 +136,9 @@ class CatalogEntry:
             raise RangeError(f"{self.name}: parameter(s) {nonfinite} must be finite")
         if all(params[k] == 0.0 for k in self.deformation_names):
             raise RangeError(f"{self.name}: deformation parameters all zero (range: {self.range_text})")
-        self._validate(params)
+        for text, holds in self.validity:
+            if not holds(params):
+                raise RangeError(f"{self.name}: {text} required, got {params}")
 
     def chain_problem(self, params: dict) -> ChainProblem:
         return ChainProblem(
@@ -138,11 +148,6 @@ class CatalogEntry:
             v_eff=self.v_eff(params),
             lam_branch=self.lam_branch,
         )
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise RangeError(msg)
 
 
 def _levels_below(root: float, below: Callable) -> CountingResult:
@@ -180,11 +185,6 @@ def _box_trig_vtilde(alpha, rho, sigma, x):
 
 
 def _make_box() -> CatalogEntry:
-    def validate(p):
-        a = p["alpha"]
-        # upper bound mirrors the CLI range-enforcement contract
-        _require(-1.0 < a < 1.0, f"box: alpha must satisfy -1 < alpha < 1, got {a}")
-
     def printed_energy(p, n):
         return (1.0 + p["alpha"]) * (n + 1) ** 2
 
@@ -197,8 +197,7 @@ def _make_box() -> CatalogEntry:
         domain=Interval(-_HALF_PI, _HALF_PI),
         deformation_names=("alpha",),
         default_params={"alpha": 0.5},
-        range_text="-1 < alpha < 1, alpha != 0",
-        _validate=validate,
+        validity=(("-1 < alpha < 1", lambda p: -1.0 < p["alpha"] < 1.0),),  # alpha < 1 mirrors the CLI range contract
         deforming=lambda p: DeformingFunction("trig_sin2", {"alpha": p["alpha"]}),
         v_eff=lambda p: (lambda x: np.zeros_like(np.asarray(x, dtype=float))),
         v_coeffs=lambda p: (0.0, 0.0, 0.0),
@@ -220,11 +219,6 @@ def _trig_pt_lambda0(p) -> float:
 
 
 def _make_trig_pt() -> CatalogEntry:
-    def validate(p):
-        A, a = p["A"], p["alpha"]
-        _require(A > 1.0, f"trig_poschl_teller: A > 1 required, got {A}")
-        _require(a > -1.0, f"trig_poschl_teller: alpha > -1 required, got {a}")
-
     def v_eff(p):
         A = p["A"]
         return lambda x: A * (A - 1.0) / np.cos(x) ** 2
@@ -244,8 +238,7 @@ def _make_trig_pt() -> CatalogEntry:
         domain=Interval(-_HALF_PI, _HALF_PI),
         deformation_names=("alpha",),
         default_params={"A": 2.0, "alpha": 0.3},
-        range_text="A > 1, -1 < alpha != 0",
-        _validate=validate,
+        validity=(("A > 1", lambda p: p["A"] > 1.0), ("alpha > -1", lambda p: p["alpha"] > -1.0)),
         deforming=lambda p: DeformingFunction("trig_sin2", {"alpha": p["alpha"]}),
         v_eff=v_eff,
         v_coeffs=lambda p: (p["A"] * (p["A"] - 1.0), 0.0, p["A"] * (p["A"] - 1.0)),
@@ -271,11 +264,6 @@ def _hyp_pt_lambda0(p) -> float:
 
 
 def _make_hyp_pt() -> CatalogEntry:
-    def validate(p):
-        A, a = p["A"], p["alpha"]
-        _require(A > 0.0, f"hyperbolic_poschl_teller: A > 0 required, got {A}")
-        _require(0.0 < a < 1.0, f"hyperbolic_poschl_teller: 0 < alpha < 1 required, got {a}")
-
     def v_eff(p):
         A = p["A"]
         return lambda x: -A * (A + 1.0) / np.cosh(x) ** 2
@@ -295,8 +283,7 @@ def _make_hyp_pt() -> CatalogEntry:
         domain=Interval(-math.inf, math.inf),
         deformation_names=("alpha",),
         default_params={"A": 1.0, "alpha": 0.5},
-        range_text="A > 0, 0 < alpha < 1",
-        _validate=validate,
+        validity=(("A > 0", lambda p: p["A"] > 0.0), ("0 < alpha < 1", lambda p: 0.0 < p["alpha"] < 1.0)),
         deforming=lambda p: DeformingFunction("hyperbolic_sinh2", {"alpha": p["alpha"]}),
         v_eff=v_eff,
         v_coeffs=lambda p: (p["A"] * (p["A"] + 1.0), 0.0, -p["A"] * (p["A"] + 1.0)),
@@ -330,11 +317,6 @@ def _shifted_lam_mu(p) -> tuple:
 
 
 def _make_shifted() -> CatalogEntry:
-    def validate(p):
-        om, a, be = p["omega"], p["alpha"], p["beta"]
-        _require(om > 0.0, f"shifted_oscillator: omega > 0 required, got {om}")
-        _require(a > be**2, f"shifted_oscillator: alpha > beta^2 >= 0 required, got alpha={a}, beta={be}")
-
     def v_eff(p):
         om, b = p["omega"], p["b"]
         return lambda x: 0.25 * om**2 * (np.asarray(x, dtype=float) - 2.0 * b / om) ** 2
@@ -375,8 +357,7 @@ def _make_shifted() -> CatalogEntry:
         domain=Interval(-math.inf, math.inf),
         deformation_names=("alpha", "beta"),
         default_params={"omega": 1.0, "b": 0.3, "alpha": 0.1, "beta": 0.1},
-        range_text="omega > 0, alpha > beta^2 >= 0",
-        _validate=validate,
+        validity=(("omega > 0", lambda p: p["omega"] > 0.0), ("alpha > beta^2", lambda p: p["alpha"] > p["beta"] ** 2)),
         deforming=lambda p: DeformingFunction("quadratic", {"alpha": p["alpha"], "beta": p["beta"]}),
         v_eff=v_eff,
         v_coeffs=lambda p: (
@@ -409,12 +390,6 @@ def _osc3d_mu0(p) -> float:
 
 
 def _make_osc3d() -> CatalogEntry:
-    def validate(p):
-        om, l, a = p["omega"], p["l"], p["alpha"]
-        _require(om > 0.0, f"oscillator_3d: omega > 0 required, got {om}")
-        _require(l >= 0.0, f"oscillator_3d: l >= 0 required, got {l}")
-        _require(a > 0.0, f"oscillator_3d: alpha > 0 required, got {a}")
-
     def v_eff(p):
         om, l = p["omega"], p["l"]
         return lambda x: 0.25 * om**2 * np.asarray(x, dtype=float) ** 2 + l * (l + 1.0) / np.asarray(x, dtype=float) ** 2
@@ -436,8 +411,11 @@ def _make_osc3d() -> CatalogEntry:
         domain=Interval(0.0, math.inf),
         deformation_names=("alpha",),
         default_params={"omega": 1.0, "l": 1.0, "alpha": 0.05},
-        range_text="omega > 0, l >= 0, alpha > 0",
-        _validate=validate,
+        validity=(
+            ("omega > 0", lambda p: p["omega"] > 0.0),
+            ("l >= 0", lambda p: p["l"] >= 0.0),
+            ("alpha > 0", lambda p: p["alpha"] > 0.0),
+        ),
         deforming=lambda p: DeformingFunction("quadratic", {"alpha": p["alpha"], "beta": 0.0}),
         v_eff=v_eff,
         v_coeffs=lambda p: (p["l"] * (p["l"] + 1.0), 0.25 * p["omega"] ** 2, 0.0),
@@ -460,12 +438,6 @@ def _make_osc3d() -> CatalogEntry:
 # ---------------------------------------------------------------------------
 
 def _make_coulomb() -> CatalogEntry:
-    def validate(p):
-        e2, l, a = p["e2"], p["l"], p["alpha"]
-        _require(e2 > 0.0, f"coulomb: e2 > 0 required, got {e2}")
-        _require(l >= 0.0, f"coulomb: l >= 0 required, got {l}")
-        _require(a > 0.0, f"coulomb: alpha > 0 required, got {a}")
-
     def v_eff(p):
         e2, l = p["e2"], p["l"]
 
@@ -507,8 +479,11 @@ def _make_coulomb() -> CatalogEntry:
         domain=Interval(0.0, math.inf),
         deformation_names=("alpha",),
         default_params={"e2": 1.0, "l": 0.0, "alpha": 0.1},
-        range_text="e2 > 0, l >= 0, alpha > 0",
-        _validate=validate,
+        validity=(
+            ("e2 > 0", lambda p: p["e2"] > 0.0),
+            ("l >= 0", lambda p: p["l"] >= 0.0),
+            ("alpha > 0", lambda p: p["alpha"] > 0.0),
+        ),
         deforming=lambda p: DeformingFunction("linear", {"alpha": p["alpha"]}),
         v_eff=v_eff,
         v_coeffs=lambda p: (p["l"] * (p["l"] + 1.0), -p["e2"], 0.0),
@@ -549,11 +524,6 @@ def _morse_alpha_max(A: float, B: float, n: int) -> float:
 
 
 def _make_morse() -> CatalogEntry:
-    def validate(p):
-        A, B, a = p["A"], p["B"], p["alpha"]
-        _require(A > 0.0 and B > 0.0, f"morse: A > 0 and B > 0 required, got A={A}, B={B}")
-        _require(a > 0.0, f"morse: alpha > 0 required, got {a}")
-
     def v_eff(p):
         A, B = p["A"], p["B"]
 
@@ -609,8 +579,11 @@ def _make_morse() -> CatalogEntry:
         domain=Interval(-math.inf, math.inf),
         deformation_names=("alpha",),
         default_params={"A": 1.0, "B": 1.0, "alpha": 0.5},
-        range_text="A > 0, B > 0, alpha > 0",
-        _validate=validate,
+        validity=(
+            ("A > 0", lambda p: p["A"] > 0.0),
+            ("B > 0", lambda p: p["B"] > 0.0),
+            ("alpha > 0", lambda p: p["alpha"] > 0.0),
+        ),
         deforming=lambda p: DeformingFunction("exp_decay", {"alpha": p["alpha"]}),
         v_eff=v_eff,
         v_coeffs=lambda p: (p["B"] ** 2, -p["B"] * (2.0 * p["A"] + 1.0), 0.0),
@@ -634,12 +607,6 @@ def _make_morse() -> CatalogEntry:
 # ---------------------------------------------------------------------------
 
 def _make_eckart() -> CatalogEntry:
-    def validate(p):
-        A, B, a = p["A"], p["B"], p["alpha"]
-        _require(A >= 1.5, f"eckart: A >= 3/2 required, got {A}")
-        _require(B > A**2, f"eckart: B > A^2 required, got B={B}, A={A}")
-        _require(-2.0 <= a, f"eckart: -2 <= alpha required, got {a}")
-
     def v_eff(p):
         A, B = p["A"], p["B"]
 
@@ -700,8 +667,11 @@ def _make_eckart() -> CatalogEntry:
         domain=Interval(0.0, math.inf),
         deformation_names=("alpha",),
         default_params={"A": 1.5, "B": 2.5, "alpha": -1.0},
-        range_text="A >= 3/2, B > A^2, -2 <= alpha != 0",
-        _validate=validate,
+        validity=(
+            ("A >= 3/2", lambda p: p["A"] >= 1.5),
+            ("B > A^2", lambda p: p["B"] > p["A"] ** 2),
+            ("alpha >= -2", lambda p: p["alpha"] >= -2.0),
+        ),
         deforming=lambda p: DeformingFunction("exp_sinh", {"alpha": p["alpha"]}),
         v_eff=v_eff,
         v_coeffs=lambda p: (
@@ -741,11 +711,6 @@ def _scarf_lam_mu(p) -> tuple:
 
 
 def _make_scarf1() -> CatalogEntry:
-    def validate(p):
-        A, B, a = p["A"], p["B"], p["alpha"]
-        _require(0.0 < B < A - 1.0, f"scarf_i: 0 < B < A - 1 required, got A={A}, B={B}")
-        _require(0.0 < abs(a) < 1.0, f"scarf_i: 0 < |alpha| < 1 required, got {a}")
-
     def v_eff(p):
         A, B = p["A"], p["B"]
 
@@ -787,8 +752,10 @@ def _make_scarf1() -> CatalogEntry:
         domain=Interval(-_HALF_PI, _HALF_PI),
         deformation_names=("alpha",),
         default_params={"A": 3.0, "B": 0.5, "alpha": 0.5},
-        range_text="0 < B < A - 1, 0 < |alpha| < 1",
-        _validate=validate,
+        validity=(
+            ("0 < B < A - 1", lambda p: 0.0 < p["B"] < p["A"] - 1.0),
+            ("0 < |alpha| < 1", lambda p: 0.0 < abs(p["alpha"]) < 1.0),
+        ),
         deforming=lambda p: DeformingFunction("trig_sin", {"alpha": p["alpha"]}),
         v_eff=v_eff,
         v_coeffs=lambda p: (
@@ -819,12 +786,6 @@ def _make_scarf1() -> CatalogEntry:
 # ---------------------------------------------------------------------------
 
 def _make_rosen_morse1() -> CatalogEntry:
-    def validate(p):
-        A, a, be = p["A"], p["alpha"], p["beta"]
-        _require(A >= 1.5, f"rosen_morse_i: A >= 3/2 required, got {A}")
-        _require(be > -1.0, f"rosen_morse_i: beta > -1 required, got {be}")
-        _require(abs(a) / 2.0 < math.sqrt(1.0 + be), f"rosen_morse_i: |alpha|/2 < sqrt(1+beta) required")
-
     def v_eff(p):
         A, B = p["A"], p["B"]
 
@@ -870,8 +831,11 @@ def _make_rosen_morse1() -> CatalogEntry:
         domain=Interval(0.0, math.pi),
         deformation_names=("alpha", "beta"),
         default_params={"A": 1.5, "B": 0.5, "alpha": 0.4, "beta": 0.3},
-        range_text="A >= 3/2, beta > -1, |alpha|/2 < sqrt(1 + beta)",
-        _validate=validate,
+        validity=(
+            ("A >= 3/2", lambda p: p["A"] >= 1.5),
+            ("beta > -1", lambda p: p["beta"] > -1.0),
+            ("|alpha|/2 < sqrt(1 + beta)", lambda p: abs(p["alpha"]) / 2.0 < math.sqrt(1.0 + p["beta"])),
+        ),
         deforming=lambda p: DeformingFunction("trig_mix", {"alpha": p["alpha"], "beta": p["beta"]}),
         v_eff=v_eff,
         v_coeffs=lambda p: (

@@ -272,11 +272,7 @@ class _Assembled:
 
     def log_abs(self, x):
         """log |psi_n(x)|, safe for large arguments (used by the truncation test)."""
-        return self.log_abs_at(_Points(self.problem, x))
-
-    def log_abs_at(self, pts: _Points):
-        """log |psi_n| at ``pts`` (see ``sign_log_at``)."""
-        return self.sign_log_at(pts)[1]
+        return self.sign_log_at(_Points(self.problem, x))[1]
 
     def sign_log_at(self, pts: _Points) -> tuple:
         """(sign psi_n, log |psi_n|) at ``pts`` in one pass. Every factor but

@@ -59,29 +59,82 @@ def test_closed_energy_trig_pt_undeformed_exact():
         assert val == (2.0 + n) ** 2
 
 
-@pytest.mark.parametrize(
-    "name,params",
-    [
-        ("box", {"alpha": 3.0}),
-        ("box", {"alpha": -1.0}),
-        ("box", {"alpha": 0.0}),
-        ("trig_poschl_teller", {"A": 0.5, "alpha": 0.3}),
-        ("hyperbolic_poschl_teller", {"A": 1.0, "alpha": 1.5}),
-        ("shifted_oscillator", {"omega": 1.0, "b": 0.0, "alpha": 0.01, "beta": 0.2}),
-        ("oscillator_3d", {"omega": 1.0, "l": 1.0, "alpha": -0.1}),
-        ("coulomb", {"e2": 1.0, "l": 0.0, "alpha": 0.0}),
-        ("morse", {"A": 1.0, "B": 1.0, "alpha": -0.5}),
-        ("eckart", {"A": 1.5, "B": 2.5, "alpha": -2.5}),
-        ("eckart", {"A": 1.5, "B": 2.0, "alpha": -1.0}),
-        ("scarf_i", {"A": 3.0, "B": 0.5, "alpha": 1.5}),
-        ("scarf_i", {"A": 3.0, "B": 2.5, "alpha": 0.5}),
-        ("rosen_morse_i", {"A": 1.5, "B": 0.5, "alpha": 2.5, "beta": 0.3}),
-    ],
-)
+# (entry, a point outside its region, the text of the condition it fails);
+# between them the points fail every condition of every entry
+_OUT_OF_RANGE = [
+    ("box", {"alpha": 3.0}, "-1 < alpha < 1"),
+    ("box", {"alpha": -1.0}, "-1 < alpha < 1"),
+    ("box", {"alpha": 0.0}, "alpha != 0"),
+    ("trig_poschl_teller", {"A": 0.5, "alpha": 0.3}, "A > 1"),
+    ("hyperbolic_poschl_teller", {"A": 1.0, "alpha": 1.5}, "0 < alpha < 1"),
+    ("shifted_oscillator", {"omega": 1.0, "b": 0.0, "alpha": 0.01, "beta": 0.2}, "alpha > beta^2"),
+    ("oscillator_3d", {"omega": 1.0, "l": 1.0, "alpha": -0.1}, "alpha > 0"),
+    ("coulomb", {"e2": 1.0, "l": 0.0, "alpha": 0.0}, "alpha != 0"),
+    ("morse", {"A": 1.0, "B": 1.0, "alpha": -0.5}, "alpha > 0"),
+    ("eckart", {"A": 1.5, "B": 2.5, "alpha": -2.5}, "alpha >= -2"),
+    ("eckart", {"A": 1.5, "B": 2.0, "alpha": -1.0}, "B > A^2"),
+    ("scarf_i", {"A": 3.0, "B": 0.5, "alpha": 1.5}, "0 < |alpha| < 1"),
+    ("scarf_i", {"A": 3.0, "B": 2.5, "alpha": 0.5}, "0 < B < A - 1"),
+    ("rosen_morse_i", {"A": 1.5, "B": 0.5, "alpha": 2.5, "beta": 0.3}, "|alpha|/2 < sqrt(1 + beta)"),
+    ("trig_poschl_teller", {"A": 2.0, "alpha": -1.0}, "alpha > -1"),
+    ("hyperbolic_poschl_teller", {"A": 0.0, "alpha": 0.5}, "A > 0"),
+    ("shifted_oscillator", {"omega": 0.0, "b": 0.3, "alpha": 0.1, "beta": 0.1}, "omega > 0"),
+    ("shifted_oscillator", {"omega": 1.0, "b": 0.3, "alpha": 0.0, "beta": 0.0}, "alpha, beta not both 0"),
+    ("oscillator_3d", {"omega": 0.0, "l": 1.0, "alpha": 0.05}, "omega > 0"),
+    ("oscillator_3d", {"omega": 1.0, "l": -0.5, "alpha": 0.05}, "l >= 0"),
+    ("coulomb", {"e2": 0.0, "l": 0.0, "alpha": 0.1}, "e2 > 0"),
+    ("coulomb", {"e2": 1.0, "l": -0.5, "alpha": 0.1}, "l >= 0"),
+    ("coulomb", {"e2": 1.0, "l": 0.0, "alpha": -0.1}, "alpha > 0"),
+    ("morse", {"A": 0.0, "B": 1.0, "alpha": 0.5}, "A > 0"),
+    ("morse", {"A": 1.0, "B": 0.0, "alpha": 0.5}, "B > 0"),
+    ("eckart", {"A": 1.4, "B": 2.5, "alpha": -1.0}, "A >= 3/2"),
+    ("scarf_i", {"A": 3.0, "B": 0.0, "alpha": 0.5}, "0 < B < A - 1"),
+    ("rosen_morse_i", {"A": 1.4, "B": 0.5, "alpha": 0.4, "beta": 0.3}, "A >= 3/2"),
+    ("rosen_morse_i", {"A": 1.5, "B": 0.5, "alpha": 0.4, "beta": -1.0}, "beta > -1"),
+    ("rosen_morse_i", {"A": 1.5, "B": 0.5, "alpha": 0.0, "beta": 0.0}, "alpha, beta not both 0"),
+]
+
+
+@pytest.mark.parametrize("name,params", [(name, params) for name, params, _ in _OUT_OF_RANGE])
 def test_range_enforcement(name, params):
     entry = lookup(name)
     with pytest.raises(RangeError):
         entry.validate(params)
+
+
+@pytest.mark.parametrize("name,params,text", _OUT_OF_RANGE)
+def test_range_error_names_the_failed_condition(name, params, text):
+    # the message names the entry and the condition's text as `catalog` prints it
+    assert text in lookup(name).range_text
+    with pytest.raises(RangeError) as err:
+        lookup(name).validate(params)
+    assert str(err.value).startswith(f"{name}: ") and text in str(err.value)
+
+
+def test_every_condition_is_tested_at_a_rejected_point():
+    failed = {(name, text) for name, _, text in _OUT_OF_RANGE}
+    for name, entry in catalog.ENTRIES.items():
+        for text, _ in entry.validity:
+            assert (name, text) in failed, (name, text)
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("eckart", {"A": 1.5, "B": 2.5, "alpha": -2.0}),
+        ("rosen_morse_i", {"A": 1.5, "B": 0.5, "alpha": 0.4, "beta": 0.3}),
+        ("oscillator_3d", {"omega": 1.0, "l": 0.0, "alpha": 0.05}),
+        ("coulomb", {"e2": 1.0, "l": 0.0, "alpha": 0.1}),
+    ],
+)
+def test_closed_bounds_accept_their_edge(name, params):
+    lookup(name).validate(params)
+
+
+def test_range_text_ends_with_the_nonzero_clause():
+    for entry in catalog.ENTRIES.values():
+        clause = "alpha != 0" if entry.deformation_names == ("alpha",) else "alpha, beta not both 0"
+        assert entry.range_text.endswith(", " + clause), entry.name
 
 
 def test_param_name_enforcement():

@@ -100,6 +100,24 @@ def test_spectrum_out_of_range_exit_2(capsys):
     assert "alpha" in err
 
 
+def test_all_zero_deformation_error_names_the_nonzero_clause(capsys):
+    code, _, err = run(capsys, "spectrum", "--potential", "rosen_morse_i", "--params", "alpha=0,beta=0")
+    assert code == 2
+    assert err == (
+        "error: rosen_morse_i: deformation parameters all zero"
+        " (range: A >= 3/2, beta > -1, |alpha|/2 < sqrt(1 + beta), alpha, beta not both 0)\n"
+    )
+
+
+def test_range_error_gives_the_values(capsys):
+    code, _, err = run(capsys, "spectrum", "--potential", "rosen_morse_i", "--params", "alpha=5")
+    assert code == 2
+    assert err == (
+        "error: rosen_morse_i: |alpha|/2 < sqrt(1 + beta) required,"
+        " got {'A': 1.5, 'B': 0.5, 'alpha': 5.0, 'beta': 0.3}\n"
+    )
+
+
 def test_unknown_potential_exit_2(capsys):
     code, _, err = run(capsys, "spectrum", "--potential", "nonexistent")
     assert code == 2
