@@ -132,7 +132,7 @@ def build_spectrum_report(
         print(f"note: {entry.name} supports {counting.count} bound state(s); clamping levels", file=sys.stderr)
 
     req = verif.Request(entry, params)  # the levels and operators every check below reads
-    chain = req.chain_to(max(k - 1, 5))
+    chain = req.chain_to(max(k - 1, verif._CHAIN_DEPTH + 1))  # deep enough for the residual check: one solve
     oracle_vals = ()
     if with_oracle:
         trusted = min(k, verif.trusted_levels(req))
@@ -167,7 +167,7 @@ def build_spectrum_report(
         )
 
     amb = AmbiguityParams.preset(preset)
-    r1, r2, _ = verif.chain_residual_max(entry, params)
+    r1, r2, _ = verif.chain_residual_max(req)
     checks = {
         "si_residual_max": max(r1, r2),
         "equivalence_max_dev": verif.equivalence_deviation(req, amb)["max_dev"],
@@ -244,9 +244,10 @@ def _cmd_wavefunction(ns) -> int:
         raise RangeError(f"{entry.name}: no level {ns.n} for these parameters (counting = {counting})")
     grid = verif.oracle_grid(entry, params, ns.samples if ns.samples % 2 == 1 else ns.samples + 1)
     x = grid.nodes()
-    psi = normalized_states(LevelTable(entry, params), [ns.n], grid)[0]
-    vals_f = np.asarray(entry.deforming(params).f(x[1:-1]), dtype=float)
-    v = np.asarray(entry.v_eff(params)(x[1:-1]), dtype=float)
+    table = LevelTable(entry, params)
+    psi = normalized_states(table, [ns.n], grid)[0]
+    vals_f = np.asarray(table.problem.df.f(x[1:-1]), dtype=float)
+    v = np.asarray(table.problem.v_eff(x[1:-1]), dtype=float)
     lines = ["x,psi,f,v_eff"]
     for i in range(1, grid.n_points - 1):
         lines.append(",".join(_FMT % val for val in (x[i], psi[i], vals_f[i - 1], v[i - 1])))

@@ -16,7 +16,7 @@ from .core import AmbiguityParams, Grid, Interval, ZeroNorm, positivity_check
 from .ordering import _v_tilde, v_tilde_eval
 from .oracle import DEFORMED, Spectrum, TridiagonalOperator, _battery_deviation, _stencil
 from .oracle import eigenpairs, eigenvectors, sturm_count
-from .si_engine import ParameterChain, chain_residuals, solve_chain, w_eval
+from .si_engine import ParameterChain, chain_residuals, w_eval
 from .wavefunctions import LevelTable, _Points, admissibility_checks
 
 _SPECTRUM_CACHE: dict = {}
@@ -109,49 +109,46 @@ def residual_window(entry: CatalogEntry, params: dict) -> tuple:
     return -4.0, 8.0
 
 
-def chain_residual_max(entry: CatalogEntry, params: dict) -> tuple:
+def chain_residual_max(table: LevelTable) -> tuple:
     """(max |r1|, max |r2| over i <= _CHAIN_DEPTH, scale) on interior nodes.
 
     ``scale`` is the largest term magnitude entering the residuals, the natural
     yardstick once potential parameters grow large."""
-    problem = entry.chain_problem(params)
-    chain = solve_chain(problem, _CHAIN_DEPTH + 1)
-    a, b = residual_window(entry, params)
-    return chain_residuals(problem, chain, _CHAIN_DEPTH, np.linspace(a, b, _WINDOW_NODES))
+    xs = np.linspace(*residual_window(table.entry, table.params), _WINDOW_NODES)
+    return chain_residuals(table.problem, table.chain_to(_CHAIN_DEPTH + 1), _CHAIN_DEPTH, xs)
 
 
-def printed_chain_residual_max(entry: CatalogEntry, params: dict) -> tuple:
+def printed_chain_residual_max(table: LevelTable) -> tuple:
     """Residuals with the published lambda_i, mu_i substituted for the solved ones."""
-    problem = entry.chain_problem(params)
-    solved = solve_chain(problem, _CHAIN_DEPTH + 1)
+    entry, params = table.entry, table.params
     lams = tuple(entry.printed_lambda(params, i) for i in range(_CHAIN_DEPTH + 2))
     mus = tuple(entry.printed_mu(params, i) for i in range(_CHAIN_DEPTH + 2))
-    chain = ParameterChain(lams, mus, solved.eps_seq)
-    a, b = residual_window(entry, params)
-    return chain_residuals(problem, chain, _CHAIN_DEPTH, np.linspace(a, b, _WINDOW_NODES))
+    chain = ParameterChain(lams, mus, table.chain_to(_CHAIN_DEPTH + 1).eps_seq[: _CHAIN_DEPTH + 2])
+    xs = np.linspace(*residual_window(entry, params), _WINDOW_NODES)
+    return chain_residuals(table.problem, chain, _CHAIN_DEPTH, xs)
 
 
-def chain_vs_printed_energy(entry: CatalogEntry, params: dict) -> float:
+def chain_vs_printed_energy(table: LevelTable) -> float:
     """Max gap between chain partial sums and the published E_n, n <= _CHAIN_DEPTH,
     relative to the scale the partial sum carries, max(|E_n|, sum_{j<=n} |eps_j|):
     a level near the continuum edge is a small sum of large terms."""
-    chain = solve_chain(entry.chain_problem(params), _CHAIN_DEPTH)
+    chain = table.chain_to(_CHAIN_DEPTH)
     worst = scale = 0.0
     for n in range(_CHAIN_DEPTH + 1):
-        printed = entry.printed_energy(params, n)
+        printed = table.entry.printed_energy(table.params, n)
         scale += abs(chain.eps_seq[n])
         worst = max(worst, abs(chain.energy(n) - printed) / max(1e-12, abs(printed), scale))
     return worst
 
 
-def vtilde_agreement(entry: CatalogEntry, params: dict, amb: AmbiguityParams) -> Optional[float]:
+def vtilde_agreement(table: LevelTable, amb: AmbiguityParams) -> Optional[float]:
     """Max |printed V~ - analytic V~| on interior nodes; None if nothing printed."""
+    entry = table.entry
     if entry.v_tilde_closed is None:
         return None
-    a, b = residual_window(entry, params)
-    xs = np.linspace(a, b, _WINDOW_NODES)
-    printed = entry.v_tilde_closed(params, amb.rho, amb.sigma, xs)
-    return float(np.max(np.abs(np.asarray(printed) - v_tilde_eval(entry.deforming(params), amb, xs))))
+    xs = np.linspace(*residual_window(entry, table.params), _WINDOW_NODES)
+    printed = entry.v_tilde_closed(table.params, amb.rho, amb.sigma, xs)
+    return float(np.max(np.abs(np.asarray(printed) - v_tilde_eval(table.problem.df, amb, xs))))
 
 
 class Request(LevelTable):
@@ -188,8 +185,7 @@ def ground_ratio_spread(table: LevelTable) -> float:
     both representations underflow there and the ratio becomes 0/0. NaN when
     no point is left."""
     entry, params = table.entry, table.params
-    a, b = residual_window(entry, params)
-    xs = np.linspace(a, b, _WINDOW_NODES)
+    xs = np.linspace(*residual_window(entry, params), _WINDOW_NODES)
     num = table[0].value(xs)
     closed = np.asarray(entry.ground_state_closed(params, xs), dtype=float)
     mask = np.abs(closed) > 1e-120 * np.max(np.abs(closed))
@@ -527,13 +523,14 @@ def verify_entry(entry: CatalogEntry, params: dict, preset: str = "bdd", tol: Op
 
 
 def _battery(entry: CatalogEntry, params: dict, preset: str, tol: Optional[float]) -> Iterator[Check]:
+    req = Request(entry, params)  # the chain, levels and operators every check reads
     grid = Grid(Interval(*residual_window(entry, params)), 10001)
-    rep = positivity_check(entry.deforming(params), grid)
+    rep = positivity_check(req.problem.df, grid)
     yield Check("positivity", rep.ok, f"min f = {rep.min_f:.6g}")
-    yield _residual_check("chain residuals", *chain_residual_max(entry, params))
-    yield _residual_check("printed chain parameters", *printed_chain_residual_max(entry, params))
+    yield _residual_check("chain residuals", *chain_residual_max(req))
+    yield _residual_check("printed chain parameters", *printed_chain_residual_max(req))
 
-    gap = chain_vs_printed_energy(entry, params)
+    gap = chain_vs_printed_energy(req)
     if entry.energy_discrepancy:
         yield Check("printed energy formula flagged", None, entry.energy_discrepancy)
         yield Check(f"chain vs printed E_n relative gap = {gap:.3g} (reported, not asserted)", None)
@@ -541,13 +538,12 @@ def _battery(entry: CatalogEntry, params: dict, preset: str, tol: Optional[float
         yield Check("chain vs printed E_n", gap < 1e-10, f"max rel gap = {gap:.2e}")
 
     amb = AmbiguityParams.preset(preset)
-    vt = vtilde_agreement(entry, params, amb)
+    vt = vtilde_agreement(req, amb)
     if vt is None:
         yield Check("no printed ordering term for this entry", None)
     else:
         yield Check("printed ordering term", vt < 1e-10, f"max dev = {vt:.2e}")
 
-    req = Request(entry, params)  # the levels and operators every check below reads
     cva = counting_vs_admissibility(req)
     cnt = cva["counting"]
     verdicts = ", ".join(f"n={n}:{_verdict_tag(v)}" for n, v in sorted(cva["verdicts"].items()))

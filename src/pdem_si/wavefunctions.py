@@ -198,17 +198,16 @@ def _descend(sp: SuperpotentialClass, chain: ParameterChain, n: int):
     return poly, tuple(cancels)
 
 
-def polynomial_chain(entry: CatalogEntry, params: dict, n: int) -> DeformedPolynomial:
-    """P_n at chain offset 0 by the descending construction."""
+def polynomial_chain(table: LevelTable, n: int) -> DeformedPolynomial:
+    """P_n at chain offset 0 by the descending construction, on the chain of ``table``."""
     if n < 0:
         raise ChainError("polynomial index must be >= 0")
-    problem = entry.chain_problem(params)
-    chain = solve_chain(problem, n)
-    coeffs, cancels = _descend(problem.sp, chain, n)
+    sp = table.problem.sp
+    coeffs, cancels = _descend(sp, table.chain_to(n), n)
     return DeformedPolynomial(
         coeffs=tuple(float(c) for c in coeffs),
         degree=len(coeffs) - 1,
-        class_id=problem.sp.class_id,
+        class_id=sp.class_id,
         cancellations=cancels,
     )
 

@@ -112,9 +112,10 @@ def test_criterion_06_eckart_regime_switch():
 def test_criterion_07_chain_consistency():
     for name, entry in catalog.ENTRIES.items():
         params = dict(entry.default_params)
-        r1, r2, _ = verif.chain_residual_max(entry, params)
+        table = LevelTable(entry, params)
+        r1, r2, _ = verif.chain_residual_max(table)
         assert r1 < 1e-10 and r2 < 1e-10, (name, r1, r2)
-        gap = verif.chain_vs_printed_energy(entry, params)
+        gap = verif.chain_vs_printed_energy(table)
         if entry.energy_discrepancy:
             assert name == "scarf_i"
             assert gap > 0.5  # disagreement must be visible, not hidden
@@ -162,7 +163,7 @@ def test_criterion_10_class3_degree_cancellation():
     entry = lookup("scarf_i")
     params = dict(entry.default_params)
     for n in range(1, 7):
-        poly = polynomial_chain(entry, params, n)
+        poly = polynomial_chain(LevelTable(entry, params), n)
         assert poly.degree == n
         for resid, scale in poly.cancellations:
             assert resid < 1e-12 * scale, (n, resid, scale)

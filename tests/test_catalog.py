@@ -111,6 +111,23 @@ def test_range_error_names_the_failed_condition(name, params, text):
     assert str(err.value).startswith(f"{name}: ") and text in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "name,params,text",
+    [
+        ("eckart", {"A": 1e200, "B": 2.5, "alpha": -1.0}, "B > A^2"),
+        ("eckart", {"A": 1.35e154, "B": 1e300, "alpha": -1.0}, "B > A^2"),
+        ("shifted_oscillator", {"omega": 1.0, "b": 0.3, "alpha": 0.1, "beta": 1e200}, "alpha > beta^2"),
+        ("shifted_oscillator", {"omega": 1.0, "b": 0.3, "alpha": 1e300, "beta": -1.35e154}, "alpha > beta^2"),
+    ],
+)
+def test_a_condition_past_the_float_range_fails_as_a_range_error(name, params, text):
+    # the square overflows a float: the condition fails, with its own message
+    # and the values, instead of escaping as an OverflowError
+    with pytest.raises(RangeError) as err:
+        lookup(name).validate(params)
+    assert str(err.value) == f"{name}: {text} required, got {params}"
+
+
 def test_every_condition_is_tested_at_a_rejected_point():
     failed = {(name, text) for name, _, text in _OUT_OF_RANGE}
     for name, entry in catalog.ENTRIES.items():
@@ -217,7 +234,7 @@ def test_ground_state_closed_values():
 @pytest.mark.parametrize("preset", ["bdd", "bastard", "zk", "lk"])
 def test_printed_ordering_term(name, preset):
     entry = catalog.ENTRIES[name]
-    got = verif.vtilde_agreement(entry, dict(entry.default_params), AmbiguityParams.preset(preset))
+    got = verif.vtilde_agreement(LevelTable(entry, dict(entry.default_params)), AmbiguityParams.preset(preset))
     if got is None:
         assert name == "hyperbolic_poschl_teller"  # nothing printed for it
     else:

@@ -328,6 +328,26 @@ def test_sweep_eckart_counts_change(capsys):
     assert all(k == "finite" for k in kinds[1:])
 
 
+def test_range_error_past_the_float_range_exits_2(capsys):
+    code, out, err = run(capsys, "spectrum", "--potential", "eckart", "--params", "A=1e200")
+    assert (code, out) == (2, "")
+    assert err == "error: eckart: B > A^2 required, got {'A': 1e+200, 'B': 2.5, 'alpha': -1.0}\n"
+
+
+def test_sweep_rows_past_the_float_range_are_out_of_range(capsys):
+    # B > A^2 overflows at A = 5e199 and 1e200: those rows read out_of_range
+    # and the valid A = 2 row is kept
+    code, out, _ = run(
+        capsys,
+        "sweep", "--potential", "eckart", "--param", "A",
+        "--from", "2", "--to", "1e200", "--steps", "3", "--params", "B=100",
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [row[1] for row in rows] == ["finite", "out_of_range", "out_of_range"]
+    assert rows[0][:4] == ["2", "finite", "13", "-2552.25"]
+
+
 def test_sweep_bad_param(capsys):
     code, _, _ = run(
         capsys,

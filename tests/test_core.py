@@ -1,6 +1,8 @@
 import ast
+import importlib
 import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -220,3 +222,29 @@ def test_no_public_function_forwards_to_a_twin():
     # check by that name and signature, and that reader changes only together
     # with the benchmark (ROADMAP item 1)
     assert _forwards(verification) + _forwards(wavefunctions) == ["verification.oracle_vs_chain"]
+
+
+def _callers(attr: str) -> list:
+    # "module.Class.method" (or "module.function") of every call to ``attr`` in src/
+    found = []
+    for name in (info.name for info in pkgutil.iter_modules(pdem_si.__path__)):
+        module = importlib.import_module(f"pdem_si.{name}")
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope + [child.name] if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == attr:
+                        found.append(".".join([name, *scope]))
+                visit(child, inner)
+
+        visit(ast.parse(inspect.getsource(module)), [])
+    return found
+
+
+def test_level_table_is_the_only_chain_solver():
+    # every check reads the chain of its request's level table: the table is
+    # the one place that builds the chain problem and solves the chain
+    assert _callers("solve_chain") == ["wavefunctions.LevelTable.chain_to"]
+    assert _callers("chain_problem") == ["wavefunctions.LevelTable.__init__"]

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from pdem_si import catalog, verification as verif  # noqa: E402
 from pdem_si.core import RangeError  # noqa: E402
+from pdem_si.wavefunctions import LevelTable  # noqa: E402
 
 _SPREAD = 2.5
 
@@ -34,5 +35,5 @@ def test_chain_matches_published_energies(name, exponents):
     entry = catalog.ENTRIES[name]
     params = _scaled(entry, exponents)
     assume(_valid(entry, params))
-    gap = verif.chain_vs_printed_energy(entry, params)
+    gap = verif.chain_vs_printed_energy(LevelTable(entry, params))
     assert gap < 1e-10, (params, gap)

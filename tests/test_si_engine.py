@@ -18,6 +18,7 @@ from pdem_si.si_engine import (
     solve_chain,
     w_eval,
 )
+from pdem_si.wavefunctions import LevelTable
 
 ALL = sorted(catalog.ENTRIES)
 
@@ -93,14 +94,14 @@ def test_shifted_oscillator_undeformed_factorization():
 @pytest.mark.parametrize("name", ALL)
 def test_chain_residuals(name):
     entry = catalog.ENTRIES[name]
-    r1, r2, _ = verif.chain_residual_max(entry, dict(entry.default_params))
+    r1, r2, _ = verif.chain_residual_max(LevelTable(entry, dict(entry.default_params)))
     assert r1 < 1e-10 and r2 < 1e-10, (name, r1, r2)
 
 
 @pytest.mark.parametrize("name", ALL)
 def test_printed_chain_parameters_satisfy_conditions(name):
     entry = catalog.ENTRIES[name]
-    r1, r2, _ = verif.printed_chain_residual_max(entry, dict(entry.default_params))
+    r1, r2, _ = verif.printed_chain_residual_max(LevelTable(entry, dict(entry.default_params)))
     assert r1 < 1e-10 and r2 < 1e-10, (name, r1, r2)
 
 
@@ -126,7 +127,7 @@ def test_residual_undeformed_limit_trig_pt():
 @pytest.mark.parametrize("name", ALL)
 def test_chain_vs_printed_energies(name):
     entry = catalog.ENTRIES[name]
-    gap = verif.chain_vs_printed_energy(entry, dict(entry.default_params))
+    gap = verif.chain_vs_printed_energy(LevelTable(entry, dict(entry.default_params)))
     if entry.energy_discrepancy:
         # flagged case: the printed formula disagrees (leading-sign typo)
         assert gap > 0.5, (name, gap)

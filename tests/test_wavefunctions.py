@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from pdem_si import catalog, cli, verification as verif, wavefunctions
-from pdem_si.core import ChainError, DeformingFunction, Grid, Interval, PdemError, ZeroNorm
+from pdem_si.core import PRESET_EXPONENTS, AmbiguityParams, ChainError, DeformingFunction, Grid, Interval, PdemError, ZeroNorm
 from pdem_si.oracle import quadrature
 from pdem_si.si_engine import _PHI_BLOWUP, SuperpotentialClass, solve_chain
 from pdem_si.wavefunctions import (
@@ -47,10 +47,10 @@ def test_undeformed_gaussian_limit():
 
 def test_polynomial_seeds_and_low_orders():
     box = catalog.ENTRIES["box"]
-    p0 = polynomial_chain(box, {"alpha": 0.5}, 0)
+    p0 = polynomial_chain(LevelTable(box, {"alpha": 0.5}), 0)
     assert p0.coeffs == (1.0,) and p0.degree == 0
 
-    p1 = polynomial_chain(box, {"alpha": 0.5}, 1)
+    p1 = polynomial_chain(LevelTable(box, {"alpha": 0.5}), 1)
     assert p1.degree == 1
     assert abs(p1.coeffs[0]) < 1e-15 and abs(p1.coeffs[1] - 3.0 * 1.5) < 1e-12
 
@@ -58,7 +58,7 @@ def test_polynomial_seeds_and_low_orders():
     params = dict(osc.default_params)
     lam = -params["l"] - 1.0
     mu = 0.5 * (params["alpha"] + math.sqrt(params["omega"] ** 2 + params["alpha"] ** 2))
-    q1 = polynomial_chain(osc, params, 1)
+    q1 = polynomial_chain(LevelTable(osc, params), 1)
     assert abs(q1.coeffs[0] - (2 * lam - 1)) < 1e-12
     assert abs(q1.coeffs[1] - (2 * mu + params["alpha"])) < 1e-12
 
@@ -66,7 +66,7 @@ def test_polynomial_seeds_and_low_orders():
 def test_box_second_polynomial_closed_form():
     # descending through lambda_1 = 2(1+alpha): P_2 = 5(1+alpha) [3(1+alpha) y^2 - 1]
     alpha = 0.5
-    p2 = polynomial_chain(catalog.ENTRIES["box"], {"alpha": alpha}, 2)
+    p2 = polynomial_chain(LevelTable(catalog.ENTRIES["box"], {"alpha": alpha}), 2)
     c = 5.0 * (1 + alpha)
     want = (-c, 0.0, 3.0 * (1 + alpha) * c)
     assert np.allclose(p2.coeffs, want, rtol=1e-13, atol=1e-12)
@@ -77,7 +77,7 @@ def test_polynomial_degree_exact(name, nmax):
     entry = catalog.ENTRIES[name]
     params = dict(entry.default_params)
     for n in range(nmax + 1):
-        poly = polynomial_chain(entry, params, n)
+        poly = polynomial_chain(LevelTable(entry, params), n)
         assert poly.degree == n
         top = abs(poly.coeffs[-1])
         assert top > 1e-12 * max(abs(c) for c in poly.coeffs)
@@ -87,7 +87,7 @@ def test_scarf_class3_degree_cancellation():
     entry = catalog.ENTRIES["scarf_i"]
     params = dict(entry.default_params)
     for n in range(1, 7):
-        poly = polynomial_chain(entry, params, n)
+        poly = polynomial_chain(LevelTable(entry, params), n)
         assert poly.degree == n
         assert poly.cancellations, "class3 recursion must record its cancellations"
         for resid, scale in poly.cancellations:
@@ -271,7 +271,7 @@ def test_antiderivative_branches_off_the_catalog(class_id, phi, consts, primed):
 @pytest.mark.parametrize("name", ("box", "oscillator_3d", "scarf_i"))  # class1, class2, class3
 def test_deformed_polynomial_call_is_polyval(name):
     entry = catalog.ENTRIES[name]
-    poly = polynomial_chain(entry, dict(entry.default_params), 3)
+    poly = polynomial_chain(LevelTable(entry, dict(entry.default_params)), 3)
     t = np.linspace(-0.9, 0.9, 7)
     assert np.array_equal(poly(t), P.polyval(t, poly.coeffs))
     assert poly(0.25) == P.polyval(0.25, poly.coeffs) and np.ndim(poly(0.25)) == 0
@@ -279,7 +279,7 @@ def test_deformed_polynomial_call_is_polyval(name):
 
 def test_polynomial_chain_guards():
     with pytest.raises(ChainError):
-        polynomial_chain(catalog.ENTRIES["box"], {"alpha": 0.5}, -1)
+        polynomial_chain(LevelTable(catalog.ENTRIES["box"], {"alpha": 0.5}), -1)
 
 
 def test_admissibility_box_all_levels():
@@ -510,16 +510,60 @@ def test_probe_evaluates_each_level_once(monkeypatch, name):
 @pytest.mark.parametrize("name", ALL)
 def test_spectrum_request_assembles_each_level_once(monkeypatch, name):
     # spectrum --n-levels auto, with and without --oracle: the verdicts, the
-    # oracle's level cap and the Gram check read one level table, so the chain
-    # is solved once for them and no level is descended to twice
+    # oracle's level cap, the chain residuals and the Gram check read one level
+    # table, so the chain is solved once for all of them and no level is
+    # descended to twice
     entry = catalog.ENTRIES[name]
     params = dict(entry.default_params)
     k = entry.counting(params).levels(verif.AUTO_LEVELS)
     for with_oracle in (False, True):
         work = _count_level_work(monkeypatch)
         cli.build_spectrum_report(entry, params, "auto", with_oracle)
-        assert work["solve_chain"] == [max(k - 1, 5)]
+        assert work["solve_chain"] == [max(k - 1, verif._CHAIN_DEPTH + 1)]
         assert len(work["_descend"]) == len(set(work["_descend"])), work["_descend"]
+
+
+# the chain depths one verify battery solves at the defaults: depth 6 for the
+# chain checks, then AUTO_LEVELS - 1 where the counting check reads 16 levels
+_VERIFY_SOLVES = {
+    "box": [6, 15], "trig_poschl_teller": [6, 15], "hyperbolic_poschl_teller": [6], "shifted_oscillator": [6, 15],
+    "oscillator_3d": [6, 15], "coulomb": [6], "morse": [6], "eckart": [6], "scarf_i": [6, 15], "rosen_morse_i": [6, 15],
+}
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_verify_battery_solves_the_chain_once_per_depth(monkeypatch, name):
+    # every check of the battery reads the request's level table: the chain is
+    # solved to depth 6 before the first chain check and again only when the
+    # counting check reads deeper
+    entry = catalog.ENTRIES[name]
+    work = _count_level_work(monkeypatch)
+    list(verif.verify_entry(entry, dict(entry.default_params)))
+    assert work["solve_chain"] == _VERIFY_SOLVES[name]
+
+
+_CHAIN_CHECKS = {
+    "chain_residual_max": verif.chain_residual_max,
+    "printed_chain_residual_max": verif.printed_chain_residual_max,
+    "chain_vs_printed_energy": verif.chain_vs_printed_energy,
+    **{
+        f"vtilde_agreement[{preset}]": lambda table, amb=AmbiguityParams.preset(preset): verif.vtilde_agreement(table, amb)
+        for preset in PRESET_EXPONENTS
+    },
+}
+
+
+@pytest.mark.parametrize("check", sorted(_CHAIN_CHECKS))
+@pytest.mark.parametrize("name", ALL)
+def test_chain_checks_read_the_same_bits_at_any_depth(name, check):
+    # solve_chain is sequential, so a table whose chain was first solved to
+    # depth 40 gives each chain check the bits of a fresh table
+    entry = catalog.ENTRIES[name]
+    params = dict(entry.default_params)
+    deep = LevelTable(entry, params)
+    deep.chain_to(40)
+    assert repr(_CHAIN_CHECKS[check](deep)) == repr(_CHAIN_CHECKS[check](LevelTable(entry, params)))
+    assert deep.chain.depth == 40
 
 
 @pytest.mark.parametrize("name", ALL)
